@@ -1,12 +1,10 @@
 """Hot numeric kernels: log-det rates, waterfilling, capped-PSD ascent,
 successive-cancellation sweeps, and best-response fixed points.
 
-Every kernel is written in a numba-compilable subset of numpy.  When the
-environment variable ``MACCOOP_BACKEND`` is unset or ``"numba"`` (and
-numba imports), kernels are JIT-compiled with ``@njit(cache=True)``;
-setting ``MACCOOP_BACKEND=numpy`` selects the identical source as plain
-numpy, which is the reference fallback path.  ``benchmarks/bench_kernels.py``
-times the two side by side.
+The game kernels take one channel, one budget or cap vector and one
+start covariance per block, in the caller's block order, and return one
+covariance per block in the same order.  A number is a pooled trace
+budget (waterfilling); an array holds per-antenna caps (capped ascent).
 
 Kernels never raise domain errors; they return status flags and the
 wrappers in :mod:`maccoop.capacity` / :mod:`maccoop.equilibrium` turn
@@ -15,36 +13,21 @@ those into exceptions.  All inputs are float64 and are not mutated.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+#: The numeric backend; plain numpy is the only one.
 BACKEND = "numpy"
-_env = os.environ.get("MACCOOP_BACKEND", "numba").strip().lower()
-if _env not in ("numpy", "numba"):
-    raise RuntimeError(f"MACCOOP_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-if _env == "numba":
-    try:
-        from numba import njit as _njit
-    except ImportError:  # fall back silently; capacity of both paths is identical
-        _njit = None
-    if _njit is not None:
-        BACKEND = "numba"
+
+#: Dykstra projection tolerance / iteration cap (feasibility projections).
+DYKSTRA_TOL = 1e-11
+DYKSTRA_ITER = 2000
 
 
-def _jit(fn):
-    if BACKEND == "numba":
-        return _njit(cache=True)(fn)
-    return fn
-
-
-@_jit
 def sym(a):
-    """Symmetrize; eigen / cholesky routines want exact symmetry."""
-    return 0.5 * (a + a.T)
+    """Symmetrize (the last two axes); eigen / cholesky routines want exact symmetry."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-@_jit
 def logdet_ratio(n0, h, q, j):
     """log det(N0 I + H Q H^T + J) - log det(N0 I + J), natural log.
 
@@ -56,13 +39,9 @@ def logdet_ratio(n0, h, q, j):
     sig = h @ q @ h.T
     _, ld1 = np.linalg.slogdet(sym(base + sig))
     _, ld0 = np.linalg.slogdet(sym(base))
-    r = ld1 - ld0
-    if r < 0.0:
-        r = 0.0
-    return r
+    return max(ld1 - ld0, 0.0)
 
 
-@_jit
 def waterfill(h, noise_cov, p_total):
     """Rate-optimal covariance under a trace budget.
 
@@ -72,79 +51,57 @@ def waterfill(h, noise_cov, p_total):
 
     Returns (q, rate) with q of shape (w, w).
     """
-    m, w = h.shape
-    q = np.zeros((w, w))
+    w = h.shape[1]
     if p_total <= 0.0:
-        return q, 0.0
+        return np.zeros((w, w)), 0.0
     ell = np.linalg.cholesky(sym(noise_cov))
-    white = np.linalg.solve(ell, np.ascontiguousarray(h))
+    white = np.linalg.solve(ell, h)
     _, s, vt = np.linalg.svd(white, full_matrices=False)
-    r = s.shape[0]
     gains = s * s
     if gains[0] <= 0.0:
-        return q, 0.0
-    npos = 0
-    for i in range(r):
-        if gains[i] > 1e-15 * gains[0]:
-            npos += 1
+        return np.zeros((w, w)), 0.0
     # water level: largest active set k with mu_k above the weakest
-    # included mode's inverse gain (gains sorted descending by svd)
-    inv_cum = 0.0
-    mu = 0.0
-    k_active = 0
-    for k in range(1, npos + 1):
-        inv_cum += 1.0 / gains[k - 1]
-        mu_try = (p_total + inv_cum) / k
-        if mu_try > 1.0 / gains[k - 1]:
-            mu = mu_try
-            k_active = k
-    powers = np.zeros(r)
-    rate = 0.0
-    for i in range(k_active):
-        powers[i] = mu - 1.0 / gains[i]
-        rate += np.log(gains[i] * mu)  # = log(1 + gains*power)
-    q = (vt.T * powers) @ vt
-    return sym(q), rate
+    # included mode's inverse gain (gains sorted descending by svd); none
+    # when the budget is below rounding
+    inv = 1.0 / gains[gains > 1e-15 * gains[0]]
+    mu_try = (p_total + inv.cumsum()) / np.arange(1, inv.size + 1)
+    active = np.flatnonzero(mu_try > inv)
+    if active.size == 0:
+        return np.zeros((w, w)), 0.0
+    k = active[-1] + 1
+    mu = mu_try[k - 1]
+    modes = vt[:k]
+    q = (modes.T * (mu - inv[:k])) @ modes
+    return sym(q), np.log(gains[:k] * mu).sum()  # = sum log(1 + gains*power)
 
 
-@_jit
-def project_capped_psd(v, caps, tol, max_iter):
+def project_capped_psd(v, caps):
     """Dykstra projection of v onto {Q PSD} intersect {diag(Q) <= caps}."""
     x = sym(v)
     p = np.zeros_like(x)
     qc = np.zeros_like(x)
-    w = x.shape[0]
-    for _ in range(max_iter):
+    diag = np.diag_indices_from(x)
+    for _ in range(DYKSTRA_ITER):
         # PSD projection of x + p
         evals, evecs = np.linalg.eigh(sym(x + p))
-        clipped = np.maximum(evals, 0.0)
-        y = (evecs * clipped) @ evecs.T
+        y = (evecs * np.maximum(evals, 0.0)) @ evecs.T
         p = x + p - y
         # diagonal-cap projection of y + q
         xn = sym(y + qc)
-        for i in range(w):
-            if xn[i, i] > caps[i]:
-                xn[i, i] = caps[i]
+        xn[diag] = np.minimum(xn[diag], caps)
         qc = y + qc - xn
-        gap = 0.0
-        for i in range(w):
-            for jj in range(w):
-                d1 = xn[i, jj] - x[i, jj]
-                d2 = xn[i, jj] - y[i, jj]
-                a1 = abs(d1)
-                a2 = abs(d2)
-                if a1 > gap:
-                    gap = a1
-                if a2 > gap:
-                    gap = a2
+        gap = max(np.abs(xn - x).max(), np.abs(xn - y).max())
         x = xn
-        if gap <= tol:
+        if gap <= DYKSTRA_TOL:
             break
     return x
 
 
-@_jit
-def pa_maximize(h, noise_cov, caps, q0, tol, max_iter, dyk_tol, dyk_iter):
+def _fro(a):
+    return np.sqrt(np.sum(a * a))
+
+
+def pa_maximize(h, noise_cov, caps, q0, tol, max_iter):
     """Rate maximization under per-antenna power caps.
 
     Projected gradient ascent on f(Q) = log det(noise_cov + H Q H^T)
@@ -158,47 +115,36 @@ def pa_maximize(h, noise_cov, caps, q0, tol, max_iter, dyk_tol, dyk_iter):
 
     Returns (q, rate, residual, iterations, converged).
     """
-    m, w = h.shape
-    if m == 1:
-        hv = h[0]
-        s = np.empty(w)
-        amp = 0.0
-        for jj in range(w):
-            root = np.sqrt(caps[jj])
-            if hv[jj] < 0.0:
-                s[jj] = -root
-            else:
-                s[jj] = root
-            amp += abs(hv[jj]) * root
-        q = s.reshape(w, 1) @ s.reshape(1, w)
+    if h.shape[0] == 1:
+        root = np.sqrt(caps)
+        s = np.where(h[0] < 0.0, -root, root)
+        amp = np.sum(np.abs(h[0]) * root)
         rate = np.log(1.0 + amp * amp / noise_cov[0, 0])
-        return q, rate, 0.0, 0, True
+        return np.outer(s, s), rate, 0.0, 0, True
 
     _, ld_noise = np.linalg.slogdet(sym(noise_cov))
-    q = project_capped_psd(sym(q0), caps, dyk_tol, dyk_iter)
+    q = project_capped_psd(sym(q0), caps)
     _, ld = np.linalg.slogdet(sym(noise_cov + h @ q @ h.T))
     f = ld - ld_noise
     step = 1.0
     resid = np.inf
     for it in range(1, max_iter + 1):
         cov = sym(noise_cov + h @ q @ h.T)
-        grad = sym(h.T @ np.linalg.solve(cov, np.ascontiguousarray(h)))
-        probe = project_capped_psd(q + grad, caps, dyk_tol, dyk_iter)
-        resid = np.sqrt(np.sum((q - probe) * (q - probe)))
+        grad = sym(h.T @ np.linalg.solve(cov, h))
+        probe = project_capped_psd(q + grad, caps)
+        resid = _fro(q - probe)
         if resid <= tol:
             return q, f, resid, it, True
         step = min(step * 2.0, 1e6)
         moved = False
         while step > 1e-16:
-            cand = project_capped_psd(q + step * grad, caps, dyk_tol, dyk_iter)
+            cand = project_capped_psd(q + step * grad, caps)
             _, ldc = np.linalg.slogdet(sym(noise_cov + h @ cand @ h.T))
             fc = ldc - ld_noise
             if fc >= f:
-                shift = np.sqrt(np.sum((cand - q) * (cand - q)))
+                moved = _fro(cand - q) > 1e-15
                 q = cand
                 f = fc
-                if shift > 1e-15:
-                    moved = True
                 break
             step *= 0.5
         if not moved:
@@ -206,19 +152,19 @@ def pa_maximize(h, noise_cov, caps, q0, tol, max_iter, dyk_tol, dyk_iter):
     return q, f, resid, max_iter, False
 
 
-@_jit
-def block_response(h, noise, mode, p_sum, caps, q0, pa_tol, pa_iter, dyk_tol, dyk_iter):
-    """One coalition's rate-optimal covariance against a noise covariance."""
-    if mode == 0:
-        q, rate = waterfill(h, noise, p_sum)
+def block_response(h, noise, limit, q0, pa_tol, pa_iter):
+    """One coalition's rate-optimal covariance against a noise covariance.
+
+    ``limit`` is a trace budget (a number) or an array of antenna caps.
+    """
+    if not isinstance(limit, np.ndarray):
+        q, rate = waterfill(h, noise, limit)
         return q, rate, True
-    q, rate, _, _, conv = pa_maximize(h, noise, caps, q0, pa_tol, pa_iter, dyk_tol, dyk_iter)
+    q, rate, _, _, conv = pa_maximize(h, noise, limit, q0, pa_tol, pa_iter)
     return q, rate, conv
 
 
-@_jit
-def sic_backward(n0, m, h_cat, offs, mode, p_blk, caps_cat, q0_cat,
-                 pa_tol, pa_iter, dyk_tol, dyk_iter):
+def sic_backward(n0, hs, limits, q0s, pa_tol, pa_iter):
     """Exact equilibrium of the fixed-order cancellation game.
 
     Blocks are listed in decoding order (first decoded first).  A block's
@@ -226,35 +172,30 @@ def sic_backward(n0, m, h_cat, offs, mode, p_blk, caps_cat, q0_cat,
     exact equilibrium: the last block optimizes against noise alone and
     each earlier block against noise plus the later blocks' interference.
 
-    Returns (q_cat, utilities, ok) with q_cat a (W, W) block-diagonal
-    stack aligned with ``offs``.
+    Returns (qs, utilities, ok), one covariance and utility per block.
     """
-    nblk = offs.shape[0] - 1
-    w_all = h_cat.shape[1]
-    q_cat = np.zeros((w_all, w_all))
-    utils = np.zeros(nblk)
+    m = hs[0].shape[0]
+    qs = [None] * len(hs)
+    utils = np.zeros(len(hs))
     ok = True
-    eye = np.eye(m)
+    noise = n0 * np.eye(m)
     jmat = np.zeros((m, m))
-    for idx in range(nblk - 1, -1, -1):
-        lo = offs[idx]
-        hi = offs[idx + 1]
-        h = np.ascontiguousarray(h_cat[:, lo:hi])
-        noise = n0 * eye + jmat
-        q0 = np.ascontiguousarray(q0_cat[lo:hi, lo:hi])
-        qb, rate, conv = block_response(h, noise, mode, p_blk[idx], caps_cat[lo:hi],
-                                        q0, pa_tol, pa_iter, dyk_tol, dyk_iter)
-        if not conv:
-            ok = False
-        q_cat[lo:hi, lo:hi] = qb
+    for idx in range(len(hs) - 1, -1, -1):
+        h = hs[idx]
+        q, rate, conv = block_response(h, noise + jmat, limits[idx], q0s[idx], pa_tol, pa_iter)
+        ok = ok and conv
+        qs[idx] = q
         utils[idx] = rate
-        jmat = sym(jmat + h @ qb @ h.T)
-    return q_cat, utils, ok
+        jmat = sym(jmat + h @ q @ h.T)
+    return qs, utils, ok
 
 
-@_jit
-def sud_fixed_point(n0, m, h_cat, offs, mode, p_blk, caps_cat, q0_cat,
-                    damping, tol, max_rounds, pa_tol, pa_iter, dyk_tol, dyk_iter):
+def _interference(n0, grams):
+    """Noise plus every other block's received covariance, one per block."""
+    return sym(n0 * np.eye(grams.shape[-1]) + grams.sum(axis=0) - grams)
+
+
+def sud_fixed_point(n0, hs, limits, q0s, damping, tol, max_rounds, pa_tol, pa_iter):
     """Damped simultaneous best response for the full-interference game.
 
     Each round every block computes its best response to the current
@@ -262,127 +203,64 @@ def sud_fixed_point(n0, m, h_cat, offs, mode, p_blk, caps_cat, q0_cat,
     Convergence is declared when the largest per-block utility change in
     a round falls below ``tol``.
 
-    Returns (q_cat, utilities, rounds, converged, last_delta).
+    Returns (qs, utilities, rounds, converged, last_delta).
     """
-    nblk = offs.shape[0] - 1
-    w_all = h_cat.shape[1]
-    eye = np.eye(m)
-    q_cat = q0_cat.copy()
-    grams = np.zeros((nblk, m, m))
-    for i in range(nblk):
-        lo = offs[i]
-        hi = offs[i + 1]
-        h = np.ascontiguousarray(h_cat[:, lo:hi])
-        grams[i] = h @ np.ascontiguousarray(q_cat[lo:hi, lo:hi]) @ h.T
-    utils = np.zeros(nblk)
-    prev = np.full(nblk, -1.0)
+    qs = list(q0s)
+    grams = np.stack([h @ q @ h.T for h, q in zip(hs, qs)])
+    utils = np.zeros(len(hs))
+    prev = np.full(len(hs), -1.0)
     delta = np.inf
     converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        total = np.zeros((m, m))
-        for i in range(nblk):
-            total = total + grams[i]
         ok_all = True
-        new_q = q_cat.copy()
-        for i in range(nblk):
-            lo = offs[i]
-            hi = offs[i + 1]
-            h = np.ascontiguousarray(h_cat[:, lo:hi])
-            noise = sym(n0 * eye + total - grams[i])
-            q0 = np.ascontiguousarray(q_cat[lo:hi, lo:hi])
-            br, _, conv = block_response(h, noise, mode, p_blk[i], caps_cat[lo:hi],
-                                         q0, pa_tol, pa_iter, dyk_tol, dyk_iter)
-            if not conv:
-                ok_all = False
-            new_q[lo:hi, lo:hi] = (1.0 - damping) * q0 + damping * br
-        q_cat = new_q
-        for i in range(nblk):
-            lo = offs[i]
-            hi = offs[i + 1]
-            h = np.ascontiguousarray(h_cat[:, lo:hi])
-            grams[i] = h @ np.ascontiguousarray(q_cat[lo:hi, lo:hi]) @ h.T
-        total = np.zeros((m, m))
-        for i in range(nblk):
-            total = total + grams[i]
-        delta = 0.0
-        for i in range(nblk):
-            noise = sym(n0 * eye + total - grams[i])
-            _, ld1 = np.linalg.slogdet(sym(noise + grams[i]))
-            _, ld0 = np.linalg.slogdet(noise)
-            v = ld1 - ld0
-            if v < 0.0:
-                v = 0.0
-            d = abs(v - prev[i])
-            if d > delta:
-                delta = d
-            utils[i] = v
-            prev[i] = v
+        moved = []
+        for h, noise, limit, q in zip(hs, _interference(n0, grams), limits, qs):
+            br, _, conv = block_response(h, noise, limit, q, pa_tol, pa_iter)
+            ok_all = ok_all and conv
+            moved.append((1.0 - damping) * q + damping * br)
+        qs = moved
+        grams = np.stack([h @ q @ h.T for h, q in zip(hs, qs)])
+        noises = _interference(n0, grams)
+        _, ld1 = np.linalg.slogdet(sym(noises + grams))
+        _, ld0 = np.linalg.slogdet(noises)
+        utils = np.maximum(ld1 - ld0, 0.0)
+        delta = np.abs(utils - prev).max()
+        prev = utils
         if rounds > 1 and delta < tol and ok_all:
             converged = True
             break
-    return q_cat, utils, rounds, converged, delta
+    return qs, utils, rounds, converged, delta
 
 
-@_jit
-def single_rx_table(rgs_mat, slot, gain2, p_sum, amp, mode, n0):
-    """Closed-form utilities for every partition, single receive antenna.
+def _block_powers(rgs_mat, gain2, p_sum, amp, mode):
+    """One-hot block labels (rows, user, label) and each label's received power.
+
+    A block's received power is (sum of member gains^2)(sum of member
+    budgets) under a trace budget (mode 0) or (sum of member |h| sqrt(cap)
+    amplitudes)^2 under antenna caps (mode 1).
+    """
+    k = rgs_mat.shape[1]
+    onehot = rgs_mat[:, :, None] == np.arange(k)[None, None, :]
+    if mode == 0:
+        return onehot, (np.einsum("buj,u->bj", onehot, gain2)
+                        * np.einsum("buj,u->bj", onehot, p_sum))
+    a = np.einsum("buj,u->bj", onehot, amp)
+    return onehot, a * a
+
+
+def single_rx_table_numpy(rgs_mat, slot, gain2, p_sum, amp, mode, n0):
+    """Closed-form cancellation utilities for every partition, one receive antenna.
 
     ``rgs_mat`` holds one restricted growth string per row; ``slot[u]``
-    is user u's base decoding position.  A block's received power is
-    (sum of member gains^2)(sum of member budgets) under a trace budget
-    (mode 0) or (sum of member |h| sqrt(cap) amplitudes)^2 under antenna
-    caps (mode 1); blocks decode at their latest member's slot and each
-    utility is the log ratio of cumulative undecoded power.
+    is user u's base decoding position.  Blocks decode at their latest
+    member's slot and each utility is the log ratio of cumulative
+    undecoded power.
 
     Returns a (rows, K) array; column j is block j's utility (canonical
     block labels), NaN where partition b has fewer than j+1 blocks.
     """
-    rows, k = rgs_mat.shape
-    out = np.full((rows, k), np.nan)
-    g = np.zeros(k)
-    p = np.zeros(k)
-    a = np.zeros(k)
-    pos = np.zeros(k)
-    power = np.zeros(k)
-    for b in range(rows):
-        nblk = 0
-        for j in range(k):
-            g[j] = 0.0
-            p[j] = 0.0
-            a[j] = 0.0
-            pos[j] = -1.0
-        for u in range(k):
-            j = rgs_mat[b, u]
-            if j + 1 > nblk:
-                nblk = j + 1
-            g[j] += gain2[u]
-            p[j] += p_sum[u]
-            a[j] += amp[u]
-            if slot[u] > pos[j]:
-                pos[j] = slot[u]
-        for j in range(nblk):
-            if mode == 0:
-                power[j] = g[j] * p[j]
-            else:
-                power[j] = a[j] * a[j]
-        order = np.argsort(pos[:nblk])
-        undecoded = 0.0
-        for t in range(nblk - 1, -1, -1):
-            j = order[t]
-            out[b, j] = np.log((n0 + undecoded + power[j]) / (n0 + undecoded))
-            undecoded += power[j]
-    return out
-
-
-def single_rx_table_numpy(rgs_mat, slot, gain2, p_sum, amp, mode, n0):
-    """Vectorized numpy twin of :func:`single_rx_table` (reference path)."""
-    rows, k = rgs_mat.shape
-    onehot = rgs_mat[:, :, None] == np.arange(k)[None, None, :]  # (rows, user, label)
-    g = np.einsum("buj,u->bj", onehot, gain2)
-    p = np.einsum("buj,u->bj", onehot, p_sum)
-    a = np.einsum("buj,u->bj", onehot, amp)
-    power = g * p if mode == 0 else a * a
+    onehot, power = _block_powers(rgs_mat, gain2, p_sum, amp, mode)
     exists = onehot.any(axis=1)
     pos = np.where(onehot, slot[None, :, None], -np.inf).max(axis=1)
     pos = np.where(exists, pos, np.inf)  # empty labels sort last, power 0
@@ -393,3 +271,15 @@ def single_rx_table_numpy(rgs_mat, slot, gain2, p_sum, amp, mode, n0):
     out = np.empty_like(vals)
     np.put_along_axis(out, order, vals, axis=1)
     return np.where(exists, out, np.nan)
+
+
+def single_rx_sud_table(rgs_mat, gain2, p_sum, amp, mode, n0):
+    """Closed-form single-user-decoding utilities, one receive antenna.
+
+    Each block decodes against noise plus every other block's power;
+    layout as in :func:`single_rx_table_numpy`.
+    """
+    onehot, power = _block_powers(rgs_mat, gain2, p_sum, amp, mode)
+    total = power.sum(axis=1, keepdims=True)
+    vals = np.log((n0 + total) / (n0 + total - power))
+    return np.where(onehot.any(axis=1), vals, np.nan)

@@ -25,10 +25,6 @@ from .model import (
 PSD_TOL = 1e-10
 POWER_TOL = 1e-9
 
-#: Dykstra projection tolerance / iteration cap (feasibility projections).
-DYKSTRA_TOL = 1e-11
-DYKSTRA_ITER = 2000
-
 #: Default stationarity tolerance / iteration cap for the capped ascent.
 PA_TOL = 1e-6
 PA_MAX_ITER = 100_000
@@ -191,7 +187,7 @@ def maximize_per_antenna(
     else:
         start = _as_psd("q0", q0, w)
     q, rate, resid, iters, conv = _kernels.pa_maximize(
-        mat, noise, caps, start, float(tol), int(max_iter), DYKSTRA_TOL, DYKSTRA_ITER
+        mat, noise, caps, start, float(tol), int(max_iter)
     )
     if not conv:
         raise NonConvergence(

@@ -163,7 +163,16 @@ def demand_vector(
 ) -> dict[int, float]:
     """Demand of every proper nonempty coalition, keyed by mask."""
     model = ExpectationModel(model)
-    if table is None and model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
+    enumerates = model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS)
+    if enumerates and scenario.k - 1 > RATIONAL_MAX_OUTSIDERS:
+        # a singleton deviator has K - 1 outsiders; fail before building any table
+        raise InvalidArgument(
+            f"{model.value} demands at K={scenario.k} enumerate {scenario.k - 1} outsiders, "
+            f"over the enumeration cap {RATIONAL_MAX_OUTSIDERS}; core checks allow "
+            f"{CORE_MAX_USERS} users but {model.value} demands only "
+            f"{RATIONAL_MAX_OUTSIDERS + 1}"
+        )
+    if table is None and enumerates:
         # every outside arrangement shows up as a full partition, so one
         # table pass is cheaper than per-coalition enumeration
         table = utility_table(scenario, solver_tol=solver_tol)

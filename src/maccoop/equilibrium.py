@@ -32,6 +32,7 @@ from .capacity import (
 from .errors import InvalidArgument, NonConvergence
 from .io import fingerprint
 from .model import (
+    MAX_USERS,
     Coalition,
     Partition,
     Scenario,
@@ -51,9 +52,6 @@ SUD_MAX_ROUNDS = 10_000
 #: Stationarity tolerance and cap handed to the capped-ascent solver.
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 100_000
-
-_DYK_TOL = 1e-11
-_DYK_ITER = 2000
 
 _TIMESHARE_MAX_ORDERS = 5040  # 7!
 
@@ -90,44 +88,23 @@ class UtilityTable:
 
 
 # ---------------------------------------------------------------------------
-# packing helpers
+# kernel inputs
 
 
-def _pack(scenario: Scenario, blocks: Sequence[Coalition]):
-    mats = [coalition_channel(scenario, b) for b in blocks]
-    offs = np.zeros(len(blocks) + 1, dtype=np.int64)
-    offs[1:] = np.cumsum([m.shape[1] for m in mats])
-    h_cat = np.ascontiguousarray(np.hstack(mats))
-    width = int(offs[-1])
+def _block_inputs(scenario: Scenario, blocks: Sequence[Coalition],
+                  init: CovarianceProfile | None):
+    """Channel, budget or cap vector, and start covariance of each block."""
+    hs = [coalition_channel(scenario, b) for b in blocks]
     if scenario.power_mode == "sum":
-        mode = 0
-        p_blk = np.array([block_budget(scenario, b) for b in blocks])
-        caps = np.zeros(width)
+        limits = [block_budget(scenario, b) for b in blocks]
+        starts = [np.zeros((h.shape[1], h.shape[1])) for h in hs]
     else:
-        mode = 1
-        p_blk = np.zeros(len(blocks))
-        caps = np.concatenate([block_caps(scenario, b) for b in blocks])
-    return h_cat, offs, mode, p_blk, caps
-
-
-def _start_matrix(mode: int, offs, caps, init, blocks) -> np.ndarray:
-    width = int(offs[-1])
-    q0 = np.diag(caps) if mode == 1 else np.zeros((width, width))
+        limits = [block_caps(scenario, b) for b in blocks]
+        starts = [np.diag(c) for c in limits]
     if init is not None:
         by_mask = {b.mask: q for b, q in zip(init.partition.blocks, init.matrices)}
-        for i, b in enumerate(blocks):
-            lo, hi = int(offs[i]), int(offs[i + 1])
-            q0[lo:hi, lo:hi] = by_mask[b.mask]
-    return q0
-
-
-def _unpack_profile(partition: Partition, blocks, offs, q_cat) -> CovarianceProfile:
-    by_mask = {}
-    for i, b in enumerate(blocks):
-        lo, hi = int(offs[i]), int(offs[i + 1])
-        by_mask[b.mask] = q_cat[lo:hi, lo:hi].copy()
-    mats = tuple(by_mask[b.mask] for b in partition.blocks)
-    return CovarianceProfile(partition, mats)
+        starts = [by_mask[b.mask] for b in blocks]
+    return hs, limits, starts
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +118,17 @@ def _sic_with_order(
     init: CovarianceProfile | None = None,
     solver_tol: float = SOLVER_TOL,
 ) -> tuple[CovarianceProfile, dict[int, float]]:
-    h_cat, offs, mode, p_blk, caps = _pack(scenario, decode_order)
-    q0 = _start_matrix(mode, offs, caps, init, decode_order)
-    q_cat, utils, ok = _kernels.sic_backward(
-        scenario.noise, scenario.rx_antennas, h_cat, offs, mode, p_blk, caps, q0,
-        solver_tol, SOLVER_MAX_ITER, _DYK_TOL, _DYK_ITER,
+    hs, limits, starts = _block_inputs(scenario, decode_order, init)
+    qs, utils, ok = _kernels.sic_backward(
+        scenario.noise, hs, limits, starts, solver_tol, SOLVER_MAX_ITER
     )
     if not ok:
         raise NonConvergence(
             f"per-antenna solver stalled while decoding partition {partition}",
             diagnostics={"partition": partition.rgs},
         )
-    profile = _unpack_profile(partition, decode_order, offs, q_cat)
+    by_mask = {b.mask: q for b, q in zip(decode_order, qs)}
+    profile = CovarianceProfile(partition, tuple(by_mask[b.mask] for b in partition.blocks))
     utilities = {b.mask: float(u) for b, u in zip(decode_order, utils)}
     return profile, utilities
 
@@ -200,13 +176,12 @@ def ne_sud(
     if not isinstance(scenario.receiver, Sud):
         raise InvalidArgument("ne_sud requires a single-user-decoding receiver")
     blocks = partition.blocks
-    h_cat, offs, mode, p_blk, caps = _pack(scenario, blocks)
-    q0 = _start_matrix(mode, offs, caps, init, blocks)
-    q_cat, utils, rounds, converged, delta = _kernels.sud_fixed_point(
-        scenario.noise, scenario.rx_antennas, h_cat, offs, mode, p_blk, caps, q0,
-        damping, tol, max_rounds, solver_tol, SOLVER_MAX_ITER, _DYK_TOL, _DYK_ITER,
+    hs, limits, starts = _block_inputs(scenario, blocks, init)
+    qs, utils, rounds, converged, delta = _kernels.sud_fixed_point(
+        scenario.noise, hs, limits, starts, damping, tol, max_rounds,
+        solver_tol, SOLVER_MAX_ITER,
     )
-    profile = _unpack_profile(partition, blocks, offs, q_cat)
+    profile = CovarianceProfile(partition, tuple(qs))
     utilities = {b.mask: float(u) for b, u in zip(blocks, utils)}
     if not converged:
         raise NonConvergence(
@@ -357,23 +332,10 @@ def _single_rx_fast_path(scenario: Scenario) -> Callable[[np.ndarray], np.ndarra
         slot = np.zeros(k)
         for pos, user in enumerate(scenario.receiver.base_order):
             slot[user - 1] = float(pos)
-        table_fn = (_kernels.single_rx_table if _kernels.BACKEND == "numba"
-                    else _kernels.single_rx_table_numpy)
-        return lambda rgs_mat: table_fn(rgs_mat, slot, gain2, p_sum, amp, mode, scenario.noise)
-
-    def sud_closed_form(rgs_mat: np.ndarray) -> np.ndarray:
-        rows, _ = rgs_mat.shape
-        onehot = rgs_mat[:, :, None] == np.arange(k)[None, None, :]
-        if mode == 0:
-            power = np.einsum("buj,u->bj", onehot, gain2) * np.einsum("buj,u->bj", onehot, p_sum)
-        else:
-            a = np.einsum("buj,u->bj", onehot, amp)
-            power = a * a
-        total = power.sum(axis=1, keepdims=True)
-        vals = np.log((scenario.noise + total) / (scenario.noise + total - power))
-        return np.where(onehot.any(axis=1), vals, np.nan)
-
-    return sud_closed_form
+        return lambda rgs_mat: _kernels.single_rx_table_numpy(
+            rgs_mat, slot, gain2, p_sum, amp, mode, scenario.noise)
+    return lambda rgs_mat: _kernels.single_rx_sud_table(
+        rgs_mat, gain2, p_sum, amp, mode, scenario.noise)
 
 
 def _fill_closed_form(entries, fast, partitions: Sequence[Partition]) -> None:
@@ -395,12 +357,13 @@ def utility_table(scenario: Scenario, *, solver_tol: float = SOLVER_TOL) -> Util
     """
     k = scenario.k
     if isinstance(scenario.receiver, SicTimeShare):
-        if k > 7:
+        if math.factorial(k) > _TIMESHARE_MAX_ORDERS:
             raise InvalidArgument(
-                "time-share tables are capped at 7 users (singleton partition hits 8! orders)"
+                f"time-share tables are capped at {_TIMESHARE_MAX_ORDERS} decoding orders "
+                f"(the singleton partition of {k} users has {math.factorial(k)})"
             )
-    elif k > 12:
-        raise InvalidArgument("utility tables are capped at 12 users")
+    elif k > MAX_USERS:
+        raise InvalidArgument(f"utility tables are capped at {MAX_USERS} users")
 
     entries: dict[tuple[int, ...], dict[int, float]] = {}
     fast = _single_rx_fast_path(scenario)

@@ -1,7 +1,8 @@
 """End-to-end acceptance checks.
 
 Each test prints one PASS/FAIL line (run with ``pytest -v -s``).  Timed
-checks exclude JIT warm-up, which the module fixture pays once up front.
+checks exclude first-call costs (imports, LAPACK and cache warm-up), which
+the module fixture pays once up front.
 
 All expected constants are frozen from independent derivations: the
 single-receive-antenna games reduce to cumulative-power closed forms
@@ -64,7 +65,7 @@ PAIR_DEMAND_3DB = (LN(9.0) + LN(11.0 / 3.0)) / 2        # ~1.7482537807
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    """Trigger JIT compilation before any timed assertion."""
+    """Pay first-call costs of every solver path before any timed assertion."""
     s = symmetric(2, 1.0, SicFixed((1, 2)))
     ne_sic(s, Partition.singletons(2))
     ne_sud(s.with_receiver(Sud()), Partition.singletons(2))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from maccoop import cores
 from maccoop._exact_lp import exact_lp_max
 from maccoop.cores import (
     BalancedCertificate,
@@ -158,6 +159,17 @@ class TestCheckCore:
         s = symmetric(11, 1.0, SicFixed(tuple(range(1, 12))))
         with pytest.raises(InvalidArgument):
             check_core(s, ExpectationModel.MERGING)
+
+    @pytest.mark.parametrize("model", [ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS])
+    def test_outsider_cap_fails_before_any_table(self, model, monkeypatch):
+        # K=10 is within the core cap, but a singleton deviator has 9 > 8 outsiders
+        def no_table(*args, **kwargs):
+            raise AssertionError("utility_table must not be built")
+
+        monkeypatch.setattr(cores, "utility_table", no_table)
+        s = symmetric(10, 1.0, SicFixed(tuple(range(1, 11))))
+        with pytest.raises(InvalidArgument, match=r"cap 8.*10 users"):
+            check_core(s, model)
 
 
 class TestAgainstExactLp:

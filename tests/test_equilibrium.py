@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maccoop.capacity import interference_free_rate
+from maccoop.capacity import interference_free_rate, validate_profile
 from maccoop.equilibrium import (
     dsc_diagnostic,
     ne_sic,
@@ -10,7 +10,7 @@ from maccoop.equilibrium import (
     ne_utilities,
     utility_table,
 )
-from maccoop.errors import InvalidArgument
+from maccoop.errors import InvalidArgument, NonConvergence
 from maccoop.model import (
     Coalition,
     Partition,
@@ -19,6 +19,7 @@ from maccoop.model import (
     SicFixed,
     SicTimeShare,
     Sud,
+    SumPower,
     UserSpec,
     enumerate_partitions,
     induced_order,
@@ -145,6 +146,22 @@ class TestNeSud:
             _, best = waterfill(h, noise, block_budget(s, block))
             assert best - utils[block.mask] < 1e-7
 
+    def test_nonconvergence_carries_last_iterate(self):
+        gen = np.random.default_rng(3)
+        users = (UserSpec(1, 2, gen.normal(size=(2, 2)), SumPower(1.0)),
+                 UserSpec(2, 1, gen.normal(size=(2, 1)), SumPower(2.0)))
+        s = Scenario(users, 2, 1.0, Sud())
+        part = Partition.singletons(2)
+        with pytest.raises(NonConvergence) as err:
+            ne_sud(s, part, max_rounds=1)
+        assert err.value.diagnostics["rounds"] == 1
+        assert np.isfinite(err.value.diagnostics["last_delta"])
+        profile, utils = err.value.best
+        assert profile.partition.rgs == part.rgs
+        assert [q.shape for q in profile.matrices] == [(2, 2), (1, 1)]
+        validate_profile(s, profile)
+        assert sorted(utils) == sorted(b.mask for b in part.blocks)
+
     def test_wrong_receiver(self):
         s = symmetric(2, 1.0, SicFixed((1, 2)))
         with pytest.raises(InvalidArgument):
@@ -239,14 +256,18 @@ class TestUtilityTable:
         assert len(table) == 10
 
     def test_fast_path_matches_generic(self, rng):
-        # closed-form whole-table path vs per-partition solvers
+        # closed-form whole-table path vs per-partition solvers, under a
+        # pooled budget and under per-antenna caps (drawn from a local
+        # generator so the shared stream other tests read is unchanged)
+        caps_rng = np.random.default_rng(7)
         for receiver in (SicFixed((2, 1, 3)), Sud()):
-            s = random_scenario(rng, k=3, m=1, receiver=receiver)
-            table = utility_table(s)
-            for part in enumerate_partitions(3):
-                direct = ne_utilities(s, part)
-                for mask, v in direct.items():
-                    assert table.value(part, Coalition(mask)) == pytest.approx(v, abs=1e-9)
+            for s in (random_scenario(rng, k=3, m=1, receiver=receiver),
+                      random_scenario(caps_rng, k=3, m=1, mode="caps", receiver=receiver)):
+                table = utility_table(s)
+                for part in enumerate_partitions(3):
+                    direct = ne_utilities(s, part)
+                    for mask, v in direct.items():
+                        assert table.value(part, Coalition(mask)) == pytest.approx(v, abs=1e-9)
 
     def test_cohesive(self, rng):
         s = random_scenario(rng, k=3, m=2, receiver=Sud())
