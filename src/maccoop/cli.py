@@ -179,7 +179,7 @@ def _cmd_least_core(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
     model = ExpectationModel(args.model)
-    result = least_core(scenario, model, tol_lp=args.tol_lp, solver_tol=args.tol_solver)
+    result = least_core(scenario, model, solver_tol=args.tol_solver)
     em.summary["verdict"] = "nonempty" if result.epsilon_star <= args.tol_lp else "empty"
     em.summary["epsilon_star"] = em.conv(result.epsilon_star)
     em.summary["allocation"] = [em.conv(x) for x in result.allocation]

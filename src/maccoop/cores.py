@@ -29,10 +29,11 @@ from scipy.optimize import linprog
 from ._exact_lp import exact_lp_max
 from .equilibrium import SOLVER_TOL, UtilityTable, ne_utilities, utility_table
 from .errors import InvalidArgument, NumericalFailure
-from .model import Coalition, Partition, Scenario, enumerate_partitions
+from .model import Coalition, Partition, Scenario
+# enumerate_partitions is unused here; perfbench's restore test asserts the binding
+from .model import enumerate_partitions  # noqa: F401
 
 CORE_MAX_USERS = 10
-RATIONAL_MAX_OUTSIDERS = 8  # Bell-number guard for outside enumerations
 
 #: |max-min-slack| below which the exact-arithmetic cross-check runs (K <= 5).
 _DEGENERACY_BAND = 1e-7
@@ -82,22 +83,38 @@ class LeastCoreResult:
 # demands
 
 
-def _partitions_of(members: tuple[int, ...]):
-    """All partitions of an arbitrary user subset, canonical order."""
-    if not members:
-        yield ()
-        return
-    for part in enumerate_partitions(len(members)):
-        yield tuple(
-            Coalition.from_members(members[i - 1] for i in block) for block in part.blocks
-        )
-
-
 def _values_for(scenario: Scenario, partition: Partition,
                 table: UtilityTable | None, solver_tol: float) -> dict[int, float]:
     if table is not None:
         return table.partition_values(partition)
     return ne_utilities(scenario, partition, solver_tol=solver_tol)
+
+
+def _table_demands(table: UtilityTable, model: ExpectationModel) -> dict[int, float]:
+    """Rational or cautious demands of every proper coalition, in one table pass.
+
+    Each partition holding S as a block is one arrangement of S's
+    outsiders, whose total is the partition total minus S's own value.
+    Cautious keeps the smallest own value.  Rational keeps the smallest
+    own value among arrangements whose outsider total is within
+    1e-12 (relative) of the largest.
+    """
+    grand = (1 << table.k) - 1
+    rows = [(sum(values.values()), values) for values in table.entries.values()]
+    floor = dict.fromkeys(range(1, grand), -math.inf)
+    if model is ExpectationModel.RATIONAL:
+        best = floor.copy()
+        for total, values in rows:
+            for mask, own in values.items():
+                if mask != grand and total - own > best[mask]:
+                    best[mask] = total - own
+        floor = {mask: b - 1e-12 * max(1.0, abs(b)) for mask, b in best.items()}
+    demand = dict.fromkeys(range(1, grand), math.inf)
+    for total, values in rows:
+        for mask, own in values.items():
+            if mask != grand and own < demand[mask] and total - own >= floor[mask]:
+                demand[mask] = own
+    return demand
 
 
 def coalition_demand(
@@ -110,48 +127,27 @@ def coalition_demand(
 ) -> float:
     """Equilibrium utility a deviating coalition expects, per the model.
 
-    Rational enumerates every arrangement of the outsiders, keeps those
-    maximizing the outsiders' total utility, and among ties returns the
-    smallest value for the deviator (conservative, deterministic).
-    Cautious takes the worst case over arrangements; merging and
-    singleton fix one arrangement each.
+    Rational keeps the outside arrangements maximizing the outsiders'
+    total utility and among ties returns the smallest value for the
+    deviator (conservative, deterministic).  Cautious takes the worst
+    case over arrangements.  Both are read from the utility table, which
+    is built when none is given, and equal ``demand_vector``'s value for
+    the mask.  Merging and singleton fix one arrangement each.
     """
     k = scenario.k
     grand = (1 << k) - 1
     if coalition.mask == grand or not 0 < coalition.mask < grand:
         raise InvalidArgument("demands are defined for proper nonempty coalitions")
-    outside = tuple(u for u in range(1, k + 1) if u not in coalition)
     model = ExpectationModel(model)
+    if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
+        return demand_vector(scenario, model, table=table, solver_tol=solver_tol)[coalition.mask]
 
+    outside = tuple(u for u in range(1, k + 1) if u not in coalition)
     if model is ExpectationModel.MERGING:
         part = Partition(k, (coalition, Coalition.from_members(outside)))
-        return _values_for(scenario, part, table, solver_tol)[coalition.mask]
-    if model is ExpectationModel.SINGLETON:
-        blocks = (coalition,) + tuple(Coalition.from_members([u]) for u in outside)
-        part = Partition(k, blocks)
-        return _values_for(scenario, part, table, solver_tol)[coalition.mask]
-
-    if len(outside) > RATIONAL_MAX_OUTSIDERS:
-        raise InvalidArgument(
-            f"{len(outside)} outsiders exceed the enumeration cap {RATIONAL_MAX_OUTSIDERS}"
-        )
-    best_external = -math.inf
-    demand = math.inf
-    for arrangement in _partitions_of(outside):
-        part = Partition(k, (coalition,) + arrangement)
-        values = _values_for(scenario, part, table, solver_tol)
-        own = values[coalition.mask]
-        if model is ExpectationModel.CAUTIOUS:
-            demand = min(demand, own)
-            continue
-        external = sum(values[b.mask] for b in arrangement)
-        tie_tol = 1e-12 * max(1.0, abs(external), abs(best_external))
-        if best_external == -math.inf or external > best_external + tie_tol:
-            best_external = external
-            demand = own
-        elif external >= best_external - tie_tol:
-            demand = min(demand, own)
-    return demand
+    else:
+        part = Partition(k, (coalition,) + tuple(Coalition.from_members([u]) for u in outside))
+    return _values_for(scenario, part, table, solver_tol)[coalition.mask]
 
 
 def demand_vector(
@@ -161,21 +157,12 @@ def demand_vector(
     table: UtilityTable | None = None,
     solver_tol: float = SOLVER_TOL,
 ) -> dict[int, float]:
-    """Demand of every proper nonempty coalition, keyed by mask."""
+    """Demand of every proper nonempty coalition, keyed by mask (ascending)."""
     model = ExpectationModel(model)
-    enumerates = model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS)
-    if enumerates and scenario.k - 1 > RATIONAL_MAX_OUTSIDERS:
-        # a singleton deviator has K - 1 outsiders; fail before building any table
-        raise InvalidArgument(
-            f"{model.value} demands at K={scenario.k} enumerate {scenario.k - 1} outsiders, "
-            f"over the enumeration cap {RATIONAL_MAX_OUTSIDERS}; core checks allow "
-            f"{CORE_MAX_USERS} users but {model.value} demands only "
-            f"{RATIONAL_MAX_OUTSIDERS + 1}"
-        )
-    if table is None and enumerates:
-        # every outside arrangement shows up as a full partition, so one
-        # table pass is cheaper than per-coalition enumeration
-        table = utility_table(scenario, solver_tol=solver_tol)
+    if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
+        if table is None:
+            table = utility_table(scenario, solver_tol=solver_tol)
+        return _table_demands(table, model)
     grand = (1 << scenario.k) - 1
     return {
         mask: coalition_demand(scenario, Coalition(mask), model,
@@ -330,7 +317,6 @@ def least_core(
     scenario: Scenario,
     model: ExpectationModel,
     *,
-    tol_lp: float = 1e-9,
     table: UtilityTable | None = None,
     solver_tol: float = SOLVER_TOL,
 ) -> LeastCoreResult:

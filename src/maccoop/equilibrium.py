@@ -194,6 +194,22 @@ def ne_sud(
     return profile, utilities
 
 
+def _order_weights(receiver: SicTimeShare, n: int) -> tuple[float, ...]:
+    """Weights of the n! block decoding orders: capped, uniform by default."""
+    n_orders = math.factorial(n)
+    if n_orders > _TIMESHARE_MAX_ORDERS:
+        raise InvalidArgument(
+            f"{n} blocks give {n_orders} decoding orders; the cap is {_TIMESHARE_MAX_ORDERS}"
+        )
+    if receiver.weights is None:
+        return (1.0 / n_orders,) * n_orders
+    if len(receiver.weights) != n_orders:
+        raise InvalidArgument(
+            f"{len(receiver.weights)} weights supplied for {n_orders} decoding orders"
+        )
+    return receiver.weights
+
+
 def ne_timeshare(scenario: Scenario, partition: Partition,
                  *, solver_tol: float = SOLVER_TOL) -> dict[int, float]:
     """Average equilibrium utilities over the partition's decoding orders.
@@ -205,19 +221,7 @@ def ne_timeshare(scenario: Scenario, partition: Partition,
     """
     if not isinstance(scenario.receiver, SicTimeShare):
         raise InvalidArgument("ne_timeshare requires the time-sharing receiver")
-    n = len(partition)
-    n_orders = math.factorial(n)
-    if n_orders > _TIMESHARE_MAX_ORDERS:
-        raise InvalidArgument(
-            f"{n} blocks give {n_orders} decoding orders; the cap is {_TIMESHARE_MAX_ORDERS}"
-        )
-    weights = scenario.receiver.weights
-    if weights is None:
-        weights = (1.0 / n_orders,) * n_orders
-    elif len(weights) != n_orders:
-        raise InvalidArgument(
-            f"{len(weights)} weights supplied for {n_orders} decoding orders"
-        )
+    weights = _order_weights(scenario.receiver, len(partition))
     acc = {b.mask: 0.0 for b in partition.blocks}
     for w, order in zip(weights, itertools.permutations(partition.blocks)):
         if w == 0.0:
@@ -269,11 +273,8 @@ def _interference_gradients(
         order = induced_order(partition, receiver.base_order)
         index = {b.mask: i for i, b in enumerate(blocks)}
         return sic_grads([index[b.mask] for b in order])
-    n_orders = math.factorial(len(blocks))
-    if n_orders > _TIMESHARE_MAX_ORDERS:
-        raise InvalidArgument("too many decoding orders for the gradient average")
-    weights = receiver.weights or (1.0 / n_orders,) * n_orders
-    acc = [np.zeros_like(g) for g in grams]
+    weights = _order_weights(receiver, len(blocks))
+    acc = [np.zeros((h.shape[1], h.shape[1])) for h in channels]
     for w, perm in zip(weights, itertools.permutations(range(len(blocks)))):
         if w == 0.0:
             continue

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maccoop import cores
 from maccoop._exact_lp import exact_lp_max
 from maccoop.cores import (
     BalancedCertificate,
@@ -21,7 +20,7 @@ from maccoop.cores import (
     region_from_demands,
     validate_certificate,
 )
-from maccoop.equilibrium import utility_table
+from maccoop.equilibrium import UtilityTable, utility_table
 from maccoop.errors import InvalidArgument
 from maccoop.model import Coalition, SicFixed, SicTimeShare, Sud
 
@@ -38,6 +37,27 @@ def k4_fixed_sic():
 
 def k3_timeshare_3db():
     return symmetric(3, 0.5, SicTimeShare())
+
+
+def hand_k3_table(*, apart, own_apart=0.25, own_merged=0.5, reverse=False):
+    """A K=3 table whose only designed entries are user 1's two outside arrangements:
+    {2, 3} merged (worth 1.5) and {2}, {3} apart (worth ``apart``)."""
+    rows = [
+        ((0, 0, 0), {0b111: 3.0}),
+        ((0, 0, 1), {0b011: 2.0, 0b100: 0.5}),
+        ((0, 1, 0), {0b101: 2.0, 0b010: 0.5}),
+        ((0, 1, 1), {0b001: own_merged, 0b110: 1.5}),
+        ((0, 1, 2), {0b001: own_apart, 0b010: apart[0], 0b100: apart[1]}),
+    ]
+    return UtilityTable(3, "hand-built", dict(rows[::-1] if reverse else rows))
+
+
+@pytest.fixture(scope="module")
+def k10_game():
+    """The symmetric K=10 fixed-order SIC game at 0 dB, its table built once."""
+    s = symmetric(10, 1.0, SicFixed(tuple(range(1, 11))))
+    table = utility_table(s)
+    return s, table, grand_value(s, table=table)
 
 
 class TestDemands:
@@ -80,6 +100,26 @@ class TestDemands:
                     if mask in values
                 )
                 assert cautious <= rational + 1e-12 <= best_case + 2e-12
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_rational_tie_breaks_to_smaller_own_value(self, reverse):
+        # user 1's outsiders merged or apart both total 1.5; own values 0.5 and 0.25
+        table = hand_k3_table(apart=(0.75, 0.75), reverse=reverse)
+        s = symmetric(3, 1.0, SicFixed((1, 2, 3)))
+        assert coalition_demand(s, Coalition(1), ExpectationModel.RATIONAL,
+                                table=table) == 0.25
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_rational_follows_larger_outsider_total(self, reverse):
+        # apart, the outsiders total 1.5 + 1e-9 (beyond the 1e-12 tie band)
+        # and leave user 1 the larger own value
+        table = hand_k3_table(apart=(0.75, 0.75 + 1e-9), own_apart=0.5, own_merged=0.25,
+                              reverse=reverse)
+        s = symmetric(3, 1.0, SicFixed((1, 2, 3)))
+        assert coalition_demand(s, Coalition(1), ExpectationModel.RATIONAL,
+                                table=table) == 0.5
+        assert coalition_demand(s, Coalition(1), ExpectationModel.CAUTIOUS,
+                                table=table) == 0.25
 
     def test_rejects_grand_coalition(self):
         s = k4_fixed_sic()
@@ -161,15 +201,14 @@ class TestCheckCore:
             check_core(s, ExpectationModel.MERGING)
 
     @pytest.mark.parametrize("model", [ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS])
-    def test_outsider_cap_fails_before_any_table(self, model, monkeypatch):
-        # K=10 is within the core cap, but a singleton deviator has 9 > 8 outsiders
-        def no_table(*args, **kwargs):
-            raise AssertionError("utility_table must not be built")
-
-        monkeypatch.setattr(cores, "utility_table", no_table)
-        s = symmetric(10, 1.0, SicFixed(tuple(range(1, 11))))
-        with pytest.raises(InvalidArgument, match=r"cap 8.*10 users"):
-            check_core(s, model)
+    def test_k10_verdict_validates(self, model, k10_game):
+        # K=10 is the core cap; every model must reach a validated verdict there
+        s, table, v_k = k10_game
+        result = check_core(s, model, table=table)
+        assert result.verdict == "empty"
+        assert result.allocation is None
+        validate_certificate(result.certificate, demand_vector(s, model, table=table),
+                             v_k, 10)
 
 
 class TestAgainstExactLp:

@@ -195,8 +195,13 @@ class TestNeTimeshare:
 
     def test_weights_length_guard(self):
         s = symmetric(3, 1.0, SicTimeShare((0.5, 0.5)))
+        part = Partition.singletons(3)
         with pytest.raises(InvalidArgument):
-            ne_timeshare(s, Partition.singletons(3))  # 6 orders, 2 weights
+            ne_timeshare(s, part)  # 6 orders, 2 weights
+        # the gradient average behind dsc_diagnostic checks the same length
+        profile = random_feasible_profile(np.random.default_rng(12), s, part)
+        with pytest.raises(InvalidArgument, match="2 weights supplied for 6"):
+            dsc_diagnostic(s, part, profile, profile)
 
     def test_factorial_guard(self):
         s = symmetric(8, 1.0, SicTimeShare())
@@ -246,6 +251,18 @@ class TestDsc:
         rep = dsc_diagnostic(s, part, prof1, prof2)
         for c in rep.values:
             assert abs(c) <= 1e-6
+
+    def test_timeshare_degenerate_weight_equals_fixed_order(self):
+        # single-antenna users on two receive antennas, so block {1} is one
+        # column wide while M = 2; the first lexicographic order decodes {1}
+        # first, as the base order (1, 2, 3) does
+        fixed = per_antenna_mimo(order=(1, 2, 3))
+        shared = Scenario(fixed.users, 2, fixed.noise, SicTimeShare((1.0, 0.0)))
+        part = Partition.from_blocks(3, [[1], [2, 3]])
+        local = np.random.default_rng(11)
+        a = random_feasible_profile(local, fixed, part)
+        b = random_feasible_profile(local, fixed, part)
+        assert dsc_diagnostic(shared, part, a, b) == dsc_diagnostic(fixed, part, a, b)
 
 
 class TestUtilityTable:
