@@ -83,11 +83,33 @@ class LeastCoreResult:
 # demands
 
 
-def _values_for(scenario: Scenario, partition: Partition,
-                table: UtilityTable | None, solver_tol: float) -> dict[int, float]:
+def _arrangement_values(scenario: Scenario, rgs: tuple[int, ...],
+                        table: UtilityTable | None, solver_tol: float) -> dict[int, float]:
+    """Block utilities of the partition with restricted growth string ``rgs``."""
     if table is not None:
-        return table.partition_values(partition)
-    return ne_utilities(scenario, partition, solver_tol=solver_tol)
+        return table.entries[rgs]
+    return ne_utilities(scenario, Partition.from_rgs(rgs), solver_tol=solver_tol)
+
+
+def _fixed_arrangement(k: int, mask: int, model: ExpectationModel) -> tuple[int, ...]:
+    """RGS of S = ``mask`` facing one merged outside block, or outsiders alone.
+
+    Merging labels a user 0 when it sits on user 1's side and 1 otherwise.
+    Singleton numbers blocks by first appearance, S being one block.
+    """
+    inside = [mask >> u & 1 for u in range(k)]
+    if model is ExpectationModel.MERGING:
+        return tuple(int(side != inside[0]) for side in inside)
+    labels, s_label, fresh = [], None, 0
+    for member in inside:
+        if member and s_label is not None:
+            labels.append(s_label)
+        else:
+            if member:
+                s_label = fresh
+            labels.append(fresh)
+            fresh += 1
+    return tuple(labels)
 
 
 def _table_demands(table: UtilityTable, model: ExpectationModel) -> dict[int, float]:
@@ -142,12 +164,8 @@ def coalition_demand(
     if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
         return demand_vector(scenario, model, table=table, solver_tol=solver_tol)[coalition.mask]
 
-    outside = tuple(u for u in range(1, k + 1) if u not in coalition)
-    if model is ExpectationModel.MERGING:
-        part = Partition(k, (coalition, Coalition.from_members(outside)))
-    else:
-        part = Partition(k, (coalition,) + tuple(Coalition.from_members([u]) for u in outside))
-    return _values_for(scenario, part, table, solver_tol)[coalition.mask]
+    rgs = _fixed_arrangement(k, coalition.mask, model)
+    return _arrangement_values(scenario, rgs, table, solver_tol)[coalition.mask]
 
 
 def demand_vector(
@@ -174,9 +192,8 @@ def demand_vector(
 def grand_value(scenario: Scenario, *, table: UtilityTable | None = None,
                 solver_tol: float = SOLVER_TOL) -> float:
     """Utility of the grand coalition (its interference-free maximum rate)."""
-    part = Partition.grand(scenario.k)
-    grand = Coalition((1 << scenario.k) - 1)
-    return _values_for(scenario, part, table, solver_tol)[grand.mask]
+    grand = (1 << scenario.k) - 1
+    return _arrangement_values(scenario, (0,) * scenario.k, table, solver_tol)[grand]
 
 
 # ---------------------------------------------------------------------------

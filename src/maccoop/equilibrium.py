@@ -33,6 +33,7 @@ from .errors import InvalidArgument, NonConvergence
 from .io import fingerprint
 from .model import (
     MAX_USERS,
+    RGS_CHUNK_ROWS,
     Coalition,
     Partition,
     Scenario,
@@ -42,6 +43,7 @@ from .model import (
     coalition_channel,
     enumerate_partitions,
     induced_order,
+    rgs_matrix,
 )
 
 #: Damping, utility tolerance, and round cap for the best-response iteration.
@@ -339,13 +341,18 @@ def _single_rx_fast_path(scenario: Scenario) -> Callable[[np.ndarray], np.ndarra
         rgs_mat, gain2, p_sum, amp, mode, scenario.noise)
 
 
-def _fill_closed_form(entries, fast, partitions: Sequence[Partition]) -> None:
-    rgs_mat = np.array([p.rgs for p in partitions], dtype=np.int64)
-    values = fast(rgs_mat)
-    for row, part in enumerate(partitions):
-        entries[part.rgs] = {
-            block.mask: float(values[row, j]) for j, block in enumerate(part.blocks)
-        }
+def _fill_closed_form(entries, fast, rgs: np.ndarray) -> None:
+    """Add one chunk of RGS rows to ``entries``, block masks in label order."""
+    k = rgs.shape[1]
+    values = fast(rgs)
+    onehot = rgs[:, :, None] == np.arange(k)  # (row, user, label)
+    # user bits fit int16 for k <= 12, keeping the product a quarter the size
+    masks = (onehot * (1 << np.arange(k, dtype=np.int16))[:, None]).sum(axis=1)
+    counts = rgs.max(axis=1) + 1
+    for key, row_masks, row_values, n in zip(
+        rgs.tolist(), masks.tolist(), values.tolist(), counts.tolist()
+    ):
+        entries[tuple(key)] = dict(zip(row_masks[:n], row_values[:n]))
 
 
 def utility_table(scenario: Scenario, *, solver_tol: float = SOLVER_TOL) -> UtilityTable:
@@ -371,14 +378,9 @@ def utility_table(scenario: Scenario, *, solver_tol: float = SOLVER_TOL) -> Util
     if fast is not None:
         # chunked so the vectorized paths never materialize huge one-hot
         # tensors (B_12 partitions x 12 users x 12 labels)
-        chunk: list[Partition] = []
-        for part in enumerate_partitions(k):
-            chunk.append(part)
-            if len(chunk) == 100_000:
-                _fill_closed_form(entries, fast, chunk)
-                chunk = []
-        if chunk:
-            _fill_closed_form(entries, fast, chunk)
+        rgs = rgs_matrix(k)
+        for start in range(0, len(rgs), RGS_CHUNK_ROWS):
+            _fill_closed_form(entries, fast, rgs[start:start + RGS_CHUNK_ROWS])
         return UtilityTable(k, fingerprint(scenario), entries)
 
     for part in enumerate_partitions(k):

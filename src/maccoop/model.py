@@ -24,9 +24,13 @@ MAX_USERS = 12
 BELL_NUMBERS = (1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
 
 
-def bell_number(k: int) -> int:
+def _check_k(k: int) -> None:
     if not 1 <= k <= MAX_USERS:
         raise InvalidArgument(f"k must be in 1..{MAX_USERS}, got {k}")
+
+
+def bell_number(k: int) -> int:
+    _check_k(k)
     return BELL_NUMBERS[k - 1]
 
 
@@ -205,8 +209,11 @@ class Partition:
         """Restricted growth string; block labels follow first appearance."""
         labels = [0] * self.k
         for idx, block in enumerate(self.blocks):
-            for u in block:
-                labels[u - 1] = idx
+            m = block.mask
+            while m:
+                low = m & -m
+                labels[low.bit_length() - 1] = idx
+                m ^= low
         return tuple(labels)
 
     def __len__(self) -> int:
@@ -219,30 +226,42 @@ class Partition:
         return "".join(str(b) for b in self.blocks)
 
 
+def rgs_matrix(k: int) -> np.ndarray:
+    """Restricted growth strings of every partition of 1..k, one per row.
+
+    Returns a (B_k, k) int8 array in lexicographic order; row entry u-1
+    is the block label of user u, labels numbered by first appearance.
+    Built one user at a time: each row is repeated once for every label
+    in 0..max+1 and that label becomes the new column.
+    """
+    _check_k(k)
+    rgs = np.zeros((1, 1), dtype=np.int8)
+    top = np.zeros(1, dtype=np.int8)  # largest label in each row
+    for _ in range(1, k):
+        choices = top.astype(np.int64) + 2
+        starts = np.cumsum(choices) - choices
+        label = (np.arange(starts[-1] + choices[-1])
+                 - np.repeat(starts, choices)).astype(np.int8)
+        rgs = np.column_stack((np.repeat(rgs, choices, axis=0), label))
+        top = np.maximum(np.repeat(top, choices), label)
+    return rgs
+
+
+#: Rows of :func:`rgs_matrix` turned into Python objects at a time, so
+#: callers never hold B_12 partitions' worth of lists or one-hot tensors.
+RGS_CHUNK_ROWS = 100_000
+
+
 def enumerate_partitions(k: int) -> Iterator[Partition]:
     """Yield all partitions of 1..k in lexicographic restricted-growth order.
 
     The count equals the Bell number B_k; k is capped at 12 to keep the
     enumeration (and anything built on it) desk-scale.
     """
-    if not 1 <= k <= MAX_USERS:
-        raise InvalidArgument(f"k must be in 1..{MAX_USERS}, got {k}")
-    a = [0] * k
-    while True:
-        yield Partition.from_rgs(a)
-        # lexicographic successor: bump the rightmost position that can
-        # still grow, reset everything after it to 0
-        i = k - 1
-        while i > 0:
-            prefix_max = max(a[:i])
-            if a[i] <= prefix_max:
-                a[i] += 1
-                for j in range(i + 1, k):
-                    a[j] = 0
-                break
-            i -= 1
-        else:
-            return
+    rgs = rgs_matrix(k)
+    for start in range(0, len(rgs), RGS_CHUNK_ROWS):
+        for row in rgs[start:start + RGS_CHUNK_ROWS].tolist():
+            yield Partition.from_rgs(row)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from maccoop.cores import (
     region_from_demands,
     validate_certificate,
 )
-from maccoop.equilibrium import UtilityTable, utility_table
+from maccoop.equilibrium import UtilityTable, ne_utilities, utility_table
 from maccoop.errors import InvalidArgument
-from maccoop.model import Coalition, SicFixed, SicTimeShare, Sud
+from maccoop.model import Coalition, Partition, SicFixed, SicTimeShare, Sud, enumerate_partitions
 
 from conftest import random_scenario, symmetric
 
@@ -79,6 +79,35 @@ class TestDemands:
         got = coalition_demand(s, Coalition.from_members([2, 3, 4]), ExpectationModel.MERGING)
         # outsider {1} decoded first under the latest-member rule
         assert got == pytest.approx(LN(10.0), abs=1e-12)
+
+    @staticmethod
+    def fixed_arrangement(k, mask, model):
+        """The merging or singleton partition around S = ``mask``, block by block."""
+        s = Coalition(mask)
+        outside = [u for u in range(1, k + 1) if u not in s]
+        if model is ExpectationModel.MERGING:
+            return Partition(k, (s, Coalition.from_members(outside)))
+        return Partition(k, (s,) + tuple(Coalition.from_members([u]) for u in outside))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_fixed_arrangements_read_their_table_row(self, k):
+        # every (partition, block) holds a distinct value, so a wrong row shows
+        s = symmetric(k, 1.0, SicFixed(tuple(range(1, k + 1))))
+        table = UtilityTable(k, "distinct", {
+            p.rgs: {b.mask: float(row * k + j) for j, b in enumerate(p.blocks)}
+            for row, p in enumerate(enumerate_partitions(k))
+        })
+        for model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
+            for mask in range(1, (1 << k) - 1):
+                expected = table.value(self.fixed_arrangement(k, mask, model), Coalition(mask))
+                assert coalition_demand(s, Coalition(mask), model, table=table) == expected
+
+    def test_fixed_arrangements_without_table_solve_that_partition(self):
+        s = random_scenario(np.random.default_rng(13), k=4, m=2, receiver=Sud())
+        for model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
+            for mask in range(1, 15):
+                part = self.fixed_arrangement(4, mask, model)
+                assert coalition_demand(s, Coalition(mask), model) == ne_utilities(s, part)[mask]
 
     def test_two_users_all_models_coincide(self):
         s = symmetric(2, 1.0, SicFixed((1, 2)))

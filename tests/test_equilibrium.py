@@ -3,6 +3,7 @@ import pytest
 
 from maccoop.capacity import interference_free_rate, validate_profile
 from maccoop.equilibrium import (
+    _single_rx_fast_path,
     dsc_diagnostic,
     ne_sic,
     ne_sud,
@@ -285,6 +286,40 @@ class TestUtilityTable:
                     direct = ne_utilities(s, part)
                     for mask, v in direct.items():
                         assert table.value(part, Coalition(mask)) == pytest.approx(v, abs=1e-9)
+
+    @staticmethod
+    def reference_table(s):
+        """Closed-form entries built one Partition at a time, as a dict of dicts."""
+        parts = list(enumerate_partitions(s.k))
+        values = _single_rx_fast_path(s)(np.array([p.rgs for p in parts], dtype=np.int64))
+        return {
+            p.rgs: {b.mask: float(values[row, j]) for j, b in enumerate(p.blocks)}
+            for row, p in enumerate(parts)
+        }
+
+    @pytest.mark.parametrize("mode", ["sum", "caps"])
+    @pytest.mark.parametrize("receiver", [SicFixed((4, 2, 6, 1, 5, 3)), Sud()])
+    def test_closed_form_bitwise_equals_partition_reference(self, receiver, mode):
+        s = random_scenario(np.random.default_rng(11), k=6, m=1, mode=mode, receiver=receiver)
+        ref = self.reference_table(s)
+        table = utility_table(s)
+        assert list(table.entries) == list(ref)
+        for key, row in ref.items():
+            got = table.entries[key]
+            assert list(got) == list(row)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in row.values()]
+
+    @pytest.mark.parametrize("receiver", [SicFixed((3, 1, 4, 2, 5)), Sud()])
+    def test_closed_form_builds_no_partition(self, monkeypatch, receiver):
+        s = random_scenario(np.random.default_rng(12), k=5, m=1, receiver=receiver)
+        ref = self.reference_table(s)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("closed-form table built a Partition")
+
+        monkeypatch.setattr(Partition, "from_rgs", staticmethod(forbidden))
+        monkeypatch.setattr(Partition, "__post_init__", forbidden)
+        assert utility_table(s).entries == ref
 
     def test_cohesive(self, rng):
         s = random_scenario(rng, k=3, m=2, receiver=Sud())

@@ -19,6 +19,7 @@ from maccoop.model import (
     coalition_channel,
     enumerate_partitions,
     induced_order,
+    rgs_matrix,
 )
 
 from conftest import symmetric
@@ -55,6 +56,40 @@ class TestEnumeration:
             # canonical order: ascending smallest member
             smallest = [b.mask & -b.mask for b in part.blocks]
             assert smallest == sorted(smallest)
+
+
+class TestRgsMatrix:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_rows_are_every_restricted_growth_string_in_lex_order(self, k):
+        mat = rgs_matrix(k)
+        assert mat.shape == (BELL_NUMBERS[k - 1], k)
+        assert mat.dtype == np.int8
+        # B_k valid strings in strictly increasing order are exactly all of them
+        wide = mat.astype(np.int64)
+        assert np.all(wide[:, 0] == 0)
+        prefix_max = np.maximum.accumulate(wide, axis=1)
+        assert np.all(wide[:, 1:] <= prefix_max[:, :-1] + 1)
+        assert np.all(np.diff(wide @ (16 ** np.arange(k - 1, -1, -1))) > 0)
+        assert mat.tolist() == [list(p.rgs) for p in enumerate_partitions(k)]
+
+    @pytest.mark.parametrize("k", [0, 13, -1])
+    def test_out_of_range(self, k):
+        with pytest.raises(InvalidArgument):
+            rgs_matrix(k)
+
+
+class TestPartitionRgs:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_label_is_index_of_the_block_holding_the_user(self, k):
+        for part in enumerate_partitions(k):
+            expected = tuple(
+                next(i for i, b in enumerate(part.blocks) if u in b) for u in range(1, k + 1)
+            )
+            assert part.rgs == expected
+
+    def test_blocks_given_out_of_order(self):
+        part = Partition.from_blocks(5, [[4], [2, 5], [1, 3]])
+        assert part.rgs == (0, 1, 0, 2, 1)
 
 
 class TestInducedOrder:
