@@ -16,7 +16,8 @@ import numpy as np
 
 from .capacity import timeshare_highsnr_utility
 from .cores import ExpectationModel, check_core, grand_value
-from .equilibrium import SOLVER_TOL, ne_timeshare, ne_utilities, utility_table
+from .equilibrium import (SOLVER_TOL, _single_rx_fast_path, ne_timeshare, ne_utilities,
+                          utility_table)
 from .errors import InvalidArgument, NonConvergence
 from .model import (
     Coalition,
@@ -98,12 +99,12 @@ def _random_partition(rng: np.random.Generator, k: int, min_blocks: int) -> Part
 
 
 class _ValueCache:
-    """Lazy per-partition equilibrium values; solver stalls become skips."""
+    """Equilibrium values per partition: ``known`` rows or lazy solves; stalls become skips."""
 
-    def __init__(self, scenario: Scenario, solver_tol: float):
+    def __init__(self, scenario: Scenario, solver_tol: float, known: dict | None = None):
         self.scenario = scenario
         self.solver_tol = solver_tol
-        self._cache: dict[tuple[int, ...], dict[int, float] | None] = {}
+        self._cache: dict[tuple[int, ...], dict[int, float] | None] = known or {}
 
     def get(self, partition: Partition) -> dict[int, float] | None:
         key = partition.rgs
@@ -136,7 +137,9 @@ def verify_superadditivity(
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    cache = _ValueCache(scenario, solver_tol)
+    # every partition is visited, so one closed-form table beats a solve each
+    table = utility_table(scenario) if _single_rx_fast_path(scenario) else None
+    cache = _ValueCache(scenario, solver_tol, table.entries if table is not None else None)
     k = scenario.k
     skipped = 0
     counterexample = None
@@ -166,7 +169,7 @@ def verify_superadditivity(
             if counterexample is None:
                 counterexample = MergeSample(before, after, Coalition(merged_mask),
                                              merged_value, parts_total)
-    v_k = grand_value(scenario, solver_tol=solver_tol)
+    v_k = grand_value(scenario, table=table, solver_tol=solver_tol)
     worst = -math.inf
     cohesive = True
     for part in enumerate_partitions(k):

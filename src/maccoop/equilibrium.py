@@ -4,8 +4,9 @@ Three receivers are supported.  With fixed-order successive cancellation
 a coalition's rate depends only on later-decoded blocks, so a single
 backward sweep is an exact equilibrium and the equilibrium utilities are
 unique for a given decoding order.  Single-user decoding couples every
-block to every other, so a damped simultaneous best-response iteration
-is run to a fixed point (non-convergence is surfaced, never hidden).
+block to every other; Gauss-Seidel iterative waterfilling on the game's
+potential (Yu et al., IEEE T-IT 2004) finds an equilibrium
+(non-convergence is surfaced, never hidden).
 Time sharing averages the fixed-order game over the partition's block
 decoding orders.
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .capacity import (
+    PA_MAX_ITER,
     CovarianceProfile,
     block_budget,
     block_caps,
@@ -46,14 +48,12 @@ from .model import (
     rgs_matrix,
 )
 
-#: Damping, utility tolerance, and round cap for the best-response iteration.
-SUD_DAMPING = 0.5
+#: Utility tolerance and sweep cap for iterative waterfilling.
 SUD_TOL = 1e-9
 SUD_MAX_ROUNDS = 10_000
 
-#: Stationarity tolerance and cap handed to the capped-ascent solver.
+#: Stationarity tolerance handed to the capped-ascent solver.
 SOLVER_TOL = 1e-8
-SOLVER_MAX_ITER = 100_000
 
 _TIMESHARE_MAX_ORDERS = 5040  # 7!
 
@@ -122,7 +122,7 @@ def _sic_with_order(
 ) -> tuple[CovarianceProfile, dict[int, float]]:
     hs, limits, starts = _block_inputs(scenario, decode_order, init)
     qs, utils, ok = _kernels.sic_backward(
-        scenario.noise, hs, limits, starts, solver_tol, SOLVER_MAX_ITER
+        scenario.noise, hs, limits, starts, solver_tol, PA_MAX_ITER
     )
     if not ok:
         raise NonConvergence(
@@ -162,33 +162,32 @@ def ne_sud(
     partition: Partition,
     *,
     init: CovarianceProfile | None = None,
-    damping: float = SUD_DAMPING,
-    tol: float = SUD_TOL,
     max_rounds: int = SUD_MAX_ROUNDS,
     solver_tol: float = SOLVER_TOL,
 ) -> tuple[CovarianceProfile, dict[int, float]]:
-    """Fixed point of the single-user-decoding game.
+    """Equilibrium of the single-user-decoding game.
 
-    Damped simultaneous best response: each round every block best
-    responds to the others' current interference and moves ``damping``
-    of the way.  Stops when the largest utility change in a round drops
-    below ``tol``; raises :class:`NonConvergence` (with the last iterate
-    and oscillation diagnostics) after ``max_rounds``.
+    Gauss-Seidel iterative waterfilling (Yu, Rhee, Boyd & Cioffi, IEEE
+    T-IT 2004) on the potential log det(N0 I + sum_j H_j Q_j H_j^T): each
+    sweep lets every block in turn best respond to the others' current
+    interference.  Stops when the largest utility change in a sweep drops
+    below ``SUD_TOL``; raises :class:`NonConvergence` (with the last
+    iterate and its diagnostics) after ``max_rounds`` sweeps.
     """
     if not isinstance(scenario.receiver, Sud):
         raise InvalidArgument("ne_sud requires a single-user-decoding receiver")
     blocks = partition.blocks
     hs, limits, starts = _block_inputs(scenario, blocks, init)
     qs, utils, rounds, converged, delta = _kernels.sud_fixed_point(
-        scenario.noise, hs, limits, starts, damping, tol, max_rounds,
-        solver_tol, SOLVER_MAX_ITER,
+        scenario.noise, hs, limits, starts, SUD_TOL, max_rounds,
+        solver_tol, PA_MAX_ITER,
     )
     profile = CovarianceProfile(partition, tuple(qs))
     utilities = {b.mask: float(u) for b, u in zip(blocks, utils)}
     if not converged:
         raise NonConvergence(
-            f"best-response iteration did not settle on partition {partition} "
-            f"(last utility change {delta:.3e} after {rounds} rounds)",
+            f"iterative waterfilling did not settle on partition {partition} "
+            f"(last utility change {delta:.3e} after {rounds} sweeps)",
             best=(profile, utilities),
             diagnostics={"rounds": int(rounds), "last_delta": float(delta),
                          "partition": partition.rgs},
@@ -249,7 +248,7 @@ def ne_utilities(scenario: Scenario, partition: Partition,
 # uniqueness diagnostics
 
 
-def _interference_gradients(
+def _utility_gradients(
     scenario: Scenario, partition: Partition, profile: CovarianceProfile
 ) -> list[np.ndarray]:
     """Gradient of each block's utility in its own covariance, by receiver."""
@@ -302,8 +301,8 @@ def dsc_diagnostic(
         raise InvalidArgument("profiles must belong to the given partition")
     validate_profile(scenario, profile_a)
     validate_profile(scenario, profile_b)
-    grads_a = _interference_gradients(scenario, partition, profile_a)
-    grads_b = _interference_gradients(scenario, partition, profile_b)
+    grads_a = _utility_gradients(scenario, partition, profile_a)
+    grads_b = _utility_gradients(scenario, partition, profile_b)
     values = []
     for qa, qb, ga, gb in zip(profile_a.matrices, profile_b.matrices, grads_a, grads_b):
         values.append(float(np.trace((qa - qb) @ (gb - ga))))

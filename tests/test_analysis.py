@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maccoop import analysis
 from maccoop.analysis import (
     SweepSpec,
     approx_ratio,
@@ -33,6 +34,15 @@ class TestSuperadditivity:
         assert report.counterexample is None
         assert report.cohesive
         assert report.cohesiveness_worst <= 1e-8
+
+    def test_single_rx_reads_one_closed_form_table(self, monkeypatch):
+        # every partition comes from the closed-form table; none is solved alone
+        def no_solve(*args, **kwargs):
+            raise AssertionError("per-partition solve")
+
+        monkeypatch.setattr(analysis, "ne_utilities", no_solve)
+        report = verify_superadditivity(symmetric_scenario(5), 100, seed=7)
+        assert report.passed and report.cohesive and report.skipped == 0
 
     def test_random_sud_holds(self, rng):
         s = random_scenario(rng, k=3, m=2, receiver=Sud())

@@ -147,6 +147,19 @@ class TestNeSud:
             _, best = waterfill(h, noise, block_budget(s, block))
             assert best - utils[block.mask] < 1e-7
 
+    def test_sweeps_settle_within_a_few_rounds(self):
+        # sequential best responses need no step factor: a lone block's
+        # first sweep is its exact best response and the second confirms it
+        games = [(random_scenario(np.random.default_rng(seed), k=3, m=2, receiver=Sud()),
+                  Partition.grand(3), 2) for seed in range(20)]
+        gen = np.random.default_rng(3)
+        users = (UserSpec(1, 2, gen.normal(size=(2, 2)), SumPower(1.0)),
+                 UserSpec(2, 1, gen.normal(size=(2, 1)), SumPower(2.0)))
+        games.append((Scenario(users, 2, 1.0, Sud()), Partition.singletons(2), 5))
+        for s, part, max_rounds in games:
+            _, utils = ne_sud(s, part, max_rounds=max_rounds)
+            assert sorted(utils) == sorted(b.mask for b in part.blocks)
+
     def test_nonconvergence_carries_last_iterate(self):
         gen = np.random.default_rng(3)
         users = (UserSpec(1, 2, gen.normal(size=(2, 2)), SumPower(1.0)),
