@@ -4,9 +4,11 @@ on the single-user-decoding potential (Yu, Rhee, Boyd & Cioffi, "Iterative
 water-filling for Gaussian vector multiple-access channels", IEEE T-IT 2004).
 
 The game kernels take one channel, one budget or cap vector and one
-start covariance per block, in the caller's block order, and return one
-covariance per block in the same order.  A number is a pooled trace
-budget (waterfilling); an array holds per-antenna caps (capped ascent).
+start covariance per block, in the caller's block order.  The SUD sweep
+returns one covariance per block in the same order; the cancellation
+kernel returns one per decoding suffix it is asked to solve.  A number is
+a pooled trace budget (waterfilling); an array holds per-antenna caps
+(capped ascent).
 
 Kernels never raise domain errors; they return status flags and the
 wrappers in :mod:`maccoop.capacity` / :mod:`maccoop.equilibrium` turn
@@ -75,6 +77,44 @@ def waterfill(h, noise_cov, p_total):
     modes = vt[:k]
     q = (modes.T * (mu - inv[:k])) @ modes
     return sym(q), np.log(gains[:k] * mu).sum()  # = sum log(1 + gains*power)
+
+
+def waterfill_stack(h, noise_cov, p_total):
+    """:func:`waterfill` over a stack of problems of one shape.
+
+    ``h`` is (B, m, w), ``noise_cov`` (B, m, m) and ``p_total`` (B,).
+    Row i equals ``waterfill(h[i], noise_cov[i], p_total[i])`` bitwise:
+    the factorizations are batched, the water level is the scalar one
+    with masked modes, and each active-mode count gets its own products.
+
+    Returns (q, rate) of shapes (B, w, w) and (B,).
+    """
+    b, _, w = h.shape
+    ell = np.linalg.cholesky(sym(noise_cov))
+    white = np.linalg.solve(ell, h)
+    _, s, vt = np.linalg.svd(white, full_matrices=False)
+    gains = s * s
+    r = gains.shape[1]
+    # the scalar form keeps a prefix of the modes (svd sorts descending);
+    # a dropped mode's inverse gain is +inf, and inf > inf is false
+    keep = gains > 1e-15 * gains[:, :1]
+    inv = np.divide(1.0, gains, out=np.full_like(gains, np.inf), where=keep)
+    mu_try = (p_total[:, None] + inv.cumsum(axis=1)) / np.arange(1, r + 1)
+    active = mu_try > inv
+    count = np.where(active.any(axis=1), r - np.argmax(active[:, ::-1], axis=1), 0)
+    count[p_total <= 0.0] = 0
+    q = np.zeros((b, w, w))
+    rate = np.zeros(b)
+    for k in range(1, r + 1):
+        rows = np.flatnonzero(count == k)
+        if rows.size == 0:
+            continue
+        mu = mu_try[rows, k - 1]
+        modes = vt[rows, :k]
+        power = mu[:, None] - inv[rows, :k]
+        q[rows] = sym((modes.swapaxes(1, 2) * power[:, None, :]) @ modes)
+        rate[rows] = np.log(gains[rows, :k] * mu[:, None]).sum(axis=1)
+    return q, rate
 
 
 def project_capped_psd(v, caps):
@@ -166,30 +206,63 @@ def block_response(h, noise, limit, q0, pa_tol, pa_iter):
     return q, rate, conv
 
 
-def sic_backward(n0, hs, limits, q0s, pa_tol, pa_iter):
-    """Exact equilibrium of the fixed-order cancellation game.
+def sic_backward(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter):
+    """Exact equilibria of the fixed-order cancellation game, one per decoding suffix.
 
-    Blocks are listed in decoding order (first decoded first).  A block's
-    rate depends only on later-decoded blocks, so one backward sweep is an
-    exact equilibrium: the last block optimizes against noise alone and
-    each earlier block against noise plus the later blocks' interference.
+    A decoding suffix is a block followed by the blocks decoded after it.
+    Suffix i decodes block ``heads[i]`` (an index into the per-block
+    channels ``hs``, budgets or caps ``limits`` and starts ``q0s``) just
+    before suffix ``tails[i]`` < i, or last when ``tails[i]`` is -1.  A
+    block's rate depends only on the blocks decoded after it, so each
+    head best responds to noise plus its tail's interference J(tail), and
+    J(i) = J(tail) + H Q H^T: one backward sweep per decoding order,
+    shared by every order that ends alike.  Pooled-budget heads of one
+    width and one suffix length share a :func:`waterfill_stack`.
 
-    Returns (qs, utilities, ok), one covariance and utility per block.
+    Returns (qs, rates, ok): per suffix, the head's covariance (a list),
+    its rate (an array) and whether its solve converged (a list).
     """
+    n = len(heads)
     m = hs[0].shape[0]
-    qs = [None] * len(hs)
-    utils = np.zeros(len(hs))
-    ok = True
     noise = n0 * np.eye(m)
-    jmat = np.zeros((m, m))
-    for idx in range(len(hs) - 1, -1, -1):
-        h = hs[idx]
-        q, rate, conv = block_response(h, noise + jmat, limits[idx], q0s[idx], pa_tol, pa_iter)
-        ok = ok and conv
-        qs[idx] = q
-        utils[idx] = rate
-        jmat = sym(jmat + h @ q @ h.T)
-    return qs, utils, ok
+    # entry n stays zero: tail -1 reads it, the interference a last-decoded head sees
+    jmat = [None] * n + [np.zeros((m, m))]
+    qs = [None] * n
+    rates = [0.0] * n
+    ok = [True] * n
+
+    def solve_one(i):
+        b, t = heads[i], tails[i]
+        h = hs[b]
+        qs[i], rates[i], ok[i] = block_response(h, noise + jmat[t], limits[b], q0s[b],
+                                                pa_tol, pa_iter)
+        jmat[i] = sym(jmat[t] + h @ qs[i] @ h.T)
+
+    if isinstance(limits[0], np.ndarray):  # antenna caps: one ascent per suffix
+        for i in range(n):
+            solve_one(i)
+        return qs, np.array(rates), ok
+
+    # group suffixes by (length, head width), shortest first
+    depth = [0] * n
+    groups = {}
+    for i, (b, t) in enumerate(zip(heads, tails)):
+        if t >= 0:
+            depth[i] = depth[t] + 1
+        groups.setdefault((depth[i], hs[b].shape[1]), []).append(i)
+    for key in sorted(groups):
+        idx = groups[key]
+        if len(idx) == 1:  # a stack of one costs more than the scalar call
+            solve_one(idx[0])
+            continue
+        h = np.stack([hs[heads[i]] for i in idx])
+        budgets = np.array([limits[heads[i]] for i in idx], dtype=np.float64)
+        j_tail = np.stack([jmat[tails[i]] for i in idx])
+        q, rate = waterfill_stack(h, noise + j_tail, budgets)
+        j_new = sym(j_tail + h @ q @ h.swapaxes(-1, -2))
+        for i, qi, ri, ji in zip(idx, q, rate.tolist(), j_new):
+            qs[i], rates[i], jmat[i] = qi, ri, ji
+    return qs, np.array(rates), ok
 
 
 def sud_fixed_point(n0, hs, limits, q0s, tol, max_rounds, pa_tol, pa_iter):

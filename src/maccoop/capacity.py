@@ -95,7 +95,7 @@ def block_budget(scenario: Scenario, coalition: Coalition) -> float:
 
 def block_caps(scenario: Scenario, coalition: Coalition) -> np.ndarray:
     """Stacked per-antenna caps of a coalition, ascending member id."""
-    return np.concatenate([np.asarray(scenario.user(u).power.caps) for u in coalition])
+    return np.array([c for u in coalition for c in scenario.user(u).power.caps])
 
 
 def validate_profile(scenario: Scenario, profile: CovarianceProfile) -> None:

@@ -200,6 +200,11 @@ def grand_value(scenario: Scenario, *, table: UtilityTable | None = None,
 # the core LP
 
 
+def _incidence(masks: list[int], k: int) -> np.ndarray:
+    """0/1 integer matrix: entry (r, i) is 1 when user i+1 is in ``masks[r]``."""
+    return (np.array(masks)[:, None] >> np.arange(k)) & 1
+
+
 def _solve_slack_lp(demands: dict[int, float], v_k: float, k: int):
     """max t s.t. sum_{i in S} x_i - t >= d_S, sum x = v_k.
 
@@ -209,14 +214,9 @@ def _solve_slack_lp(demands: dict[int, float], v_k: float, k: int):
     """
     masks = sorted(demands)
     n = k + 1
-    a_ub = np.zeros((len(masks), n))
-    b_ub = np.zeros(len(masks))
-    for r, mask in enumerate(masks):
-        for i in range(k):
-            if mask >> i & 1:
-                a_ub[r, i] = -1.0
-        a_ub[r, k] = 1.0
-        b_ub[r] = -demands[mask]
+    a_ub = np.ones((len(masks), n))
+    a_ub[:, :k] = -_incidence(masks, k)  # negated as integers: no -0.0 entries
+    b_ub = -np.array([demands[mask] for mask in masks])
     a_eq = np.zeros((1, n))
     a_eq[0, :k] = 1.0
     b_eq = [v_k]
@@ -232,11 +232,7 @@ def _solve_slack_lp(demands: dict[int, float], v_k: float, k: int):
 def _solve_balanced_lp(demands: dict[int, float], k: int):
     """max sum lambda_S d_S over balanced weights; returns (weights, value)."""
     masks = sorted(demands)
-    a_eq = np.zeros((k, len(masks)))
-    for c_idx, mask in enumerate(masks):
-        for i in range(k):
-            if mask >> i & 1:
-                a_eq[i, c_idx] = 1.0
+    a_eq = _incidence(masks, k).T.astype(np.float64, order="C")
     c = -np.array([demands[m] for m in masks])
     res = linprog(c, A_eq=a_eq, b_eq=np.ones(k), bounds=[(0.0, 1.0)] * len(masks),
                   method="highs")

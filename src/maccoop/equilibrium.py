@@ -10,6 +10,12 @@ potential (Yu et al., IEEE T-IT 2004) finds an equilibrium
 Time sharing averages the fixed-order game over the partition's block
 decoding orders.
 
+Because a cancelled block sees only the blocks decoded after it, its
+solve depends only on its decoding suffix (itself and the ordered blocks
+after it).  The cancellation receivers collect the distinct suffixes of
+every order they need, across partitions for a table, and solve each
+once; values are bitwise those of one backward sweep per order.
+
 Utility tables collect the equilibrium value of every coalition of every
 partition and are the substrate for the core computations.
 """
@@ -113,26 +119,57 @@ def _block_inputs(scenario: Scenario, blocks: Sequence[Coalition],
 # equilibria
 
 
-def _sic_with_order(
-    scenario: Scenario,
-    partition: Partition,
-    decode_order: Sequence[Coalition],
-    init: CovarianceProfile | None = None,
-    solver_tol: float = SOLVER_TOL,
-) -> tuple[CovarianceProfile, dict[int, float]]:
-    hs, limits, starts = _block_inputs(scenario, decode_order, init)
-    qs, utils, ok = _kernels.sic_backward(
-        scenario.noise, hs, limits, starts, solver_tol, PA_MAX_ITER
+def _solve_orders(scenario: Scenario, partition_at: Callable[[int], Partition],
+                  masks: list[list[int]], orders: Sequence[Sequence[tuple[int, ...]]], *,
+                  init: CovarianceProfile | None = None, solver_tol: float = SOLVER_TOL):
+    """Cancellation equilibria of decoding orders, each distinct suffix solved once.
+
+    Row i is the partition ``partition_at(i)`` with block masks
+    ``masks[i]`` (label order); ``orders[i]`` lists its decoding orders as
+    tuples of block labels, first decoded first.  A block's rate depends
+    only on the blocks decoded after it, so every order that ends alike
+    shares those solves (:func:`_kernels.sic_backward`).
+
+    Returns (qs, rates, sids): each suffix's head covariance and rate,
+    and per row a list whose entry [o][j] is the suffix block j heads in
+    order o.  Raises :class:`NonConvergence` naming the first row whose
+    orders need a stalled per-antenna solve.
+    """
+    block_of: dict[int, int] = {}  # mask -> block index
+    suffix_of: dict[tuple[int, int], int] = {}  # (block, tail suffix) -> suffix
+    heads: list[int] = []
+    tails: list[int] = []
+    sids = []
+    for row_masks, row_orders in zip(masks, orders):
+        row_blocks = [block_of.setdefault(mask, len(block_of)) for mask in row_masks]
+        ids = []
+        for order in row_orders:
+            order_ids = [0] * len(order)
+            tail = -1
+            for label in reversed(order):
+                key = (row_blocks[label], tail)
+                sid = suffix_of.get(key)
+                if sid is None:
+                    sid = suffix_of[key] = len(heads)
+                    heads.append(key[0])
+                    tails.append(tail)
+                order_ids[label] = tail = sid
+            ids.append(order_ids)
+        sids.append(ids)
+    blocks = [Coalition(mask) for mask in block_of]
+    hs, limits, starts = _block_inputs(scenario, blocks, init)
+    qs, rates, ok = _kernels.sic_backward(
+        scenario.noise, hs, limits, starts, heads, tails, solver_tol, PA_MAX_ITER
     )
-    if not ok:
-        raise NonConvergence(
-            f"per-antenna solver stalled while decoding partition {partition}",
-            diagnostics={"partition": partition.rgs},
-        )
-    by_mask = {b.mask: q for b, q in zip(decode_order, qs)}
-    profile = CovarianceProfile(partition, tuple(by_mask[b.mask] for b in partition.blocks))
-    utilities = {b.mask: float(u) for b, u in zip(decode_order, utils)}
-    return profile, utilities
+    if not all(ok):
+        for row, ids in enumerate(sids):
+            if not all(ok[sid] for order_ids in ids for sid in order_ids):
+                partition = partition_at(row)
+                raise NonConvergence(
+                    f"per-antenna solver stalled while decoding partition {partition}",
+                    diagnostics={"partition": partition.rgs},
+                )
+    return qs, rates, sids
 
 
 def ne_sic(
@@ -153,8 +190,17 @@ def ne_sic(
     """
     if not isinstance(scenario.receiver, SicFixed):
         raise InvalidArgument("ne_sic requires a fixed-order cancellation receiver")
-    order = induced_order(partition, scenario.receiver.base_order)
-    return _sic_with_order(scenario, partition, order, init, solver_tol)
+    blocks = partition.blocks
+    label = {b.mask: j for j, b in enumerate(blocks)}
+    order = tuple(label[b.mask] for b in induced_order(partition, scenario.receiver.base_order))
+    qs, rates, ((ids,),) = _solve_orders(
+        scenario, lambda _: partition, [[b.mask for b in blocks]], [[order]],
+        init=init, solver_tol=solver_tol,
+    )
+    profile = CovarianceProfile(partition, tuple(qs[s] for s in ids))
+    values = rates.tolist()
+    utilities = {blocks[j].mask: values[ids[j]] for j in order}
+    return profile, utilities
 
 
 def ne_sud(
@@ -195,42 +241,59 @@ def ne_sud(
     return profile, utilities
 
 
-def _order_weights(receiver: SicTimeShare, n: int) -> tuple[float, ...]:
-    """Weights of the n! block decoding orders: capped, uniform by default."""
+def _timeshare_orders(receiver: SicTimeShare,
+                      n: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Weights and label tuples of the nonzero-weight decoding orders of n blocks.
+
+    Orders are the n! permutations in lexicographic order, capped at
+    ``_TIMESHARE_MAX_ORDERS``; weights are uniform unless the receiver
+    lists one per order.
+    """
     n_orders = math.factorial(n)
     if n_orders > _TIMESHARE_MAX_ORDERS:
         raise InvalidArgument(
             f"{n} blocks give {n_orders} decoding orders; the cap is {_TIMESHARE_MAX_ORDERS}"
         )
     if receiver.weights is None:
-        return (1.0 / n_orders,) * n_orders
-    if len(receiver.weights) != n_orders:
+        weights = (1.0 / n_orders,) * n_orders
+    elif len(receiver.weights) != n_orders:
         raise InvalidArgument(
             f"{len(receiver.weights)} weights supplied for {n_orders} decoding orders"
         )
-    return receiver.weights
+    else:
+        weights = receiver.weights
+    kept = [(w, p) for w, p in zip(weights, itertools.permutations(range(n))) if w != 0.0]
+    return np.array([w for w, _ in kept]), [p for _, p in kept]
+
+
+def _time_shared(masks: Sequence[int], weights: np.ndarray,
+                 values: np.ndarray) -> dict[int, float]:
+    """Weight-average per-order block utilities (orders x blocks).
+
+    A cumulative sum adds the orders one at a time, in order, as a loop
+    over the orders would.
+    """
+    acc = np.cumsum(weights[:, None] * values, axis=0)[-1]
+    return dict(zip(masks, acc.tolist()))
 
 
 def ne_timeshare(scenario: Scenario, partition: Partition,
                  *, solver_tol: float = SOLVER_TOL) -> dict[int, float]:
     """Average equilibrium utilities over the partition's decoding orders.
 
-    Runs the fixed-order game for each of the N! orders of the
-    partition's blocks (lexicographic in canonical block index) and
+    Solves the fixed-order game for each of the N! orders of the
+    partition's blocks (lexicographic in canonical block index) that has
+    a nonzero weight, sharing the solves of orders that end alike, and
     returns the weight-averaged utility per block: the exact time-shared
     value, not the high-SNR approximation.
     """
     if not isinstance(scenario.receiver, SicTimeShare):
         raise InvalidArgument("ne_timeshare requires the time-sharing receiver")
-    weights = _order_weights(scenario.receiver, len(partition))
-    acc = {b.mask: 0.0 for b in partition.blocks}
-    for w, order in zip(weights, itertools.permutations(partition.blocks)):
-        if w == 0.0:
-            continue
-        _, utils = _sic_with_order(scenario, partition, order, None, solver_tol)
-        for mask, v in utils.items():
-            acc[mask] += w * v
-    return acc
+    weights, orders = _timeshare_orders(scenario.receiver, len(partition))
+    masks = [b.mask for b in partition.blocks]
+    _, rates, (ids,) = _solve_orders(scenario, lambda _: partition, [masks], [orders],
+                                     solver_tol=solver_tol)
+    return _time_shared(masks, weights, rates[ids])
 
 
 def ne_utilities(scenario: Scenario, partition: Partition,
@@ -274,11 +337,9 @@ def _utility_gradients(
         order = induced_order(partition, receiver.base_order)
         index = {b.mask: i for i, b in enumerate(blocks)}
         return sic_grads([index[b.mask] for b in order])
-    weights = _order_weights(receiver, len(blocks))
+    weights, orders = _timeshare_orders(receiver, len(blocks))
     acc = [np.zeros((h.shape[1], h.shape[1])) for h in channels]
-    for w, perm in zip(weights, itertools.permutations(range(len(blocks)))):
-        if w == 0.0:
-            continue
+    for w, perm in zip(weights.tolist(), orders):
         for i, g in enumerate(sic_grads(perm)):
             acc[i] += w * g
     return acc
@@ -340,27 +401,73 @@ def _single_rx_fast_path(scenario: Scenario) -> Callable[[np.ndarray], np.ndarra
         rgs_mat, gain2, p_sum, amp, mode, scenario.noise)
 
 
-def _fill_closed_form(entries, fast, rgs: np.ndarray) -> None:
-    """Add one chunk of RGS rows to ``entries``, block masks in label order."""
+def _label_masks(rgs: np.ndarray) -> np.ndarray:
+    """Block masks of RGS rows: (rows, k), column j for label j, 0 past the last block."""
     k = rgs.shape[1]
-    values = fast(rgs)
     onehot = rgs[:, :, None] == np.arange(k)  # (row, user, label)
     # user bits fit int16 for k <= 12, keeping the product a quarter the size
-    masks = (onehot * (1 << np.arange(k, dtype=np.int16))[:, None]).sum(axis=1)
+    return (onehot * (1 << np.arange(k, dtype=np.int16))[:, None]).sum(axis=1)
+
+
+def _induced_labels(rgs: np.ndarray, base_order: Sequence[int]) -> list[tuple[int, ...]]:
+    """Each row's fixed-order decoding order as block labels (latest member rule)."""
+    k = rgs.shape[1]
+    slot = np.empty(k, dtype=np.int8)
+    slot[np.asarray(base_order) - 1] = np.arange(k)
+    onehot = rgs[:, :, None] == np.arange(k)
+    last = np.where(onehot, slot[None, :, None], np.int8(-1)).max(axis=1)
+    last[last < 0] = k  # empty labels sort last
+    counts = (rgs.max(axis=1) + 1).tolist()
+    return [tuple(o[:n]) for o, n in zip(np.argsort(last, axis=1).tolist(), counts)]
+
+
+def _fill_closed_form(entries, fast, rgs: np.ndarray) -> None:
+    """Add one chunk of RGS rows to ``entries``, block masks in label order."""
+    values = fast(rgs)
     counts = rgs.max(axis=1) + 1
     for key, row_masks, row_values, n in zip(
-        rgs.tolist(), masks.tolist(), values.tolist(), counts.tolist()
+        rgs.tolist(), _label_masks(rgs).tolist(), values.tolist(), counts.tolist()
     ):
         entries[tuple(key)] = dict(zip(row_masks[:n], row_values[:n]))
+
+
+def _fill_cancellation(entries, scenario: Scenario, rgs: np.ndarray, solver_tol: float) -> None:
+    """Add every row's fixed-order or time-shared utilities, each distinct suffix solved once.
+
+    Fixed-order rows list their blocks in decoding order, time-shared
+    rows in label order.
+    """
+    receiver = scenario.receiver
+    counts = (rgs.max(axis=1) + 1).tolist()
+    masks = [row[:n] for row, n in zip(_label_masks(rgs).tolist(), counts)]
+    if isinstance(receiver, SicFixed):
+        orders = [[order] for order in _induced_labels(rgs, receiver.base_order)]
+    else:
+        # block counts in row order: a misfit weight vector fails on its first row
+        plans = {n: _timeshare_orders(receiver, n) for n in dict.fromkeys(counts)}
+        orders = [plans[n][1] for n in counts]
+    keys = [tuple(row) for row in rgs.tolist()]
+    _, rates, sids = _solve_orders(scenario, lambda row: Partition.from_rgs(keys[row]),
+                                   masks, orders, solver_tol=solver_tol)
+    if isinstance(receiver, SicFixed):
+        values = rates.tolist()
+        for key, row_masks, (order,), (ids,) in zip(keys, masks, orders, sids):
+            entries[key] = {row_masks[j]: values[ids[j]] for j in order}
+        return
+    for key, row_masks, n, ids in zip(keys, masks, counts, sids):
+        entries[key] = _time_shared(row_masks, plans[n][0], rates[ids])
 
 
 def utility_table(scenario: Scenario, *, solver_tol: float = SOLVER_TOL) -> UtilityTable:
     """Equilibrium utilities for every coalition of every partition.
 
     Deterministic given the scenario: partitions are enumerated in
-    restricted-growth order and each partition's game is independent, so
-    results do not depend on evaluation order.  Solver failures are
-    re-raised annotated with the offending partition.
+    restricted-growth order and every value is what the partition's own
+    game gives (``ne_utilities``), bit for bit, whatever else the table
+    holds.  Cancellation tables solve each distinct decoding suffix once
+    for all the partitions and orders that share it.  Solver failures are
+    re-raised annotated with the first partition that needs the failed
+    solve.
     """
     k = scenario.k
     if isinstance(scenario.receiver, SicTimeShare):
@@ -380,8 +487,9 @@ def utility_table(scenario: Scenario, *, solver_tol: float = SOLVER_TOL) -> Util
         rgs = rgs_matrix(k)
         for start in range(0, len(rgs), RGS_CHUNK_ROWS):
             _fill_closed_form(entries, fast, rgs[start:start + RGS_CHUNK_ROWS])
-        return UtilityTable(k, fingerprint(scenario), entries)
-
-    for part in enumerate_partitions(k):
-        entries[part.rgs] = ne_utilities(scenario, part, solver_tol=solver_tol)
+    elif isinstance(scenario.receiver, Sud):
+        for part in enumerate_partitions(k):
+            entries[part.rgs] = ne_utilities(scenario, part, solver_tol=solver_tol)
+    else:
+        _fill_cancellation(entries, scenario, rgs_matrix(k), solver_tol)
     return UtilityTable(k, fingerprint(scenario), entries)

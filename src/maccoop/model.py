@@ -382,4 +382,4 @@ def coalition_channel(scenario: Scenario, coalition: Coalition) -> np.ndarray:
     """
     if coalition.mask >= (1 << scenario.k):
         raise InvalidArgument(f"coalition {coalition} has members beyond user {scenario.k}")
-    return np.hstack([scenario.user(u).channel for u in coalition])
+    return np.concatenate([scenario.user(u).channel for u in coalition], axis=1)

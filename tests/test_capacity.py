@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maccoop import _kernels
 from maccoop.capacity import (
     interference_free_rate,
     logdet_rate,
@@ -151,6 +152,39 @@ class TestWaterfill:
         q, rate = waterfill(np.eye(2), np.eye(2), 0.0)
         assert rate == 0.0
         np.testing.assert_array_equal(q, np.zeros((2, 2)))
+
+
+class TestWaterfillStack:
+    @staticmethod
+    def hexes(a):
+        return [float(x).hex() for x in np.ravel(a).tolist()]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+    def test_rows_equal_scalar_calls_bitwise(self, m, w):
+        # 140 rows per shape, 2100 in all: plain, a zero column, rank one,
+        # an all-zero channel, budgets 1e-6..1e2 and a few budgets <= 0
+        gen = np.random.default_rng([41, m, w])
+        rows = 140
+        h = gen.normal(size=(rows, m, w))
+        for i in range(rows):
+            if i % 4 == 1:
+                h[i][:, gen.integers(w)] = 0.0
+            elif i % 4 == 2:
+                h[i] = np.outer(gen.normal(size=m), gen.normal(size=w))
+            elif i % 4 == 3 and i % 3 == 0:
+                h[i] = 0.0
+        a = gen.normal(size=(rows, m, m))
+        noise = a @ a.swapaxes(1, 2) + gen.uniform(0.01, 3.0, size=(rows, 1, 1)) * np.eye(m)
+        p = 10.0 ** gen.uniform(-6.0, 2.0, size=rows)
+        p[::29] = 0.0
+        p[7] = -0.5
+        q, rate = _kernels.waterfill_stack(h, noise, p)
+        assert q.shape == (rows, w, w) and rate.shape == (rows,)
+        for i in range(rows):
+            q1, r1 = _kernels.waterfill(h[i], noise[i], p[i])
+            assert self.hexes(q[i]) == self.hexes(q1), i
+            assert float(rate[i]).hex() == float(r1).hex(), i
 
 
 def grid_search_max_rate(h, noise, caps, coarse=101, fine_step=1e-3, span=0.02):

@@ -7,6 +7,7 @@ import pytest
 from maccoop._exact_lp import exact_lp_max
 from maccoop.cores import (
     BalancedCertificate,
+    _incidence,
     ExpectationModel,
     balancedness_certificate,
     check_core,
@@ -267,6 +268,23 @@ class TestAgainstExactLp:
             res = least_core_from_demands(demands, v_k, k)
             exact = self._exact_slack(demands, v_k, k)
             assert -res.epsilon_star == pytest.approx(exact, abs=1e-9)
+
+
+class TestLpInputs:
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    def test_incidence_matches_membership_loop(self, k):
+        masks = list(range(1, (1 << k) - 1)) or [1]
+        loop = np.zeros((len(masks), k))
+        for r, mask in enumerate(masks):
+            for i in range(k):
+                if mask >> i & 1:
+                    loop[r, i] = 1.0
+        got = _incidence(masks, k)
+        np.testing.assert_array_equal(got, loop)
+        # negated before the float cast, as the slack LP does: no -0.0 entries
+        neg = np.zeros((len(masks), k))
+        neg[:, :] = -got
+        assert not np.signbit(neg[loop == 0.0]).any()
 
 
 class TestLeastCore:

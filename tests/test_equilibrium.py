@@ -1,8 +1,19 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from maccoop.capacity import interference_free_rate, validate_profile
+from maccoop import _kernels
+from maccoop.capacity import (
+    PA_MAX_ITER,
+    block_budget,
+    block_caps,
+    interference_free_rate,
+    validate_profile,
+)
 from maccoop.equilibrium import (
+    SOLVER_TOL,
     _single_rx_fast_path,
     dsc_diagnostic,
     ne_sic,
@@ -22,6 +33,7 @@ from maccoop.model import (
     Sud,
     SumPower,
     UserSpec,
+    coalition_channel,
     enumerate_partitions,
     induced_order,
 )
@@ -349,3 +361,152 @@ class TestUtilityTable:
         s = symmetric(8, 1.0, SicTimeShare())
         with pytest.raises(InvalidArgument):
             utility_table(s)
+
+    def test_timeshare_guard_names_the_cap(self):
+        s = symmetric(8, 1.0, SicTimeShare())
+        with pytest.raises(InvalidArgument, match="5040"):
+            utility_table(s)
+
+    def test_timeshare_at_the_cap(self):
+        # K=7: the singleton partition has 7! = 5040 orders, the cap itself
+        s = symmetric(7, 0.1, SicTimeShare())
+        table = utility_table(s)
+        assert len(table.entries) == 877
+        parts = list(enumerate_partitions(7))
+        for row in np.random.default_rng(5).choice(len(parts), size=6, replace=False):
+            direct = ne_timeshare(s, parts[row])
+            got = table.partition_values(parts[row])
+            assert list(got) == list(direct)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in direct.values()]
+
+
+def chain_utilities(s, partition, order):
+    """One backward sweep of ``block_response`` along ``order`` (block labels)."""
+    noise = s.noise * np.eye(s.rx_antennas)
+    jmat = np.zeros((s.rx_antennas, s.rx_antennas))
+    out = {}
+    for label in reversed(order):
+        block = partition.blocks[label]
+        h = coalition_channel(s, block)
+        if s.power_mode == "sum":
+            limit, q0 = block_budget(s, block), None
+        else:
+            limit = block_caps(s, block)
+            q0 = np.diag(limit)
+        q, rate, ok = _kernels.block_response(h, noise + jmat, limit, q0, SOLVER_TOL, PA_MAX_ITER)
+        assert ok
+        jmat = _kernels.sym(jmat + h @ q @ h.T)
+        out[block.mask] = float(rate)
+    return dict(reversed(out.items()))  # decoding order, as ne_sic lists it
+
+
+def reference_utilities(s, partition):
+    """Per-order reference: fixed order, or the weighted sum over every order in turn."""
+    receiver = s.receiver
+    blocks = partition.blocks
+    if isinstance(receiver, SicFixed):
+        order = induced_order(partition, receiver.base_order)
+        return chain_utilities(s, partition, [blocks.index(b) for b in order])
+    n = len(blocks)
+    weights = receiver.weights or (1.0 / math.factorial(n),) * math.factorial(n)
+    acc = {b.mask: 0.0 for b in blocks}
+    for w, order in zip(weights, itertools.permutations(range(n))):
+        if w == 0.0:
+            continue
+        for mask, v in chain_utilities(s, partition, order).items():
+            acc[mask] += w * v
+    return acc
+
+
+def hexes(row):
+    return [(mask, v.hex()) for mask, v in row.items()]
+
+
+class TestCancellationSharing:
+    """Suffix-shared cancellation solves against per-order ``block_response`` chains."""
+
+    @staticmethod
+    def pooled(receiver, seed=3):
+        return random_scenario(np.random.default_rng(seed), k=5, m=2, receiver=receiver)
+
+    @staticmethod
+    def count_suffixes(monkeypatch):
+        counts = []
+        original = _kernels.sic_backward
+
+        def counting(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter):
+            counts.append(len(heads))
+            return original(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter)
+
+        monkeypatch.setattr(_kernels, "sic_backward", counting)
+        return counts
+
+    @pytest.mark.parametrize("receiver", [SicFixed((4, 2, 5, 1, 3)), SicTimeShare()])
+    def test_pooled_table_bitwise_equals_reference(self, receiver):
+        s = self.pooled(receiver)
+        table = utility_table(s)
+        parts = list(enumerate_partitions(5))
+        assert list(table.entries) == [p.rgs for p in parts]
+        for part in parts:
+            assert hexes(table.partition_values(part)) == hexes(reference_utilities(s, part))
+
+    @pytest.mark.parametrize("receiver", [SicFixed((2, 3, 1)), SicTimeShare()])
+    def test_per_antenna_table_bitwise_equals_reference(self, receiver):
+        s = Scenario(per_antenna_mimo().users, 2, 1.0, receiver)
+        table = utility_table(s)
+        for part in enumerate_partitions(3):
+            assert hexes(table.partition_values(part)) == hexes(reference_utilities(s, part))
+
+    def test_single_partition_routes_bitwise_equal_reference(self):
+        weights = (0.5, 0.0, 0.125, 0.0, 0.375, 0.0)
+        s = self.pooled(SicTimeShare(weights), seed=4)
+        fixed = self.pooled(SicFixed((5, 1, 4, 2, 3)), seed=4)
+        for part in enumerate_partitions(5):
+            if len(part) == 3:
+                assert hexes(ne_timeshare(s, part)) == hexes(reference_utilities(s, part))
+            assert hexes(ne_sic(fixed, part)[1]) == hexes(reference_utilities(fixed, part))
+
+    @pytest.mark.parametrize("receiver", [SicFixed((3, 1, 4, 2)), SicTimeShare()])
+    def test_table_builds_no_partition(self, monkeypatch, receiver):
+        s = random_scenario(np.random.default_rng(6), k=4, m=2, receiver=receiver)
+        ref = {p.rgs: reference_utilities(s, p) for p in enumerate_partitions(4)}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cancellation table built a Partition")
+
+        monkeypatch.setattr(Partition, "from_rgs", staticmethod(forbidden))
+        monkeypatch.setattr(Partition, "__post_init__", forbidden)
+        assert utility_table(s).entries == ref
+
+    def test_timeshare_table_solves_each_suffix_once(self, monkeypatch):
+        counts = self.count_suffixes(monkeypatch)
+        utility_table(self.pooled(SicTimeShare()))
+        # sequences of disjoint blocks over 5 users: sum_j C(5, j) Fubini(j)
+        assert counts == [1081]
+
+    def test_zero_weight_orders_are_never_solved(self, monkeypatch):
+        counts = self.count_suffixes(monkeypatch)
+        # only orders (0, 1, 2) and (2, 1, 0): suffixes (2), (1,2), (0,1,2), (0), (1,0), (2,1,0)
+        s = self.pooled(SicTimeShare((0.25, 0.0, 0.0, 0.0, 0.0, 0.75)))
+        ne_timeshare(s, Partition.from_blocks(5, [[1, 4], [2], [3, 5]]))
+        assert counts == [6]
+
+    def test_stalled_solve_names_first_partition_that_needs_it(self, monkeypatch):
+        s = per_antenna_mimo(order=(1, 2, 3))
+        h3 = s.user(3).channel
+        original = _kernels.pa_maximize
+
+        def stall_on_user3_last(h, noise_cov, caps, q0, tol, max_iter):
+            q, rate, resid, it, conv = original(h, noise_cov, caps, q0, tol, max_iter)
+            if np.array_equal(h, h3) and np.array_equal(noise_cov, np.eye(2)):
+                conv = False
+            return q, rate, resid, it, conv
+
+        monkeypatch.setattr(_kernels, "pa_maximize", stall_on_user3_last)
+        # {3} decoded last, against noise alone: first needed by {1,2}{3}, not {1,2,3}
+        with pytest.raises(NonConvergence, match=r"partition \{1,2\}\{3\}") as err:
+            utility_table(s)
+        assert err.value.diagnostics == {"partition": (0, 0, 1)}
+        ne_sic(s, Partition.grand(3))
+        with pytest.raises(NonConvergence, match=r"\{1\}\{2\}\{3\}"):
+            ne_sic(s, Partition.singletons(3))
