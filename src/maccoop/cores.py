@@ -13,7 +13,17 @@ checked with one LP that maximizes the minimum constraint slack.  The
 same LP read the other way gives the least core (epsilon* = -max min
 slack).  When the core is empty a balanced collection of weights whose
 weighted demands exceed the grand-coalition value is extracted as an
-emptiness certificate and validated before it is returned.
+emptiness certificate and validated before it is returned
+(Bondareva-Shapley: the core is empty iff such a collection exists).
+
+Both LPs have at most K + 1 <= 11 variables and are solved by one small
+dense dual simplex in numpy, started from the K singleton rows, whose
+multipliers are nonnegative for both LPs, so no phase 1 is needed.  The
+witness is the optimal vertex it stops at, and the certificate is the
+optimal multipliers of min sum y s.t. y(S) >= d_S, the dual of the
+max-margin balanced collection.  Rows are ordered by coalition mask and
+every tie goes to the lowest mask, so the answers do not depend on the
+order of the demand dict.
 """
 
 from __future__ import annotations
@@ -24,7 +34,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._exact_lp import exact_lp_max
 from .equilibrium import SOLVER_TOL, UtilityTable, ne_utilities, utility_table
@@ -205,41 +214,113 @@ def _incidence(masks: list[int], k: int) -> np.ndarray:
     return (np.array(masks)[:, None] >> np.arange(k)) & 1
 
 
+#: Smallest basis-representation entry a ratio test pivots on.  Bases of
+#: the core LPs are 0/+-1 matrices of order <= 11, so a nonzero entry is
+#: at least 1/|det| (above 1e-4) and rounding noise is near 1e-15.
+_PIVOT_TOL = 1e-9
+
+
+def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
+                  a_eq: np.ndarray, b_eq: np.ndarray):
+    """min c.z s.t. g z >= d and a_eq z = b_eq, z free, by a dense dual simplex.
+
+    ``basis`` lists rows of ``g`` that, with every equality row, form a
+    dual feasible start (nonnegative multipliers).  Each pivot enters the
+    most violated row and removes the basic row whose multiplier reaches
+    zero first; both choices break ties to the lowest row index.  In
+    exact arithmetic a basis can recur only within a run of degenerate
+    (zero-step) pivots, so the first recurrence switches to Bland's rule
+    (lowest violated row enters), which cannot cycle: termination needs
+    no iteration cap.  Bases seen before the switch are forgotten, since
+    Bland's rule may pass through them again.  A recurrence under Bland's
+    rule, a singular basis or a ratio test with no candidate raises
+    :class:`NumericalFailure`.
+
+    Returns (z, basis, y): the optimal vertex, its basic inequality rows
+    and their multipliers, so that c = a_eq^T mu + g[basis]^T y.
+    """
+    n_eq = len(b_eq)
+    basis = list(basis)
+    tol = 1e-12 * max(1.0, float(np.abs(d).max(initial=0.0)),
+                      float(np.abs(b_eq).max(initial=0.0)))
+    a_b = np.vstack([a_eq, g[basis]])
+    rhs = np.concatenate([b_eq, d[basis]])
+    seen: set[tuple[int, ...]] = set()
+    bland = False
+    while True:
+        key = tuple(sorted(basis))
+        if key in seen:
+            if bland:
+                raise NumericalFailure("core LP cycled under Bland's rule")
+            bland = True
+            seen.clear()
+        seen.add(key)
+        try:
+            inv = np.linalg.inv(a_b)
+        except np.linalg.LinAlgError:
+            raise NumericalFailure("core LP basis is singular") from None
+        z = inv @ rhs
+        y = (c @ inv)[n_eq:]
+        residual = g @ z - d
+        violated = np.flatnonzero(residual < -tol)
+        if not len(violated):
+            return z, basis, y
+        enter = int(violated[0] if bland else np.argmin(residual))
+        w = (g[enter] @ inv)[n_eq:]
+        candidates = np.flatnonzero(w > _PIVOT_TOL)
+        if not len(candidates):
+            raise NumericalFailure("core LP ratio test found no leaving row")
+        ratios = np.maximum(y[candidates], 0.0) / w[candidates]
+        ties = candidates[ratios <= ratios.min() + 1e-12]
+        leave = min(ties, key=basis.__getitem__)
+        basis[leave] = enter
+        a_b[n_eq + leave] = g[enter]
+        rhs[n_eq + leave] = d[enter]
+
+
+def _singleton_rows(k: int) -> list[int]:
+    """Rows of the singleton coalitions when rows run over masks 1..2^k - 2."""
+    return [(1 << i) - 1 for i in range(k)]
+
+
 def _solve_slack_lp(demands: dict[int, float], v_k: float, k: int):
     """max t s.t. sum_{i in S} x_i - t >= d_S, sum x = v_k.
 
-    Returns (x, t).  The allocation maximizes the minimum constraint
-    slack, so a feasible core yields a strictly interior witness when
-    one exists.
+    Returns (x, t) at the dual simplex's optimal vertex.  The allocation
+    maximizes the minimum constraint slack, so a feasible core yields a
+    strictly interior witness when one exists.  The singleton basis is
+    dual feasible: every singleton row carries multiplier 1/k.
     """
     masks = sorted(demands)
-    n = k + 1
-    a_ub = np.ones((len(masks), n))
-    a_ub[:, :k] = -_incidence(masks, k)  # negated as integers: no -0.0 entries
-    b_ub = -np.array([demands[mask] for mask in masks])
-    a_eq = np.zeros((1, n))
+    g = np.full((len(masks), k + 1), -1.0)
+    g[:, :k] = _incidence(masks, k)
+    d = np.array([demands[mask] for mask in masks])
+    a_eq = np.zeros((1, k + 1))
     a_eq[0, :k] = 1.0
-    b_eq = [v_k]
-    c = np.zeros(n)
+    c = np.zeros(k + 1)
     c[k] = -1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * n, method="highs")
-    if res.status != 0:
-        raise NumericalFailure(f"core LP failed: {res.message} (status {res.status})")
-    return res.x[:k].copy(), float(res.x[k])
+    z, _, _ = _dual_simplex(c, g, d, _singleton_rows(k), a_eq, np.array([float(v_k)]))
+    return z[:k], float(z[k])
 
 
 def _solve_balanced_lp(demands: dict[int, float], k: int):
-    """max sum lambda_S d_S over balanced weights; returns (weights, value)."""
+    """max sum lambda_S d_S over balanced weights; returns (weights, value).
+
+    Solved as its dual, min sum y s.t. y(S) >= d_S, from the singleton
+    basis (multipliers 1): the optimal multipliers are the weights.
+    Balancedness keeps every weight in [0, 1].
+    """
     masks = sorted(demands)
-    a_eq = _incidence(masks, k).T.astype(np.float64, order="C")
-    c = -np.array([demands[m] for m in masks])
-    res = linprog(c, A_eq=a_eq, b_eq=np.ones(k), bounds=[(0.0, 1.0)] * len(masks),
-                  method="highs")
-    if res.status != 0:
-        raise NumericalFailure(f"balancedness LP failed: {res.message} (status {res.status})")
-    weights = {m: float(w) for m, w in zip(masks, res.x) if w > 1e-15}
-    return weights, float(-res.fun)
+    g = _incidence(masks, k).astype(np.float64)
+    d = np.array([demands[mask] for mask in masks])
+    _, basis, y = _dual_simplex(np.ones(k), g, d, _singleton_rows(k),
+                                np.empty((0, k)), np.empty(0))
+    weights = {masks[row]: float(w) for row, w in sorted(zip(basis, y)) if w > 1e-15}
+    return weights, sum(w * demands[mask] for mask, w in weights.items())
+
+
+#: perfbench traces the LP layer under this name.
+linprog = _dual_simplex
 
 
 def _exact_nonempty(demands: dict[int, float], v_k: float, k: int, tol_lp: float) -> bool:
@@ -279,11 +360,17 @@ def validate_certificate(cert: BalancedCertificate, demands: dict[int, float],
         raise NumericalFailure("certificate margin inconsistent with weights")
 
 
+def _require_demands(demands: dict[int, float], k: int) -> None:
+    if k < 2:
+        raise InvalidArgument("core checks need at least 2 users")
+    if set(demands) != set(range(1, (1 << k) - 1)):
+        raise InvalidArgument("demands must cover every proper nonempty coalition")
+
+
 def check_core_from_demands(demands: dict[int, float], v_k: float, k: int,
                             *, tol_lp: float = 1e-9) -> CoreResult:
     """Core feasibility from precomputed demands (order-independent)."""
-    if set(demands) != set(range(1, (1 << k) - 1)):
-        raise InvalidArgument("demands must cover every proper nonempty coalition")
+    _require_demands(demands, k)
     x, t = _solve_slack_lp(demands, v_k, k)
     nonempty = t >= -tol_lp
     if k <= 5 and abs(t) < _DEGENERACY_BAND:
@@ -322,6 +409,7 @@ def check_core(
 
 
 def least_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> LeastCoreResult:
+    _require_demands(demands, k)
     x, t = _solve_slack_lp(demands, v_k, k)
     return LeastCoreResult(float(-t), x)
 

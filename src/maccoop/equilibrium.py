@@ -119,6 +119,13 @@ def _block_inputs(scenario: Scenario, blocks: Sequence[Coalition],
 # equilibria
 
 
+def _require_size(scenario: Scenario, partition: Partition) -> None:
+    if partition.k != scenario.k:
+        raise InvalidArgument(
+            f"partition of {partition.k} users given for a scenario of {scenario.k} users"
+        )
+
+
 def _solve_orders(scenario: Scenario, partition_at: Callable[[int], Partition],
                   masks: list[list[int]], orders: Sequence[Sequence[tuple[int, ...]]], *,
                   init: CovarianceProfile | None = None, solver_tol: float = SOLVER_TOL):
@@ -190,6 +197,7 @@ def ne_sic(
     """
     if not isinstance(scenario.receiver, SicFixed):
         raise InvalidArgument("ne_sic requires a fixed-order cancellation receiver")
+    _require_size(scenario, partition)
     blocks = partition.blocks
     label = {b.mask: j for j, b in enumerate(blocks)}
     order = tuple(label[b.mask] for b in induced_order(partition, scenario.receiver.base_order))
@@ -222,6 +230,7 @@ def ne_sud(
     """
     if not isinstance(scenario.receiver, Sud):
         raise InvalidArgument("ne_sud requires a single-user-decoding receiver")
+    _require_size(scenario, partition)
     blocks = partition.blocks
     hs, limits, starts = _block_inputs(scenario, blocks, init)
     qs, utils, rounds, converged, delta = _kernels.sud_fixed_point(
@@ -289,6 +298,7 @@ def ne_timeshare(scenario: Scenario, partition: Partition,
     """
     if not isinstance(scenario.receiver, SicTimeShare):
         raise InvalidArgument("ne_timeshare requires the time-sharing receiver")
+    _require_size(scenario, partition)
     weights, orders = _timeshare_orders(scenario.receiver, len(partition))
     masks = [b.mask for b in partition.blocks]
     _, rates, (ids,) = _solve_orders(scenario, lambda _: partition, [masks], [orders],
@@ -358,6 +368,7 @@ def dsc_diagnostic(
     for any two feasible profiles, and every C_n vanishes when both
     profiles are equilibria of the fixed-order game.
     """
+    _require_size(scenario, partition)
     if profile_a.partition.rgs != partition.rgs or profile_b.partition.rgs != partition.rgs:
         raise InvalidArgument("profiles must belong to the given partition")
     validate_profile(scenario, profile_a)

@@ -1,13 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maccoop
+
 from maccoop._exact_lp import exact_lp_max
 from maccoop.cores import (
     BalancedCertificate,
+    _dual_simplex,
     _incidence,
+    _solve_balanced_lp,
     ExpectationModel,
     balancedness_certificate,
     check_core,
@@ -230,6 +238,59 @@ class TestCheckCore:
         with pytest.raises(InvalidArgument):
             check_core(s, ExpectationModel.MERGING)
 
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_one_user_is_rejected(self, model):
+        s = symmetric(1, 1.0, SicFixed((1,)))
+        for call in (check_core, least_core):
+            with pytest.raises(InvalidArgument, match="at least 2 users"):
+                call(s, model)
+        for call in (check_core_from_demands, least_core_from_demands):
+            with pytest.raises(InvalidArgument, match="at least 2 users"):
+                call({}, 1.0, 1)
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_additive_demands_terminate_at_the_equal_split(self, k):
+        # every row is tight at x = 1: the most degenerate vertex there is
+        demands = {m: float(bin(m).count("1")) for m in range(1, (1 << k) - 1)}
+        res = check_core_from_demands(demands, float(k), k)
+        assert res.verdict == "nonempty"
+        assert res.slack == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(res.allocation, np.ones(k), atol=1e-12)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_k10_symmetric_game_terminates_with_validated_evidence(self, model, k10_game):
+        s, table, v_k = k10_game
+        demands = demand_vector(s, model, table=table)
+        result = check_core_from_demands(demands, v_k, 10)
+        if result.nonempty:
+            worst = min(sum(result.allocation[i] for i in range(10) if m >> i & 1) - d
+                        for m, d in demands.items())
+            assert worst == pytest.approx(result.slack, abs=1e-9)
+            assert worst >= -1e-9
+        else:
+            validate_certificate(result.certificate, demands, v_k, 10)
+
+    @pytest.mark.parametrize("seed, scenario", [
+        (1, k4_fixed_sic()),
+        (2, k3_timeshare_3db()),
+        (3, symmetric(5, 0.1, SicFixed((3, 1, 5, 2, 4)))),
+    ])
+    def test_evidence_bitwise_invariant_to_demand_order(self, seed, scenario):
+        rng = np.random.default_rng(seed)
+        v_k = grand_value(scenario)
+        for model in ALL_MODELS:
+            demands = demand_vector(scenario, model)
+            items = list(demands.items())
+            rng.shuffle(items)
+            a = check_core_from_demands(demands, v_k, scenario.k)
+            b = check_core_from_demands(dict(items), v_k, scenario.k)
+            assert a.slack.hex() == b.slack.hex()
+            if a.nonempty:
+                assert a.allocation.tobytes() == b.allocation.tobytes()
+            else:
+                assert list(a.certificate.weights.items()) == list(b.certificate.weights.items())
+                assert a.certificate.margin.hex() == b.certificate.margin.hex()
+
     @pytest.mark.parametrize("model", [ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS])
     def test_k10_verdict_validates(self, model, k10_game):
         # K=10 is the core cap; every model must reach a validated verdict there
@@ -260,6 +321,34 @@ class TestAgainstExactLp:
         assert status == "optimal"
         return float(value)
 
+    @staticmethod
+    def _exact_balanced_value(demands, k):
+        """max sum lambda_S d_S over balanced weights, lambda >= 0 as rows."""
+        grid = 10**12
+        masks = sorted(demands)
+        n = len(masks)
+        c = [Fraction(round(demands[m] * grid), grid) for m in masks]
+        a_ub = [[Fraction(-1) if j == r else Fraction(0) for j in range(n)] for r in range(n)]
+        a_eq = [[Fraction(m >> i & 1) for m in masks] for i in range(k)]
+        status, value, _ = exact_lp_max(c, a_ub=a_ub, b_ub=[0] * n, a_eq=a_eq, b_eq=[1] * k)
+        assert status == "optimal"
+        return float(value)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_slack_and_certificate_match_exact_lps(self, k):
+        rng = np.random.default_rng(100 + k)
+        demands = {m: float(rng.uniform(0.0, 1.0)) for m in range(1, (1 << k) - 1)}
+        v_k = float(rng.uniform(0.5, 2.0))
+        res = check_core_from_demands(demands, v_k, k)
+        assert res.slack == pytest.approx(self._exact_slack(demands, v_k, k), abs=1e-9)
+        best = self._exact_balanced_value(demands, k)
+        weights, value = _solve_balanced_lp(demands, k)
+        assert value == pytest.approx(best, abs=1e-9)
+        if k > 2:  # from three users on these demands leave the core empty
+            assert res.verdict == "empty"
+            assert res.certificate.weights == weights
+            assert res.certificate.margin == pytest.approx(best - v_k, rel=1e-9, abs=1e-9)
+
     def test_float_lp_matches_exact_on_random_games(self, rng):
         for _ in range(10):
             k = int(rng.integers(2, 5))
@@ -268,6 +357,25 @@ class TestAgainstExactLp:
             res = least_core_from_demands(demands, v_k, k)
             exact = self._exact_slack(demands, v_k, k)
             assert -res.epsilon_star == pytest.approx(exact, abs=1e-9)
+
+
+class TestDualSimplex:
+    def test_beale_cycling_example_reaches_the_optimum(self):
+        # Beale's LP (1955): min cost.x s.t. A x = b, x >= 0 cycles under the
+        # largest-violation rule from the basis {x1, x2, x3}.  Posed as the
+        # multipliers of max b.z s.t. A^T z >= -cost, the first repeated
+        # basis hands over to Bland's rule, which ends at x = (3/4, 0, 0, 1, 0, 1, 0).
+        a = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                      [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+        b = np.array([0.0, 0.0, 1.0])
+        cost = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+        z, basis, y = _dual_simplex(b, a.T.copy(), -cost, [0, 1, 2],
+                                    np.empty((0, 3)), np.empty(0))
+        x = np.zeros(7)
+        x[basis] = y
+        np.testing.assert_allclose(x, [0.75, 0, 0, 1, 0, 1, 0], atol=1e-12)
+        assert b @ z == pytest.approx(1.25, abs=1e-12)
 
 
 class TestLpInputs:
@@ -281,7 +389,7 @@ class TestLpInputs:
                     loop[r, i] = 1.0
         got = _incidence(masks, k)
         np.testing.assert_array_equal(got, loop)
-        # negated before the float cast, as the slack LP does: no -0.0 entries
+        # negated before the float cast: no -0.0 entries
         neg = np.zeros((len(masks), k))
         neg[:, :] = -got
         assert not np.signbit(neg[loop == 0.0]).any()
@@ -443,3 +551,11 @@ class TestModelRelations:
                 m = coalition_demand(s, Coalition(mask), ExpectationModel.MERGING,
                                      table=table)
                 assert r == pytest.approx(m, abs=1e-7)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, maccoop; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = Path(maccoop.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

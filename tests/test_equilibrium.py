@@ -291,6 +291,22 @@ class TestDsc:
         assert dsc_diagnostic(shared, part, a, b) == dsc_diagnostic(fixed, part, a, b)
 
 
+class TestPartitionSize:
+    @pytest.mark.parametrize("receiver, solve", [
+        (SicFixed((1, 2, 3)), ne_sic),
+        (Sud(), ne_sud),
+        (SicTimeShare(), ne_timeshare),
+    ], ids=["sic", "sud", "timeshare"])
+    def test_partition_of_other_size_is_rejected(self, receiver, solve):
+        s = symmetric(3, 1.0, receiver)
+        part = Partition.singletons(2)
+        with pytest.raises(InvalidArgument, match="partition of 2 users .* 3 users"):
+            solve(s, part)
+        profile = random_feasible_profile(np.random.default_rng(5), s, part)
+        with pytest.raises(InvalidArgument, match="partition of 2 users .* 3 users"):
+            dsc_diagnostic(s, part, profile, profile)
+
+
 class TestUtilityTable:
     def test_counts_for_three_users(self):
         s = symmetric(3, 1.0, SicFixed((1, 2, 3)))

@@ -242,6 +242,17 @@ class TestCli:
         assert code == 1
         assert "bad.cfg" in err
 
+    @pytest.mark.parametrize("command", ["core", "least-core"])
+    def test_one_user_core_exits_one(self, tmp_path, capsys, command):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(io.serialize_scenario(symmetric(1, 1.0, SicFixed((1,)))))
+        code, _, err = run_cli(
+            [command, "--scenario", str(cfg), "--model", "merging", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "at least 2 users" in err
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         from maccoop.errors import NumericalFailure
 
