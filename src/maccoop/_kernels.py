@@ -265,6 +265,31 @@ def sic_backward(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter):
     return qs, np.array(rates), ok
 
 
+#: Two successive sweep-step ratios must agree to this relative
+#: tolerance before :func:`sud_fixed_point` extrapolates.
+SUD_RATIO_AGREE = 0.01
+#: Largest step ratio it extrapolates from (a jump of ratio / (1 - ratio) steps).
+SUD_RATIO_MAX = 0.98
+
+
+def _extrapolate(qs, steps, ratio):
+    """Covariances moved to the limit of steps that shrink by ``ratio`` per sweep.
+
+    q + ratio / (1 - ratio) * step sums the remaining geometric steps.
+    Negative eigenvalues (a mode whose power was decaying to zero) are
+    clipped and the trace of q restored, so each result stays feasible.
+    """
+    out = []
+    for q, step in zip(qs, steps):
+        lam, vec = np.linalg.eigh(q + ratio / (1.0 - ratio) * step)
+        lam = np.maximum(lam, 0.0)
+        kept = lam.sum()
+        if kept > 0.0:
+            lam *= np.trace(q) / kept
+        out.append(sym((vec * lam) @ vec.T))
+    return out
+
+
 def sud_fixed_point(n0, hs, limits, q0s, tol, max_rounds, pa_tol, pa_iter):
     """Gauss-Seidel iterative waterfilling for the full-interference game.
 
@@ -274,18 +299,30 @@ def sud_fixed_point(n0, hs, limits, q0s, tol, max_rounds, pa_tol, pa_iter):
     sweeps converge.  Convergence is declared when the largest per-block
     utility change in a sweep falls below ``tol``.
 
+    Near the fixed point the sweeps converge linearly: each sweep's step
+    is a near-constant fraction of the last.  Under pooled budgets, once
+    two successive step ratios agree to ``SUD_RATIO_AGREE``, the profile
+    jumps to the limit of that geometric series (:func:`_extrapolate`) if
+    the jump does not lower the potential; sweeps then go on from there,
+    so the returned profile is still one of best responses.  A slowly
+    converging game then takes about as many sweeps as a fast one.
+
     Returns (qs, utilities, rounds, converged, last_delta).
     """
     qs = list(q0s)
     grams = [sym(h @ q @ h.T) for h, q in zip(hs, qs)]
-    total = n0 * np.eye(hs[0].shape[0]) + sum(grams)
+    eye = n0 * np.eye(hs[0].shape[0])
+    total = eye + sum(grams)
     utils = np.zeros(len(hs))
     prev = np.full(len(hs), -1.0)
     delta = np.inf
     converged = False
     rounds = 0
+    pooled = not isinstance(limits[0], np.ndarray)
+    last_size = last_ratio = 0.0
     for rounds in range(1, max_rounds + 1):
         ok_all = True
+        before = list(qs)
         for i, (h, limit) in enumerate(zip(hs, limits)):
             q, _, conv = block_response(h, total - grams[i], limit, qs[i], pa_tol, pa_iter)
             ok_all = ok_all and conv
@@ -300,6 +337,22 @@ def sud_fixed_point(n0, hs, limits, q0s, tol, max_rounds, pa_tol, pa_iter):
         if rounds > 1 and delta < tol and ok_all:
             converged = True
             break
+        if not pooled:
+            continue
+        steps = [q - b for q, b in zip(qs, before)]
+        size = np.sqrt(sum(float(np.vdot(s, s)) for s in steps))
+        ratio = size / last_size if last_size > 0.0 else 0.0
+        last_size = size
+        if (0.0 < ratio < SUD_RATIO_MAX and last_ratio > 0.0
+                and abs(ratio - last_ratio) < SUD_RATIO_AGREE * ratio):
+            jumped = _extrapolate(qs, steps, ratio)
+            jumped_grams = [sym(h @ q @ h.T) for h, q in zip(hs, jumped)]
+            jumped_total = eye + sum(jumped_grams)
+            if np.linalg.slogdet(jumped_total)[1] >= ld1:
+                qs, grams, total = jumped, jumped_grams, jumped_total
+            # the next jump needs two fresh ratios
+            last_size = ratio = 0.0
+        last_ratio = ratio
     return qs, utils, rounds, converged, delta
 
 

@@ -172,6 +172,37 @@ class TestNeSud:
             _, utils = ne_sud(s, part, max_rounds=max_rounds)
             assert sorted(utils) == sorted(b.mask for b in part.blocks)
 
+    def test_extrapolated_sweeps_reach_the_plain_fixed_point(self, monkeypatch):
+        # two 3-antenna users on 2 receive antennas whose plain sweeps
+        # converge slowly (36 sweeps); the geometric jump cuts that to 12
+        gen = np.random.default_rng(63)
+        users = tuple(UserSpec(u, 3, gen.normal(size=(2, 3)),
+                               SumPower(float(gen.uniform(0.5, 2.5)))) for u in (1, 2))
+        s = Scenario(users, 2, float(gen.uniform(0.1, 1.0)), Sud())
+        part = Partition.singletons(2)
+        hs = [coalition_channel(s, b) for b in part.blocks]
+        budgets = [block_budget(s, b) for b in part.blocks]
+
+        def solve(tol):
+            return _kernels.sud_fixed_point(s.noise, hs, budgets, [np.zeros((3, 3))] * 2,
+                                            tol, 10_000, SOLVER_TOL, PA_MAX_ITER)
+
+        _, fast, fast_rounds, fast_ok, _ = solve(1e-9)
+        monkeypatch.setattr(_kernels, "SUD_RATIO_MAX", 0.0)  # plain sweeps only
+        _, plain, plain_rounds, plain_ok, _ = solve(1e-9)
+        _, exact, _, _, _ = solve(1e-13)
+        assert fast_ok and plain_ok
+        assert fast_rounds <= plain_rounds // 2
+        np.testing.assert_allclose(fast, exact, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(plain, exact, rtol=0, atol=1e-8)
+
+    def test_extrapolation_stays_feasible(self):
+        # the jump would drive the second mode negative: it is clipped and
+        # the trace of the current iterate restored
+        q = np.diag([1.5, 0.5])
+        (jumped,) = _kernels._extrapolate([q], [np.diag([0.1, -0.1])], 0.9)
+        np.testing.assert_allclose(jumped, np.diag([2.0, 0.0]), rtol=0, atol=1e-12)
+
     def test_nonconvergence_carries_last_iterate(self):
         gen = np.random.default_rng(3)
         users = (UserSpec(1, 2, gen.normal(size=(2, 2)), SumPower(1.0)),
