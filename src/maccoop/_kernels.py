@@ -1,4 +1,4 @@
-"""Hot numeric kernels: log-det rates, waterfilling, capped-PSD ascent,
+"""Hot numeric kernels: log-det rates, waterfilling, per-antenna dual Newton,
 successive-cancellation sweeps, and Gauss-Seidel iterative waterfilling
 on the single-user-decoding potential (Yu, Rhee, Boyd & Cioffi, "Iterative
 water-filling for Gaussian vector multiple-access channels", IEEE T-IT 2004).
@@ -8,7 +8,7 @@ start covariance per block, in the caller's block order.  The SUD sweep
 returns one covariance per block in the same order; the cancellation
 kernel returns one per decoding suffix it is asked to solve.  A number is
 a pooled trace budget (waterfilling); an array holds per-antenna caps
-(capped ascent).
+(:func:`pa_maximize`).
 
 Kernels never raise domain errors; they return status flags and the
 wrappers in :mod:`maccoop.capacity` / :mod:`maccoop.equilibrium` turn
@@ -21,10 +21,6 @@ import numpy as np
 
 #: The numeric backend; plain numpy is the only one.
 BACKEND = "numpy"
-
-#: Dykstra projection tolerance / iteration cap (feasibility projections).
-DYKSTRA_TOL = 1e-11
-DYKSTRA_ITER = 2000
 
 
 def sym(a):
@@ -117,45 +113,42 @@ def waterfill_stack(h, noise_cov, p_total):
     return q, rate
 
 
-def project_capped_psd(v, caps):
-    """Dykstra projection of v onto {Q PSD} intersect {diag(Q) <= caps}."""
-    x = sym(v)
-    p = np.zeros_like(x)
-    qc = np.zeros_like(x)
-    diag = np.diag_indices_from(x)
-    for _ in range(DYKSTRA_ITER):
-        # PSD projection of x + p
-        evals, evecs = np.linalg.eigh(sym(x + p))
-        y = (evecs * np.maximum(evals, 0.0)) @ evecs.T
-        p = x + p - y
-        # diagonal-cap projection of y + q
-        xn = sym(y + qc)
-        xn[diag] = np.minimum(xn[diag], caps)
-        qc = y + qc - xn
-        gap = max(np.abs(xn - x).max(), np.abs(xn - y).max())
-        x = xn
-        if gap <= DYKSTRA_TOL:
-            break
-    return x
+def project_capped_psd(q, caps):
+    """PSD ``q`` scaled into diag(Q) <= caps.
 
-
-def _fro(a):
-    return np.sqrt(np.sum(a * a))
+    Row and column j shrink by sqrt(caps_j / q_jj) where q_jj exceeds
+    caps_j, and that diagonal entry is set to caps_j.  D q D stays PSD,
+    so the result is feasible.
+    """
+    d = np.diag(q)
+    over = d > caps
+    scale = np.ones_like(d)
+    scale[over] = np.sqrt(caps[over] / d[over])
+    out = q * scale[:, None] * scale[None, :]
+    out[np.diag_indices_from(out)] = np.where(over, caps, d)
+    return out
 
 
 def pa_maximize(h, noise_cov, caps, q0, tol, max_iter):
     """Rate maximization under per-antenna power caps.
 
-    Projected gradient ascent on f(Q) = log det(noise_cov + H Q H^T)
-    with backtracking line search; feasibility (PSD, diag <= caps) kept
-    by Dykstra projection.  The objective never decreases.  Convergence
-    is declared when the unit-step proximal residual
-    ||Q - proj(Q + grad f(Q))||_F drops to ``tol``.
+    Maximizes f(Q) = log det(noise_cov + H Q H^T) - log det(noise_cov)
+    over Q >= 0, diag(Q) <= caps by Newton on the Lagrange dual (Yu & Lan,
+    IEEE TSP 2007).  For antenna prices lam > 0, g(lam) = max_Q f(Q) -
+    tr(diag(lam) Q) + lam . caps bounds the optimum from above; its
+    maximizer Q(lam) is a unit-level waterfill on the modes of the
+    whitened channel times diag(lam)^-1/2, and its gradient is caps -
+    diag Q(lam).  Damped Newton in x = log lam, with a forward-difference
+    Hessian, starts from the diagonal of the rate gradient at ``q0``; each
+    accepted iterate takes the best uniform scale of its prices (a scalar
+    waterfill).  Q(lam) scaled into the caps (:func:`project_capped_psd`)
+    is feasible, so the solve stops once the duality gap is at most
+    ``tol``.  Antennas with a zero cap or channel column get no power.
 
     For a single receive antenna the optimum is sign-matched rank-one
     beamforming at full caps and is returned in closed form.
 
-    Returns (q, rate, residual, iterations, converged).
+    Returns (q, rate, gap, iterations, converged).
     """
     if h.shape[0] == 1:
         root = np.sqrt(caps)
@@ -164,34 +157,67 @@ def pa_maximize(h, noise_cov, caps, q0, tol, max_iter):
         rate = np.log(1.0 + amp * amp / noise_cov[0, 0])
         return np.outer(s, s), rate, 0.0, 0, True
 
-    _, ld_noise = np.linalg.slogdet(sym(noise_cov))
-    q = project_capped_psd(sym(q0), caps)
-    _, ld = np.linalg.slogdet(sym(noise_cov + h @ q @ h.T))
-    f = ld - ld_noise
-    step = 1.0
-    resid = np.inf
-    for it in range(1, max_iter + 1):
-        cov = sym(noise_cov + h @ q @ h.T)
-        grad = sym(h.T @ np.linalg.solve(cov, h))
-        probe = project_capped_psd(q + grad, caps)
-        resid = _fro(q - probe)
-        if resid <= tol:
-            return q, f, resid, it, True
-        step = min(step * 2.0, 1e6)
-        moved = False
-        while step > 1e-16:
-            cand = project_capped_psd(q + step * grad, caps)
-            _, ldc = np.linalg.slogdet(sym(noise_cov + h @ cand @ h.T))
-            fc = ldc - ld_noise
-            if fc >= f:
-                moved = _fro(cand - q) > 1e-15
-                q = cand
-                f = fc
+    w = h.shape[1]
+    on = (caps > 0.0) & np.any(h != 0.0, axis=0)
+    q = np.zeros((w, w))
+    if not on.any():
+        return q, 0.0, 0.0, 0, True
+    white = np.linalg.solve(np.linalg.cholesky(sym(noise_cov)), h[:, on])
+    p = caps[on]
+    eye = np.eye(white.shape[0])
+
+    def dual(x, rescale):
+        """(x, g, dg/dx, modes, powers, f(Q(lam))) at log prices x, optionally rescaled."""
+        lam = np.exp(x)
+        _, s, vt = np.linalg.svd(white / np.sqrt(lam), full_matrices=False)
+        gains = s * s
+        if rescale:  # argmin over c of g(c lam): k modes on at c = k / (lam . p + sum 1/gain)
+            inv = 1.0 / gains[gains > 0.0]
+            c = np.arange(1, inv.size + 1) / (lam @ p + inv.cumsum())
+            c = c[np.flatnonzero(c * inv < 1.0)[-1]]
+            x, lam, gains = x + np.log(c), lam * c, gains / c
+        act = gains > 1.0
+        power = 1.0 - 1.0 / gains[act]
+        logs = np.log(gains[act]).sum()
+        modes = vt[act]
+        grad = lam * p - (modes * modes).T @ power
+        return x, logs - power.sum() + lam @ p, grad, modes, power, logs
+
+    cov = sym(noise_cov + h @ q0 @ h.T)
+    x, g, grad, modes, power, logs = dual(np.log(np.diag(h.T @ np.linalg.solve(cov, h))[on]),
+                                          True)
+    fd = 2.0 ** -24  # forward-difference step in log price
+    for it in range(max_iter + 1):
+        root = np.exp(-0.5 * x)
+        qlam = sym((modes.T * power) @ modes * root[:, None] * root)
+        qa = project_capped_psd(qlam, p)
+        # f(qa) = f(qlam) + a well-scaled log det ratio, accurate at high SNR too
+        ratio = np.linalg.solve(eye + white @ qlam @ white.T, white @ (qa - qlam) @ white.T)
+        rate = max(logs + np.linalg.slogdet(eye + ratio)[1], 0.0)
+        gap = max(g - rate, 0.0)
+        if gap <= tol or it == max_iter:
+            break
+        hess = (np.stack([dual(x + fd * e, False)[2] for e in np.eye(x.size)], axis=1)
+                - grad[:, None]) / fd
+        evals, evecs = np.linalg.eigh(sym(hess))
+        step = -(evecs / np.maximum(evals, 1e-10 * np.abs(evals).max())) @ (evecs.T @ grad)
+        step *= 4.0 / max(np.abs(step).max(), 4.0)  # prices move by at most e^4 a step
+        slope = grad @ step
+        # Armijo with a few ulps of slack; once the predicted decrease is
+        # below tol, rounding in the singular values can outweigh it
+        slack = tol if -slope <= tol else 8.0 * np.finfo(float).eps * max(abs(g), 1.0)
+        t = 1.0
+        cand = dual(x + step, True)
+        while cand[1] > g + 1e-4 * t * slope + slack:
+            t *= 0.5
+            if t < 1e-12:
                 break
-            step *= 0.5
-        if not moved:
-            return q, f, resid, it, resid <= tol
-    return q, f, resid, max_iter, False
+            cand = dual(x + t * step, True)
+        if t < 1e-12:  # no descent along the step: stalled
+            break
+        x, g, grad, modes, power, logs = cand
+    q[np.ix_(on, on)] = qa
+    return q, rate, gap, it, gap <= tol
 
 
 def block_response(h, noise, limit, q0, pa_tol, pa_iter):
@@ -238,7 +264,7 @@ def sic_backward(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter):
                                                 pa_tol, pa_iter)
         jmat[i] = sym(jmat[t] + h @ qs[i] @ h.T)
 
-    if isinstance(limits[0], np.ndarray):  # antenna caps: one ascent per suffix
+    if isinstance(limits[0], np.ndarray):  # antenna caps: one dual solve per suffix
         for i in range(n):
             solve_one(i)
         return qs, np.array(rates), ok

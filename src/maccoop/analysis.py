@@ -15,9 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .capacity import timeshare_highsnr_utility
-from .cores import ExpectationModel, check_core, grand_value
-from .equilibrium import (SOLVER_TOL, _single_rx_fast_path, ne_timeshare, ne_utilities,
-                          utility_table)
+from .cores import CORE_MAX_USERS, ExpectationModel, check_core, grand_value
+from .equilibrium import _single_rx_fast_path, ne_timeshare, ne_utilities, utility_table
 from .errors import InvalidArgument, NonConvergence
 from .model import (
     Coalition,
@@ -101,18 +100,15 @@ def _random_partition(rng: np.random.Generator, k: int, min_blocks: int) -> Part
 class _ValueCache:
     """Equilibrium values per partition: ``known`` rows or lazy solves; stalls become skips."""
 
-    def __init__(self, scenario: Scenario, solver_tol: float, known: dict | None = None):
+    def __init__(self, scenario: Scenario, known: dict | None = None):
         self.scenario = scenario
-        self.solver_tol = solver_tol
         self._cache: dict[tuple[int, ...], dict[int, float] | None] = known or {}
 
     def get(self, partition: Partition) -> dict[int, float] | None:
         key = partition.rgs
         if key not in self._cache:
             try:
-                self._cache[key] = ne_utilities(
-                    self.scenario, partition, solver_tol=self.solver_tol
-                )
+                self._cache[key] = ne_utilities(self.scenario, partition)
             except NonConvergence:
                 self._cache[key] = None
         return self._cache[key]
@@ -124,7 +120,6 @@ def verify_superadditivity(
     seed: int,
     *,
     tol: float = 1e-8,
-    solver_tol: float = SOLVER_TOL,
 ) -> SuperadditivityReport:
     """Sampled merge super-additivity plus exhaustive cohesiveness.
 
@@ -139,7 +134,7 @@ def verify_superadditivity(
     rng = np.random.default_rng(seed)
     # every partition is visited, so one closed-form table beats a solve each
     table = utility_table(scenario) if _single_rx_fast_path(scenario) else None
-    cache = _ValueCache(scenario, solver_tol, table.entries if table is not None else None)
+    cache = _ValueCache(scenario, table.entries if table is not None else None)
     k = scenario.k
     skipped = 0
     counterexample = None
@@ -169,7 +164,7 @@ def verify_superadditivity(
             if counterexample is None:
                 counterexample = MergeSample(before, after, Coalition(merged_mask),
                                              merged_value, parts_total)
-    v_k = grand_value(scenario, table=table, solver_tol=solver_tol)
+    v_k = grand_value(scenario, table=table)
     worst = -math.inf
     cohesive = True
     for part in enumerate_partitions(k):
@@ -191,7 +186,6 @@ def classify_externalities(
     seed: int,
     *,
     tol: float = 1e-9,
-    solver_tol: float = SOLVER_TOL,
 ) -> ExternalityVerdict:
     """Sign of outsider utility changes across sampled two-block mergers.
 
@@ -205,7 +199,7 @@ def classify_externalities(
     if scenario.k < 3:
         raise InvalidArgument("externalities need at least 3 users")
     rng = np.random.default_rng(seed)
-    cache = _ValueCache(scenario, solver_tol)
+    cache = _ValueCache(scenario)
     witnesses: list[ExternalityWitness] = []
     has_pos = False
     has_neg = False
@@ -246,15 +240,14 @@ class SweepSpec:
 
     k_values: tuple[int, ...]
     snr_grid_db: tuple[float, ...]
-    seed: int = 0
 
     def __post_init__(self):
         grid = tuple(float(x) for x in self.snr_grid_db)
         if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidArgument("SNR grid must be strictly increasing, length >= 2")
         ks = tuple(int(k) for k in self.k_values)
-        if any(k < 2 for k in ks):
-            raise InvalidArgument("boundary sweeps need K >= 2")
+        if any(k < 2 or k > CORE_MAX_USERS for k in ks):
+            raise InvalidArgument(f"boundary sweeps need 2 <= K <= {CORE_MAX_USERS}")
         object.__setattr__(self, "snr_grid_db", grid)
         object.__setattr__(self, "k_values", ks)
 
@@ -352,8 +345,7 @@ def _require_symmetric_timeshare(scenario: Scenario) -> None:
             raise InvalidArgument("ratio curves require identical (symmetric) users")
 
 
-def approx_ratio(scenario: Scenario, snr_list_db: Sequence[float], *,
-                 solver_tol: float = SOLVER_TOL) -> RatioCurve:
+def approx_ratio(scenario: Scenario, snr_list_db: Sequence[float]) -> RatioCurve:
     """Dominant-term vs exact time-shared utility, per coalition size.
 
     For size s the coalition {1..s} deviates against the merged
@@ -375,7 +367,7 @@ def approx_ratio(scenario: Scenario, snr_list_db: Sequence[float], *,
             else:
                 complement = Coalition.from_members(range(size + 1, k + 1))
                 partition = Partition(k, (coalition, complement))
-            exact = ne_timeshare(at_noise, partition, solver_tol=solver_tol)[coalition.mask]
+            exact = ne_timeshare(at_noise, partition)[coalition.mask]
             approx = timeshare_highsnr_utility(at_noise, coalition)
             points.append(RatioPoint(float(snr_db), size, approx, exact))
     violations: list[tuple[int, float]] = []

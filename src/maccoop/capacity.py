@@ -25,9 +25,9 @@ from .model import (
 PSD_TOL = 1e-10
 POWER_TOL = 1e-9
 
-#: Default stationarity tolerance / iteration cap for the capped ascent.
-PA_TOL = 1e-6
-PA_MAX_ITER = 100_000
+#: Duality gap (nats) at which per-antenna solves stop, and their Newton step cap.
+SOLVER_TOL = 1e-10
+PA_MAX_ITER = 100
 
 
 def _as_psd(name: str, a, n: int | None = None) -> np.ndarray:
@@ -162,19 +162,21 @@ def maximize_per_antenna(
     p,
     *,
     q0=None,
-    tol: float = PA_TOL,
+    tol: float = SOLVER_TOL,
     max_iter: int = PA_MAX_ITER,
 ) -> tuple[np.ndarray, float]:
     """Optimal covariance and rate under per-antenna power caps.
 
-    Projected gradient ascent on the log-det rate with backtracking;
-    feasibility (PSD and diag(Q) <= p) is maintained by Dykstra
-    projections.  The iteration stops once the unit-step proximal
-    residual is below ``tol``; hitting ``max_iter`` first raises
-    :class:`NonConvergence` carrying the best iterate.
+    Damped Newton on the Lagrange dual over the antenna prices (see
+    :func:`maccoop._kernels.pa_maximize`).  Each iterate gives a feasible
+    Q (PSD, diag(Q) <= p) and a dual upper bound on the optimal rate; the
+    solve stops once their gap is at most ``tol`` nats.  Hitting
+    ``max_iter`` Newton steps first, or a line search that cannot
+    descend, raises :class:`NonConvergence` carrying the last feasible
+    iterate and its gap.
 
-    ``q0`` optionally seeds the ascent (useful for multi-start checks);
-    the default start is diag(p).
+    ``q0`` optionally seeds the starting prices (useful for multi-start
+    checks); the default start is diag(p).
     """
     mat = _channel_matrix(h)
     m, w = mat.shape
@@ -186,14 +188,14 @@ def maximize_per_antenna(
         start = np.diag(caps)
     else:
         start = _as_psd("q0", q0, w)
-    q, rate, resid, iters, conv = _kernels.pa_maximize(
+    q, rate, gap, iters, conv = _kernels.pa_maximize(
         mat, noise, caps, start, float(tol), int(max_iter)
     )
     if not conv:
         raise NonConvergence(
-            f"per-antenna ascent stalled at residual {resid:.3e} after {iters} iterations",
+            f"per-antenna solve stopped at duality gap {gap:.3e} after {iters} Newton steps",
             best=(q, float(rate)),
-            diagnostics={"residual": float(resid), "iterations": int(iters)},
+            diagnostics={"gap": float(gap), "iterations": int(iters)},
         )
     return q, float(rate)
 
@@ -204,7 +206,7 @@ def interference_free_rate(scenario: Scenario, coalition: Coalition) -> tuple[np
     noise = scenario.noise * np.eye(scenario.rx_antennas)
     if scenario.power_mode == "sum":
         return waterfill(h, noise, block_budget(scenario, coalition))
-    return maximize_per_antenna(h, noise, block_caps(scenario, coalition), tol=1e-8)
+    return maximize_per_antenna(h, noise, block_caps(scenario, coalition))
 
 
 # ---------------------------------------------------------------------------

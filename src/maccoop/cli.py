@@ -86,7 +86,6 @@ class _Emitter:
             scenario,
             seed=self.args.seed,
             tol_lp=self.args.tol_lp,
-            tol_solver=self.args.tol_solver,
             unit=self.unit,
             **extra,
         )
@@ -125,7 +124,7 @@ def _cmd_partitions(args) -> int:
 def _cmd_utilities(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
-    table = utility_table(scenario, solver_tol=args.tol_solver)
+    table = utility_table(scenario)
     rows = []
     for rgs in sorted(table.entries):
         for mask in sorted(table.entries[rgs]):
@@ -149,8 +148,8 @@ def _cmd_core(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
     model = ExpectationModel(args.model)
-    demands = demand_vector(scenario, model, solver_tol=args.tol_solver)
-    v_k = grand_value(scenario, solver_tol=args.tol_solver)
+    demands = demand_vector(scenario, model)
+    v_k = grand_value(scenario)
     result = check_core_from_demands(demands, v_k, scenario.k, tol_lp=args.tol_lp)
     em.table("demands.csv", ["coalition_mask", "members", f"demand_{em.unit}"],
              _demand_rows(em, demands), scenario, model=model.value,
@@ -179,7 +178,7 @@ def _cmd_least_core(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
     model = ExpectationModel(args.model)
-    result = least_core(scenario, model, solver_tol=args.tol_solver)
+    result = least_core(scenario, model)
     em.summary["verdict"] = "nonempty" if result.epsilon_star <= args.tol_lp else "empty"
     em.summary["epsilon_star"] = em.conv(result.epsilon_star)
     em.summary["allocation"] = [em.conv(x) for x in result.allocation]
@@ -194,7 +193,7 @@ def _cmd_region(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
     model = ExpectationModel(args.model)
-    vertices = core_region_3user(scenario, model, solver_tol=args.tol_solver)
+    vertices = core_region_3user(scenario, model)
     rows = [
         (i, em.conv(x1), em.conv(x2), em.conv(x3))
         for i, (x1, x2, x3) in enumerate(vertices)
@@ -212,7 +211,7 @@ def _cmd_sweep(args) -> int:
         float(x) for x in np.arange(args.snr_min, args.snr_max + 0.5 * args.snr_step,
                                     args.snr_step)
     )
-    spec = SweepSpec(tuple(range(args.k_min, args.k_max + 1)), grid, seed=args.seed)
+    spec = SweepSpec(tuple(range(args.k_min, args.k_max + 1)), grid)
     points = snr_boundary(spec, model, tol_lp=args.tol_lp)
     rows = [
         (p.k, p.status, "" if p.threshold_db is None else p.threshold_db,
@@ -232,8 +231,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_externalities(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
-    verdict = classify_externalities(scenario, args.trials, args.seed,
-                                     solver_tol=args.tol_solver)
+    verdict = classify_externalities(scenario, args.trials, args.seed)
     rows = [
         (",".join(map(str, w.before.rgs)), ",".join(map(str, w.after.rgs)),
          _members_str(w.coalition.mask), em.conv(w.value_before), em.conv(w.value_after),
@@ -252,8 +250,7 @@ def _cmd_externalities(args) -> int:
 def _cmd_properties(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
-    report = verify_superadditivity(scenario, args.trials, args.seed,
-                                    solver_tol=args.tol_solver)
+    report = verify_superadditivity(scenario, args.trials, args.seed)
     rows = [
         ("merge_superadditivity", report.trials_run, report.skipped,
          "pass" if report.counterexample is None else "fail"),
@@ -278,7 +275,7 @@ def _cmd_ratio(args) -> int:
     snrs = [float(s) for s in args.snr.split(",") if s.strip()]
     if not snrs:
         raise InvalidArgument("--snr needs a comma-separated list of dB values")
-    curve = approx_ratio(scenario, snrs, solver_tol=args.tol_solver)
+    curve = approx_ratio(scenario, snrs)
     rows = [
         (p.snr_db, p.size, em.conv(p.approx), em.conv(p.exact), p.ratio)
         for p in curve.points
@@ -302,7 +299,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", default=".", help="output directory (default: cwd)")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tol-lp", type=float, default=1e-9, dest="tol_lp")
-    common.add_argument("--tol-solver", type=float, default=1e-8, dest="tol_solver")
     common.add_argument("--bits", action="store_true",
                         help="display utilities in bits (presentation only)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

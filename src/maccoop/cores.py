@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._exact_lp import exact_lp_max
-from .equilibrium import SOLVER_TOL, UtilityTable, ne_utilities, utility_table
+from .equilibrium import UtilityTable, ne_utilities, utility_table
 from .errors import InvalidArgument, NumericalFailure
 from .model import Coalition, Partition, Scenario
 # enumerate_partitions is unused here; perfbench's restore test asserts the binding
@@ -93,11 +93,11 @@ class LeastCoreResult:
 
 
 def _arrangement_values(scenario: Scenario, rgs: tuple[int, ...],
-                        table: UtilityTable | None, solver_tol: float) -> dict[int, float]:
+                        table: UtilityTable | None) -> dict[int, float]:
     """Block utilities of the partition with restricted growth string ``rgs``."""
     if table is not None:
         return table.entries[rgs]
-    return ne_utilities(scenario, Partition.from_rgs(rgs), solver_tol=solver_tol)
+    return ne_utilities(scenario, Partition.from_rgs(rgs))
 
 
 def _fixed_arrangement(k: int, mask: int, model: ExpectationModel) -> tuple[int, ...]:
@@ -154,7 +154,6 @@ def coalition_demand(
     model: ExpectationModel,
     *,
     table: UtilityTable | None = None,
-    solver_tol: float = SOLVER_TOL,
 ) -> float:
     """Equilibrium utility a deviating coalition expects, per the model.
 
@@ -171,10 +170,10 @@ def coalition_demand(
         raise InvalidArgument("demands are defined for proper nonempty coalitions")
     model = ExpectationModel(model)
     if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
-        return demand_vector(scenario, model, table=table, solver_tol=solver_tol)[coalition.mask]
+        return demand_vector(scenario, model, table=table)[coalition.mask]
 
     rgs = _fixed_arrangement(k, coalition.mask, model)
-    return _arrangement_values(scenario, rgs, table, solver_tol)[coalition.mask]
+    return _arrangement_values(scenario, rgs, table)[coalition.mask]
 
 
 def demand_vector(
@@ -182,27 +181,24 @@ def demand_vector(
     model: ExpectationModel,
     *,
     table: UtilityTable | None = None,
-    solver_tol: float = SOLVER_TOL,
 ) -> dict[int, float]:
     """Demand of every proper nonempty coalition, keyed by mask (ascending)."""
     model = ExpectationModel(model)
     if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
         if table is None:
-            table = utility_table(scenario, solver_tol=solver_tol)
+            table = utility_table(scenario)
         return _table_demands(table, model)
     grand = (1 << scenario.k) - 1
     return {
-        mask: coalition_demand(scenario, Coalition(mask), model,
-                               table=table, solver_tol=solver_tol)
+        mask: coalition_demand(scenario, Coalition(mask), model, table=table)
         for mask in range(1, grand)
     }
 
 
-def grand_value(scenario: Scenario, *, table: UtilityTable | None = None,
-                solver_tol: float = SOLVER_TOL) -> float:
+def grand_value(scenario: Scenario, *, table: UtilityTable | None = None) -> float:
     """Utility of the grand coalition (its interference-free maximum rate)."""
     grand = (1 << scenario.k) - 1
-    return _arrangement_values(scenario, (0,) * scenario.k, table, solver_tol)[grand]
+    return _arrangement_values(scenario, (0,) * scenario.k, table)[grand]
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +388,6 @@ def check_core(
     *,
     tol_lp: float = 1e-9,
     table: UtilityTable | None = None,
-    solver_tol: float = SOLVER_TOL,
 ) -> CoreResult:
     """Decide stability of full cooperation under an expectation model.
 
@@ -403,8 +398,8 @@ def check_core(
     """
     if scenario.k > CORE_MAX_USERS:
         raise InvalidArgument(f"core checks are capped at {CORE_MAX_USERS} users")
-    demands = demand_vector(scenario, model, table=table, solver_tol=solver_tol)
-    v_k = grand_value(scenario, table=table, solver_tol=solver_tol)
+    demands = demand_vector(scenario, model, table=table)
+    v_k = grand_value(scenario, table=table)
     return check_core_from_demands(demands, v_k, scenario.k, tol_lp=tol_lp)
 
 
@@ -419,7 +414,6 @@ def least_core(
     model: ExpectationModel,
     *,
     table: UtilityTable | None = None,
-    solver_tol: float = SOLVER_TOL,
 ) -> LeastCoreResult:
     """Smallest uniform demand relaxation that admits an allocation.
 
@@ -430,8 +424,8 @@ def least_core(
     """
     if scenario.k > CORE_MAX_USERS:
         raise InvalidArgument(f"core checks are capped at {CORE_MAX_USERS} users")
-    demands = demand_vector(scenario, model, table=table, solver_tol=solver_tol)
-    v_k = grand_value(scenario, table=table, solver_tol=solver_tol)
+    demands = demand_vector(scenario, model, table=table)
+    v_k = grand_value(scenario, table=table)
     return least_core_from_demands(demands, v_k, scenario.k)
 
 
@@ -441,10 +435,9 @@ def balancedness_certificate(
     *,
     tol_lp: float = 1e-9,
     table: UtilityTable | None = None,
-    solver_tol: float = SOLVER_TOL,
 ) -> BalancedCertificate | None:
     """The emptiness certificate, or None when the core is nonempty."""
-    result = check_core(scenario, model, tol_lp=tol_lp, table=table, solver_tol=solver_tol)
+    result = check_core(scenario, model, tol_lp=tol_lp, table=table)
     return result.certificate
 
 
@@ -513,11 +506,10 @@ def core_region_3user(
     model: ExpectationModel,
     *,
     table: UtilityTable | None = None,
-    solver_tol: float = SOLVER_TOL,
 ) -> list[tuple[float, float, float]]:
     """Core polygon of a 3-user game (empty list when the core is empty)."""
     if scenario.k != 3:
         raise InvalidArgument("the core region is defined for exactly 3 users")
-    demands = demand_vector(scenario, model, table=table, solver_tol=solver_tol)
-    v_k = grand_value(scenario, table=table, solver_tol=solver_tol)
+    demands = demand_vector(scenario, model, table=table)
+    v_k = grand_value(scenario, table=table)
     return region_from_demands(demands, v_k)

@@ -32,6 +32,7 @@ import numpy as np
 from . import _kernels
 from .capacity import (
     PA_MAX_ITER,
+    SOLVER_TOL,
     CovarianceProfile,
     block_budget,
     block_caps,
@@ -57,9 +58,6 @@ from .model import (
 #: Utility tolerance and sweep cap for iterative waterfilling.
 SUD_TOL = 1e-9
 SUD_MAX_ROUNDS = 10_000
-
-#: Stationarity tolerance handed to the capped-ascent solver.
-SOLVER_TOL = 1e-8
 
 _TIMESHARE_MAX_ORDERS = 5040  # 7!
 
@@ -128,7 +126,7 @@ def _require_size(scenario: Scenario, partition: Partition) -> None:
 
 def _solve_orders(scenario: Scenario, partition_at: Callable[[int], Partition],
                   masks: list[list[int]], orders: Sequence[Sequence[tuple[int, ...]]], *,
-                  init: CovarianceProfile | None = None, solver_tol: float = SOLVER_TOL):
+                  init: CovarianceProfile | None = None):
     """Cancellation equilibria of decoding orders, each distinct suffix solved once.
 
     Row i is the partition ``partition_at(i)`` with block masks
@@ -166,7 +164,7 @@ def _solve_orders(scenario: Scenario, partition_at: Callable[[int], Partition],
     blocks = [Coalition(mask) for mask in block_of]
     hs, limits, starts = _block_inputs(scenario, blocks, init)
     qs, rates, ok = _kernels.sic_backward(
-        scenario.noise, hs, limits, starts, heads, tails, solver_tol, PA_MAX_ITER
+        scenario.noise, hs, limits, starts, heads, tails, SOLVER_TOL, PA_MAX_ITER
     )
     if not all(ok):
         for row, ids in enumerate(sids):
@@ -184,7 +182,6 @@ def ne_sic(
     partition: Partition,
     *,
     init: CovarianceProfile | None = None,
-    solver_tol: float = SOLVER_TOL,
 ) -> tuple[CovarianceProfile, dict[int, float]]:
     """Equilibrium of the fixed-order cancellation game.
 
@@ -202,8 +199,7 @@ def ne_sic(
     label = {b.mask: j for j, b in enumerate(blocks)}
     order = tuple(label[b.mask] for b in induced_order(partition, scenario.receiver.base_order))
     qs, rates, ((ids,),) = _solve_orders(
-        scenario, lambda _: partition, [[b.mask for b in blocks]], [[order]],
-        init=init, solver_tol=solver_tol,
+        scenario, lambda _: partition, [[b.mask for b in blocks]], [[order]], init=init
     )
     profile = CovarianceProfile(partition, tuple(qs[s] for s in ids))
     values = rates.tolist()
@@ -217,7 +213,6 @@ def ne_sud(
     *,
     init: CovarianceProfile | None = None,
     max_rounds: int = SUD_MAX_ROUNDS,
-    solver_tol: float = SOLVER_TOL,
 ) -> tuple[CovarianceProfile, dict[int, float]]:
     """Equilibrium of the single-user-decoding game.
 
@@ -234,8 +229,7 @@ def ne_sud(
     blocks = partition.blocks
     hs, limits, starts = _block_inputs(scenario, blocks, init)
     qs, utils, rounds, converged, delta = _kernels.sud_fixed_point(
-        scenario.noise, hs, limits, starts, SUD_TOL, max_rounds,
-        solver_tol, PA_MAX_ITER,
+        scenario.noise, hs, limits, starts, SUD_TOL, max_rounds, SOLVER_TOL, PA_MAX_ITER,
     )
     profile = CovarianceProfile(partition, tuple(qs))
     utilities = {b.mask: float(u) for b, u in zip(blocks, utils)}
@@ -286,8 +280,7 @@ def _time_shared(masks: Sequence[int], weights: np.ndarray,
     return dict(zip(masks, acc.tolist()))
 
 
-def ne_timeshare(scenario: Scenario, partition: Partition,
-                 *, solver_tol: float = SOLVER_TOL) -> dict[int, float]:
+def ne_timeshare(scenario: Scenario, partition: Partition) -> dict[int, float]:
     """Average equilibrium utilities over the partition's decoding orders.
 
     Solves the fixed-order game for each of the N! orders of the
@@ -301,20 +294,18 @@ def ne_timeshare(scenario: Scenario, partition: Partition,
     _require_size(scenario, partition)
     weights, orders = _timeshare_orders(scenario.receiver, len(partition))
     masks = [b.mask for b in partition.blocks]
-    _, rates, (ids,) = _solve_orders(scenario, lambda _: partition, [masks], [orders],
-                                     solver_tol=solver_tol)
+    _, rates, (ids,) = _solve_orders(scenario, lambda _: partition, [masks], [orders])
     return _time_shared(masks, weights, rates[ids])
 
 
-def ne_utilities(scenario: Scenario, partition: Partition,
-                 *, solver_tol: float = SOLVER_TOL) -> dict[int, float]:
+def ne_utilities(scenario: Scenario, partition: Partition) -> dict[int, float]:
     """Equilibrium utilities under the scenario's receiver model."""
     receiver = scenario.receiver
     if isinstance(receiver, SicFixed):
-        return ne_sic(scenario, partition, solver_tol=solver_tol)[1]
+        return ne_sic(scenario, partition)[1]
     if isinstance(receiver, Sud):
-        return ne_sud(scenario, partition, solver_tol=solver_tol)[1]
-    return ne_timeshare(scenario, partition, solver_tol=solver_tol)
+        return ne_sud(scenario, partition)[1]
+    return ne_timeshare(scenario, partition)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +433,7 @@ def _fill_closed_form(entries, fast, rgs: np.ndarray) -> None:
         entries[tuple(key)] = dict(zip(row_masks[:n], row_values[:n]))
 
 
-def _fill_cancellation(entries, scenario: Scenario, rgs: np.ndarray, solver_tol: float) -> None:
+def _fill_cancellation(entries, scenario: Scenario, rgs: np.ndarray) -> None:
     """Add every row's fixed-order or time-shared utilities, each distinct suffix solved once.
 
     Fixed-order rows list their blocks in decoding order, time-shared
@@ -459,7 +450,7 @@ def _fill_cancellation(entries, scenario: Scenario, rgs: np.ndarray, solver_tol:
         orders = [plans[n][1] for n in counts]
     keys = [tuple(row) for row in rgs.tolist()]
     _, rates, sids = _solve_orders(scenario, lambda row: Partition.from_rgs(keys[row]),
-                                   masks, orders, solver_tol=solver_tol)
+                                   masks, orders)
     if isinstance(receiver, SicFixed):
         values = rates.tolist()
         for key, row_masks, (order,), (ids,) in zip(keys, masks, orders, sids):
@@ -469,7 +460,7 @@ def _fill_cancellation(entries, scenario: Scenario, rgs: np.ndarray, solver_tol:
         entries[key] = _time_shared(row_masks, plans[n][0], rates[ids])
 
 
-def utility_table(scenario: Scenario, *, solver_tol: float = SOLVER_TOL) -> UtilityTable:
+def utility_table(scenario: Scenario) -> UtilityTable:
     """Equilibrium utilities for every coalition of every partition.
 
     Deterministic given the scenario: partitions are enumerated in
@@ -500,7 +491,7 @@ def utility_table(scenario: Scenario, *, solver_tol: float = SOLVER_TOL) -> Util
             _fill_closed_form(entries, fast, rgs[start:start + RGS_CHUNK_ROWS])
     elif isinstance(scenario.receiver, Sud):
         for part in enumerate_partitions(k):
-            entries[part.rgs] = ne_utilities(scenario, part, solver_tol=solver_tol)
+            entries[part.rgs] = ne_utilities(scenario, part)
     else:
-        _fill_cancellation(entries, scenario, rgs_matrix(k), solver_tol)
+        _fill_cancellation(entries, scenario, rgs_matrix(k))
     return UtilityTable(k, fingerprint(scenario), entries)

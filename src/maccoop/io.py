@@ -215,8 +215,7 @@ def write_table(fh, columns: Sequence[str], rows: Iterable[Sequence[Any]],
 
 
 def table_meta(scenario: Scenario | None = None, *, seed: int | None = None,
-               tol_lp: float | None = None, tol_solver: float | None = None,
-               **extra: Any) -> dict[str, Any]:
+               tol_lp: float | None = None, **extra: Any) -> dict[str, Any]:
     """Standard metadata block for result tables."""
     meta: dict[str, Any] = {"tool_version": TOOL_VERSION}
     if scenario is not None:
@@ -225,7 +224,5 @@ def table_meta(scenario: Scenario | None = None, *, seed: int | None = None,
         meta["seed"] = seed
     if tol_lp is not None:
         meta["tol_lp"] = tol_lp
-    if tol_solver is not None:
-        meta["tol_solver"] = tol_solver
     meta.update(extra)
     return meta

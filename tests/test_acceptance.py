@@ -137,13 +137,13 @@ def test_criterion_3_mixed_externality_orderings():
     singletons = Partition.singletons(3)
     pair_vs_one = Partition.from_blocks(3, [[1, 2], [3]])
     inst_a = build([[1.17119, -0.1941], [-2.1384, -0.8396], [1.3546, -1.0722]])
-    _, before = ne_sic(inst_a, singletons, solver_tol=1e-6)
-    _, after = ne_sic(inst_a, pair_vs_one, solver_tol=1e-6)
+    _, before = ne_sic(inst_a, singletons)
+    _, after = ne_sic(inst_a, pair_vs_one)
     assert before[0b100] < after[0b100]  # merger helps the outsider
 
     inst_b = build([[-1.5771, 0.5080], [0.2820, 0.0335], [-1.3337, 1.1275]])
-    _, before = ne_sic(inst_b, singletons, solver_tol=1e-6)
-    _, after = ne_sic(inst_b, pair_vs_one, solver_tol=1e-6)
+    _, before = ne_sic(inst_b, singletons)
+    _, after = ne_sic(inst_b, pair_vs_one)
     assert before[0b100] > after[0b100]  # merger hurts the outsider
 
     elapsed = time.perf_counter() - started
@@ -200,7 +200,7 @@ def test_criterion_6a_fixed_order_utilities_unique():
     baseline = None
     for _ in range(20):
         init = random_feasible_profile(rng, scenario, partition)
-        _, utils = ne_sic(scenario, partition, init=init, solver_tol=1e-8)
+        _, utils = ne_sic(scenario, partition, init=init)
         if baseline is None:
             baseline = utils
         for mask, v in utils.items():

@@ -11,7 +11,7 @@ from maccoop.analysis import (
     symmetric_scenario,
     verify_superadditivity,
 )
-from maccoop.cores import ExpectationModel
+from maccoop.cores import CORE_MAX_USERS, ExpectationModel
 from maccoop.equilibrium import ne_sic
 from maccoop.errors import InvalidArgument
 from maccoop.model import (
@@ -144,6 +144,15 @@ class TestSnrBoundary:
     def test_grid_must_increase(self):
         with pytest.raises(InvalidArgument):
             SweepSpec((4,), (0.0, 0.0, 1.0))
+
+    def test_k_above_core_cap_rejected_before_any_table(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a utility table was built")
+
+        monkeypatch.setattr(analysis, "utility_table", forbidden)
+        with pytest.raises(InvalidArgument, match=f"K <= {CORE_MAX_USERS}"):
+            snr_boundary(SweepSpec((3, CORE_MAX_USERS + 1), (-10.0, 0.0)),
+                         ExpectationModel.RATIONAL)
 
 
 class TestApproxRatio:

@@ -3,6 +3,8 @@ import pytest
 
 from maccoop import _kernels
 from maccoop.capacity import (
+    PA_MAX_ITER,
+    SOLVER_TOL,
     interference_free_rate,
     logdet_rate,
     low_snr_utility,
@@ -231,6 +233,13 @@ def grid_search_max_rate(h, noise, caps, coarse=101, fine_step=1e-3, span=0.02):
     return max(best[0], local[0])
 
 
+def project_capped(q, caps):
+    """q scaled by one factor so that diag(q) <= caps: a feasible sample."""
+    d = np.diag(q)
+    on = d > 0.0
+    return q * min(1.0, np.min(caps[on] / d[on])) if on.any() else q
+
+
 class TestMaximizePerAntenna:
     def test_single_rx_beamforming(self):
         q, rate = maximize_per_antenna([[1.0, 1.0]], [[1.0]], (1.0, 1.0))
@@ -262,16 +271,77 @@ class TestMaximizePerAntenna:
         assert np.all(np.diag(q) <= caps + 1e-9)
         assert np.linalg.eigvalsh(q).min() >= -1e-9
 
-    def test_nonconvergence_carries_best(self, rng):
-        h = rng.normal(size=(2, 2))
+    def test_nonconvergence_carries_best(self):
+        # Newton needs 4 steps here (gaps 0.28, 5e-3, 1e-6, 1e-13, 9e-16)
+        h = [[1.0, 0.5, -0.3], [0.2, -1.0, 0.8]]
         with pytest.raises(NonConvergence) as exc:
-            maximize_per_antenna(h, np.eye(2), (1.0, 1.0), tol=1e-14, max_iter=2)
+            maximize_per_antenna(h, np.eye(2), (1.0, 0.5, 0.25), tol=1e-14, max_iter=2)
         q, rate = exc.value.best
         assert rate > 0.0
+        assert exc.value.diagnostics["gap"] > 1e-14
 
     def test_negative_caps_rejected(self):
         with pytest.raises(InvalidArgument):
             maximize_per_antenna(np.eye(2), np.eye(2), (-1.0, 1.0))
+
+    def test_zero_cap_and_zero_column_switch_antennas_off(self):
+        # antenna 1 has no power and antenna 3 no channel: only [.5, -1] transmits
+        h = [[1.0, 0.5, 0.0], [0.3, -1.0, 0.0]]
+        q, rate = maximize_per_antenna(h, np.eye(2), (0.0, 1.0, 0.5))
+        assert rate == pytest.approx(np.log(2.25), abs=1e-12)
+        np.testing.assert_allclose(q, np.diag([0.0, 1.0, 0.0]), atol=1e-12)
+
+    def test_extreme_snr_converges(self):
+        # 70 dB with column gains 0.03-7.5: the gap must be read off a
+        # well-scaled log det ratio, not log det(I + W Q W^T) itself
+        h = np.array([[0.06, 7.5, 0.09], [0.03, -2.7, -0.04]])
+        caps = np.array([0.3, 45.0, 0.008])
+        *_, gap, _, ok = _kernels.pa_maximize(h, 1e-7 * np.eye(2), caps, np.diag(caps),
+                                              SOLVER_TOL, PA_MAX_ITER)
+        assert ok and gap <= SOLVER_TOL
+        # -60 dB: modes sit near the unit water level; uniform price rescaling
+        # keeps Newton steps from emptying the waterfill
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            m, w = int(rng.integers(2, 4)), int(rng.integers(2, 6))
+            h = rng.normal(size=(m, w))
+            caps = rng.uniform(0.1, 2.0, size=w)
+            *_, gap, _, ok = _kernels.pa_maximize(h, 1e6 * np.eye(m), caps, np.diag(caps),
+                                                  SOLVER_TOL, PA_MAX_ITER)
+            assert ok and gap <= SOLVER_TOL
+
+    def test_dual_gap_certifies_random_draws(self):
+        """Converged, feasible, gap in [0, SOLVER_TOL], and rate + gap above
+        the rate of random feasible covariances (weak duality)."""
+        rng = np.random.default_rng(909)
+        for _ in range(240):
+            m, w = int(rng.integers(2, 4)), int(rng.integers(2, 6))
+            h = rng.normal(size=(m, w))
+            caps = rng.uniform(0.1, 2.0, size=w)
+            if rng.random() < 0.1:
+                off = int(rng.integers(w))
+                if rng.random() < 0.5:
+                    caps[off] = 0.0
+                else:
+                    h[:, off] = 0.0
+            noise = rng.uniform(0.1, 3.0) * np.eye(m)
+            if rng.random() < 0.5:  # interference from other blocks
+                a = rng.normal(size=(m, m))
+                noise += a @ a.T
+            b = rng.normal(size=(w, w))
+            q0 = project_capped(b @ b.T, caps)
+            q, rate, gap, _, ok = _kernels.pa_maximize(h, noise, caps, q0,
+                                                       SOLVER_TOL, PA_MAX_ITER)
+            assert ok
+            assert 0.0 <= gap <= SOLVER_TOL
+            assert np.all(np.diag(q) <= caps)
+            assert np.linalg.eigvalsh(q).min() >= -1e-12
+            base = np.linalg.slogdet(noise)[1]
+            for _ in range(10):
+                f = rng.normal(size=(w, int(rng.integers(1, w + 1))))
+                sample = project_capped(f @ f.T, caps)
+                got = np.linalg.slogdet(noise + h @ sample @ h.T)[1] - base
+                assert got <= rate + gap + 1e-12
 
 
 class TestSingleAntennaUtilities:

@@ -10,6 +10,7 @@ from maccoop.capacity import (
     block_budget,
     block_caps,
     interference_free_rate,
+    maximize_per_antenna,
     validate_profile,
 )
 from maccoop.equilibrium import (
@@ -105,7 +106,7 @@ class TestNeSic:
         baseline = None
         for _ in range(5):
             init = random_feasible_profile(rng, s, part)
-            _, utils = ne_sic(s, part, init=init, solver_tol=1e-8)
+            _, utils = ne_sic(s, part, init=init)
             if baseline is None:
                 baseline = utils
             for mask in baseline:
@@ -301,10 +302,8 @@ class TestDsc:
     def test_equilibria_have_zero_components(self, rng):
         s = per_antenna_mimo()
         part = Partition.from_blocks(3, [[1, 2], [3]])
-        prof1, _ = ne_sic(s, part, init=random_feasible_profile(rng, s, part),
-                          solver_tol=1e-9)
-        prof2, _ = ne_sic(s, part, init=random_feasible_profile(rng, s, part),
-                          solver_tol=1e-9)
+        prof1, _ = ne_sic(s, part, init=random_feasible_profile(rng, s, part))
+        prof2, _ = ne_sic(s, part, init=random_feasible_profile(rng, s, part))
         rep = dsc_diagnostic(s, part, prof1, prof2)
         for c in rep.values:
             assert abs(c) <= 1e-6
@@ -392,6 +391,39 @@ class TestUtilityTable:
         monkeypatch.setattr(Partition, "from_rgs", staticmethod(forbidden))
         monkeypatch.setattr(Partition, "__post_init__", forbidden)
         assert utility_table(s).entries == ref
+
+    @pytest.mark.parametrize("receiver", [SicFixed((2, 3, 1)), Sud(), SicTimeShare()])
+    def test_per_antenna_two_antenna_users(self, receiver):
+        # merged blocks have 4 or 6 transmit antennas on 2 receive antennas
+        gen = np.random.default_rng(29)
+        users = tuple(UserSpec(u, 2, gen.normal(size=(2, 2)),
+                               PerAntenna(tuple(gen.uniform(0.25, 1.0, size=2))))
+                      for u in (1, 2, 3))
+        s = Scenario(users, 2, 0.5, receiver)
+        table = utility_table(s)
+        grand = table.value(Partition.grand(3), Coalition(0b111))
+        for part in enumerate_partitions(3):
+            values = table.partition_values(part)
+            assert sum(values.values()) <= grand + 1e-9
+            for block in part.blocks:
+                assert 0.0 <= values[block.mask] <= interference_free_rate(s, block)[1] + 1e-9
+            if isinstance(receiver, Sud):
+                # every block best responds to the others' interference
+                profile, utils = ne_sud(s, part)
+                noise = s.noise * np.eye(2)
+                grams = [coalition_channel(s, b) @ q @ coalition_channel(s, b).T
+                         for b, q in zip(part.blocks, profile.matrices)]
+                for j, block in enumerate(part.blocks):
+                    others = noise + sum(grams) - grams[j]
+                    best = maximize_per_antenna(coalition_channel(s, block), others,
+                                                block_caps(s, block))[1]
+                    assert utils[block.mask] == pytest.approx(best, abs=1e-8)
+            elif isinstance(receiver, SicFixed):
+                init = random_feasible_profile(gen, s, part)  # any start, same answer
+                for mask, v in ne_sic(s, part, init=init)[1].items():
+                    assert v == pytest.approx(values[mask], abs=1e-9)
+            else:
+                assert values == pytest.approx(reference_utilities(s, part), abs=1e-12)
 
     def test_cohesive(self, rng):
         s = random_scenario(rng, k=3, m=2, receiver=Sud())
