@@ -30,6 +30,13 @@ from .model import (
 )
 
 
+#: Margin a merged block may fall short of its parts' total (and a
+#: partition's total may exceed the grand coalition's) and still pass.
+SUPERADDITIVITY_TOL = 1e-8
+#: Smallest outsider utility change that counts as an externality.
+EXTERNALITY_TOL = 1e-9
+
+
 def snr_db_to_noise(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
@@ -118,16 +125,15 @@ def verify_superadditivity(
     scenario: Scenario,
     trials: int,
     seed: int,
-    *,
-    tol: float = 1e-8,
 ) -> SuperadditivityReport:
     """Sampled merge super-additivity plus exhaustive cohesiveness.
 
     Each trial samples a partition and a random sub-collection of its
     blocks, merges them, and checks that the merged block's equilibrium
-    utility is at least the sum of the parts' (within ``tol``).
-    Cohesiveness (no partition's total utility beats the grand
-    coalition's) is checked over every partition, not sampled.
+    utility is at least the sum of the parts' (within
+    ``SUPERADDITIVITY_TOL``).  Cohesiveness (no partition's total utility
+    beats the grand coalition's) is checked over every partition, not
+    sampled.  One user has no partition of two blocks, so no trial runs.
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
@@ -139,9 +145,8 @@ def verify_superadditivity(
     skipped = 0
     counterexample = None
     passed = True
-    for _ in range(trials):
-        if k < 2:
-            break
+    trials_run = trials if k > 1 else 0
+    for _ in range(trials_run):
         before = _random_partition(rng, k, 2)
         n = len(before)
         r = int(rng.integers(2, n + 1))
@@ -159,7 +164,7 @@ def verify_superadditivity(
             continue
         parts_total = sum(vals_before[m] for m in chosen_masks)
         merged_value = vals_after[merged_mask]
-        if merged_value < parts_total - tol:
+        if merged_value < parts_total - SUPERADDITIVITY_TOL:
             passed = False
             if counterexample is None:
                 counterexample = MergeSample(before, after, Coalition(merged_mask),
@@ -174,9 +179,9 @@ def verify_superadditivity(
             continue
         gap = sum(vals.values()) - v_k
         worst = max(worst, gap)
-        if gap > tol:
+        if gap > SUPERADDITIVITY_TOL:
             cohesive = False
-    return SuperadditivityReport(passed and cohesive, trials, skipped,
+    return SuperadditivityReport(passed and cohesive, trials_run, skipped,
                                  counterexample, cohesive, worst)
 
 
@@ -184,8 +189,6 @@ def classify_externalities(
     scenario: Scenario,
     trials: int,
     seed: int,
-    *,
-    tol: float = 1e-9,
 ) -> ExternalityVerdict:
     """Sign of outsider utility changes across sampled two-block mergers.
 
@@ -217,9 +220,9 @@ def classify_externalities(
             vb = vals_before[ext.mask]
             va = vals_after[ext.mask]
             witnesses.append(ExternalityWitness(before, after, ext, vb, va))
-            if va > vb + tol:
+            if va > vb + EXTERNALITY_TOL:
                 has_pos = True
-            elif va < vb - tol:
+            elif va < vb - EXTERNALITY_TOL:
                 has_neg = True
     if has_pos and has_neg:
         kind = "mixed"
@@ -263,15 +266,14 @@ class BoundaryPoint:
     transitions: tuple[tuple[float, float], ...] = field(default=())
 
 
-def _symmetric_verdict(k: int, snr_db: float, model: ExpectationModel,
-                       tol_lp: float) -> str:
+def _symmetric_verdict(k: int, snr_db: float, model: ExpectationModel) -> str:
     scenario = symmetric_scenario(k, snr_db_to_noise(snr_db))
     table = utility_table(scenario)
-    return check_core(scenario, model, tol_lp=tol_lp, table=table).verdict
+    return check_core(scenario, model, table=table).verdict
 
 
 def snr_boundary(spec: SweepSpec, model: ExpectationModel, *,
-                 tol_lp: float = 1e-9, resolution_db: float = 0.01) -> list[BoundaryPoint]:
+                 resolution_db: float = 0.01) -> list[BoundaryPoint]:
     """Empty/nonempty core boundary vs SNR for symmetric fixed-order games.
 
     For each K the grid verdicts are computed first; a single
@@ -282,9 +284,7 @@ def snr_boundary(spec: SweepSpec, model: ExpectationModel, *,
     """
     out: list[BoundaryPoint] = []
     for k in spec.k_values:
-        verdicts = tuple(
-            _symmetric_verdict(k, db, model, tol_lp) for db in spec.snr_grid_db
-        )
+        verdicts = tuple(_symmetric_verdict(k, db, model) for db in spec.snr_grid_db)
         flips = [
             (spec.snr_grid_db[i], spec.snr_grid_db[i + 1])
             for i in range(len(verdicts) - 1)
@@ -304,7 +304,7 @@ def snr_boundary(spec: SweepSpec, model: ExpectationModel, *,
         lo, hi = flips[0]
         while hi - lo > resolution_db:
             mid = 0.5 * (lo + hi)
-            if _symmetric_verdict(k, mid, model, tol_lp) == "nonempty":
+            if _symmetric_verdict(k, mid, model) == "nonempty":
                 lo = mid
             else:
                 hi = mid

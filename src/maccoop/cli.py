@@ -30,6 +30,7 @@ from .analysis import (
     verify_superadditivity,
 )
 from .cores import (
+    LP_TOL,
     ExpectationModel,
     check_core_from_demands,
     core_region_3user,
@@ -85,7 +86,6 @@ class _Emitter:
         meta = io.table_meta(
             scenario,
             seed=self.args.seed,
-            tol_lp=self.args.tol_lp,
             unit=self.unit,
             **extra,
         )
@@ -150,7 +150,7 @@ def _cmd_core(args) -> int:
     model = ExpectationModel(args.model)
     demands = demand_vector(scenario, model)
     v_k = grand_value(scenario)
-    result = check_core_from_demands(demands, v_k, scenario.k, tol_lp=args.tol_lp)
+    result = check_core_from_demands(demands, v_k, scenario.k)
     em.table("demands.csv", ["coalition_mask", "members", f"demand_{em.unit}"],
              _demand_rows(em, demands), scenario, model=model.value,
              grand_value=em.conv(v_k))
@@ -179,7 +179,7 @@ def _cmd_least_core(args) -> int:
     em = _Emitter(args)
     model = ExpectationModel(args.model)
     result = least_core(scenario, model)
-    em.summary["verdict"] = "nonempty" if result.epsilon_star <= args.tol_lp else "empty"
+    em.summary["verdict"] = "nonempty" if result.epsilon_star <= LP_TOL else "empty"
     em.summary["epsilon_star"] = em.conv(result.epsilon_star)
     em.summary["allocation"] = [em.conv(x) for x in result.allocation]
     em.summary["data"] = {"model": model.value}
@@ -212,7 +212,7 @@ def _cmd_sweep(args) -> int:
                                     args.snr_step)
     )
     spec = SweepSpec(tuple(range(args.k_min, args.k_max + 1)), grid)
-    points = snr_boundary(spec, model, tol_lp=args.tol_lp)
+    points = snr_boundary(spec, model)
     rows = [
         (p.k, p.status, "" if p.threshold_db is None else p.threshold_db,
          ";".join(v for v in p.grid_verdicts))
@@ -298,7 +298,6 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory (default: cwd)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol-lp", type=float, default=1e-9, dest="tol_lp")
     common.add_argument("--bits", action="store_true",
                         help="display utilities in bits (presentation only)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -24,6 +24,10 @@ optimal multipliers of min sum y s.t. y(S) >= d_S, the dual of the
 max-margin balanced collection.  Rows are ordered by coalition mask and
 every tie goes to the lowest mask, so the answers do not depend on the
 order of the demand dict.
+
+Every verdict follows one rule for every K: the core is nonempty when
+the optimal slack t >= -LP_TOL, and the evidence (the witness, or the
+certificate) is validated against the demands before it is returned.
 """
 
 from __future__ import annotations
@@ -31,12 +35,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
-from ._exact_lp import exact_lp_max
-from .equilibrium import UtilityTable, ne_utilities, utility_table
+# _exact_lp is unused here; perfbench's tracer looks it up in sys.modules
+from . import _exact_lp  # noqa: F401
+from .equilibrium import (
+    UtilityTable,
+    ne_utilities,
+    require_uniform_timeshare,
+    utility_table,
+)
 from .errors import InvalidArgument, NumericalFailure
 from .model import Coalition, Partition, Scenario
 # enumerate_partitions is unused here; perfbench's restore test asserts the binding
@@ -44,9 +53,10 @@ from .model import enumerate_partitions  # noqa: F401
 
 CORE_MAX_USERS = 10
 
-#: |max-min-slack| below which the exact-arithmetic cross-check runs (K <= 5).
-_DEGENERACY_BAND = 1e-7
-_EXACT_GRID = 10**12
+#: The one LP tolerance: the verdict (t >= -LP_TOL, or epsilon* <= LP_TOL
+#: for the least core), the witness and certificate checks, and the
+#: 3-user region's half-planes.
+LP_TOL = 1e-9
 
 
 class ExpectationModel(str, Enum):
@@ -183,15 +193,16 @@ def demand_vector(
     table: UtilityTable | None = None,
 ) -> dict[int, float]:
     """Demand of every proper nonempty coalition, keyed by mask (ascending)."""
+    require_uniform_timeshare(scenario)
     model = ExpectationModel(model)
     if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
         if table is None:
             table = utility_table(scenario)
         return _table_demands(table, model)
-    grand = (1 << scenario.k) - 1
+    k = scenario.k
     return {
-        mask: coalition_demand(scenario, Coalition(mask), model, table=table)
-        for mask in range(1, grand)
+        mask: _arrangement_values(scenario, _fixed_arrangement(k, mask, model), table)[mask]
+        for mask in range(1, (1 << k) - 1)
     }
 
 
@@ -319,38 +330,17 @@ def _solve_balanced_lp(demands: dict[int, float], k: int):
 linprog = _dual_simplex
 
 
-def _exact_nonempty(demands: dict[int, float], v_k: float, k: int, tol_lp: float) -> bool:
-    """Exact-arithmetic verdict on demands rounded to a 1e-12 grid."""
-    def grid(x: float) -> Fraction:
-        return Fraction(round(x * _EXACT_GRID), _EXACT_GRID)
-
-    masks = sorted(demands)
-    a_ub = []
-    b_ub = []
-    for mask in masks:
-        row = [Fraction(-1) if mask >> i & 1 else Fraction(0) for i in range(k)]
-        row.append(Fraction(1))
-        a_ub.append(row)
-        b_ub.append(-grid(demands[mask]))
-    a_eq = [[Fraction(1)] * k + [Fraction(0)]]
-    c = [Fraction(0)] * k + [Fraction(1)]
-    status, value, _ = exact_lp_max(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=[grid(v_k)])
-    if status != "optimal":
-        raise NumericalFailure(f"exact cross-check LP returned {status}")
-    return value >= -grid(tol_lp)
-
-
 def validate_certificate(cert: BalancedCertificate, demands: dict[int, float],
-                         v_k: float, k: int, tol: float = 1e-9) -> None:
+                         v_k: float, k: int) -> None:
     """Raise unless the weights are balanced and genuinely violating."""
     for i in range(k):
         cover = sum(w for m, w in cert.weights.items() if m >> i & 1)
-        if abs(cover - 1.0) > tol:
+        if abs(cover - 1.0) > LP_TOL:
             raise NumericalFailure(f"certificate not balanced at player {i + 1}: {cover}")
-    if any(w < -tol or w > 1.0 + tol for w in cert.weights.values()):
+    if any(w < -LP_TOL or w > 1.0 + LP_TOL for w in cert.weights.values()):
         raise NumericalFailure("certificate weights outside [0, 1]")
     margin = sum(w * demands[m] for m, w in cert.weights.items()) - v_k
-    if not margin > tol:
+    if not margin > LP_TOL:
         raise NumericalFailure(f"certificate margin {margin} not positive")
     if abs(margin - cert.margin) > 1e-6 * max(1.0, abs(margin)):
         raise NumericalFailure("certificate margin inconsistent with weights")
@@ -363,22 +353,18 @@ def _require_demands(demands: dict[int, float], k: int) -> None:
         raise InvalidArgument("demands must cover every proper nonempty coalition")
 
 
-def check_core_from_demands(demands: dict[int, float], v_k: float, k: int,
-                            *, tol_lp: float = 1e-9) -> CoreResult:
+def check_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> CoreResult:
     """Core feasibility from precomputed demands (order-independent)."""
     _require_demands(demands, k)
     x, t = _solve_slack_lp(demands, v_k, k)
-    nonempty = t >= -tol_lp
-    if k <= 5 and abs(t) < _DEGENERACY_BAND:
-        nonempty = _exact_nonempty(demands, v_k, k, tol_lp)
-    if nonempty:
+    if t >= -LP_TOL:
         worst = min(sum(x[i] for i in range(k) if m >> i & 1) - d for m, d in demands.items())
-        if worst < -tol_lp or abs(x.sum() - v_k) > tol_lp * max(1.0, abs(v_k)):
+        if worst < -LP_TOL or abs(x.sum() - v_k) > LP_TOL * max(1.0, abs(v_k)):
             raise NumericalFailure("witness fails post-validation")
         return CoreResult("nonempty", x, None, float(t))
     weights, value = _solve_balanced_lp(demands, k)
     cert = BalancedCertificate(weights, float(value - v_k))
-    validate_certificate(cert, demands, v_k, k, tol=max(tol_lp, 1e-9))
+    validate_certificate(cert, demands, v_k, k)
     return CoreResult("empty", None, cert, float(t))
 
 
@@ -386,7 +372,6 @@ def check_core(
     scenario: Scenario,
     model: ExpectationModel,
     *,
-    tol_lp: float = 1e-9,
     table: UtilityTable | None = None,
 ) -> CoreResult:
     """Decide stability of full cooperation under an expectation model.
@@ -400,7 +385,7 @@ def check_core(
         raise InvalidArgument(f"core checks are capped at {CORE_MAX_USERS} users")
     demands = demand_vector(scenario, model, table=table)
     v_k = grand_value(scenario, table=table)
-    return check_core_from_demands(demands, v_k, scenario.k, tol_lp=tol_lp)
+    return check_core_from_demands(demands, v_k, scenario.k)
 
 
 def least_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> LeastCoreResult:
@@ -433,20 +418,18 @@ def balancedness_certificate(
     scenario: Scenario,
     model: ExpectationModel,
     *,
-    tol_lp: float = 1e-9,
     table: UtilityTable | None = None,
 ) -> BalancedCertificate | None:
     """The emptiness certificate, or None when the core is nonempty."""
-    result = check_core(scenario, model, tol_lp=tol_lp, table=table)
-    return result.certificate
+    return check_core(scenario, model, table=table).certificate
 
 
 # ---------------------------------------------------------------------------
 # 3-user core region
 
 
-def region_from_demands(demands: dict[int, float], v_k: float,
-                        *, tol: float = 1e-9) -> list[tuple[float, float, float]]:
+def region_from_demands(demands: dict[int, float],
+                        v_k: float) -> list[tuple[float, float, float]]:
     """Vertices of the 3-user core polygon on the plane x1+x2+x3 = v_k.
 
     Intersects the six proper-coalition half-planes with the efficiency
@@ -469,9 +452,9 @@ def region_from_demands(demands: dict[int, float], v_k: float,
     def feasible(x1: float, x2: float) -> bool:
         for a, b, c, sense in lines:
             val = a * x1 + b * x2
-            if sense > 0 and val < c - tol:
+            if sense > 0 and val < c - LP_TOL:
                 return False
-            if sense < 0 and val > c + tol:
+            if sense < 0 and val > c + LP_TOL:
                 return False
         return True
 

@@ -460,6 +460,20 @@ def _fill_cancellation(entries, scenario: Scenario, rgs: np.ndarray) -> None:
         entries[key] = _time_shared(row_masks, plans[n][0], rates[ids])
 
 
+def require_uniform_timeshare(scenario: Scenario) -> None:
+    """Reject a weighted time-share receiver where every block count occurs.
+
+    Its n! weights fit the partitions of one block count only, and tables
+    and core checks meet partitions of 1..K blocks.
+    """
+    receiver = scenario.receiver
+    if isinstance(receiver, SicTimeShare) and receiver.weights is not None:
+        raise InvalidArgument(
+            f"tables and core checks meet partitions of 1..{scenario.k} blocks, so they "
+            f"need uniform time-share weights ({len(receiver.weights)} weights given)"
+        )
+
+
 def utility_table(scenario: Scenario) -> UtilityTable:
     """Equilibrium utilities for every coalition of every partition.
 
@@ -472,6 +486,7 @@ def utility_table(scenario: Scenario) -> UtilityTable:
     solve.
     """
     k = scenario.k
+    require_uniform_timeshare(scenario)
     if isinstance(scenario.receiver, SicTimeShare):
         if math.factorial(k) > _TIMESHARE_MAX_ORDERS:
             raise InvalidArgument(

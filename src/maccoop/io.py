@@ -215,14 +215,12 @@ def write_table(fh, columns: Sequence[str], rows: Iterable[Sequence[Any]],
 
 
 def table_meta(scenario: Scenario | None = None, *, seed: int | None = None,
-               tol_lp: float | None = None, **extra: Any) -> dict[str, Any]:
+               **extra: Any) -> dict[str, Any]:
     """Standard metadata block for result tables."""
     meta: dict[str, Any] = {"tool_version": TOOL_VERSION}
     if scenario is not None:
         meta["fingerprint"] = fingerprint(scenario)
     if seed is not None:
         meta["seed"] = seed
-    if tol_lp is not None:
-        meta["tol_lp"] = tol_lp
     meta.update(extra)
     return meta

@@ -58,6 +58,7 @@ def random_feasible_profile(rng, scenario, partition):
     return CovarianceProfile(partition, tuple(mats))
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test, so its draws do not depend on test order."""
     return np.random.default_rng(20240811)

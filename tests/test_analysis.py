@@ -59,6 +59,12 @@ class TestSuperadditivity:
         assert merged[0b11] >= parts[0b01] + parts[0b10] - 1e-12
         assert merged[0b11] == pytest.approx(np.log(5.0), abs=1e-12)
 
+    def test_one_user_runs_no_trial(self):
+        # one user has no partition of two blocks to merge
+        report = verify_superadditivity(symmetric_scenario(1), 50, seed=0)
+        assert report.trials_run == 0
+        assert report.passed and report.cohesive
+
     def test_trials_guard(self):
         with pytest.raises(InvalidArgument):
             verify_superadditivity(symmetric_scenario(3), 0, seed=0)
@@ -132,8 +138,8 @@ class TestSnrBoundary:
         hi = point.threshold_db + 0.01
         from maccoop.analysis import _symmetric_verdict
 
-        assert _symmetric_verdict(4, lo, ExpectationModel.RATIONAL, 1e-9) == "nonempty"
-        assert _symmetric_verdict(4, hi, ExpectationModel.RATIONAL, 1e-9) == "empty"
+        assert _symmetric_verdict(4, lo, ExpectationModel.RATIONAL) == "nonempty"
+        assert _symmetric_verdict(4, hi, ExpectationModel.RATIONAL) == "empty"
 
     def test_no_transition_reported(self):
         spec = SweepSpec((4,), (-40.0, -35.0, -30.0))

@@ -219,8 +219,8 @@ class TestCheckCore:
         assert a.slack == pytest.approx(b.slack, abs=1e-12)
 
     def test_degenerate_single_point_core(self):
-        # additive demands pin the unique allocation; exact arithmetic
-        # keeps the verdict stable at the boundary
+        # additive demands pin the unique allocation; its slack t = 0 is
+        # inside the LP tolerance, so the point core is nonempty
         demands = {0b01: 1.0, 0b10: 1.0}
         res = check_core_from_demands(demands, 2.0, 2)
         assert res.verdict == "nonempty"
@@ -249,13 +249,32 @@ class TestCheckCore:
                 call({}, 1.0, 1)
 
     @pytest.mark.parametrize("k", range(2, 11))
-    def test_additive_demands_terminate_at_the_equal_split(self, k):
-        # every row is tight at x = 1: the most degenerate vertex there is
+    def test_additive_demands_terminate_at_the_equal_split(self, k, monkeypatch):
+        # every row is tight at x = 1: the most degenerate vertex there is.
+        # The float LP alone decides it (K=2 is test_degenerate_single_point_core's game).
+        def no_exact_lp(*args, **kwargs):
+            raise AssertionError("exact LP called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("maccoop") and hasattr(module, "exact_lp_max"):
+                monkeypatch.setattr(module, "exact_lp_max", no_exact_lp)
         demands = {m: float(bin(m).count("1")) for m in range(1, (1 << k) - 1)}
         res = check_core_from_demands(demands, float(k), k)
         assert res.verdict == "nonempty"
         assert res.slack == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(res.allocation, np.ones(k), atol=1e-12)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_weighted_timeshare_rejected_before_any_solve(self, model, monkeypatch):
+        s = symmetric(3, 0.5, SicTimeShare((0.5, 0.0, 0.25, 0.0, 0.25, 0.0)))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("equilibrium solved")
+
+        monkeypatch.setattr(maccoop.equilibrium, "_solve_orders", no_solve)
+        for call in (check_core, least_core, core_region_3user):
+            with pytest.raises(InvalidArgument, match="uniform time-share weights"):
+                call(s, model)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_k10_symmetric_game_terminates_with_validated_evidence(self, model, k10_game):

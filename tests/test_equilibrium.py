@@ -261,6 +261,14 @@ class TestNeTimeshare:
         with pytest.raises(InvalidArgument, match="2 weights supplied for 6"):
             dsc_diagnostic(s, part, profile, profile)
 
+    def test_weighted_receiver_fits_one_block_count(self):
+        s = symmetric(3, 0.5, SicTimeShare((0.5, 0.0, 0.25, 0.0, 0.25, 0.0)))
+        with pytest.raises(InvalidArgument, match="partitions of 1..3 blocks"):
+            utility_table(s)
+        # partitions of three blocks have the six orders the weights list
+        utils = ne_timeshare(s, Partition.singletons(3))
+        assert set(utils) == {0b001, 0b010, 0b100}
+
     def test_factorial_guard(self):
         s = symmetric(8, 1.0, SicTimeShare())
         with pytest.raises(InvalidArgument):

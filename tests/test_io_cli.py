@@ -116,6 +116,28 @@ class TestCli:
         assert (tmp_path / "certificate.csv").exists()
         assert (tmp_path / "demands.csv").exists()
 
+    def test_core_tables_carry_no_lp_tolerance(self, tmp_path, capsys):
+        cfg = tmp_path / "sym4.cfg"
+        cfg.write_text(sym4_text())
+        code, _, _ = run_cli(
+            ["core", "--scenario", str(cfg), "--model", "rational", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        header = [line for line in (tmp_path / "demands.csv").read_text().splitlines()
+                  if line.startswith("#")]
+        assert header and not any("tol_lp" in line for line in header)
+
+    def test_lp_tolerance_is_not_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "sym4.cfg"
+        cfg.write_text(sym4_text())
+        code, _, err = run_cli(
+            ["core", "--scenario", str(cfg), "--model", "rational", "--tol-lp", "1e-6",
+             "--out", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert "--tol-lp" in err
+
     def test_region_contains_equal_split(self, tmp_path, capsys):
         cfg = tmp_path / "sym3_ts_3db.cfg"
         cfg.write_text(sym3_ts_text())
