@@ -8,6 +8,7 @@ dB via 10*log10.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -16,7 +17,14 @@ import numpy as np
 
 from .capacity import timeshare_highsnr_utility
 from .cores import CORE_MAX_USERS, ExpectationModel, check_core, grand_value
-from .equilibrium import _single_rx_fast_path, ne_timeshare, ne_utilities, utility_table
+from .equilibrium import (
+    UtilityTable,
+    _single_rx_fast_path,
+    ne_timeshare,
+    ne_utilities,
+    require_uniform_timeshare,
+    utility_table,
+)
 from .errors import InvalidArgument, NonConvergence
 from .model import (
     Coalition,
@@ -105,17 +113,18 @@ def _random_partition(rng: np.random.Generator, k: int, min_blocks: int) -> Part
 
 
 class _ValueCache:
-    """Equilibrium values per partition: ``known`` rows or lazy solves; stalls become skips."""
+    """Equilibrium values per partition: table rows or lazy solves; stalls become skips."""
 
-    def __init__(self, scenario: Scenario, known: dict | None = None):
-        self.scenario = scenario
-        self._cache: dict[tuple[int, ...], dict[int, float] | None] = known or {}
+    def __init__(self, scenario: Scenario, table: UtilityTable | None = None):
+        self._solve = (table.partition_values if table is not None
+                       else functools.partial(ne_utilities, scenario))
+        self._cache: dict[tuple[int, ...], dict[int, float] | None] = {}
 
     def get(self, partition: Partition) -> dict[int, float] | None:
         key = partition.rgs
         if key not in self._cache:
             try:
-                self._cache[key] = ne_utilities(self.scenario, partition)
+                self._cache[key] = self._solve(partition)
             except NonConvergence:
                 self._cache[key] = None
         return self._cache[key]
@@ -133,14 +142,16 @@ def verify_superadditivity(
     utility is at least the sum of the parts' (within
     ``SUPERADDITIVITY_TOL``).  Cohesiveness (no partition's total utility
     beats the grand coalition's) is checked over every partition, not
-    sampled.  One user has no partition of two blocks, so no trial runs.
+    sampled; with a closed-form table it reads the table's row totals.
+    One user has no partition of two blocks, so no trial runs.
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
+    require_uniform_timeshare(scenario, "superadditivity audits")
     rng = np.random.default_rng(seed)
     # every partition is visited, so one closed-form table beats a solve each
     table = utility_table(scenario) if _single_rx_fast_path(scenario) else None
-    cache = _ValueCache(scenario, table.entries if table is not None else None)
+    cache = _ValueCache(scenario, table)
     k = scenario.k
     skipped = 0
     counterexample = None
@@ -170,17 +181,22 @@ def verify_superadditivity(
                 counterexample = MergeSample(before, after, Coalition(merged_mask),
                                              merged_value, parts_total)
     v_k = grand_value(scenario, table=table)
-    worst = -math.inf
-    cohesive = True
-    for part in enumerate_partitions(k):
-        vals = cache.get(part)
-        if vals is None:
-            skipped += 1
-            continue
-        gap = sum(vals.values()) - v_k
-        worst = max(worst, gap)
-        if gap > SUPERADDITIVITY_TOL:
-            cohesive = False
+    if table is not None:
+        gaps = table.totals - v_k
+        worst = float(np.fmax.reduce(gaps, initial=-math.inf))
+        cohesive = not (gaps > SUPERADDITIVITY_TOL).any()
+    else:
+        worst = -math.inf
+        cohesive = True
+        for part in enumerate_partitions(k):
+            vals = cache.get(part)
+            if vals is None:
+                skipped += 1
+                continue
+            gap = sum(vals.values()) - v_k
+            worst = max(worst, gap)
+            if gap > SUPERADDITIVITY_TOL:
+                cohesive = False
     return SuperadditivityReport(passed and cohesive, trials_run, skipped,
                                  counterexample, cohesive, worst)
 
@@ -201,6 +217,7 @@ def classify_externalities(
         raise InvalidArgument("trials must be >= 1")
     if scenario.k < 3:
         raise InvalidArgument("externalities need at least 3 users")
+    require_uniform_timeshare(scenario, "externality audits", fewest=2)
     rng = np.random.default_rng(seed)
     cache = _ValueCache(scenario)
     witnesses: list[ExternalityWitness] = []

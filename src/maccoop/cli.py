@@ -125,13 +125,13 @@ def _cmd_utilities(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
     table = utility_table(scenario)
-    rows = []
-    for rgs in sorted(table.entries):
-        for mask in sorted(table.entries[rgs]):
-            rows.append(
-                (",".join(map(str, rgs)), mask, _members_str(mask),
-                 em.conv(table.entries[rgs][mask]))
-            )
+    # table rows come in lexicographic RGS order; each row's blocks go by mask
+    keys = [",".join(map(str, rgs)) for rgs in table.rgs.tolist()]
+    row_of = np.repeat(np.arange(len(keys)), table.counts)
+    order = np.lexsort((table.masks, row_of))
+    rows = [(keys[row], mask, _members_str(mask), em.conv(value))
+            for row, mask, value in zip(row_of[order].tolist(), table.masks[order].tolist(),
+                                        table.values[order].tolist())]
     em.table("utilities.csv", ["rgs", "coalition_mask", "members", f"utility_{em.unit}"],
              rows, scenario)
     em.summary["data"] = {"fingerprint": table.fingerprint, "entries": len(table)}

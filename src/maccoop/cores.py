@@ -102,14 +102,6 @@ class LeastCoreResult:
 # demands
 
 
-def _arrangement_values(scenario: Scenario, rgs: tuple[int, ...],
-                        table: UtilityTable | None) -> dict[int, float]:
-    """Block utilities of the partition with restricted growth string ``rgs``."""
-    if table is not None:
-        return table.entries[rgs]
-    return ne_utilities(scenario, Partition.from_rgs(rgs))
-
-
 def _fixed_arrangement(k: int, mask: int, model: ExpectationModel) -> tuple[int, ...]:
     """RGS of S = ``mask`` facing one merged outside block, or outsiders alone.
 
@@ -131,30 +123,39 @@ def _fixed_arrangement(k: int, mask: int, model: ExpectationModel) -> tuple[int,
     return tuple(labels)
 
 
-def _table_demands(table: UtilityTable, model: ExpectationModel) -> dict[int, float]:
-    """Rational or cautious demands of every proper coalition, in one table pass.
+def _table_demands(table: UtilityTable, model: ExpectationModel) -> np.ndarray:
+    """Every coalition's demand, indexed by mask, from one group-by over the table's blocks.
 
-    Each partition holding S as a block is one arrangement of S's
-    outsiders, whose total is the partition total minus S's own value.
-    Cautious keeps the smallest own value.  Rational keeps the smallest
-    own value among arrangements whose outsider total is within
-    1e-12 (relative) of the largest.
+    A row holding S as a block is one arrangement of S's outsiders, whose
+    total is the row total minus S's own value.  Merging reads S's row of
+    two blocks and singleton its row of k - |S| + 1 blocks.  Cautious
+    keeps the smallest own value.  Rational keeps the smallest own value
+    among arrangements whose outsider total is within 1e-12 (relative) of
+    the largest.  A mask with no such row demands +inf.
     """
-    grand = (1 << table.k) - 1
-    rows = [(sum(values.values()), values) for values in table.entries.values()]
-    floor = dict.fromkeys(range(1, grand), -math.inf)
-    if model is ExpectationModel.RATIONAL:
-        best = floor.copy()
-        for total, values in rows:
-            for mask, own in values.items():
-                if mask != grand and total - own > best[mask]:
-                    best[mask] = total - own
-        floor = {mask: b - 1e-12 * max(1.0, abs(b)) for mask, b in best.items()}
-    demand = dict.fromkeys(range(1, grand), math.inf)
-    for total, values in rows:
-        for mask, own in values.items():
-            if mask != grand and own < demand[mask] and total - own >= floor[mask]:
-                demand[mask] = own
+    k = table.k
+    masks, own = table.masks, table.values
+    counts = table.counts
+    demand = np.full(1 << k, np.inf)
+    if model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
+        blocks = np.repeat(counts, counts)
+        if model is ExpectationModel.MERGING:
+            hit = blocks == 2
+        else:
+            size = _incidence(range(1 << k), k).sum(axis=1)
+            hit = blocks == k - size[masks] + 1
+        demand[masks[hit]] = own[hit]
+        return demand
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats
+        outsiders = np.repeat(table.totals, counts) - own
+        if model is ExpectationModel.RATIONAL:
+            best = np.full(1 << k, -np.inf)
+            np.fmax.at(best, masks, outsiders)
+            floor = best - 1e-12 * np.maximum(1.0, np.abs(best))
+            near = outsiders >= floor[masks]
+            masks, own = masks[near], own[near]
+    # scanned backwards, so of equal values (0.0 and -0.0) the first in table order wins
+    np.fmin.at(demand, masks[::-1], own[::-1])
     return demand
 
 
@@ -172,7 +173,8 @@ def coalition_demand(
     deviator (conservative, deterministic).  Cautious takes the worst
     case over arrangements.  Both are read from the utility table, which
     is built when none is given, and equal ``demand_vector``'s value for
-    the mask.  Merging and singleton fix one arrangement each.
+    the mask.  Merging and singleton fix one arrangement each, read from
+    the table or solved alone.
     """
     k = scenario.k
     grand = (1 << k) - 1
@@ -181,9 +183,10 @@ def coalition_demand(
     model = ExpectationModel(model)
     if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
         return demand_vector(scenario, model, table=table)[coalition.mask]
-
+    if table is not None:
+        return float(_table_demands(table, model)[coalition.mask])
     rgs = _fixed_arrangement(k, coalition.mask, model)
-    return _arrangement_values(scenario, rgs, table)[coalition.mask]
+    return ne_utilities(scenario, Partition.from_rgs(rgs))[coalition.mask]
 
 
 def demand_vector(
@@ -195,21 +198,24 @@ def demand_vector(
     """Demand of every proper nonempty coalition, keyed by mask (ascending)."""
     require_uniform_timeshare(scenario)
     model = ExpectationModel(model)
-    if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
-        if table is None:
-            table = utility_table(scenario)
-        return _table_demands(table, model)
     k = scenario.k
+    grand = (1 << k) - 1
+    if table is None and model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
+        table = utility_table(scenario)
+    if table is not None:
+        return dict(zip(range(1, grand), _table_demands(table, model)[1:grand].tolist()))
     return {
-        mask: _arrangement_values(scenario, _fixed_arrangement(k, mask, model), table)[mask]
-        for mask in range(1, (1 << k) - 1)
+        mask: ne_utilities(scenario, Partition.from_rgs(_fixed_arrangement(k, mask, model)))[mask]
+        for mask in range(1, grand)
     }
 
 
 def grand_value(scenario: Scenario, *, table: UtilityTable | None = None) -> float:
     """Utility of the grand coalition (its interference-free maximum rate)."""
     grand = (1 << scenario.k) - 1
-    return _arrangement_values(scenario, (0,) * scenario.k, table)[grand]
+    if table is not None:
+        return float(table.values[table.masks == grand][0])
+    return ne_utilities(scenario, Partition.grand(scenario.k))[grand]
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +296,13 @@ def _singleton_rows(k: int) -> list[int]:
     return [(1 << i) - 1 for i in range(k)]
 
 
-def _solve_slack_lp(demands: dict[int, float], v_k: float, k: int):
+def _lp_rows(demands: dict[int, float], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Incidence rows and demands of the coalitions, in ascending mask order."""
+    masks = sorted(demands)
+    return _incidence(masks, k), np.array([demands[mask] for mask in masks])
+
+
+def _solve_slack_lp(incidence: np.ndarray, d: np.ndarray, v_k: float):
     """max t s.t. sum_{i in S} x_i - t >= d_S, sum x = v_k.
 
     Returns (x, t) at the dual simplex's optimal vertex.  The allocation
@@ -298,10 +310,9 @@ def _solve_slack_lp(demands: dict[int, float], v_k: float, k: int):
     strictly interior witness when one exists.  The singleton basis is
     dual feasible: every singleton row carries multiplier 1/k.
     """
-    masks = sorted(demands)
-    g = np.full((len(masks), k + 1), -1.0)
-    g[:, :k] = _incidence(masks, k)
-    d = np.array([demands[mask] for mask in masks])
+    k = incidence.shape[1]
+    g = np.full((len(d), k + 1), -1.0)
+    g[:, :k] = incidence
     a_eq = np.zeros((1, k + 1))
     a_eq[0, :k] = 1.0
     c = np.zeros(k + 1)
@@ -346,20 +357,27 @@ def validate_certificate(cert: BalancedCertificate, demands: dict[int, float],
         raise NumericalFailure("certificate margin inconsistent with weights")
 
 
-def _require_demands(demands: dict[int, float], k: int) -> None:
+def _require_demands(demands: dict[int, float], v_k: float, k: int) -> None:
     if k < 2:
         raise InvalidArgument("core checks need at least 2 users")
     if set(demands) != set(range(1, (1 << k) - 1)):
         raise InvalidArgument("demands must cover every proper nonempty coalition")
+    if not math.isfinite(v_k):
+        raise NumericalFailure(f"grand-coalition value {v_k} is not finite")
+    bad = [mask for mask, d in demands.items() if not math.isfinite(d)]
+    if bad:
+        raise NumericalFailure(f"demand of coalition mask {min(bad)} is not finite")
 
 
 def check_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> CoreResult:
     """Core feasibility from precomputed demands (order-independent)."""
-    _require_demands(demands, k)
-    x, t = _solve_slack_lp(demands, v_k, k)
+    _require_demands(demands, v_k, k)
+    incidence, d = _lp_rows(demands, k)
+    x, t = _solve_slack_lp(incidence, d, v_k)
     if t >= -LP_TOL:
-        worst = min(sum(x[i] for i in range(k) if m >> i & 1) - d for m, d in demands.items())
-        if worst < -LP_TOL or abs(x.sum() - v_k) > LP_TOL * max(1.0, abs(v_k)):
+        worst = (incidence @ x - d).min()
+        # written so that a NaN fails both checks
+        if not (worst >= -LP_TOL and abs(x.sum() - v_k) <= LP_TOL * max(1.0, abs(v_k))):
             raise NumericalFailure("witness fails post-validation")
         return CoreResult("nonempty", x, None, float(t))
     weights, value = _solve_balanced_lp(demands, k)
@@ -389,8 +407,8 @@ def check_core(
 
 
 def least_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> LeastCoreResult:
-    _require_demands(demands, k)
-    x, t = _solve_slack_lp(demands, v_k, k)
+    _require_demands(demands, v_k, k)
+    x, t = _solve_slack_lp(*_lp_rows(demands, k), v_k)
     return LeastCoreResult(float(-t), x)
 
 

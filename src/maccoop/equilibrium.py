@@ -22,6 +22,7 @@ partition and are the substrate for the core computations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from .capacity import (
     block_caps,
     validate_profile,
 )
-from .errors import InvalidArgument, NonConvergence
+from .errors import InvalidArgument, NonConvergence, NumericalFailure
 from .io import fingerprint
 from .model import (
     MAX_USERS,
@@ -50,7 +51,6 @@ from .model import (
     SicTimeShare,
     Sud,
     coalition_channel,
-    enumerate_partitions,
     induced_order,
     rgs_matrix,
 )
@@ -70,27 +70,70 @@ class DscReport:
     total: float
 
 
-@dataclass(frozen=True)
 class UtilityTable:
-    """Equilibrium utility of every coalition of every partition.
+    """Equilibrium utility of every coalition of every partition, as flat arrays.
 
-    Keys are (restricted growth string, coalition mask); values are in
-    nats.  ``fingerprint`` identifies the scenario the table was built
-    from, making cached tables auditable.
+    Row r is the partition with restricted growth string ``rgs[r]``.  Its
+    blocks are entries ``offsets[r]:offsets[r + 1]`` of ``masks`` (the
+    coalition bitmask) and ``values`` (the utility in nats): label order
+    for closed-form and time-shared rows, decoding order for fixed-order
+    cancellation rows.  ``totals[r]`` adds row r's values left to right
+    in that order.  ``fingerprint`` identifies the scenario the table was
+    built from, making cached tables auditable.
+
+    ``UtilityTable(k, fingerprint, entries)`` converts a dict keyed by
+    restricted growth string whose values map mask to utility;
+    :attr:`entries` is that view of any table, built on first access.
     """
 
-    k: int
-    fingerprint: str
-    entries: dict[tuple[int, ...], dict[int, float]]
+    def __init__(self, k: int, fingerprint: str,
+                 entries: dict[tuple[int, ...], dict[int, float]]):
+        rows = entries.values()
+        self._setup(k, fingerprint, np.array(list(entries), dtype=np.int8).reshape(-1, k),
+                    [len(row) for row in rows], [m for row in rows for m in row],
+                    [v for row in rows for v in row.values()])
 
-    def value(self, partition: Partition, coalition: Coalition) -> float:
-        return self.entries[partition.rgs][coalition.mask]
+    @classmethod
+    def from_arrays(cls, k: int, fingerprint: str, rgs: np.ndarray, counts, masks,
+                    values) -> "UtilityTable":
+        """A table from RGS rows, each row's block count, and its blocks in row order."""
+        table = cls.__new__(cls)
+        table._setup(k, fingerprint, rgs, counts, masks, values)
+        return table
+
+    def _setup(self, k, fingerprint, rgs, counts, masks, values) -> None:
+        self.k = k
+        self.fingerprint = fingerprint
+        self.rgs = rgs
+        self.counts = np.asarray(counts, dtype=np.int64)  # blocks per row
+        self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
+        self.masks = np.asarray(masks, dtype=np.int16)  # k <= 12 bits
+        self.values = np.asarray(values, dtype=np.float64)
+        self.totals = np.zeros(len(rgs))
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add
+            for j in range(int(self.counts.max(initial=0))):
+                rows = np.flatnonzero(self.counts > j)
+                self.totals[rows] += self.values[self.offsets[rows] + j]
+
+    @functools.cached_property
+    def entries(self) -> dict[tuple[int, ...], dict[int, float]]:
+        bounds = self.offsets.tolist()
+        masks, values = self.masks.tolist(), self.values.tolist()
+        return {tuple(key): dict(zip(masks[a:b], values[a:b]))
+                for key, a, b in zip(self.rgs.tolist(), bounds, bounds[1:])}
 
     def partition_values(self, partition: Partition) -> dict[int, float]:
-        return self.entries[partition.rgs]
+        hit = np.flatnonzero((self.rgs == np.array(partition.rgs)).all(axis=1))
+        if not hit.size:
+            raise KeyError(partition.rgs)
+        a, b = self.offsets[hit[0]:hit[0] + 2]
+        return dict(zip(self.masks[a:b].tolist(), self.values[a:b].tolist()))
+
+    def value(self, partition: Partition, coalition: Coalition) -> float:
+        return self.partition_values(partition)[coalition.mask]
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self.entries.values())
+        return len(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +158,12 @@ def _block_inputs(scenario: Scenario, blocks: Sequence[Coalition],
 
 # ---------------------------------------------------------------------------
 # equilibria
+
+
+def _linalg_failure(exc: np.linalg.LinAlgError, partition: Partition) -> NumericalFailure:
+    """A kernel's factorization failure (a noise covariance lost definiteness, as
+    at very high SNR) as a :class:`NumericalFailure` naming the partition."""
+    return NumericalFailure(f"linear algebra failed on partition {partition}: {exc}")
 
 
 def _require_size(scenario: Scenario, partition: Partition) -> None:
@@ -163,9 +212,17 @@ def _solve_orders(scenario: Scenario, partition_at: Callable[[int], Partition],
         sids.append(ids)
     blocks = [Coalition(mask) for mask in block_of]
     hs, limits, starts = _block_inputs(scenario, blocks, init)
-    qs, rates, ok = _kernels.sic_backward(
-        scenario.noise, hs, limits, starts, heads, tails, SOLVER_TOL, PA_MAX_ITER
-    )
+    try:
+        qs, rates, ok = _kernels.sic_backward(
+            scenario.noise, hs, limits, starts, heads, tails, SOLVER_TOL, PA_MAX_ITER
+        )
+    except np.linalg.LinAlgError as exc:
+        if len(masks) == 1:
+            raise _linalg_failure(exc, partition_at(0)) from exc
+        for row in range(len(masks)):  # the first row whose own solves fail names it
+            _solve_orders(scenario, lambda _, row=row: partition_at(row),
+                          masks[row:row + 1], orders[row:row + 1], init=init)
+        raise NumericalFailure(f"linear algebra failed while decoding a table: {exc}") from exc
     if not all(ok):
         for row, ids in enumerate(sids):
             if not all(ok[sid] for order_ids in ids for sid in order_ids):
@@ -228,9 +285,12 @@ def ne_sud(
     _require_size(scenario, partition)
     blocks = partition.blocks
     hs, limits, starts = _block_inputs(scenario, blocks, init)
-    qs, utils, rounds, converged, delta = _kernels.sud_fixed_point(
-        scenario.noise, hs, limits, starts, SUD_TOL, max_rounds, SOLVER_TOL, PA_MAX_ITER,
-    )
+    try:
+        qs, utils, rounds, converged, delta = _kernels.sud_fixed_point(
+            scenario.noise, hs, limits, starts, SUD_TOL, max_rounds, SOLVER_TOL, PA_MAX_ITER,
+        )
+    except np.linalg.LinAlgError as exc:
+        raise _linalg_failure(exc, partition) from exc
     profile = CovarianceProfile(partition, tuple(qs))
     utilities = {b.mask: float(u) for b, u in zip(blocks, utils)}
     if not converged:
@@ -423,21 +483,19 @@ def _induced_labels(rgs: np.ndarray, base_order: Sequence[int]) -> list[tuple[in
     return [tuple(o[:n]) for o, n in zip(np.argsort(last, axis=1).tolist(), counts)]
 
 
-def _fill_closed_form(entries, fast, rgs: np.ndarray) -> None:
-    """Add one chunk of RGS rows to ``entries``, block masks in label order."""
+def _closed_form_blocks(fast, rgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk of RGS rows' block masks and utilities, row by row in label order."""
     values = fast(rgs)
-    counts = rgs.max(axis=1) + 1
-    for key, row_masks, row_values, n in zip(
-        rgs.tolist(), _label_masks(rgs).tolist(), values.tolist(), counts.tolist()
-    ):
-        entries[tuple(key)] = dict(zip(row_masks[:n], row_values[:n]))
+    masks = _label_masks(rgs)
+    kept = masks != 0  # labels past a row's last block
+    return masks[kept].astype(np.int16), values[kept]
 
 
-def _fill_cancellation(entries, scenario: Scenario, rgs: np.ndarray) -> None:
-    """Add every row's fixed-order or time-shared utilities, each distinct suffix solved once.
+def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Every row's fixed-order or time-shared block masks and utilities.
 
-    Fixed-order rows list their blocks in decoding order, time-shared
-    rows in label order.
+    Each distinct decoding suffix is solved once.  Fixed-order rows list
+    their blocks in decoding order, time-shared rows in label order.
     """
     receiver = scenario.receiver
     counts = (rgs.max(axis=1) + 1).tolist()
@@ -448,28 +506,35 @@ def _fill_cancellation(entries, scenario: Scenario, rgs: np.ndarray) -> None:
         # block counts in row order: a misfit weight vector fails on its first row
         plans = {n: _timeshare_orders(receiver, n) for n in dict.fromkeys(counts)}
         orders = [plans[n][1] for n in counts]
-    keys = [tuple(row) for row in rgs.tolist()]
-    _, rates, sids = _solve_orders(scenario, lambda row: Partition.from_rgs(keys[row]),
+    _, rates, sids = _solve_orders(scenario, lambda row: Partition.from_rgs(rgs[row].tolist()),
                                    masks, orders)
     if isinstance(receiver, SicFixed):
-        values = rates.tolist()
-        for key, row_masks, (order,), (ids,) in zip(keys, masks, orders, sids):
-            entries[key] = {row_masks[j]: values[ids[j]] for j in order}
-        return
-    for key, row_masks, n, ids in zip(keys, masks, counts, sids):
-        entries[key] = _time_shared(row_masks, plans[n][0], rates[ids])
+        flat = [(row_masks[j], ids[j])
+                for row_masks, (order,), (ids,) in zip(masks, orders, sids) for j in order]
+        return [m for m, _ in flat], rates[[sid for _, sid in flat]]
+    # the rows of one block count average their orders at once, as _time_shared does
+    counts = np.array(counts)
+    starts = np.cumsum(counts) - counts
+    values = np.empty(counts.sum())
+    for n, (weights, _) in plans.items():
+        rows = np.flatnonzero(counts == n)
+        per_order = rates[np.array([sids[r] for r in rows])]  # (rows, orders, blocks)
+        acc = np.cumsum(weights[:, None] * per_order, axis=1)[:, -1]
+        values[starts[rows, None] + np.arange(n)] = acc
+    return [m for row in masks for m in row], values
 
 
-def require_uniform_timeshare(scenario: Scenario) -> None:
-    """Reject a weighted time-share receiver where every block count occurs.
+def require_uniform_timeshare(scenario: Scenario, what: str = "tables and core checks",
+                              fewest: int = 1) -> None:
+    """Reject a weighted time-share receiver where several block counts occur.
 
-    Its n! weights fit the partitions of one block count only, and tables
-    and core checks meet partitions of 1..K blocks.
+    Its n! weights fit the partitions of one block count only, and
+    ``what`` meets partitions of ``fewest``..K blocks.
     """
     receiver = scenario.receiver
     if isinstance(receiver, SicTimeShare) and receiver.weights is not None:
         raise InvalidArgument(
-            f"tables and core checks meet partitions of 1..{scenario.k} blocks, so they "
+            f"{what} meet partitions of {fewest}..{scenario.k} blocks, so they "
             f"need uniform time-share weights ({len(receiver.weights)} weights given)"
         )
 
@@ -496,17 +561,22 @@ def utility_table(scenario: Scenario) -> UtilityTable:
     elif k > MAX_USERS:
         raise InvalidArgument(f"utility tables are capped at {MAX_USERS} users")
 
-    entries: dict[tuple[int, ...], dict[int, float]] = {}
+    rgs = rgs_matrix(k)
     fast = _single_rx_fast_path(scenario)
     if fast is not None:
         # chunked so the vectorized paths never materialize huge one-hot
         # tensors (B_12 partitions x 12 users x 12 labels)
-        rgs = rgs_matrix(k)
-        for start in range(0, len(rgs), RGS_CHUNK_ROWS):
-            _fill_closed_form(entries, fast, rgs[start:start + RGS_CHUNK_ROWS])
+        chunks = [_closed_form_blocks(fast, rgs[start:start + RGS_CHUNK_ROWS])
+                  for start in range(0, len(rgs), RGS_CHUNK_ROWS)]
+        masks = np.concatenate([m for m, _ in chunks])
+        values = np.concatenate([v for _, v in chunks])
     elif isinstance(scenario.receiver, Sud):
-        for part in enumerate_partitions(k):
-            entries[part.rgs] = ne_utilities(scenario, part)
+        masks, values = [], []
+        for row in rgs.tolist():
+            utilities = ne_utilities(scenario, Partition.from_rgs(row))
+            masks += utilities
+            values += utilities.values()
     else:
-        _fill_cancellation(entries, scenario, rgs_matrix(k))
-    return UtilityTable(k, fingerprint(scenario), entries)
+        masks, values = _cancellation_blocks(scenario, rgs)
+    return UtilityTable.from_arrays(k, fingerprint(scenario), rgs, rgs.max(axis=1) + 1,
+                                    masks, values)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maccoop import analysis
+from maccoop import analysis, equilibrium
 from maccoop.analysis import (
     SweepSpec,
     approx_ratio,
@@ -12,7 +12,7 @@ from maccoop.analysis import (
     verify_superadditivity,
 )
 from maccoop.cores import CORE_MAX_USERS, ExpectationModel
-from maccoop.equilibrium import ne_sic
+from maccoop.equilibrium import ne_sic, utility_table
 from maccoop.errors import InvalidArgument
 from maccoop.model import (
     Partition,
@@ -68,6 +68,32 @@ class TestSuperadditivity:
     def test_trials_guard(self):
         with pytest.raises(InvalidArgument):
             verify_superadditivity(symmetric_scenario(3), 0, seed=0)
+
+    def test_cohesiveness_reads_the_table_row_totals(self, monkeypatch):
+        s = random_scenario(np.random.default_rng(21), k=6, m=1, mode="caps", receiver=Sud())
+        table = utility_table(s)
+        v_k = table.entries[(0,) * 6][0b111111]
+        want = max(sum(row.values()) - v_k for row in table.entries.values())
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("partitions enumerated one by one")
+
+        monkeypatch.setattr(analysis, "enumerate_partitions", no_enumeration)
+        report = verify_superadditivity(s, 50, seed=2)
+        assert report.cohesiveness_worst.hex() == want.hex()
+        assert report.cohesive and report.skipped == 0
+
+
+@pytest.mark.parametrize("audit", [verify_superadditivity, classify_externalities])
+def test_weighted_timeshare_audits_rejected_before_any_solve(audit, monkeypatch):
+    s = symmetric_scenario(3, 1.0, SicTimeShare((0.5, 0.0, 0.25, 0.0, 0.25, 0.0)))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("equilibrium solved")
+
+    monkeypatch.setattr(equilibrium, "_solve_orders", no_solve)
+    with pytest.raises(InvalidArgument, match="audits meet .* uniform time-share weights"):
+        audit(s, 5, seed=0)
 
 
 class TestExternalities:

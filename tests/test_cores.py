@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -13,6 +16,7 @@ import maccoop
 from maccoop._exact_lp import exact_lp_max
 from maccoop.cores import (
     BalancedCertificate,
+    _fixed_arrangement,
     _dual_simplex,
     _incidence,
     _solve_balanced_lp,
@@ -30,7 +34,7 @@ from maccoop.cores import (
     validate_certificate,
 )
 from maccoop.equilibrium import UtilityTable, ne_utilities, utility_table
-from maccoop.errors import InvalidArgument
+from maccoop.errors import InvalidArgument, NumericalFailure
 from maccoop.model import Coalition, Partition, SicFixed, SicTimeShare, Sud, enumerate_partitions
 
 from conftest import random_scenario, symmetric
@@ -59,6 +63,49 @@ def hand_k3_table(*, apart, own_apart=0.25, own_merged=0.5, reverse=False):
         ((0, 1, 2), {0b001: own_apart, 0b010: apart[0], 0b100: apart[1]}),
     ]
     return UtilityTable(3, "hand-built", dict(rows[::-1] if reverse else rows))
+
+
+def dict_demands(table, model):
+    """The dict-of-dicts demand reduction, one Python pass per row: the oracle.
+
+    Merging and singleton read their partition's row by restricted growth
+    string.  Rational and cautious scan every row; a row total adds its
+    values left to right in row order (what ``sum`` does up to Python 3.11).
+    """
+    grand = (1 << table.k) - 1
+    if model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
+        return {mask: table.entries[_fixed_arrangement(table.k, mask, model)][mask]
+                for mask in range(1, grand)}
+    rows = [(functools.reduce(operator.add, values.values(), 0.0), values)
+            for values in table.entries.values()]
+    floor = dict.fromkeys(range(1, grand), -math.inf)
+    if model is ExpectationModel.RATIONAL:
+        best = floor.copy()
+        for total, values in rows:
+            for mask, own in values.items():
+                if mask != grand and total - own > best[mask]:
+                    best[mask] = total - own
+        floor = {mask: b - 1e-12 * max(1.0, abs(b)) for mask, b in best.items()}
+    demand = dict.fromkeys(range(1, grand), math.inf)
+    for total, values in rows:
+        for mask, own in values.items():
+            if mask != grand and own < demand[mask] and total - own >= floor[mask]:
+                demand[mask] = own
+    return demand
+
+
+def hexes(demands):
+    return [(mask, d.hex()) for mask, d in demands.items()]
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """The benchmark's workload module: its seeded games are inputs for the oracle test."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +212,63 @@ class TestDemands:
             coalition_demand(s, Coalition(0b1111), ExpectationModel.MERGING)
 
 
+class TestTableDemands:
+    """The group-by over the flat table against the dict-loop oracle, bit for bit."""
+
+    @pytest.mark.parametrize("workload", ["core_large_k", "mimo_equilibria"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_games_bitwise_equal_oracle(self, bench_workloads, workload, seed):
+        for s in bench_workloads.WORKLOADS[workload](seed).inputs:
+            table = utility_table(s)
+            for model in ALL_MODELS:
+                got = demand_vector(s, model, table=table)
+                assert list(got) == list(range(1, (1 << s.k) - 1))
+                assert hexes(got) == hexes(dict_demands(table, model))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("own", [(0.25, 0.5), (0.0, -0.0), (-0.0, 0.0)])
+    @pytest.mark.parametrize("apart", [(0.75, 0.75), (0.75, 0.75 + 1e-9), (0.5, 0.25)])
+    def test_hand_tables_bitwise_equal_oracle(self, apart, own, reverse):
+        # equal own values of opposite sign: the first in table order is kept
+        table = hand_k3_table(apart=apart, own_apart=own[0], own_merged=own[1], reverse=reverse)
+        s = symmetric(3, 1.0, SicFixed((1, 2, 3)))
+        for model in ALL_MODELS:
+            assert hexes(demand_vector(s, model, table=table)) == \
+                hexes(dict_demands(table, model))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("apart_best", [False, True])
+    @pytest.mark.parametrize("gap, tied", [(0.9e-12, True), (1.1e-12, False)])
+    def test_outsider_near_ties_at_the_band_edge(self, gap, tied, apart_best, reverse):
+        # user 1's outsiders total 1.5 merged; apart they total 1.5 -+ gap * 1.5.
+        # The better arrangement leaves user 1 own value 0.5, the other 0.25:
+        # inside the 1e-12 band both count and the smaller own value wins.
+        delta = gap * 1.5 if apart_best else -gap * 1.5
+        table = hand_k3_table(apart=(0.75, 0.75 + delta), reverse=reverse,
+                              own_apart=0.5 if apart_best else 0.25,
+                              own_merged=0.25 if apart_best else 0.5)
+        s = symmetric(3, 1.0, SicFixed((1, 2, 3)))
+        got = demand_vector(s, ExpectationModel.RATIONAL, table=table)
+        assert got[0b001] == (0.25 if tied else 0.5)
+        assert hexes(got) == hexes(dict_demands(table, ExpectationModel.RATIONAL))
+
+    def test_grand_value_and_fixed_arrangements_need_no_rgs_lookup(self, monkeypatch):
+        s = symmetric(6, 1.0, SicFixed(tuple(range(1, 7))))
+        table = utility_table(s)
+        want = {model: dict_demands(table, model)
+                for model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON)}
+        grand = table.entries[(0,) * 6][0b111111]
+
+        def no_lookup(*args, **kwargs):
+            raise AssertionError("table row looked up by restricted growth string")
+
+        monkeypatch.setattr(UtilityTable, "partition_values", no_lookup)
+        monkeypatch.setattr(UtilityTable, "entries", property(no_lookup))
+        assert grand_value(s, table=table).hex() == grand.hex()
+        for model, demands in want.items():
+            assert hexes(demand_vector(s, model, table=table)) == hexes(demands)
+
+
 class TestCheckCore:
     def test_k4_rational_core_is_empty(self):
         s = k4_fixed_sic()
@@ -263,6 +367,37 @@ class TestCheckCore:
         assert res.verdict == "nonempty"
         assert res.slack == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(res.allocation, np.ones(k), atol=1e-12)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_non_finite_grand_value_is_a_numerical_failure(self, model):
+        # at 160 dB the grand block's closed form divides by n0 + 9 - 9 = 0
+        s = symmetric(3, 1e-16, Sud())
+        with np.errstate(divide="ignore"):
+            table = utility_table(s)
+        assert grand_value(s, table=table) == math.inf
+        for call in (check_core, least_core):
+            with pytest.raises(NumericalFailure, match="not finite"):
+                call(s, model, table=table)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_demand_is_a_numerical_failure(self, bad):
+        demands = {0b001: 0.5, 0b010: 0.5, 0b011: 1.0, 0b100: bad, 0b101: 1.0, 0b110: 1.0}
+        for call in (check_core_from_demands, least_core_from_demands):
+            with pytest.raises(NumericalFailure, match="mask 4 is not finite"):
+                call(demands, 2.0, 3)
+
+    def test_nan_witness_fails_post_validation(self, monkeypatch):
+        monkeypatch.setattr(maccoop.cores, "_solve_slack_lp",
+                            lambda incidence, d, v_k: (np.array([math.nan, 1.0]), 0.0))
+        with pytest.raises(NumericalFailure, match="witness"):
+            check_core_from_demands({0b01: 0.5, 0b10: 0.5}, 2.0, 2)
+
+    @pytest.mark.parametrize("model", [ExpectationModel.MERGING, ExpectationModel.SINGLETON])
+    def test_failed_factorization_names_the_partition(self, model):
+        # without a table the grand partition's SUD sweep factors n0 + 9 - 9 = 0
+        s = symmetric(3, 1e-16, Sud())
+        with pytest.raises(NumericalFailure, match=r"partition \{1,2,3\}"):
+            check_core(s, model)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_weighted_timeshare_rejected_before_any_solve(self, model, monkeypatch):

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from maccoop.capacity import (
 )
 from maccoop.equilibrium import (
     SOLVER_TOL,
+    UtilityTable,
     _single_rx_fast_path,
     dsc_diagnostic,
     ne_sic,
@@ -23,7 +26,7 @@ from maccoop.equilibrium import (
     ne_utilities,
     utility_table,
 )
-from maccoop.errors import InvalidArgument, NonConvergence
+from maccoop.errors import InvalidArgument, NonConvergence, NumericalFailure
 from maccoop.model import (
     Coalition,
     Partition,
@@ -439,6 +442,53 @@ class TestUtilityTable:
         grand = table.value(Partition.grand(3), Coalition(0b111))
         for part in enumerate_partitions(3):
             assert sum(table.partition_values(part).values()) <= grand + 1e-8
+
+    @staticmethod
+    def row_items(table):
+        return [(key, [(mask, v.hex()) for mask, v in row.items()])
+                for key, row in table.entries.items()]
+
+    @pytest.mark.parametrize("receiver", [SicFixed((3, 1, 4, 2)), SicTimeShare(), Sud()])
+    def test_dict_round_trip_keeps_rows_and_their_order(self, receiver):
+        s = random_scenario(np.random.default_rng(8), k=4, m=2, receiver=receiver)
+        table = utility_table(s)
+        for part in enumerate_partitions(4):
+            listed = list(table.partition_values(part))
+            if isinstance(receiver, SicFixed):  # decoding order
+                assert listed == [b.mask for b in induced_order(part, receiver.base_order)]
+            else:  # label order
+                assert listed == [b.mask for b in part.blocks]
+        again = UtilityTable(4, table.fingerprint, table.entries)
+        assert self.row_items(again) == self.row_items(table)
+        for name in ("rgs", "offsets", "masks", "values", "totals"):
+            assert getattr(again, name).tobytes() == getattr(table, name).tobytes()
+        assert len(again) == len(table) == sum(len(row) for row in table.entries.values())
+
+    def test_totals_add_each_row_left_to_right(self):
+        # rows of 8 or more blocks are where a pairwise sum would reorder the adds
+        s = random_scenario(np.random.default_rng(9), k=9, m=1, receiver=SicFixed(
+            (5, 2, 9, 1, 7, 3, 8, 4, 6)))
+        table = utility_table(s)
+        want = [functools.reduce(operator.add, row.values(), 0.0).hex()
+                for row in table.entries.values()]
+        assert [t.hex() for t in table.totals.tolist()] == want
+        assert table.counts.max() == 9
+
+    def test_failed_factorization_names_the_first_failing_partition(self, monkeypatch):
+        # a factorization fails wherever a block of two users is decoded
+        s = symmetric(3, 1.0, SicTimeShare())
+        original = _kernels.sic_backward
+
+        def failing(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter):
+            if any(hs[b].shape[1] == 2 for b in heads):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return original(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter)
+
+        monkeypatch.setattr(_kernels, "sic_backward", failing)
+        with pytest.raises(NumericalFailure, match=r"partition \{1,2\}\{3\}"):
+            utility_table(s)
+        with pytest.raises(NumericalFailure, match=r"partition \{1,2\}\{3\}"):
+            ne_timeshare(s, Partition.from_rgs((0, 0, 1)))
 
     def test_fingerprint_changes_with_noise(self):
         s = symmetric(3, 1.0, SicFixed((1, 2, 3)))

@@ -6,7 +6,7 @@ import pytest
 
 from maccoop import cli, io
 from maccoop.errors import ScenarioFormatError
-from maccoop.model import PerAntenna, Scenario, SicFixed, SicTimeShare, UserSpec
+from maccoop.model import PerAntenna, Scenario, SicFixed, SicTimeShare, Sud, UserSpec
 
 from conftest import symmetric
 
@@ -274,6 +274,15 @@ class TestCli:
         )
         assert code == 1
         assert "at least 2 users" in err
+
+    def test_failed_factorization_exits_two(self, tmp_path, capsys):
+        # at 160 dB the grand partition's SUD sweep factors n0 + 9 - 9 = 0
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(io.serialize_scenario(symmetric(3, 1e-16, Sud())))
+        code, _, err = run_cli(["core", "--scenario", str(cfg), "--model", "merging",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "numerical failure" in err and "partition {1,2,3}" in err
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         from maccoop.errors import NumericalFailure
