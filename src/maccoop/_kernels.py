@@ -398,16 +398,13 @@ def _block_powers(rgs_mat, gain2, p_sum, amp, mode):
     return onehot, a * a
 
 
-def single_rx_table_numpy(rgs_mat, slot, gain2, p_sum, amp, mode, n0):
-    """Closed-form cancellation utilities for every partition, one receive antenna.
+def single_rx_layout(rgs_mat, slot, gain2, p_sum, amp, mode):
+    """The noise-free part of :func:`single_rx_table_numpy`.
 
-    ``rgs_mat`` holds one restricted growth string per row; ``slot[u]``
-    is user u's base decoding position.  Blocks decode at their latest
-    member's slot and each utility is the log ratio of cumulative
-    undecoded power.
-
-    Returns a (rows, K) array; column j is block j's utility (canonical
-    block labels), NaN where partition b has fewer than j+1 blocks.
+    Blocks decode at their latest member's slot.  Returns (power, after,
+    exists), each (rows, K) in block label order: each block's received
+    power, the power of the blocks decoded after it, and which labels are
+    blocks (an empty label has power and after 0).
     """
     onehot, power = _block_powers(rgs_mat, gain2, p_sum, amp, mode)
     exists = onehot.any(axis=1)
@@ -415,11 +412,31 @@ def single_rx_table_numpy(rgs_mat, slot, gain2, p_sum, amp, mode, n0):
     pos = np.where(exists, pos, np.inf)  # empty labels sort last, power 0
     order = np.argsort(pos, axis=1)
     power_sorted = np.take_along_axis(power, order, axis=1)
-    after = np.cumsum(power_sorted[:, ::-1], axis=1)[:, ::-1] - power_sorted
-    vals = np.log((n0 + after + power_sorted) / (n0 + after))
-    out = np.empty_like(vals)
-    np.put_along_axis(out, order, vals, axis=1)
-    return np.where(exists, out, np.nan)
+    after_sorted = np.cumsum(power_sorted[:, ::-1], axis=1)[:, ::-1] - power_sorted
+    after = np.empty_like(after_sorted)
+    np.put_along_axis(after, order, after_sorted, axis=1)
+    return power, after, exists
+
+
+def single_rx_values(power, after, n0):
+    """Cancellation utilities at noise level ``n0``, elementwise: the log ratio
+    of the undecoded power with and without the block's own."""
+    return np.log((n0 + after + power) / (n0 + after))
+
+
+def single_rx_table_numpy(rgs_mat, slot, gain2, p_sum, amp, mode, n0):
+    """Closed-form cancellation utilities for every partition, one receive antenna.
+
+    ``rgs_mat`` holds one restricted growth string per row; ``slot[u]``
+    is user u's base decoding position.  Blocks decode at their latest
+    member's slot and each utility is the log ratio of cumulative
+    undecoded power: :func:`single_rx_values` of :func:`single_rx_layout`.
+
+    Returns a (rows, K) array; column j is block j's utility (canonical
+    block labels), NaN where partition b has fewer than j+1 blocks.
+    """
+    power, after, exists = single_rx_layout(rgs_mat, slot, gain2, p_sum, amp, mode)
+    return np.where(exists, single_rx_values(power, after, n0), np.nan)
 
 
 def single_rx_sud_table(rgs_mat, gain2, p_sum, amp, mode, n0):

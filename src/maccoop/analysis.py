@@ -11,14 +11,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .capacity import timeshare_highsnr_utility
-from .cores import CORE_MAX_USERS, ExpectationModel, check_core, grand_value
+from .cores import CORE_MAX_USERS, ExpectationModel, _CoreLp, _table_demands, grand_value
 from .equilibrium import (
     UtilityTable,
+    _fixed_order_tables,
     _single_rx_fast_path,
     ne_timeshare,
     ne_utilities,
@@ -283,10 +284,30 @@ class BoundaryPoint:
     transitions: tuple[tuple[float, float], ...] = field(default=())
 
 
+def _symmetric_verdicts(k: int, model: ExpectationModel) -> Callable[[float], str]:
+    """Core verdict of the symmetric K-user fixed-order game as a function of SNR (dB).
+
+    Only the utilities depend on SNR: the table layout
+    (:func:`equilibrium._fixed_order_tables`) and the core LPs are built
+    once for K, and each LP starts from the previous point's optimal
+    basis.  Every verdict is ``check_core``'s on ``utility_table``, with
+    its witness or certificate validated.
+    """
+    model = ExpectationModel(model)
+    scenario = symmetric_scenario(k)
+    tables = _fixed_order_tables(scenario)
+    lp = _CoreLp(k)
+
+    def verdict(snr_db: float) -> str:
+        table = tables(snr_db_to_noise(snr_db))
+        demands = _table_demands(table, model)[1:-1]
+        return lp.check(demands, grand_value(scenario, table=table)).verdict
+
+    return verdict
+
+
 def _symmetric_verdict(k: int, snr_db: float, model: ExpectationModel) -> str:
-    scenario = symmetric_scenario(k, snr_db_to_noise(snr_db))
-    table = utility_table(scenario)
-    return check_core(scenario, model, table=table).verdict
+    return _symmetric_verdicts(k, model)(snr_db)
 
 
 def snr_boundary(spec: SweepSpec, model: ExpectationModel, *,
@@ -297,11 +318,15 @@ def snr_boundary(spec: SweepSpec, model: ExpectationModel, *,
     nonempty-to-empty flip is bisected to ``resolution_db`` and reported
     as the threshold (the largest SNR still nonempty, within
     resolution).  Multiple flips are reported verbatim, and a grid with
-    no flip reports the boundary as outside the grid.
+    no flip reports the boundary as outside the grid.  Each K builds its
+    table layout and core LPs once; every grid and bisection point then
+    evaluates only the utilities, and its LPs start from the previous
+    point's optimal basis.
     """
     out: list[BoundaryPoint] = []
     for k in spec.k_values:
-        verdicts = tuple(_symmetric_verdict(k, db, model) for db in spec.snr_grid_db)
+        verdict_at = _symmetric_verdicts(k, model)
+        verdicts = tuple(verdict_at(db) for db in spec.snr_grid_db)
         flips = [
             (spec.snr_grid_db[i], spec.snr_grid_db[i + 1])
             for i in range(len(verdicts) - 1)
@@ -321,7 +346,7 @@ def snr_boundary(spec: SweepSpec, model: ExpectationModel, *,
         lo, hi = flips[0]
         while hi - lo > resolution_db:
             mid = 0.5 * (lo + hi)
-            if _symmetric_verdict(k, mid, model) == "nonempty":
+            if verdict_at(mid) == "nonempty":
                 lo = mid
             else:
                 hi = mid

@@ -40,7 +40,7 @@ from .cores import (
 )
 from .equilibrium import utility_table
 from .errors import InvalidArgument, MacCoopError, NumericalFailure
-from .model import Coalition, bell_number, enumerate_partitions
+from .model import bell_number, enumerate_partitions
 
 LN2 = math.log(2.0)
 
@@ -54,8 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _members_str(mask: int) -> str:
-    return " ".join(str(u) for u in Coalition(mask).members)
+def _member_names(k: int) -> list[str]:
+    """Entry ``mask`` lists the members of coalition ``mask``, ascending and space separated."""
+    names = [""]
+    for mask in range(1, 1 << k):
+        rest = mask & (mask - 1)  # all but the lowest member
+        lowest = str((mask ^ rest).bit_length())
+        names.append(f"{lowest} {names[rest]}" if rest else lowest)
+    return names
 
 
 def _blocks_str(partition) -> str:
@@ -129,19 +135,14 @@ def _cmd_utilities(args) -> int:
     keys = [",".join(map(str, rgs)) for rgs in table.rgs.tolist()]
     row_of = np.repeat(np.arange(len(keys)), table.counts)
     order = np.lexsort((table.masks, row_of))
-    rows = [(keys[row], mask, _members_str(mask), em.conv(value))
+    names = _member_names(scenario.k)
+    rows = [(keys[row], mask, names[mask], em.conv(value))
             for row, mask, value in zip(row_of[order].tolist(), table.masks[order].tolist(),
                                         table.values[order].tolist())]
     em.table("utilities.csv", ["rgs", "coalition_mask", "members", f"utility_{em.unit}"],
              rows, scenario)
     em.summary["data"] = {"fingerprint": table.fingerprint, "entries": len(table)}
     return em.finish()
-
-
-def _demand_rows(em, demands):
-    return [
-        (mask, _members_str(mask), em.conv(d)) for mask, d in sorted(demands.items())
-    ]
 
 
 def _cmd_core(args) -> int:
@@ -151,9 +152,10 @@ def _cmd_core(args) -> int:
     demands = demand_vector(scenario, model)
     v_k = grand_value(scenario)
     result = check_core_from_demands(demands, v_k, scenario.k)
+    names = _member_names(scenario.k)
     em.table("demands.csv", ["coalition_mask", "members", f"demand_{em.unit}"],
-             _demand_rows(em, demands), scenario, model=model.value,
-             grand_value=em.conv(v_k))
+             [(m, names[m], em.conv(d)) for m, d in sorted(demands.items())],
+             scenario, model=model.value, grand_value=em.conv(v_k))
     em.summary["verdict"] = result.verdict
     em.summary["data"] = {"model": model.value, "grand_value": em.conv(v_k),
                           "min_slack": result.slack}
@@ -164,7 +166,7 @@ def _cmd_core(args) -> int:
         em.table(
             "certificate.csv",
             ["coalition_mask", "members", "weight"],
-            [(m, _members_str(m), w) for m, w in sorted(cert.weights.items())],
+            [(m, names[m], w) for m, w in sorted(cert.weights.items())],
             scenario, model=model.value, margin=em.conv(cert.margin),
         )
         em.summary["certificate"] = {
@@ -232,9 +234,10 @@ def _cmd_externalities(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
     verdict = classify_externalities(scenario, args.trials, args.seed)
+    names = _member_names(scenario.k)
     rows = [
         (",".join(map(str, w.before.rgs)), ",".join(map(str, w.after.rgs)),
-         _members_str(w.coalition.mask), em.conv(w.value_before), em.conv(w.value_after),
+         names[w.coalition.mask], em.conv(w.value_before), em.conv(w.value_after),
          em.conv(w.value_after - w.value_before))
         for w in verdict.witnesses
     ]

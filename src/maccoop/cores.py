@@ -18,7 +18,9 @@ emptiness certificate and validated before it is returned
 
 Both LPs have at most K + 1 <= 11 variables and are solved by one small
 dense dual simplex in numpy, started from the K singleton rows, whose
-multipliers are nonnegative for both LPs, so no phase 1 is needed.  The
+multipliers are nonnegative for both LPs, so no phase 1 is needed.  A
+sequence of demand vectors of one K (an SNR sweep) starts each LP from
+the previous optimal basis instead, which is dual feasible too.  The
 witness is the optimal vertex it stops at, and the certificate is the
 optimal multipliers of min sum y s.t. y(S) >= d_S, the dual of the
 max-margin balanced collection.  Rows are ordered by coalition mask and
@@ -296,45 +298,73 @@ def _singleton_rows(k: int) -> list[int]:
     return [(1 << i) - 1 for i in range(k)]
 
 
-def _lp_rows(demands: dict[int, float], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Incidence rows and demands of the coalitions, in ascending mask order."""
-    masks = sorted(demands)
-    return _incidence(masks, k), np.array([demands[mask] for mask in masks])
+class _CoreLp:
+    """The two core LPs of one K, for demand vectors given one after another.
 
-
-def _solve_slack_lp(incidence: np.ndarray, d: np.ndarray, v_k: float):
-    """max t s.t. sum_{i in S} x_i - t >= d_S, sum x = v_k.
-
-    Returns (x, t) at the dual simplex's optimal vertex.  The allocation
-    maximizes the minimum constraint slack, so a feasible core yields a
-    strictly interior witness when one exists.  The singleton basis is
-    dual feasible: every singleton row carries multiplier 1/k.
+    Rows run over the proper coalitions in ascending mask order, so a
+    demand vector is ``d[mask - 1]``.  The constraint rows and costs
+    depend on K only and are built once.  Each LP starts from the
+    optimal basis of its previous solve (the singleton basis at first):
+    whether a basis is dual feasible depends on the costs and the rows,
+    never on the demands or v(N), so that basis is a valid dual simplex
+    start for the next demands, and Bland's rule still guarantees
+    termination.
     """
-    k = incidence.shape[1]
-    g = np.full((len(d), k + 1), -1.0)
-    g[:, :k] = incidence
-    a_eq = np.zeros((1, k + 1))
-    a_eq[0, :k] = 1.0
-    c = np.zeros(k + 1)
-    c[k] = -1.0
-    z, _, _ = _dual_simplex(c, g, d, _singleton_rows(k), a_eq, np.array([float(v_k)]))
-    return z[:k], float(z[k])
 
+    def __init__(self, k: int):
+        self.k = k
+        self.incidence = _incidence(range(1, (1 << k) - 1), k)
+        # slack LP over z = (x, t): max t s.t. x(S) - t >= d_S, sum x = v_k
+        self.g = np.full((len(self.incidence), k + 1), -1.0)
+        self.g[:, :k] = self.incidence
+        self.a_eq = np.zeros((1, k + 1))
+        self.a_eq[0, :k] = 1.0
+        self.c = np.zeros(k + 1)
+        self.c[k] = -1.0
+        self.slack_basis = self.balanced_basis = _singleton_rows(k)
 
-def _solve_balanced_lp(demands: dict[int, float], k: int):
-    """max sum lambda_S d_S over balanced weights; returns (weights, value).
+    def slack(self, d: np.ndarray, v_k: float):
+        """max t s.t. sum_{i in S} x_i - t >= d_S, sum x = v_k.
 
-    Solved as its dual, min sum y s.t. y(S) >= d_S, from the singleton
-    basis (multipliers 1): the optimal multipliers are the weights.
-    Balancedness keeps every weight in [0, 1].
-    """
-    masks = sorted(demands)
-    g = _incidence(masks, k).astype(np.float64)
-    d = np.array([demands[mask] for mask in masks])
-    _, basis, y = _dual_simplex(np.ones(k), g, d, _singleton_rows(k),
-                                np.empty((0, k)), np.empty(0))
-    weights = {masks[row]: float(w) for row, w in sorted(zip(basis, y)) if w > 1e-15}
-    return weights, sum(w * demands[mask] for mask, w in weights.items())
+        Returns (x, t) at the dual simplex's optimal vertex.  The
+        allocation maximizes the minimum constraint slack, so a feasible
+        core yields a strictly interior witness when one exists.  The
+        singleton basis is dual feasible: every singleton row carries
+        multiplier 1/k.
+        """
+        z, self.slack_basis, _ = _dual_simplex(self.c, self.g, d, self.slack_basis,
+                                               self.a_eq, np.array([float(v_k)]))
+        return z[:self.k], float(z[self.k])
+
+    def balanced(self, d: np.ndarray):
+        """max sum lambda_S d_S over balanced weights; returns (weights, value).
+
+        Solved as its dual, min sum y s.t. y(S) >= d_S, from the
+        singleton basis at first (multipliers 1): the optimal multipliers
+        are the weights.  Balancedness keeps every weight in [0, 1].
+        """
+        k = self.k
+        _, self.balanced_basis, y = _dual_simplex(
+            np.ones(k), self.incidence.astype(np.float64), d, self.balanced_basis,
+            np.empty((0, k)), np.empty(0))
+        weights = {row + 1: float(w) for row, w in sorted(zip(self.balanced_basis, y))
+                   if w > 1e-15}
+        return weights, sum(w * d[mask - 1] for mask, w in weights.items())
+
+    def check(self, d: np.ndarray, v_k: float) -> CoreResult:
+        """Core verdict for demands ``d`` (by mask - 1) and v(N), with validated evidence."""
+        _require_finite(d, v_k)
+        x, t = self.slack(d, v_k)
+        if t >= -LP_TOL:
+            worst = (self.incidence @ x - d).min()
+            # written so that a NaN fails both checks
+            if not (worst >= -LP_TOL and abs(x.sum() - v_k) <= LP_TOL * max(1.0, abs(v_k))):
+                raise NumericalFailure("witness fails post-validation")
+            return CoreResult("nonempty", x, None, float(t))
+        weights, value = self.balanced(d)
+        cert = BalancedCertificate(weights, float(value - v_k))
+        validate_certificate(cert, dict(zip(range(1, len(d) + 1), d.tolist())), v_k, self.k)
+        return CoreResult("empty", None, cert, float(t))
 
 
 #: perfbench traces the LP layer under this name.
@@ -357,33 +387,27 @@ def validate_certificate(cert: BalancedCertificate, demands: dict[int, float],
         raise NumericalFailure("certificate margin inconsistent with weights")
 
 
-def _require_demands(demands: dict[int, float], v_k: float, k: int) -> None:
+def _demand_array(demands: dict[int, float], k: int) -> np.ndarray:
+    """Demands of every proper nonempty coalition, by mask - 1."""
     if k < 2:
         raise InvalidArgument("core checks need at least 2 users")
     if set(demands) != set(range(1, (1 << k) - 1)):
         raise InvalidArgument("demands must cover every proper nonempty coalition")
+    return np.array([demands[mask] for mask in range(1, (1 << k) - 1)])
+
+
+def _require_finite(d: np.ndarray, v_k: float) -> None:
     if not math.isfinite(v_k):
         raise NumericalFailure(f"grand-coalition value {v_k} is not finite")
-    bad = [mask for mask, d in demands.items() if not math.isfinite(d)]
-    if bad:
-        raise NumericalFailure(f"demand of coalition mask {min(bad)} is not finite")
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        raise NumericalFailure(f"demand of coalition mask {bad[0] + 1} is not finite")
 
 
 def check_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> CoreResult:
     """Core feasibility from precomputed demands (order-independent)."""
-    _require_demands(demands, v_k, k)
-    incidence, d = _lp_rows(demands, k)
-    x, t = _solve_slack_lp(incidence, d, v_k)
-    if t >= -LP_TOL:
-        worst = (incidence @ x - d).min()
-        # written so that a NaN fails both checks
-        if not (worst >= -LP_TOL and abs(x.sum() - v_k) <= LP_TOL * max(1.0, abs(v_k))):
-            raise NumericalFailure("witness fails post-validation")
-        return CoreResult("nonempty", x, None, float(t))
-    weights, value = _solve_balanced_lp(demands, k)
-    cert = BalancedCertificate(weights, float(value - v_k))
-    validate_certificate(cert, demands, v_k, k)
-    return CoreResult("empty", None, cert, float(t))
+    d = _demand_array(demands, k)
+    return _CoreLp(k).check(d, v_k)
 
 
 def check_core(
@@ -407,8 +431,9 @@ def check_core(
 
 
 def least_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> LeastCoreResult:
-    _require_demands(demands, v_k, k)
-    x, t = _solve_slack_lp(*_lp_rows(demands, k), v_k)
+    d = _demand_array(demands, k)
+    _require_finite(d, v_k)
+    x, t = _CoreLp(k).slack(d, v_k)
     return LeastCoreResult(float(-t), x)
 
 

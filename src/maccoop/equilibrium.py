@@ -40,7 +40,7 @@ from .capacity import (
     validate_profile,
 )
 from .errors import InvalidArgument, NonConvergence, NumericalFailure
-from .io import fingerprint
+from .io import fingerprint as scenario_fingerprint
 from .model import (
     MAX_USERS,
     RGS_CHUNK_ROWS,
@@ -84,9 +84,12 @@ class UtilityTable:
     ``UtilityTable(k, fingerprint, entries)`` converts a dict keyed by
     restricted growth string whose values map mask to utility;
     :attr:`entries` is that view of any table, built on first access.
+    Given a :class:`Scenario` instead of a fingerprint string, a table
+    computes :func:`io.fingerprint` of it when ``fingerprint`` is first
+    read.
     """
 
-    def __init__(self, k: int, fingerprint: str,
+    def __init__(self, k: int, fingerprint: str | Scenario,
                  entries: dict[tuple[int, ...], dict[int, float]]):
         rows = entries.values()
         self._setup(k, fingerprint, np.array(list(entries), dtype=np.int8).reshape(-1, k),
@@ -94,7 +97,7 @@ class UtilityTable:
                     [v for row in rows for v in row.values()])
 
     @classmethod
-    def from_arrays(cls, k: int, fingerprint: str, rgs: np.ndarray, counts, masks,
+    def from_arrays(cls, k: int, fingerprint: str | Scenario, rgs: np.ndarray, counts, masks,
                     values) -> "UtilityTable":
         """A table from RGS rows, each row's block count, and its blocks in row order."""
         table = cls.__new__(cls)
@@ -103,7 +106,10 @@ class UtilityTable:
 
     def _setup(self, k, fingerprint, rgs, counts, masks, values) -> None:
         self.k = k
-        self.fingerprint = fingerprint
+        if isinstance(fingerprint, Scenario):
+            self._scenario = fingerprint
+        else:
+            self.fingerprint = fingerprint
         self.rgs = rgs
         self.counts = np.asarray(counts, dtype=np.int64)  # blocks per row
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
@@ -116,17 +122,23 @@ class UtilityTable:
                 self.totals[rows] += self.values[self.offsets[rows] + j]
 
     @functools.cached_property
+    def fingerprint(self) -> str:
+        return scenario_fingerprint(self._scenario)
+
+    @functools.cached_property
     def entries(self) -> dict[tuple[int, ...], dict[int, float]]:
         bounds = self.offsets.tolist()
         masks, values = self.masks.tolist(), self.values.tolist()
         return {tuple(key): dict(zip(masks[a:b], values[a:b]))
                 for key, a, b in zip(self.rgs.tolist(), bounds, bounds[1:])}
 
+    @functools.cached_property
+    def _row_of(self) -> dict[tuple[int, ...], int]:
+        return {tuple(key): row for row, key in enumerate(self.rgs.tolist())}
+
     def partition_values(self, partition: Partition) -> dict[int, float]:
-        hit = np.flatnonzero((self.rgs == np.array(partition.rgs)).all(axis=1))
-        if not hit.size:
-            raise KeyError(partition.rgs)
-        a, b = self.offsets[hit[0]:hit[0] + 2]
+        row = self._row_of[partition.rgs]
+        a, b = self.offsets[row:row + 2].tolist()
         return dict(zip(self.masks[a:b].tolist(), self.values[a:b].tolist()))
 
     def value(self, partition: Partition, coalition: Coalition) -> float:
@@ -436,31 +448,67 @@ def dsc_diagnostic(
 # utility tables
 
 
+def _single_rx_powers(scenario: Scenario) -> tuple:
+    """What the single-antenna closed forms read of the users: gain2, p_sum, amp, mode."""
+    k = scenario.k
+    gain2 = np.array([float(np.sum(u.channel ** 2)) for u in scenario.users])
+    if scenario.power_mode == "sum":
+        p_sum = np.array([u.power.total for u in scenario.users])
+        return gain2, p_sum, np.zeros(k), 0
+    amp = np.array(
+        [float(np.abs(u.channel[0]) @ np.sqrt(np.asarray(u.power.caps)))
+         for u in scenario.users]
+    )
+    return gain2, np.zeros(k), amp, 1
+
+
+def _decoding_slots(receiver: SicFixed) -> np.ndarray:
+    """Each user's base decoding position, as floats."""
+    slot = np.zeros(len(receiver.base_order))
+    for pos, user in enumerate(receiver.base_order):
+        slot[user - 1] = float(pos)
+    return slot
+
+
 def _single_rx_fast_path(scenario: Scenario) -> Callable[[np.ndarray], np.ndarray] | None:
     """Whole-table closed form for one receive antenna, when applicable."""
     if scenario.rx_antennas != 1 or isinstance(scenario.receiver, SicTimeShare):
         return None
-    k = scenario.k
-    gain2 = np.array([float(np.sum(u.channel ** 2)) for u in scenario.users])
-    if scenario.power_mode == "sum":
-        mode = 0
-        p_sum = np.array([u.power.total for u in scenario.users])
-        amp = np.zeros(k)
-    else:
-        mode = 1
-        p_sum = np.zeros(k)
-        amp = np.array(
-            [float(np.abs(u.channel[0]) @ np.sqrt(np.asarray(u.power.caps)))
-             for u in scenario.users]
-        )
+    powers = _single_rx_powers(scenario)
     if isinstance(scenario.receiver, SicFixed):
-        slot = np.zeros(k)
-        for pos, user in enumerate(scenario.receiver.base_order):
-            slot[user - 1] = float(pos)
+        slot = _decoding_slots(scenario.receiver)
         return lambda rgs_mat: _kernels.single_rx_table_numpy(
-            rgs_mat, slot, gain2, p_sum, amp, mode, scenario.noise)
-    return lambda rgs_mat: _kernels.single_rx_sud_table(
-        rgs_mat, gain2, p_sum, amp, mode, scenario.noise)
+            rgs_mat, slot, *powers, scenario.noise)
+    return lambda rgs_mat: _kernels.single_rx_sud_table(rgs_mat, *powers, scenario.noise)
+
+
+def _fixed_order_tables(scenario: Scenario) -> Callable[[float], UtilityTable]:
+    """Closed-form tables of one single-antenna fixed-order scenario at any N0.
+
+    Only the utilities depend on N0.  The partitions, block masks and
+    decoding layout (:func:`_kernels.single_rx_layout`) are built once,
+    and the returned function's table at ``n0`` equals
+    ``utility_table(scenario.with_noise(n0))`` bit for bit.
+    """
+    k = scenario.k
+    rgs = rgs_matrix(k)
+    slot, powers = _decoding_slots(scenario.receiver), _single_rx_powers(scenario)
+    # built in chunks, as utility_table builds its tables; only the blocks are kept
+    chunks = [rgs[start:start + RGS_CHUNK_ROWS] for start in range(0, len(rgs), RGS_CHUNK_ROWS)]
+    power, after, masks = [], [], []
+    for chunk in chunks:
+        p, a, exists = _kernels.single_rx_layout(chunk, slot, *powers)
+        power.append(p[exists])
+        after.append(a[exists])
+        masks.append(_label_masks(chunk)[exists].astype(np.int16))
+    power, after, masks = map(np.concatenate, (power, after, masks))
+    counts = rgs.max(axis=1) + 1
+
+    def at(n0: float) -> UtilityTable:
+        values = _kernels.single_rx_values(power, after, n0)
+        return UtilityTable.from_arrays(k, scenario.with_noise(n0), rgs, counts, masks, values)
+
+    return at
 
 
 def _label_masks(rgs: np.ndarray) -> np.ndarray:
@@ -544,9 +592,13 @@ def utility_table(scenario: Scenario) -> UtilityTable:
 
     Deterministic given the scenario: partitions are enumerated in
     restricted-growth order and every value is what the partition's own
-    game gives (``ne_utilities``), bit for bit, whatever else the table
-    holds.  Cancellation tables solve each distinct decoding suffix once
-    for all the partitions and orders that share it.  Solver failures are
+    game gives (``ne_utilities``).  It is that value bit for bit,
+    whatever else the table holds, except in the closed-form tables of
+    one receive antenna (fixed-order cancellation and single-user
+    decoding), which round differently: within 1e-11 relative, plus
+    1e-14 nats for a SUD utility near zero, where (n0 + total) - power
+    cancels.  Cancellation tables solve each distinct decoding suffix
+    once for all the partitions and orders that share it.  Solver failures are
     re-raised annotated with the first partition that needs the failed
     solve.
     """
@@ -578,5 +630,5 @@ def utility_table(scenario: Scenario) -> UtilityTable:
             values += utilities.values()
     else:
         masks, values = _cancellation_blocks(scenario, rgs)
-    return UtilityTable.from_arrays(k, fingerprint(scenario), rgs, rgs.max(axis=1) + 1,
+    return UtilityTable.from_arrays(k, scenario, rgs, rgs.max(axis=1) + 1,
                                     masks, values)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maccoop import analysis, equilibrium
+from maccoop import analysis, cores, equilibrium
 from maccoop.analysis import (
     SweepSpec,
     approx_ratio,
@@ -11,7 +11,7 @@ from maccoop.analysis import (
     symmetric_scenario,
     verify_superadditivity,
 )
-from maccoop.cores import CORE_MAX_USERS, ExpectationModel
+from maccoop.cores import CORE_MAX_USERS, ExpectationModel, check_core
 from maccoop.equilibrium import ne_sic, utility_table
 from maccoop.errors import InvalidArgument
 from maccoop.model import (
@@ -176,6 +176,53 @@ class TestSnrBoundary:
     def test_grid_must_increase(self):
         with pytest.raises(InvalidArgument):
             SweepSpec((4,), (0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("model", list(ExpectationModel))
+    def test_every_point_equals_a_per_point_oracle(self, model, monkeypatch):
+        # at every grid and bisection point the sweep's table is utility_table's
+        # bit for bit, and its verdict is check_core's on that table
+        points, verdicts, oracle_at = [], [], {}
+        make_tables, check = analysis._fixed_order_tables, cores._CoreLp.check
+
+        def recording_tables(scenario):
+            tables = make_tables(scenario)
+
+            def at(n0):
+                points.append((scenario.k, n0, tables(n0)))
+                return points[-1][2]
+
+            return at
+
+        def recording_check(lp, d, v_k):
+            result = check(lp, d, v_k)
+            verdicts.append(result.verdict)
+            return result
+
+        def oracle(k, n0):
+            if (k, n0) not in oracle_at:
+                s = symmetric_scenario(k, n0)
+                table = utility_table(s)
+                oracle_at[k, n0] = table, check_core(s, model, table=table).verdict
+            return oracle_at[k, n0]
+
+        spec = SweepSpec(tuple(range(2, 9)), (-20.0, -5.0, 10.0, 25.0))
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_fixed_order_tables", recording_tables)
+            patch.setattr(cores._CoreLp, "check", recording_check)
+            got = snr_boundary(spec, model, resolution_db=0.1)
+        assert sum(p.status == "found" for p in got) == 5
+        assert len(points) == len(verdicts) == 7 * 4 + 5 * 8  # 8 bisection steps each
+        for (k, n0, table), verdict in zip(points, verdicts):
+            want, want_verdict = oracle(k, n0)
+            for name in ("rgs", "counts", "offsets", "masks", "values", "totals"):
+                assert getattr(table, name).tobytes() == getattr(want, name).tobytes()
+            assert [v.hex() for v in table.values.tolist()] == \
+                [v.hex() for v in want.values.tolist()]
+            assert verdict == want_verdict
+        # the whole sweep again, deciding every point by the oracle
+        monkeypatch.setattr(analysis, "_symmetric_verdicts",
+                            lambda k, m: lambda db: oracle(k, snr_db_to_noise(db))[1])
+        assert snr_boundary(spec, model, resolution_db=0.1) == got
 
     def test_k_above_core_cap_rejected_before_any_table(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -19,7 +19,7 @@ from maccoop.cores import (
     _fixed_arrangement,
     _dual_simplex,
     _incidence,
-    _solve_balanced_lp,
+    _CoreLp,
     ExpectationModel,
     balancedness_certificate,
     check_core,
@@ -387,8 +387,8 @@ class TestCheckCore:
                 call(demands, 2.0, 3)
 
     def test_nan_witness_fails_post_validation(self, monkeypatch):
-        monkeypatch.setattr(maccoop.cores, "_solve_slack_lp",
-                            lambda incidence, d, v_k: (np.array([math.nan, 1.0]), 0.0))
+        monkeypatch.setattr(maccoop.cores._CoreLp, "slack",
+                            lambda self, d, v_k: (np.array([math.nan, 1.0]), 0.0))
         with pytest.raises(NumericalFailure, match="witness"):
             check_core_from_demands({0b01: 0.5, 0b10: 0.5}, 2.0, 2)
 
@@ -496,7 +496,7 @@ class TestAgainstExactLp:
         res = check_core_from_demands(demands, v_k, k)
         assert res.slack == pytest.approx(self._exact_slack(demands, v_k, k), abs=1e-9)
         best = self._exact_balanced_value(demands, k)
-        weights, value = _solve_balanced_lp(demands, k)
+        weights, value = _CoreLp(k).balanced(np.array([demands[m] for m in sorted(demands)]))
         assert value == pytest.approx(best, abs=1e-9)
         if k > 2:  # from three users on these demands leave the core empty
             assert res.verdict == "empty"
@@ -530,6 +530,43 @@ class TestDualSimplex:
         x[basis] = y
         np.testing.assert_allclose(x, [0.75, 0, 0, 1, 0, 1, 0], atol=1e-12)
         assert b @ z == pytest.approx(1.25, abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_warm_start_from_the_previous_optimal_basis(self, k, monkeypatch):
+        # a chain of perturbed demands that crosses the empty/nonempty boundary:
+        # each solve starts from the basis the last one ended on
+        gen = np.random.default_rng(400 + k)
+        lp = _CoreLp(k)
+        size = lp.incidence.sum(axis=1)
+        v_k = 1.0 + k / 10
+        base = v_k * size / k
+        verdicts = []
+        for shift in (-0.04, -0.03, 0.02, 0.03, -0.035, 0.01, -0.02, 0.04):
+            base = base + gen.normal(scale=0.002, size=size.size)
+            d = base + shift + gen.normal(scale=0.004, size=size.size)
+            demands = dict(zip(range(1, (1 << k) - 1), d.tolist()))
+            cold = check_core_from_demands(demands, v_k, k)
+            warm = lp.check(d, v_k)
+            verdicts.append(warm.verdict)
+            assert warm.verdict == cold.verdict
+            assert warm.slack == pytest.approx(cold.slack, abs=1e-12)
+            if warm.nonempty:
+                assert (lp.incidence @ warm.allocation - d).min() >= warm.slack - 1e-12
+                assert warm.allocation.sum() == pytest.approx(v_k, abs=1e-12)
+            else:
+                validate_certificate(warm.certificate, demands, v_k, k)
+                assert warm.certificate.margin == pytest.approx(cold.certificate.margin,
+                                                                abs=1e-12)
+            # the balanced LP alone, warm at every step
+            assert lp.balanced(d)[1] == pytest.approx(_CoreLp(k).balanced(d)[1], abs=1e-12)
+        assert {"empty", "nonempty"} <= set(verdicts)
+
+        inversions = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
+        lp.slack(d, v_k)
+        lp.balanced(d)
+        assert len(inversions) == 2  # both stored bases are already optimal
 
 
 class TestLpInputs:

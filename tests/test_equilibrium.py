@@ -6,7 +6,7 @@ import operator
 import numpy as np
 import pytest
 
-from maccoop import _kernels
+from maccoop import _kernels, equilibrium, io
 from maccoop.capacity import (
     PA_MAX_ITER,
     block_budget,
@@ -18,6 +18,7 @@ from maccoop.capacity import (
 from maccoop.equilibrium import (
     SOLVER_TOL,
     UtilityTable,
+    _fixed_order_tables,
     _single_rx_fast_path,
     dsc_diagnostic,
     ne_sic,
@@ -493,6 +494,76 @@ class TestUtilityTable:
     def test_fingerprint_changes_with_noise(self):
         s = symmetric(3, 1.0, SicFixed((1, 2, 3)))
         assert utility_table(s).fingerprint != utility_table(s.with_noise(2.0)).fingerprint
+
+    @pytest.mark.parametrize("m, receiver", [(1, SicFixed((2, 4, 1, 3))), (2, SicTimeShare()),
+                                             (2, Sud())])
+    def test_fingerprint_computed_on_first_read(self, monkeypatch, m, receiver):
+        s = random_scenario(np.random.default_rng(13), k=4, m=m, receiver=receiver)
+
+        def forbidden(scenario):
+            raise AssertionError("scenario serialized while building a table")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "serialize_scenario", forbidden)
+            table = utility_table(s)
+        assert table.fingerprint == io.fingerprint(s)
+        assert UtilityTable(4, "given", table.entries).fingerprint == "given"
+
+    def test_row_index_matches_the_scan(self):
+        s = random_scenario(np.random.default_rng(14), k=6, m=1, receiver=SicFixed(
+            (6, 2, 4, 1, 5, 3)))
+        table = utility_table(s)
+        for key in table.rgs:
+            (hit,) = np.flatnonzero((table.rgs == key).all(axis=1))
+            a, b = table.offsets[hit], table.offsets[hit + 1]
+            scanned = dict(zip(table.masks[a:b].tolist(), table.values[a:b].tolist()))
+            assert hexes(table.partition_values(Partition.from_rgs(key.tolist()))) == hexes(scanned)
+        with pytest.raises(KeyError):
+            table.partition_values(Partition.from_rgs((0, 1, 0, 1, 2)))
+        partial = UtilityTable(3, "partial", {(0, 0, 0): {0b111: 1.0}, (0, 1, 1): {1: 0.5, 6: 0.5}})
+        assert partial.partition_values(Partition.from_rgs((0, 1, 1))) == {1: 0.5, 6: 0.5}
+        with pytest.raises(KeyError):
+            partial.partition_values(Partition.from_rgs((0, 0, 1)))
+
+    @pytest.mark.parametrize("mode", ["sum", "caps"])
+    @pytest.mark.parametrize("receiver", ["sic", "sud"])
+    def test_closed_form_within_documented_bound_of_partition_solves(self, receiver, mode):
+        # the closed forms round differently from the per-partition solves:
+        # at most 1e-11 relative, plus 1e-14 nats where a SUD utility is
+        # near zero and (n0 + total) - power cancels
+        for k in range(2, 9):
+            for seed in range(3):
+                gen = np.random.default_rng([seed, k])
+                rx = SicFixed(tuple(int(u) + 1 for u in gen.permutation(k))) \
+                    if receiver == "sic" else Sud()
+                s = random_scenario(gen, k=k, m=1, mode=mode, receiver=rx,
+                                    n0=float(10.0 ** gen.uniform(-1.0, 1.0)))
+                table = utility_table(s)
+                rows = gen.choice(len(table.rgs), size=min(len(table.rgs), 40), replace=False)
+                for row in rows:
+                    part = Partition.from_rgs(table.rgs[row].tolist())
+                    got = table.partition_values(part)
+                    for mask, want in ne_utilities(s, part).items():
+                        assert abs(got[mask] - want) <= 1e-11 * abs(want) + 1e-14
+
+    @pytest.mark.parametrize("mode", ["sum", "caps"])
+    def test_fixed_order_tables_bitwise_equal_utility_table(self, monkeypatch, mode):
+        # layouts built in chunks of 7 rows still give the one-piece table
+        monkeypatch.setattr(equilibrium, "RGS_CHUNK_ROWS", 7)
+        for k in range(2, 8):
+            gen = np.random.default_rng([15, k])
+            s = random_scenario(gen, k=k, m=1, mode=mode, receiver=SicFixed(
+                tuple(int(u) + 1 for u in gen.permutation(k))))
+            tables = _fixed_order_tables(s)
+            for n0 in 10.0 ** gen.uniform(-4.0, 4.0, size=3):
+                got = tables(float(n0))
+                with monkeypatch.context() as patch:
+                    patch.setattr(equilibrium, "RGS_CHUNK_ROWS", 100_000)
+                    want = utility_table(s.with_noise(float(n0)))
+                for name in ("rgs", "counts", "offsets", "masks", "values", "totals"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert got.fingerprint == want.fingerprint
 
     def test_timeshare_guard(self):
         s = symmetric(8, 1.0, SicTimeShare())

@@ -6,7 +6,7 @@ import pytest
 
 from maccoop import cli, io
 from maccoop.errors import ScenarioFormatError
-from maccoop.model import PerAntenna, Scenario, SicFixed, SicTimeShare, Sud, UserSpec
+from maccoop.model import Coalition, PerAntenna, Scenario, SicFixed, SicTimeShare, Sud, UserSpec
 
 from conftest import symmetric
 
@@ -205,6 +205,13 @@ class TestCli:
                  (tmp_path / sub / "summary.json").read_bytes(), out)
             )
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_member_names_one_per_mask(self, k):
+        names = cli._member_names(k)
+        assert len(names) == 1 << k
+        for mask in range(1, 1 << k):
+            assert names[mask] == " ".join(map(str, Coalition(mask).members))
 
     def test_sweep(self, tmp_path, capsys):
         code, out, _ = run_cli(
