@@ -398,54 +398,56 @@ def _block_powers(rgs_mat, gain2, p_sum, amp, mode):
     return onehot, a * a
 
 
-def single_rx_layout(rgs_mat, slot, gain2, p_sum, amp, mode):
-    """The noise-free part of :func:`single_rx_table_numpy`.
+def label_slots(rgs_mat, slot):
+    """Each block label's decoding position: its latest member's ``slot``, as int8.
 
-    Blocks decode at their latest member's slot.  Returns (power, after,
-    exists), each (rows, K) in block label order: each block's received
-    power, the power of the blocks decoded after it, and which labels are
-    blocks (an empty label has power and after 0).
+    ``slot[u]`` is user u's base decoding position.  Users are written in
+    decoding order, so a label keeps its latest member's slot; a label
+    with no member keeps K and sorts last.
+    """
+    rows, k = rgs_mat.shape
+    out = np.full((rows, k), k, dtype=np.int8)
+    every = np.arange(rows)
+    for u in np.argsort(slot):
+        out[every, rgs_mat[:, u]] = slot[u]
+    return out
+
+
+def single_rx_layout(rgs_mat, slot, gain2, p_sum, amp, mode):
+    """The noise-free part of the one-receive-antenna closed forms, one RGS per row.
+
+    With fixed-order cancellation (``slot[u]`` is user u's base decoding
+    position) blocks decode at their latest member's slot
+    (:func:`label_slots`) and each hears the blocks decoded after it.
+    With single-user decoding (``slot`` None) each block hears all the
+    others: the row's power total minus its own.  Heard power holds no
+    noise, so a block alone in its row hears exactly 0.
+
+    Returns (power, heard, exists), each (rows, K) in block label order:
+    each block's received power, the power it hears, and which labels are
+    blocks.  :func:`single_rx_values` turns them into utilities.
     """
     onehot, power = _block_powers(rgs_mat, gain2, p_sum, amp, mode)
     exists = onehot.any(axis=1)
-    pos = np.where(onehot, slot[None, :, None], -np.inf).max(axis=1)
-    pos = np.where(exists, pos, np.inf)  # empty labels sort last, power 0
-    order = np.argsort(pos, axis=1)
+    if slot is None:
+        return power, power.sum(axis=1, keepdims=True) - power, exists
+    order = np.argsort(label_slots(rgs_mat, slot), axis=1)
     power_sorted = np.take_along_axis(power, order, axis=1)
-    after_sorted = np.cumsum(power_sorted[:, ::-1], axis=1)[:, ::-1] - power_sorted
-    after = np.empty_like(after_sorted)
-    np.put_along_axis(after, order, after_sorted, axis=1)
-    return power, after, exists
+    heard_sorted = np.cumsum(power_sorted[:, ::-1], axis=1)[:, ::-1] - power_sorted
+    heard = np.empty_like(heard_sorted)
+    np.put_along_axis(heard, order, heard_sorted, axis=1)
+    return power, heard, exists
 
 
-def single_rx_values(power, after, n0):
-    """Cancellation utilities at noise level ``n0``, elementwise: the log ratio
-    of the undecoded power with and without the block's own."""
-    return np.log((n0 + after + power) / (n0 + after))
+#: perfbench's tracer wraps the layout kernel, and counts its rows, under
+#: this older name; the alias goes once the tracer targets ``single_rx_layout``.
+single_rx_table_numpy = single_rx_layout
 
 
-def single_rx_table_numpy(rgs_mat, slot, gain2, p_sum, amp, mode, n0):
-    """Closed-form cancellation utilities for every partition, one receive antenna.
-
-    ``rgs_mat`` holds one restricted growth string per row; ``slot[u]``
-    is user u's base decoding position.  Blocks decode at their latest
-    member's slot and each utility is the log ratio of cumulative
-    undecoded power: :func:`single_rx_values` of :func:`single_rx_layout`.
-
-    Returns a (rows, K) array; column j is block j's utility (canonical
-    block labels), NaN where partition b has fewer than j+1 blocks.
-    """
-    power, after, exists = single_rx_layout(rgs_mat, slot, gain2, p_sum, amp, mode)
-    return np.where(exists, single_rx_values(power, after, n0), np.nan)
-
-
-def single_rx_sud_table(rgs_mat, gain2, p_sum, amp, mode, n0):
-    """Closed-form single-user-decoding utilities, one receive antenna.
-
-    Each block decodes against noise plus every other block's power;
-    layout as in :func:`single_rx_table_numpy`.
-    """
-    onehot, power = _block_powers(rgs_mat, gain2, p_sum, amp, mode)
-    total = power.sum(axis=1, keepdims=True)
-    vals = np.log((n0 + total) / (n0 + total - power))
-    return np.where(onehot.any(axis=1), vals, np.nan)
+def single_rx_values(power, heard, n0):
+    """Utilities at noise level ``n0``, elementwise, for either receiver: the log
+    ratio of noise plus heard power with and without the block's own."""
+    base = n0 + heard
+    out = base + power
+    np.divide(out, base, out=out)
+    return np.log(out, out=out)

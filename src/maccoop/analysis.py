@@ -19,12 +19,10 @@ from .capacity import timeshare_highsnr_utility
 from .cores import CORE_MAX_USERS, ExpectationModel, _CoreLp, _table_demands, grand_value
 from .equilibrium import (
     UtilityTable,
-    _fixed_order_tables,
-    _single_rx_fast_path,
+    _closed_form_tables,
     ne_timeshare,
     ne_utilities,
     require_uniform_timeshare,
-    utility_table,
 )
 from .errors import InvalidArgument, NonConvergence
 from .model import (
@@ -151,7 +149,8 @@ def verify_superadditivity(
     require_uniform_timeshare(scenario, "superadditivity audits")
     rng = np.random.default_rng(seed)
     # every partition is visited, so one closed-form table beats a solve each
-    table = utility_table(scenario) if _single_rx_fast_path(scenario) else None
+    closed = _closed_form_tables(scenario)
+    table = closed(scenario.noise) if closed is not None else None
     cache = _ValueCache(scenario, table)
     k = scenario.k
     skipped = 0
@@ -288,14 +287,14 @@ def _symmetric_verdicts(k: int, model: ExpectationModel) -> Callable[[float], st
     """Core verdict of the symmetric K-user fixed-order game as a function of SNR (dB).
 
     Only the utilities depend on SNR: the table layout
-    (:func:`equilibrium._fixed_order_tables`) and the core LPs are built
+    (:func:`equilibrium._closed_form_tables`) and the core LPs are built
     once for K, and each LP starts from the previous point's optimal
     basis.  Every verdict is ``check_core``'s on ``utility_table``, with
     its witness or certificate validated.
     """
     model = ExpectationModel(model)
     scenario = symmetric_scenario(k)
-    tables = _fixed_order_tables(scenario)
+    tables = _closed_form_tables(scenario)
     lp = _CoreLp(k)
 
     def verdict(snr_db: float) -> str:

@@ -32,10 +32,9 @@ from .analysis import (
 from .cores import (
     LP_TOL,
     ExpectationModel,
+    _demands_and_grand,
     check_core_from_demands,
     core_region_3user,
-    demand_vector,
-    grand_value,
     least_core,
 )
 from .equilibrium import utility_table
@@ -149,8 +148,7 @@ def _cmd_core(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
     model = ExpectationModel(args.model)
-    demands = demand_vector(scenario, model)
-    v_k = grand_value(scenario)
+    demands, v_k = _demands_and_grand(scenario, model, None)
     result = check_core_from_demands(demands, v_k, scenario.k)
     names = _member_names(scenario.k)
     em.table("demands.csv", ["coalition_mask", "members", f"demand_{em.unit}"],

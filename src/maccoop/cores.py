@@ -220,6 +220,21 @@ def grand_value(scenario: Scenario, *, table: UtilityTable | None = None) -> flo
     return ne_utilities(scenario, Partition.grand(scenario.k))[grand]
 
 
+def _demands_and_grand(scenario: Scenario, model: ExpectationModel,
+                       table: UtilityTable | None) -> tuple[dict[int, float], float]:
+    """Demands and v(N) from one source.
+
+    Rational and cautious demands read the whole table, which is built
+    when none is given, and v(N) is read from that table too.  Merging
+    and singleton without a table solve their fixed arrangements and the
+    grand partition one at a time.
+    """
+    model = ExpectationModel(model)
+    if table is None and model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
+        table = utility_table(scenario)
+    return demand_vector(scenario, model, table=table), grand_value(scenario, table=table)
+
+
 # ---------------------------------------------------------------------------
 # the core LP
 
@@ -425,8 +440,7 @@ def check_core(
     """
     if scenario.k > CORE_MAX_USERS:
         raise InvalidArgument(f"core checks are capped at {CORE_MAX_USERS} users")
-    demands = demand_vector(scenario, model, table=table)
-    v_k = grand_value(scenario, table=table)
+    demands, v_k = _demands_and_grand(scenario, model, table)
     return check_core_from_demands(demands, v_k, scenario.k)
 
 
@@ -452,8 +466,7 @@ def least_core(
     """
     if scenario.k > CORE_MAX_USERS:
         raise InvalidArgument(f"core checks are capped at {CORE_MAX_USERS} users")
-    demands = demand_vector(scenario, model, table=table)
-    v_k = grand_value(scenario, table=table)
+    demands, v_k = _demands_and_grand(scenario, model, table)
     return least_core_from_demands(demands, v_k, scenario.k)
 
 
@@ -536,6 +549,5 @@ def core_region_3user(
     """Core polygon of a 3-user game (empty list when the core is empty)."""
     if scenario.k != 3:
         raise InvalidArgument("the core region is defined for exactly 3 users")
-    demands = demand_vector(scenario, model, table=table)
-    v_k = grand_value(scenario, table=table)
+    demands, v_k = _demands_and_grand(scenario, model, table)
     return region_from_demands(demands, v_k)

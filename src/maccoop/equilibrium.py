@@ -463,80 +463,55 @@ def _single_rx_powers(scenario: Scenario) -> tuple:
 
 
 def _decoding_slots(receiver: SicFixed) -> np.ndarray:
-    """Each user's base decoding position, as floats."""
-    slot = np.zeros(len(receiver.base_order))
-    for pos, user in enumerate(receiver.base_order):
-        slot[user - 1] = float(pos)
+    """Each user's base decoding position, as int8."""
+    slot = np.empty(len(receiver.base_order), dtype=np.int8)
+    slot[np.asarray(receiver.base_order) - 1] = np.arange(len(slot))
     return slot
 
 
-def _single_rx_fast_path(scenario: Scenario) -> Callable[[np.ndarray], np.ndarray] | None:
-    """Whole-table closed form for one receive antenna, when applicable."""
-    if scenario.rx_antennas != 1 or isinstance(scenario.receiver, SicTimeShare):
-        return None
-    powers = _single_rx_powers(scenario)
-    if isinstance(scenario.receiver, SicFixed):
-        slot = _decoding_slots(scenario.receiver)
-        return lambda rgs_mat: _kernels.single_rx_table_numpy(
-            rgs_mat, slot, *powers, scenario.noise)
-    return lambda rgs_mat: _kernels.single_rx_sud_table(rgs_mat, *powers, scenario.noise)
+def _closed_form_tables(scenario: Scenario) -> Callable[[float], UtilityTable] | None:
+    """Closed-form tables of one single-antenna scenario at any N0, or None.
 
-
-def _fixed_order_tables(scenario: Scenario) -> Callable[[float], UtilityTable]:
-    """Closed-form tables of one single-antenna fixed-order scenario at any N0.
-
-    Only the utilities depend on N0.  The partitions, block masks and
-    decoding layout (:func:`_kernels.single_rx_layout`) are built once,
-    and the returned function's table at ``n0`` equals
-    ``utility_table(scenario.with_noise(n0))`` bit for bit.
+    Applies to one receive antenna with fixed-order cancellation or
+    single-user decoding.  Only the utilities depend on N0: the
+    partitions, block masks and noise-free layout
+    (:func:`_kernels.single_rx_layout`) are built once, in chunks of
+    ``RGS_CHUNK_ROWS`` rows, and the returned function gives the table of
+    ``scenario.with_noise(n0)``.
     """
+    receiver = scenario.receiver
+    if scenario.rx_antennas != 1 or isinstance(receiver, SicTimeShare):
+        return None
     k = scenario.k
     rgs = rgs_matrix(k)
-    slot, powers = _decoding_slots(scenario.receiver), _single_rx_powers(scenario)
-    # built in chunks, as utility_table builds its tables; only the blocks are kept
-    chunks = [rgs[start:start + RGS_CHUNK_ROWS] for start in range(0, len(rgs), RGS_CHUNK_ROWS)]
-    power, after, masks = [], [], []
-    for chunk in chunks:
-        p, a, exists = _kernels.single_rx_layout(chunk, slot, *powers)
-        power.append(p[exists])
-        after.append(a[exists])
-        masks.append(_label_masks(chunk)[exists].astype(np.int16))
-    power, after, masks = map(np.concatenate, (power, after, masks))
     counts = rgs.max(axis=1) + 1
+    slot = _decoding_slots(receiver) if isinstance(receiver, SicFixed) else None
+    powers = _single_rx_powers(scenario)
+    n = int(counts.sum())
+    power, heard, masks = np.empty(n), np.empty(n), np.empty(n, dtype=np.int16)
+    end = 0
+    for start in range(0, len(rgs), RGS_CHUNK_ROWS):
+        chunk = rgs[start:start + RGS_CHUNK_ROWS]
+        p, h, exists = _kernels.single_rx_layout(chunk, slot, *powers)
+        begin, end = end, end + int(exists.sum())
+        power[begin:end], heard[begin:end] = p[exists], h[exists]
+        masks[begin:end] = _label_masks(chunk)[exists]
 
-    def at(n0: float) -> UtilityTable:
-        values = _kernels.single_rx_values(power, after, n0)
+    def closed(n0: float) -> UtilityTable:
+        values = _kernels.single_rx_values(power, heard, n0)
         return UtilityTable.from_arrays(k, scenario.with_noise(n0), rgs, counts, masks, values)
 
-    return at
+    return closed
 
 
 def _label_masks(rgs: np.ndarray) -> np.ndarray:
-    """Block masks of RGS rows: (rows, k), column j for label j, 0 past the last block."""
-    k = rgs.shape[1]
-    onehot = rgs[:, :, None] == np.arange(k)  # (row, user, label)
-    # user bits fit int16 for k <= 12, keeping the product a quarter the size
-    return (onehot * (1 << np.arange(k, dtype=np.int16))[:, None]).sum(axis=1)
-
-
-def _induced_labels(rgs: np.ndarray, base_order: Sequence[int]) -> list[tuple[int, ...]]:
-    """Each row's fixed-order decoding order as block labels (latest member rule)."""
-    k = rgs.shape[1]
-    slot = np.empty(k, dtype=np.int8)
-    slot[np.asarray(base_order) - 1] = np.arange(k)
-    onehot = rgs[:, :, None] == np.arange(k)
-    last = np.where(onehot, slot[None, :, None], np.int8(-1)).max(axis=1)
-    last[last < 0] = k  # empty labels sort last
-    counts = (rgs.max(axis=1) + 1).tolist()
-    return [tuple(o[:n]) for o, n in zip(np.argsort(last, axis=1).tolist(), counts)]
-
-
-def _closed_form_blocks(fast, rgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk of RGS rows' block masks and utilities, row by row in label order."""
-    values = fast(rgs)
-    masks = _label_masks(rgs)
-    kept = masks != 0  # labels past a row's last block
-    return masks[kept].astype(np.int16), values[kept]
+    """Block masks of RGS rows: (rows, k) int16, column j for label j, 0 past the last block."""
+    rows, k = rgs.shape
+    masks = np.zeros((rows, k), dtype=np.int16)  # user bits fit int16 for k <= 12
+    every = np.arange(rows)
+    for u in range(k):
+        masks[every, rgs[:, u]] |= np.int16(1 << u)
+    return masks
 
 
 def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -549,7 +524,9 @@ def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray) -> tuple[list[int]
     counts = (rgs.max(axis=1) + 1).tolist()
     masks = [row[:n] for row, n in zip(_label_masks(rgs).tolist(), counts)]
     if isinstance(receiver, SicFixed):
-        orders = [[order] for order in _induced_labels(rgs, receiver.base_order)]
+        # blocks decode at their latest member's slot, as in the closed form
+        slots = np.argsort(_kernels.label_slots(rgs, _decoding_slots(receiver)), axis=1)
+        orders = [[tuple(row[:n])] for row, n in zip(slots.tolist(), counts)]
     else:
         # block counts in row order: a misfit weight vector fails on its first row
         plans = {n: _timeshare_orders(receiver, n) for n in dict.fromkeys(counts)}
@@ -595,12 +572,13 @@ def utility_table(scenario: Scenario) -> UtilityTable:
     game gives (``ne_utilities``).  It is that value bit for bit,
     whatever else the table holds, except in the closed-form tables of
     one receive antenna (fixed-order cancellation and single-user
-    decoding), which round differently: within 1e-11 relative, plus
-    1e-14 nats for a SUD utility near zero, where (n0 + total) - power
-    cancels.  Cancellation tables solve each distinct decoding suffix
-    once for all the partitions and orders that share it.  Solver failures are
-    re-raised annotated with the first partition that needs the failed
-    solve.
+    decoding, :func:`_closed_form_tables`), which round differently:
+    within 1e-11 relative, plus 1e-14 nats for a utility near zero, the
+    log of a ratio near one.  Their heard power holds no noise, so N0 is
+    never rounded away against it.  Cancellation tables solve each
+    distinct decoding suffix once for all the partitions and orders that
+    share it.  Solver failures are re-raised annotated with the first
+    partition that needs the failed solve.
     """
     k = scenario.k
     require_uniform_timeshare(scenario)
@@ -613,16 +591,11 @@ def utility_table(scenario: Scenario) -> UtilityTable:
     elif k > MAX_USERS:
         raise InvalidArgument(f"utility tables are capped at {MAX_USERS} users")
 
+    closed = _closed_form_tables(scenario)
+    if closed is not None:
+        return closed(scenario.noise)
     rgs = rgs_matrix(k)
-    fast = _single_rx_fast_path(scenario)
-    if fast is not None:
-        # chunked so the vectorized paths never materialize huge one-hot
-        # tensors (B_12 partitions x 12 users x 12 labels)
-        chunks = [_closed_form_blocks(fast, rgs[start:start + RGS_CHUNK_ROWS])
-                  for start in range(0, len(rgs), RGS_CHUNK_ROWS)]
-        masks = np.concatenate([m for m, _ in chunks])
-        values = np.concatenate([v for _, v in chunks])
-    elif isinstance(scenario.receiver, Sud):
+    if isinstance(scenario.receiver, Sud):
         masks, values = [], []
         for row in rgs.tolist():
             utilities = ne_utilities(scenario, Partition.from_rgs(row))

@@ -182,7 +182,7 @@ class TestSnrBoundary:
         # at every grid and bisection point the sweep's table is utility_table's
         # bit for bit, and its verdict is check_core's on that table
         points, verdicts, oracle_at = [], [], {}
-        make_tables, check = analysis._fixed_order_tables, cores._CoreLp.check
+        make_tables, check = analysis._closed_form_tables, cores._CoreLp.check
 
         def recording_tables(scenario):
             tables = make_tables(scenario)
@@ -207,7 +207,7 @@ class TestSnrBoundary:
 
         spec = SweepSpec(tuple(range(2, 9)), (-20.0, -5.0, 10.0, 25.0))
         with monkeypatch.context() as patch:
-            patch.setattr(analysis, "_fixed_order_tables", recording_tables)
+            patch.setattr(analysis, "_closed_form_tables", recording_tables)
             patch.setattr(cores._CoreLp, "check", recording_check)
             got = snr_boundary(spec, model, resolution_db=0.1)
         assert sum(p.status == "found" for p in got) == 5
@@ -228,7 +228,7 @@ class TestSnrBoundary:
         def forbidden(*args, **kwargs):
             raise AssertionError("a utility table was built")
 
-        monkeypatch.setattr(analysis, "utility_table", forbidden)
+        monkeypatch.setattr(analysis, "_closed_form_tables", forbidden)
         with pytest.raises(InvalidArgument, match=f"K <= {CORE_MAX_USERS}"):
             snr_boundary(SweepSpec((3, CORE_MAX_USERS + 1), (-10.0, 0.0)),
                          ExpectationModel.RATIONAL)

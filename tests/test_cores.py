@@ -370,14 +370,39 @@ class TestCheckCore:
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_non_finite_grand_value_is_a_numerical_failure(self, model):
-        # at 160 dB the grand block's closed form divides by n0 + 9 - 9 = 0
+        # hand-made tables whose grand entry is inf or NaN; every other entry is finite
+        s = symmetric(3, 1.0, Sud())
+        for bad in (math.inf, math.nan):
+            table = UtilityTable(3, "fp", {
+                (0, 0, 0): {0b111: bad},
+                (0, 0, 1): {0b011: 1.0, 0b100: 0.5},
+                (0, 1, 0): {0b101: 1.0, 0b010: 0.5},
+                (0, 1, 1): {0b001: 0.5, 0b110: 1.0},
+                (0, 1, 2): {0b001: 0.4, 0b010: 0.4, 0b100: 0.4},
+            })
+            v_k = grand_value(s, table=table)
+            assert v_k == math.inf if bad == math.inf else math.isnan(v_k)
+            for call in (check_core, least_core):
+                with pytest.raises(NumericalFailure, match="not finite"):
+                    call(s, model, table=table)
+
+    @pytest.mark.parametrize("model", [ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS])
+    def test_table_models_read_grand_value_from_their_table(self, model, monkeypatch):
+        # at 160 dB the grand partition's SUD sweep cannot factor n0 + 9 - 9,
+        # but the closed-form table the demands come from holds v(N) as well
         s = symmetric(3, 1e-16, Sud())
-        with np.errstate(divide="ignore"):
-            table = utility_table(s)
-        assert grand_value(s, table=table) == math.inf
-        for call in (check_core, least_core):
-            with pytest.raises(NumericalFailure, match="not finite"):
-                call(s, model, table=table)
+        want = check_core(s, model, table=utility_table(s))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("per-partition solve")
+
+        monkeypatch.setattr(maccoop.cores, "ne_utilities", no_solve)
+        got = check_core(s, model)
+        assert got.verdict == want.verdict == "nonempty"
+        assert got.slack == want.slack == pytest.approx(12.7897, abs=1e-4)
+        assert got.allocation.tobytes() == want.allocation.tobytes()
+        assert least_core(s, model).epsilon_star == -got.slack
+        assert len(core_region_3user(s, model)) == 6
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_demand_is_a_numerical_failure(self, bad):

@@ -18,8 +18,9 @@ from maccoop.capacity import (
 from maccoop.equilibrium import (
     SOLVER_TOL,
     UtilityTable,
-    _fixed_order_tables,
-    _single_rx_fast_path,
+    _closed_form_tables,
+    _decoding_slots,
+    _single_rx_powers,
     dsc_diagnostic,
     ne_sic,
     ne_sud,
@@ -374,7 +375,10 @@ class TestUtilityTable:
     def reference_table(s):
         """Closed-form entries built one Partition at a time, as a dict of dicts."""
         parts = list(enumerate_partitions(s.k))
-        values = _single_rx_fast_path(s)(np.array([p.rgs for p in parts], dtype=np.int64))
+        slot = _decoding_slots(s.receiver) if isinstance(s.receiver, SicFixed) else None
+        power, heard, _ = _kernels.single_rx_layout(
+            np.array([p.rgs for p in parts], dtype=np.int64), slot, *_single_rx_powers(s))
+        values = _kernels.single_rx_values(power, heard, s.noise)
         return {
             p.rgs: {b.mask: float(values[row, j]) for j, b in enumerate(p.blocks)}
             for row, p in enumerate(parts)
@@ -546,15 +550,35 @@ class TestUtilityTable:
                     for mask, want in ne_utilities(s, part).items():
                         assert abs(got[mask] - want) <= 1e-11 * abs(want) + 1e-14
 
+    @pytest.mark.parametrize("receiver", ["sic", "sud"])
+    def test_symmetric_closed_form_exact_at_every_snr(self, receiver):
+        # heard power holds no noise, so N0 is never rounded away: v(N) is
+        # log1p(K^2 / N0) and a lone user hearing h gives log1p(1 / (N0 + h))
+        for k in range(2, 11):
+            rx = SicFixed(tuple(range(1, k + 1))) if receiver == "sic" else Sud()
+            tables = _closed_form_tables(symmetric(k, 1.0, rx))
+            heard = np.arange(k - 1.0, -1.0, -1.0) if receiver == "sic" else np.full(k, k - 1.0)
+            for db in range(0, 201, 10):
+                n0 = 10.0 ** (-db / 10.0)
+                table = tables(n0)
+                want = math.log1p(k * k / n0)
+                assert table.masks[0] == (1 << k) - 1
+                assert abs(table.values[0] - want) <= 1e-14 * want
+                alone = slice(table.offsets[-2], table.offsets[-1])
+                assert table.masks[alone].tolist() == [1 << u for u in range(k)]
+                want = np.log1p(1.0 / (n0 + heard))
+                assert np.all(np.abs(table.values[alone] - want) <= 1e-14 * want)
+
     @pytest.mark.parametrize("mode", ["sum", "caps"])
     def test_fixed_order_tables_bitwise_equal_utility_table(self, monkeypatch, mode):
-        # layouts built in chunks of 7 rows still give the one-piece table
+        # layouts built in chunks of 7 rows still give the one-piece table,
+        # for fixed-order cancellation and single-user decoding alike
         monkeypatch.setattr(equilibrium, "RGS_CHUNK_ROWS", 7)
-        for k in range(2, 8):
+        for k, receiver in itertools.product(range(2, 8), ("sic", "sud")):
             gen = np.random.default_rng([15, k])
             s = random_scenario(gen, k=k, m=1, mode=mode, receiver=SicFixed(
-                tuple(int(u) + 1 for u in gen.permutation(k))))
-            tables = _fixed_order_tables(s)
+                tuple(int(u) + 1 for u in gen.permutation(k))) if receiver == "sic" else Sud())
+            tables = _closed_form_tables(s)
             for n0 in 10.0 ** gen.uniform(-4.0, 4.0, size=3):
                 got = tables(float(n0))
                 with monkeypatch.context() as patch:

@@ -282,6 +282,15 @@ class TestCli:
         assert code == 1
         assert "at least 2 users" in err
 
+    def test_rational_core_at_160_db_exits_zero(self, tmp_path, capsys):
+        # demands and v(N) both come from the closed-form table
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(io.serialize_scenario(symmetric(3, 1e-16, Sud())))
+        code, out, _ = run_cli(["core", "--scenario", str(cfg), "--model", "rational",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert "nonempty" in out
+
     def test_failed_factorization_exits_two(self, tmp_path, capsys):
         # at 160 dB the grand partition's SUD sweep factors n0 + 9 - 9 = 0
         cfg = tmp_path / "s.cfg"
