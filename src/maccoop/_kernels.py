@@ -383,19 +383,27 @@ def sud_fixed_point(n0, hs, limits, q0s, tol, max_rounds, pa_tol, pa_iter):
 
 
 def _block_powers(rgs_mat, gain2, p_sum, amp, mode):
-    """One-hot block labels (rows, user, label) and each label's received power.
+    """Each block label's received power, (rows, K) float64, 0 past the last block.
 
     A block's received power is (sum of member gains^2)(sum of member
     budgets) under a trace budget (mode 0) or (sum of member |h| sqrt(cap)
-    amplitudes)^2 under antenna caps (mode 1).
+    amplitudes)^2 under antenna caps (mode 1).  Member weights are summed
+    with one fancy-indexed add per user, in user order, so no (rows, K, K)
+    one-hot array is formed.
     """
-    k = rgs_mat.shape[1]
-    onehot = rgs_mat[:, :, None] == np.arange(k)[None, None, :]
+    rows, k = rgs_mat.shape
+    every = np.arange(rows)
+
+    def label_sums(weight):
+        out = np.zeros((rows, k))
+        for u in range(k):
+            out[every, rgs_mat[:, u]] += weight[u]
+        return out
+
     if mode == 0:
-        return onehot, (np.einsum("buj,u->bj", onehot, gain2)
-                        * np.einsum("buj,u->bj", onehot, p_sum))
-    a = np.einsum("buj,u->bj", onehot, amp)
-    return onehot, a * a
+        return label_sums(gain2) * label_sums(p_sum)
+    a = label_sums(amp)
+    return a * a
 
 
 def label_slots(rgs_mat, slot):
@@ -420,17 +428,23 @@ def single_rx_layout(rgs_mat, slot, gain2, p_sum, amp, mode):
     position) blocks decode at their latest member's slot
     (:func:`label_slots`) and each hears the blocks decoded after it.
     With single-user decoding (``slot`` None) each block hears all the
-    others: the row's power total minus its own.  Heard power holds no
-    noise, so a block alone in its row hears exactly 0.
+    others: an exclusive prefix sum plus an exclusive suffix sum over the
+    labels, so no block's own power is ever subtracted and a weak block
+    beside a strong one is not lost to cancellation.  Heard power holds
+    no noise, so a block alone in its row hears exactly 0.
 
     Returns (power, heard, exists), each (rows, K) in block label order:
     each block's received power, the power it hears, and which labels are
-    blocks.  :func:`single_rx_values` turns them into utilities.
+    blocks (labels up to the row's largest).  :func:`single_rx_values`
+    turns them into utilities.
     """
-    onehot, power = _block_powers(rgs_mat, gain2, p_sum, amp, mode)
-    exists = onehot.any(axis=1)
+    power = _block_powers(rgs_mat, gain2, p_sum, amp, mode)
+    exists = np.arange(rgs_mat.shape[1]) <= rgs_mat.max(axis=1, keepdims=True)
     if slot is None:
-        return power, power.sum(axis=1, keepdims=True) - power, exists
+        heard = np.zeros_like(power)
+        np.cumsum(power[:, :-1], axis=1, out=heard[:, 1:])
+        heard[:, :-1] += np.cumsum(power[:, :0:-1], axis=1)[:, ::-1]
+        return power, heard, exists
     order = np.argsort(label_slots(rgs_mat, slot), axis=1)
     power_sorted = np.take_along_axis(power, order, axis=1)
     heard_sorted = np.cumsum(power_sorted[:, ::-1], axis=1)[:, ::-1] - power_sorted

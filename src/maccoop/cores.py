@@ -17,15 +17,18 @@ emptiness certificate and validated before it is returned
 (Bondareva-Shapley: the core is empty iff such a collection exists).
 
 Both LPs have at most K + 1 <= 11 variables and are solved by one small
-dense dual simplex in numpy, started from the K singleton rows, whose
-multipliers are nonnegative for both LPs, so no phase 1 is needed.  A
-sequence of demand vectors of one K (an SNR sweep) starts each LP from
-the previous optimal basis instead, which is dual feasible too.  The
-witness is the optimal vertex it stops at, and the certificate is the
-optimal multipliers of min sum y s.t. y(S) >= d_S, the dual of the
-max-margin balanced collection.  Rows are ordered by coalition mask and
-every tie goes to the lowest mask, so the answers do not depend on the
-order of the demand dict.
+dense dual simplex in numpy.  The slack LP starts from the K singleton
+rows, whose multipliers are nonnegative, so no phase 1 is needed; a
+sequence of demand vectors of one K (an SNR sweep) starts it from the
+previous optimal basis instead, which is dual feasible too.  The
+certificate LP, min sum y s.t. y(S) >= d_S, the dual of the max-margin
+balanced collection, starts from the slack LP's optimal basis, whose
+multipliers rescale to a balanced collection.  The witness is the slack
+LP's optimal vertex, and the certificate the certificate LP's optimal
+multipliers.  Rows are ordered by coalition mask, the basis is kept in
+row order and every tie goes to the lowest mask, so the answers do not
+depend on the order of the demand dict, and a degenerate game's
+certificate is one of its max-margin collections.
 
 Every verdict follows one rule for every K: the core is nonempty when
 the optimal slack t >= -LP_TOL, and the evidence (the witness, or the
@@ -255,22 +258,27 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
     """min c.z s.t. g z >= d and a_eq z = b_eq, z free, by a dense dual simplex.
 
     ``basis`` lists rows of ``g`` that, with every equality row, form a
-    dual feasible start (nonnegative multipliers).  Each pivot enters the
-    most violated row and removes the basic row whose multiplier reaches
-    zero first; both choices break ties to the lowest row index.  In
-    exact arithmetic a basis can recur only within a run of degenerate
+    dual feasible start (nonnegative multipliers).  The basis is kept in
+    ascending row order, so the basis matrix, and with it z and y, depend
+    only on the set of basic rows: runs from different starts that end on
+    one basis return bitwise-equal results.  Each pivot enters the most
+    violated row and removes the basic row whose multiplier reaches zero
+    first; both choices break ties to the lowest row index.  In exact
+    arithmetic a basis can recur only within a run of degenerate
     (zero-step) pivots, so the first recurrence switches to Bland's rule
     (lowest violated row enters), which cannot cycle: termination needs
     no iteration cap.  Bases seen before the switch are forgotten, since
     Bland's rule may pass through them again.  A recurrence under Bland's
     rule, a singular basis or a ratio test with no candidate raises
-    :class:`NumericalFailure`.
+    :class:`NumericalFailure`.  The basis inverse is recomputed at every
+    pivot: at these sizes a rank-one update of it saves little, and the
+    pivot count is what matters.
 
     Returns (z, basis, y): the optimal vertex, its basic inequality rows
-    and their multipliers, so that c = a_eq^T mu + g[basis]^T y.
+    (ascending) and their multipliers, so that c = a_eq^T mu + g[basis]^T y.
     """
     n_eq = len(b_eq)
-    basis = list(basis)
+    basis = sorted(basis)
     tol = 1e-12 * max(1.0, float(np.abs(d).max(initial=0.0)),
                       float(np.abs(b_eq).max(initial=0.0)))
     a_b = np.vstack([a_eq, g[basis]])
@@ -278,7 +286,7 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
     seen: set[tuple[int, ...]] = set()
     bland = False
     while True:
-        key = tuple(sorted(basis))
+        key = tuple(basis)
         if key in seen:
             if bland:
                 raise NumericalFailure("core LP cycled under Bland's rule")
@@ -302,10 +310,10 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
             raise NumericalFailure("core LP ratio test found no leaving row")
         ratios = np.maximum(y[candidates], 0.0) / w[candidates]
         ties = candidates[ratios <= ratios.min() + 1e-12]
-        leave = min(ties, key=basis.__getitem__)
-        basis[leave] = enter
-        a_b[n_eq + leave] = g[enter]
-        rhs[n_eq + leave] = d[enter]
+        basis[ties[0]] = enter
+        basis.sort()
+        a_b[n_eq:] = g[basis]
+        rhs[n_eq:] = d[basis]
 
 
 def _singleton_rows(k: int) -> list[int]:
@@ -318,12 +326,15 @@ class _CoreLp:
 
     Rows run over the proper coalitions in ascending mask order, so a
     demand vector is ``d[mask - 1]``.  The constraint rows and costs
-    depend on K only and are built once.  Each LP starts from the
+    depend on K only and are built once.  The slack LP starts from the
     optimal basis of its previous solve (the singleton basis at first):
     whether a basis is dual feasible depends on the costs and the rows,
     never on the demands or v(N), so that basis is a valid dual simplex
     start for the next demands, and Bland's rule still guarantees
-    termination.
+    termination.  :meth:`check` starts the certificate LP from the slack
+    LP's optimal basis of the same demands, which is dual feasible for it
+    too (see :meth:`check`); :meth:`balanced` alone starts from its own
+    previous optimal basis.
     """
 
     def __init__(self, k: int):
@@ -362,12 +373,22 @@ class _CoreLp:
         _, self.balanced_basis, y = _dual_simplex(
             np.ones(k), self.incidence.astype(np.float64), d, self.balanced_basis,
             np.empty((0, k)), np.empty(0))
-        weights = {row + 1: float(w) for row, w in sorted(zip(self.balanced_basis, y))
+        weights = {row + 1: float(w) for row, w in zip(self.balanced_basis, y)
                    if w > 1e-15}
         return weights, sum(w * d[mask - 1] for mask, w in weights.items())
 
     def check(self, d: np.ndarray, v_k: float) -> CoreResult:
-        """Core verdict for demands ``d`` (by mask - 1) and v(N), with validated evidence."""
+        """Core verdict for demands ``d`` (by mask - 1) and v(N), with validated evidence.
+
+        An empty verdict starts the certificate LP, min sum y s.t.
+        y(S) >= d_S, from the slack LP's optimal basis B.  That start is
+        dual feasible.  The slack optimum's multipliers y_B >= 0 meet the
+        t column, sum y_B = 1, and every x column, sum_{S in B, S
+        contains i} y_S = mu' for each user i.  Summing over i gives mu'
+        = sum y_S |S| / K >= 1/K > 0.  So the incidence rows A_B are
+        nonsingular (a singular A_B would force mu' = 0), and lambda =
+        y_B / mu' >= 0 solves A_B^T lambda = 1.  No fallback is needed.
+        """
         _require_finite(d, v_k)
         x, t = self.slack(d, v_k)
         if t >= -LP_TOL:
@@ -376,6 +397,7 @@ class _CoreLp:
             if not (worst >= -LP_TOL and abs(x.sum() - v_k) <= LP_TOL * max(1.0, abs(v_k))):
                 raise NumericalFailure("witness fails post-validation")
             return CoreResult("nonempty", x, None, float(t))
+        self.balanced_basis = self.slack_basis
         weights, value = self.balanced(d)
         cert = BalancedCertificate(weights, float(value - v_k))
         validate_certificate(cert, dict(zip(range(1, len(d) + 1), d.tolist())), v_k, self.k)

@@ -19,6 +19,7 @@ from maccoop.cores import (
     _fixed_arrangement,
     _dual_simplex,
     _incidence,
+    _singleton_rows,
     _CoreLp,
     ExpectationModel,
     balancedness_certificate,
@@ -592,6 +593,97 @@ class TestDualSimplex:
         lp.slack(d, v_k)
         lp.balanced(d)
         assert len(inversions) == 2  # both stored bases are already optimal
+
+    @staticmethod
+    def empty_demands(k, gen, grid):
+        """Demands around the equal split, so about half the cores are empty; on a
+        half-integer grid when ``grid``, so ties and degenerate pivots abound."""
+        size = _incidence(range(1, (1 << k) - 1), k).sum(axis=1)
+        d = size + gen.uniform(-0.6, 0.4, size=size.size) * (1 + size % 2)
+        return (np.round(2 * d) / 2 if grid else d), float(k)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_slack_basis_is_a_dual_feasible_certificate_start(self, k, grid):
+        # at the slack optimum sum y = 1 and every user's covering weight is
+        # mu' > 0, so the basic incidence rows are nonsingular and y / mu' is a
+        # balanced collection: a dual feasible start for the certificate LP
+        gen = np.random.default_rng([k, grid])
+        lp = _CoreLp(k)
+        empty = 0
+        for _ in range(40 if k < 8 else 10):
+            d, v_k = self.empty_demands(k, gen, grid)
+            z, basis, y = _dual_simplex(lp.c, lp.g, d, _singleton_rows(k), lp.a_eq,
+                                        np.array([v_k]))
+            if z[k] >= -1e-9:
+                continue
+            empty += 1
+            rows = lp.incidence[basis]
+            assert round(abs(np.linalg.det(rows))) >= 1
+            cover = rows.T @ y
+            assert cover.mean() >= 1.0 / k - 1e-12
+            lam = y / cover.mean()
+            assert lam.min() >= -1e-12
+            np.testing.assert_allclose(rows.T @ lam, 1.0, rtol=0, atol=1e-12)
+        assert empty >= (5 if k < 8 else 2)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_certificate_equals_a_cold_balanced_solve(self, k):
+        # unstructured demands have one optimal basis, and the basis is kept in
+        # row order, so the start cannot show in the certificate's bits
+        gen = np.random.default_rng(700 + k)
+        lp = _CoreLp(k)
+        for _ in range(20):
+            d, v_k = gen.uniform(0.0, 1.0, size=(1 << k) - 2), float(gen.uniform(0.5, 2.0))
+            res = lp.check(d, v_k)
+            if res.nonempty:
+                continue
+            weights, value = _CoreLp(k).balanced(d)
+            assert res.certificate.weights == weights
+            assert res.certificate.margin == float(value - v_k)
+
+    def test_certificate_lp_starts_where_the_slack_lp_stopped(self, bench_workloads,
+                                                               monkeypatch):
+        # over the benchmark's K=8 empty verdicts the certificate LP needs far
+        # fewer basis inversions than a cold start from the singleton basis
+        inversions = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
+
+        def count(solve, *args):
+            before = len(inversions)
+            solve(*args)
+            return len(inversions) - before
+
+        warm = cold = empty = 0
+        for seed in range(3):
+            for s in bench_workloads.CoreLargeK(seed).inputs:
+                table = utility_table(s)
+                v_k = grand_value(s, table=table)
+                for model in ALL_MODELS:
+                    d = np.array(list(demand_vector(s, model, table=table).values()))
+                    if _CoreLp(s.k).slack(d, v_k)[1] >= -1e-9:
+                        continue
+                    empty += 1
+                    warm += count(_CoreLp(s.k).check, d, v_k) - count(_CoreLp(s.k).slack,
+                                                                      d, v_k)
+                    cold += count(_CoreLp(s.k).balanced, d)
+        assert empty >= 10
+        assert warm < 0.6 * cold
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_any_order_of_the_start_basis_gives_the_same_bits(self, k):
+        gen = np.random.default_rng(900 + k)
+        lp = _CoreLp(k)
+        start = _singleton_rows(k)
+        for _ in range(5):
+            d, v_k = self.empty_demands(k, gen, False)
+            runs = [_dual_simplex(lp.c, lp.g, d, list(gen.permutation(start)), lp.a_eq,
+                                  np.array([v_k])) for _ in range(6)]
+            for z, basis, y in runs[1:]:
+                assert z.tobytes() == runs[0][0].tobytes()
+                assert basis == runs[0][1]
+                assert y.tobytes() == runs[0][2].tobytes()
 
 
 class TestLpInputs:

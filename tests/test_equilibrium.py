@@ -42,6 +42,7 @@ from maccoop.model import (
     coalition_channel,
     enumerate_partitions,
     induced_order,
+    rgs_matrix,
 )
 from maccoop.capacity import single_antenna_utilities
 
@@ -568,6 +569,38 @@ class TestUtilityTable:
                 assert table.masks[alone].tolist() == [1 << u for u in range(k)]
                 want = np.log1p(1.0 / (n0 + heard))
                 assert np.all(np.abs(table.values[alone] - want) <= 1e-14 * want)
+
+    def test_sud_block_beside_a_weak_one_hears_it_exactly(self):
+        # heard power is a prefix plus a suffix sum over the other blocks, so the
+        # strong block's 1e-10 neighbour is not lost in (row total - own)
+        n0 = 1e-12
+        users = (UserSpec(1, 1, np.array([[1.0]]), SumPower(1.0)),
+                 UserSpec(2, 1, np.array([[1e-5]]), SumPower(1.0)))
+        got = utility_table(Scenario(users, 1, n0, Sud())).partition_values(
+            Partition.from_rgs((0, 1)))[0b01]
+        want = math.log1p(1.0 / (n0 + 1e-5 ** 2))
+        assert abs(got - want) <= 1e-15 * want
+
+    @staticmethod
+    def onehot_block_powers(rgs, gain2, p_sum, amp, mode):
+        """Each label's received power from a (rows, user, label) one-hot tensor: the oracle."""
+        onehot = rgs[:, :, None] == np.arange(rgs.shape[1])[None, None, :]
+        if mode == 0:
+            return (np.einsum("buj,u->bj", onehot, gain2)
+                    * np.einsum("buj,u->bj", onehot, p_sum))
+        a = np.einsum("buj,u->bj", onehot, amp)
+        return a * a
+
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_block_powers_bitwise_equal_one_hot_oracle(self, mode):
+        for k in range(1, 11):
+            rgs = rgs_matrix(k)
+            for seed in range(2):
+                gen = np.random.default_rng([k, seed, mode])
+                gain2, p_sum, amp = 10.0 ** gen.uniform(-3.0, 3.0, size=(3, k))
+                got = _kernels._block_powers(rgs, gain2, p_sum, amp, mode)
+                want = self.onehot_block_powers(rgs, gain2, p_sum, amp, mode)
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", ["sum", "caps"])
     def test_fixed_order_tables_bitwise_equal_utility_table(self, monkeypatch, mode):
