@@ -211,7 +211,8 @@ def classify_externalities(
     Samples partitions with at least three blocks, merges two, and
     compares every remaining block's equilibrium utility before and
     after.  "mixed" requires a strict witness of each sign; with no
-    strict positive witness the game is classified "negative".
+    strict positive witness the game is classified "negative".  Closed-form
+    games read a table of just the sampled partitions.
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
@@ -219,16 +220,21 @@ def classify_externalities(
         raise InvalidArgument("externalities need at least 3 users")
     require_uniform_timeshare(scenario, "externality audits", fewest=2)
     rng = np.random.default_rng(seed)
-    cache = _ValueCache(scenario)
-    witnesses: list[ExternalityWitness] = []
-    has_pos = False
-    has_neg = False
+    mergers = []
     for _ in range(trials):
         before = _random_partition(rng, scenario.k, 3)
         i, j = rng.choice(len(before), size=2, replace=False)
         merged = Coalition(before.blocks[i].mask | before.blocks[j].mask)
         externals = [b for idx, b in enumerate(before.blocks) if idx not in (i, j)]
-        after = Partition(scenario.k, tuple(externals) + (merged,))
+        mergers.append((before, Partition(scenario.k, tuple(externals) + (merged,)), externals))
+    # a full table would cost seconds at K=12
+    rows = dict.fromkeys(p.rgs for before, after, _ in mergers for p in (before, after))
+    closed = _closed_form_tables(scenario, np.array(list(rows), dtype=np.int8))
+    cache = _ValueCache(scenario, closed(scenario.noise) if closed is not None else None)
+    witnesses: list[ExternalityWitness] = []
+    has_pos = False
+    has_neg = False
+    for before, after, externals in mergers:
         vals_before = cache.get(before)
         vals_after = cache.get(after)
         if vals_before is None or vals_after is None:
@@ -263,8 +269,10 @@ class SweepSpec:
 
     def __post_init__(self):
         grid = tuple(float(x) for x in self.snr_grid_db)
-        if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise InvalidArgument("SNR grid must be strictly increasing, length >= 2")
+        # non-finite points are rejected before any comparison, which NaN would pass
+        if (len(grid) < 2 or not all(map(math.isfinite, grid))
+                or any(b <= a for a, b in zip(grid, grid[1:]))):
+            raise InvalidArgument("SNR grid must be finite, strictly increasing, length >= 2")
         ks = tuple(int(k) for k in self.k_values)
         if any(k < 2 or k > CORE_MAX_USERS for k in ks):
             raise InvalidArgument(f"boundary sweeps need 2 <= K <= {CORE_MAX_USERS}")

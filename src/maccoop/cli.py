@@ -207,6 +207,10 @@ def _cmd_region(args) -> int:
 def _cmd_sweep(args) -> int:
     em = _Emitter(args)
     model = ExpectationModel(args.model)
+    bounds = (args.snr_min, args.snr_max, args.snr_step)
+    if not (all(map(math.isfinite, bounds)) and args.snr_step > 0):
+        raise InvalidArgument("--snr-min, --snr-max and --snr-step must be finite, "
+                              "and --snr-step > 0")
     grid = tuple(
         float(x) for x in np.arange(args.snr_min, args.snr_max + 0.5 * args.snr_step,
                                     args.snr_step)
@@ -273,9 +277,12 @@ def _cmd_properties(args) -> int:
 def _cmd_ratio(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
-    snrs = [float(s) for s in args.snr.split(",") if s.strip()]
-    if not snrs:
-        raise InvalidArgument("--snr needs a comma-separated list of dB values")
+    try:
+        snrs = [float(s) for s in args.snr.split(",") if s.strip()]
+    except ValueError:
+        snrs = []
+    if not snrs or not all(map(math.isfinite, snrs)):
+        raise InvalidArgument("--snr needs a comma-separated list of finite dB values")
     curve = approx_ratio(scenario, snrs)
     rows = [
         (p.snr_db, p.size, em.conv(p.approx), em.conv(p.exact), p.ratio)

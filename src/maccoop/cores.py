@@ -45,14 +45,9 @@ import numpy as np
 
 # _exact_lp is unused here; perfbench's tracer looks it up in sys.modules
 from . import _exact_lp  # noqa: F401
-from .equilibrium import (
-    UtilityTable,
-    ne_utilities,
-    require_uniform_timeshare,
-    utility_table,
-)
+from .equilibrium import UtilityTable, _table_of, require_uniform_timeshare, utility_table
 from .errors import InvalidArgument, NumericalFailure
-from .model import Coalition, Partition, Scenario
+from .model import Coalition, Scenario
 # enumerate_partitions is unused here; perfbench's restore test asserts the binding
 from .model import enumerate_partitions  # noqa: F401
 
@@ -164,6 +159,20 @@ def _table_demands(table: UtilityTable, model: ExpectationModel) -> np.ndarray:
     return demand
 
 
+def _model_table(scenario: Scenario, model: ExpectationModel, *, grand: bool) -> UtilityTable:
+    """The table a model's demands read: every partition for rational and cautious;
+    for merging and singleton the distinct fixed arrangements, in mask order
+    (2^(K-1) - 1 or 2^K - K - 1 rows), then the grand row when ``grand``."""
+    require_uniform_timeshare(scenario)
+    if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
+        return utility_table(scenario)
+    k = scenario.k
+    rows = dict.fromkeys(_fixed_arrangement(k, mask, model) for mask in range(1, (1 << k) - 1))
+    if grand:
+        rows[(0,) * k] = None
+    return _table_of(scenario, np.array(list(rows), dtype=np.int8).reshape(-1, k))
+
+
 def coalition_demand(
     scenario: Scenario,
     coalition: Coalition,
@@ -179,7 +188,8 @@ def coalition_demand(
     case over arrangements.  Both are read from the utility table, which
     is built when none is given, and equal ``demand_vector``'s value for
     the mask.  Merging and singleton fix one arrangement each, read from
-    the table or solved alone.
+    the given table or from a table of that one row, which a weighted
+    time-share receiver fits when its weights fit that row.
     """
     k = scenario.k
     grand = (1 << k) - 1
@@ -188,10 +198,10 @@ def coalition_demand(
     model = ExpectationModel(model)
     if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
         return demand_vector(scenario, model, table=table)[coalition.mask]
-    if table is not None:
-        return float(_table_demands(table, model)[coalition.mask])
-    rgs = _fixed_arrangement(k, coalition.mask, model)
-    return ne_utilities(scenario, Partition.from_rgs(rgs))[coalition.mask]
+    if table is None:
+        rgs = np.array([_fixed_arrangement(k, coalition.mask, model)], dtype=np.int8)
+        table = _table_of(scenario, rgs)
+    return float(_table_demands(table, model)[coalition.mask])
 
 
 def demand_vector(
@@ -200,41 +210,32 @@ def demand_vector(
     *,
     table: UtilityTable | None = None,
 ) -> dict[int, float]:
-    """Demand of every proper nonempty coalition, keyed by mask (ascending)."""
+    """Demand of every proper nonempty coalition, keyed by mask (ascending), read
+    from ``table`` or else the model's own (:func:`_model_table`)."""
     require_uniform_timeshare(scenario)
     model = ExpectationModel(model)
-    k = scenario.k
-    grand = (1 << k) - 1
-    if table is None and model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
-        table = utility_table(scenario)
-    if table is not None:
-        return dict(zip(range(1, grand), _table_demands(table, model)[1:grand].tolist()))
-    return {
-        mask: ne_utilities(scenario, Partition.from_rgs(_fixed_arrangement(k, mask, model)))[mask]
-        for mask in range(1, grand)
-    }
+    grand = (1 << scenario.k) - 1
+    if table is None:
+        table = _model_table(scenario, model, grand=False)
+    return dict(zip(range(1, grand), _table_demands(table, model)[1:grand].tolist()))
 
 
 def grand_value(scenario: Scenario, *, table: UtilityTable | None = None) -> float:
-    """Utility of the grand coalition (its interference-free maximum rate)."""
+    """Utility of the grand coalition (its interference-free maximum rate), read from
+    ``table`` or else a table of the grand partition's row."""
     grand = (1 << scenario.k) - 1
-    if table is not None:
-        return float(table.values[table.masks == grand][0])
-    return ne_utilities(scenario, Partition.grand(scenario.k))[grand]
+    if table is None:
+        table = _table_of(scenario, np.zeros((1, scenario.k), dtype=np.int8))
+    return float(table.values[table.masks == grand][0])
 
 
 def _demands_and_grand(scenario: Scenario, model: ExpectationModel,
                        table: UtilityTable | None) -> tuple[dict[int, float], float]:
-    """Demands and v(N) from one source.
-
-    Rational and cautious demands read the whole table, which is built
-    when none is given, and v(N) is read from that table too.  Merging
-    and singleton without a table solve their fixed arrangements and the
-    grand partition one at a time.
-    """
+    """Demands and v(N) from one table: ``table``, or else the model's own
+    (:func:`_model_table`) with the grand partition's row."""
     model = ExpectationModel(model)
-    if table is None and model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
-        table = utility_table(scenario)
+    if table is None:
+        table = _model_table(scenario, model, grand=True)
     return demand_vector(scenario, model, table=table), grand_value(scenario, table=table)
 
 

@@ -71,7 +71,7 @@ class DscReport:
 
 
 class UtilityTable:
-    """Equilibrium utility of every coalition of every partition, as flat arrays.
+    """Equilibrium utility of every coalition of a set of partitions, as flat arrays.
 
     Row r is the partition with restricted growth string ``rgs[r]``.  Its
     blocks are entries ``offsets[r]:offsets[r + 1]`` of ``masks`` (the
@@ -341,33 +341,20 @@ def _timeshare_orders(receiver: SicTimeShare,
     return np.array([w for w, _ in kept]), [p for _, p in kept]
 
 
-def _time_shared(masks: Sequence[int], weights: np.ndarray,
-                 values: np.ndarray) -> dict[int, float]:
-    """Weight-average per-order block utilities (orders x blocks).
-
-    A cumulative sum adds the orders one at a time, in order, as a loop
-    over the orders would.
-    """
-    acc = np.cumsum(weights[:, None] * values, axis=0)[-1]
-    return dict(zip(masks, acc.tolist()))
-
-
 def ne_timeshare(scenario: Scenario, partition: Partition) -> dict[int, float]:
     """Average equilibrium utilities over the partition's decoding orders.
 
     Solves the fixed-order game for each of the N! orders of the
-    partition's blocks (lexicographic in canonical block index) that has
-    a nonzero weight, sharing the solves of orders that end alike, and
-    returns the weight-averaged utility per block: the exact time-shared
-    value, not the high-SNR approximation.
+    partition's blocks (lexicographic in canonical block index) with a
+    nonzero weight, sharing the solves of orders that end alike, and
+    returns the weight-averaged utility per block (the exact time-shared
+    value, not the high-SNR approximation): its time-share table row.
     """
     if not isinstance(scenario.receiver, SicTimeShare):
         raise InvalidArgument("ne_timeshare requires the time-sharing receiver")
     _require_size(scenario, partition)
-    weights, orders = _timeshare_orders(scenario.receiver, len(partition))
-    masks = [b.mask for b in partition.blocks]
-    _, rates, (ids,) = _solve_orders(scenario, lambda _: partition, [masks], [orders])
-    return _time_shared(masks, weights, rates[ids])
+    masks, values = _cancellation_blocks(scenario, np.array([partition.rgs], dtype=np.int8))
+    return dict(zip(masks, values.tolist()))
 
 
 def ne_utilities(scenario: Scenario, partition: Partition) -> dict[int, float]:
@@ -469,21 +456,22 @@ def _decoding_slots(receiver: SicFixed) -> np.ndarray:
     return slot
 
 
-def _closed_form_tables(scenario: Scenario) -> Callable[[float], UtilityTable] | None:
-    """Closed-form tables of one single-antenna scenario at any N0, or None.
+def _closed_form_tables(scenario: Scenario, rgs=None) -> Callable[[float], UtilityTable] | None:
+    """Closed-form tables of RGS rows ``rgs`` (default: every partition) at any N0, or None.
 
     Applies to one receive antenna with fixed-order cancellation or
-    single-user decoding.  Only the utilities depend on N0: the
-    partitions, block masks and noise-free layout
-    (:func:`_kernels.single_rx_layout`) are built once, in chunks of
-    ``RGS_CHUNK_ROWS`` rows, and the returned function gives the table of
-    ``scenario.with_noise(n0)``.
+    single-user decoding.  Only the utilities depend on N0: the block
+    masks and noise-free layout (:func:`_kernels.single_rx_layout`) are
+    built once, in chunks of ``RGS_CHUNK_ROWS`` rows, and the returned
+    function gives the table of ``scenario.with_noise(n0)``.  A row's
+    values depend on that row alone, so any subset of rows holds them
+    bitwise as the full table does.
     """
     receiver = scenario.receiver
     if scenario.rx_antennas != 1 or isinstance(receiver, SicTimeShare):
         return None
     k = scenario.k
-    rgs = rgs_matrix(k)
+    rgs = rgs_matrix(k) if rgs is None else rgs
     counts = rgs.max(axis=1) + 1
     slot = _decoding_slots(receiver) if isinstance(receiver, SicFixed) else None
     powers = _single_rx_powers(scenario)
@@ -537,7 +525,7 @@ def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray) -> tuple[list[int]
         flat = [(row_masks[j], ids[j])
                 for row_masks, (order,), (ids,) in zip(masks, orders, sids) for j in order]
         return [m for m, _ in flat], rates[[sid for _, sid in flat]]
-    # the rows of one block count average their orders at once, as _time_shared does
+    # the rows of one block count average their orders at once, adding them in order
     counts = np.array(counts)
     starts = np.cumsum(counts) - counts
     values = np.empty(counts.sum())
@@ -567,18 +555,8 @@ def require_uniform_timeshare(scenario: Scenario, what: str = "tables and core c
 def utility_table(scenario: Scenario) -> UtilityTable:
     """Equilibrium utilities for every coalition of every partition.
 
-    Deterministic given the scenario: partitions are enumerated in
-    restricted-growth order and every value is what the partition's own
-    game gives (``ne_utilities``).  It is that value bit for bit,
-    whatever else the table holds, except in the closed-form tables of
-    one receive antenna (fixed-order cancellation and single-user
-    decoding, :func:`_closed_form_tables`), which round differently:
-    within 1e-11 relative, plus 1e-14 nats for a utility near zero, the
-    log of a ratio near one.  Their heard power holds no noise, so N0 is
-    never rounded away against it.  Cancellation tables solve each
-    distinct decoding suffix once for all the partitions and orders that
-    share it.  Solver failures are re-raised annotated with the first
-    partition that needs the failed solve.
+    Partitions are enumerated in restricted-growth order, their values
+    come from :func:`_table_of`, and the size caps are checked first.
     """
     k = scenario.k
     require_uniform_timeshare(scenario)
@@ -590,18 +568,32 @@ def utility_table(scenario: Scenario) -> UtilityTable:
             )
     elif k > MAX_USERS:
         raise InvalidArgument(f"utility tables are capped at {MAX_USERS} users")
+    return _table_of(scenario, rgs_matrix(k))
 
-    closed = _closed_form_tables(scenario)
+
+def _table_of(scenario: Scenario, rgs: np.ndarray) -> UtilityTable:
+    """The table of the partitions with int8 RGS rows ``rgs``, in that order (none: empty).
+
+    Every value is what the partition's own game gives
+    (``ne_utilities``), bit for bit, whatever else the table holds,
+    except in the closed-form tables of one receive antenna (fixed-order
+    cancellation and single-user decoding, :func:`_closed_form_tables`),
+    which round differently: within 1e-11 relative, plus 1e-14 nats for
+    a utility near zero (the log of a ratio near one); their heard power
+    holds no noise, so N0 is never rounded away.  Cancellation tables
+    solve each distinct decoding suffix once for all the rows and orders
+    that share it.  Solver failures name the first row needing the solve.
+    """
+    closed = _closed_form_tables(scenario, rgs)
     if closed is not None:
         return closed(scenario.noise)
-    rgs = rgs_matrix(k)
+    masks, values = [], []
     if isinstance(scenario.receiver, Sud):
-        masks, values = [], []
         for row in rgs.tolist():
             utilities = ne_utilities(scenario, Partition.from_rgs(row))
             masks += utilities
             values += utilities.values()
-    else:
+    elif len(rgs):  # the suffix solver needs at least one block
         masks, values = _cancellation_blocks(scenario, rgs)
-    return UtilityTable.from_arrays(k, scenario, rgs, rgs.max(axis=1) + 1,
+    return UtilityTable.from_arrays(scenario.k, scenario, rgs, rgs.max(axis=1) + 1,
                                     masks, values)

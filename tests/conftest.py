@@ -8,6 +8,7 @@ from maccoop.model import (
     PerAntenna,
     Scenario,
     SicFixed,
+    Sud,
     SumPower,
     UserSpec,
 )
@@ -16,6 +17,14 @@ from maccoop.model import (
 def symmetric(k, n0, receiver, power=1.0, gain=1.0):
     users = tuple(UserSpec(i + 1, 1, np.array([[gain]]), SumPower(power)) for i in range(k))
     return Scenario(users, 1, n0, receiver)
+
+
+def rank_one_sud_160db():
+    """Three users on one direction (1, 0) of a 2-antenna receiver, unit budgets,
+    N0 = 1e-16, single-user decoding: its grand partition's sweep factors
+    N0 + 9 - 9 = 0, and no closed form applies."""
+    users = tuple(UserSpec(i + 1, 1, np.array([[1.0], [0.0]]), SumPower(1.0)) for i in range(3))
+    return Scenario(users, 2, 1e-16, Sud())
 
 
 def random_scenario(rng, *, k=None, m=None, mode="sum", receiver=None, n0=1.0,

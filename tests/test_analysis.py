@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,23 @@ class TestExternalities:
         with pytest.raises(InvalidArgument):
             classify_externalities(symmetric_scenario(2), 10, seed=0)
 
+    @pytest.mark.parametrize("m, receiver", [
+        (1, SicFixed((3, 1, 4, 2))), (1, Sud()), (2, SicFixed((3, 1, 4, 2))), (2, Sud()),
+        (2, SicTimeShare()),
+    ])
+    def test_witness_values_are_table_rows(self, rng, m, receiver):
+        # single-antenna games read the closed-form table, others solve each partition
+        s = random_scenario(rng, k=4, m=m, receiver=receiver)
+        verdict = classify_externalities(s, 30, seed=2)
+        assert verdict.witnesses
+        if m == 1:
+            values = utility_table(s).partition_values
+        else:
+            values = functools.partial(equilibrium.ne_utilities, s)
+        for w in verdict.witnesses:
+            assert w.value_before.hex() == values(w.before)[w.coalition.mask].hex()
+            assert w.value_after.hex() == values(w.after)[w.coalition.mask].hex()
+
     @staticmethod
     def _paper_instance(channels):
         users = tuple(
@@ -176,6 +195,14 @@ class TestSnrBoundary:
     def test_grid_must_increase(self):
         with pytest.raises(InvalidArgument):
             SweepSpec((4,), (0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("grid", [
+        (0.0, float("nan"), 5.0), (float("nan"), 1.0), (0.0, float("inf")),
+        (float("-inf"), 0.0), (0.0, 5.0, float("nan")),
+    ])
+    def test_grid_must_be_finite(self, grid):
+        with pytest.raises(InvalidArgument, match="finite"):
+            SweepSpec((2,), grid)
 
     @pytest.mark.parametrize("model", list(ExpectationModel))
     def test_every_point_equals_a_per_point_oracle(self, model, monkeypatch):

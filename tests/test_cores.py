@@ -38,7 +38,7 @@ from maccoop.equilibrium import UtilityTable, ne_utilities, utility_table
 from maccoop.errors import InvalidArgument, NumericalFailure
 from maccoop.model import Coalition, Partition, SicFixed, SicTimeShare, Sud, enumerate_partitions
 
-from conftest import random_scenario, symmetric
+from conftest import random_scenario, rank_one_sud_160db, symmetric
 
 LN = math.log
 ALL_MODELS = list(ExpectationModel)
@@ -165,6 +165,35 @@ class TestDemands:
             for mask in range(1, 15):
                 part = self.fixed_arrangement(4, mask, model)
                 assert coalition_demand(s, Coalition(mask), model) == ne_utilities(s, part)[mask]
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("m, mode, receiver", [
+        (1, "sum", "sic"), (1, "sum", "sud"), (1, "per_antenna", "sic"),
+        (1, "per_antenna", "sud"), (2, "sum", "sic"), (2, "sum", "sud"), (2, "sum", "ts"),
+    ])
+    def test_fixed_models_without_table_equal_the_full_table(self, k, m, mode, receiver):
+        # the rows a fixed model reads hold the full table's values, bit for bit
+        gen = np.random.default_rng([k, m, len(mode), len(receiver)])
+        rx = {"sic": SicFixed(tuple(int(u) + 1 for u in gen.permutation(k))),
+              "sud": Sud(), "ts": SicTimeShare()}[receiver]
+        s = random_scenario(gen, k=k, m=m, mode=mode, receiver=rx,
+                            n0=float(10.0 ** gen.uniform(-1.0, 1.0)))
+        table = utility_table(s)
+        assert grand_value(s).hex() == grand_value(s, table=table).hex()
+        for model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
+            want = demand_vector(s, model, table=table)
+            assert hexes(demand_vector(s, model)) == hexes(want)
+            for mask, demand in want.items():
+                got = coalition_demand(s, Coalition(mask), model)
+                assert got.hex() == coalition_demand(s, Coalition(mask), model,
+                                                     table=table).hex() == demand.hex()
+
+    @pytest.mark.parametrize("receiver", [SicFixed((1,)), Sud(), SicTimeShare()])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_user_has_no_fixed_demands(self, receiver, m, rng):
+        s = random_scenario(rng, k=1, m=m, receiver=receiver)
+        for model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
+            assert demand_vector(s, model) == {}
 
     def test_two_users_all_models_coincide(self):
         s = symmetric(2, 1.0, SicFixed((1, 2)))
@@ -397,13 +426,24 @@ class TestCheckCore:
         def no_solve(*args, **kwargs):
             raise AssertionError("per-partition solve")
 
-        monkeypatch.setattr(maccoop.cores, "ne_utilities", no_solve)
+        monkeypatch.setattr(maccoop.equilibrium, "ne_utilities", no_solve)
         got = check_core(s, model)
         assert got.verdict == want.verdict == "nonempty"
         assert got.slack == want.slack == pytest.approx(12.7897, abs=1e-4)
         assert got.allocation.tobytes() == want.allocation.tobytes()
         assert least_core(s, model).epsilon_star == -got.slack
         assert len(core_region_3user(s, model)) == 6
+
+    @pytest.mark.parametrize("model", [ExpectationModel.MERGING, ExpectationModel.SINGLETON])
+    def test_fixed_models_at_160_db_read_the_closed_form(self, model):
+        # the per-partition SUD sweep of the grand partition cannot factor
+        # n0 + 9 - 9; the fixed arrangements' closed-form rows hold v(N)
+        s = symmetric(3, 1e-16, Sud())
+        want = check_core(s, model, table=utility_table(s))
+        got = check_core(s, model)
+        assert got.verdict == want.verdict == "nonempty"
+        assert got.slack == want.slack
+        assert got.allocation.tobytes() == want.allocation.tobytes()
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_demand_is_a_numerical_failure(self, bad):
@@ -420,8 +460,8 @@ class TestCheckCore:
 
     @pytest.mark.parametrize("model", [ExpectationModel.MERGING, ExpectationModel.SINGLETON])
     def test_failed_factorization_names_the_partition(self, model):
-        # without a table the grand partition's SUD sweep factors n0 + 9 - 9 = 0
-        s = symmetric(3, 1e-16, Sud())
+        # the grand partition's SUD sweep factors n0 + 9 - 9 = 0
+        s = rank_one_sud_160db()
         with pytest.raises(NumericalFailure, match=r"partition \{1,2,3\}"):
             check_core(s, model)
 

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from maccoop import cli, io
+from maccoop import _kernels, analysis, cli, equilibrium, io
 from maccoop.errors import ScenarioFormatError
 from maccoop.model import Coalition, PerAntenna, Scenario, SicFixed, SicTimeShare, Sud, UserSpec
 
-from conftest import symmetric
+from conftest import random_scenario, rank_one_sud_160db, symmetric
 
 
 def sym4_text():
@@ -291,10 +291,63 @@ class TestCli:
         assert code == 0
         assert "nonempty" in out
 
+    @pytest.mark.parametrize("model", ["merging", "singleton"])
+    def test_fixed_model_core_at_160_db_exits_zero(self, tmp_path, capsys, model):
+        # the fixed arrangements and v(N) come from closed-form rows
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(io.serialize_scenario(symmetric(3, 1e-16, Sud())))
+        code, out, _ = run_cli(["core", "--scenario", str(cfg), "--model", model,
+                                "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "nonempty"
+
+    @pytest.mark.parametrize("mode", ["sum", "per_antenna"])
+    @pytest.mark.parametrize("receiver", [SicFixed((2, 3, 1)), Sud()])
+    def test_single_antenna_commands_run_no_generic_solve(self, tmp_path, capsys,
+                                                          monkeypatch, receiver, mode):
+        cfg = tmp_path / "s.cfg"
+        gen = np.random.default_rng(3)
+        cfg.write_text(io.serialize_scenario(
+            random_scenario(gen, k=3, m=1, mode=mode, receiver=receiver)))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("generic per-partition solve")
+
+        monkeypatch.setattr(equilibrium, "ne_utilities", no_solve)
+        monkeypatch.setattr(analysis, "ne_utilities", no_solve)
+        monkeypatch.setattr(_kernels, "sic_backward", no_solve)
+        monkeypatch.setattr(_kernels, "sud_fixed_point", no_solve)
+        runs = [[cmd, "--model", model] for cmd in ("core", "least-core", "region")
+                for model in ("rational", "merging", "cautious", "singleton")]
+        runs += [["utilities"], ["properties", "--trials", "20"],
+                 ["externalities", "--trials", "20"]]
+        for argv in runs:
+            code, _, err = run_cli(argv + ["--scenario", str(cfg), "--out", str(tmp_path)],
+                                   capsys)
+            assert code == 0, (argv, err)
+
+    @pytest.mark.parametrize("flags", [
+        ["--snr-step", "0"], ["--snr-step", "-5"], ["--snr-step", "nan"], ["--snr-step", "inf"],
+        ["--snr-max", "nan"], ["--snr-max", "inf"], ["--snr-min=-inf"],
+    ])
+    def test_sweep_rejects_bad_grid_flags(self, tmp_path, capsys, flags):
+        code, _, err = run_cli(["sweep", *flags, "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "error: --snr-min, --snr-max and --snr-step must be finite" in err
+
+    @pytest.mark.parametrize("snr", ["abc", "0,x", "nan", "0,inf", ","])
+    def test_ratio_rejects_bad_snr_lists(self, tmp_path, capsys, snr):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(sym3_ts_text())
+        code, _, err = run_cli(["ratio", "--scenario", str(cfg), "--snr", snr,
+                                "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "error: --snr needs a comma-separated list of finite dB values" in err
+
     def test_failed_factorization_exits_two(self, tmp_path, capsys):
         # at 160 dB the grand partition's SUD sweep factors n0 + 9 - 9 = 0
         cfg = tmp_path / "s.cfg"
-        cfg.write_text(io.serialize_scenario(symmetric(3, 1e-16, Sud())))
+        cfg.write_text(io.serialize_scenario(rank_one_sud_160db()))
         code, _, err = run_cli(["core", "--scenario", str(cfg), "--model", "merging",
                                 "--out", str(tmp_path)], capsys)
         assert code == 2
