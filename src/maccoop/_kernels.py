@@ -5,9 +5,10 @@ water-filling for Gaussian vector multiple-access channels", IEEE T-IT 2004).
 
 The game kernels take one channel, one budget or cap vector and one
 start covariance per block, in the caller's block order.  The SUD sweep
-returns one covariance per block in the same order; the cancellation
-kernel returns one per decoding suffix it is asked to solve.  A number is
-a pooled trace budget (waterfilling); an array holds per-antenna caps
+takes many partitions at once as rows of indices into those blocks and
+returns one covariance per row entry; the cancellation kernel returns
+one per decoding suffix it is asked to solve.  A number is a pooled
+trace budget (waterfilling); an array holds per-antenna caps
 (:func:`pa_maximize`).
 
 Kernels never raise domain errors; they return status flags and the
@@ -317,68 +318,149 @@ def _extrapolate(qs, steps, ratio):
 
 
 def sud_fixed_point(n0, hs, limits, q0s, tol, max_rounds, pa_tol, pa_iter):
-    """Gauss-Seidel iterative waterfilling for the full-interference game.
-
-    Each sweep lets every block in turn best respond to the running total
-    N0 I + sum_j H_j Q_j H_j^T minus its own term.  That total's log det
-    is an exact potential of the game, so every step raises it and the
-    sweeps converge.  Convergence is declared when the largest per-block
-    utility change in a sweep falls below ``tol``.
-
-    Near the fixed point the sweeps converge linearly: each sweep's step
-    is a near-constant fraction of the last.  Under pooled budgets, once
-    two successive step ratios agree to ``SUD_RATIO_AGREE``, the profile
-    jumps to the limit of that geometric series (:func:`_extrapolate`) if
-    the jump does not lower the potential; sweeps then go on from there,
-    so the returned profile is still one of best responses.  A slowly
-    converging game then takes about as many sweeps as a fast one.
+    """Gauss-Seidel iterative waterfilling for one partition: :func:`sud_lockstep`
+    of one row whose blocks are ``hs``, ``limits`` and ``q0s`` in that order.
 
     Returns (qs, utilities, rounds, converged, last_delta).
     """
-    qs = list(q0s)
-    grams = [sym(h @ q @ h.T) for h, q in zip(hs, qs)]
-    eye = n0 * np.eye(hs[0].shape[0])
-    total = eye + sum(grams)
-    utils = np.zeros(len(hs))
-    prev = np.full(len(hs), -1.0)
-    delta = np.inf
-    converged = False
-    rounds = 0
+    n = len(hs)
+    qs, utils, rounds, converged, delta = sud_lockstep(
+        n0, hs, limits, q0s, np.arange(n), [n], tol, max_rounds, pa_tol, pa_iter
+    )
+    return qs, utils, int(rounds[0]), bool(converged[0]), delta[0]
+
+
+def sud_lockstep(n0, hs, limits, q0s, blocks, counts, tol, max_rounds, pa_tol, pa_iter):
+    """Gauss-Seidel iterative waterfilling for the full-interference game, many
+    partitions at once.
+
+    Row r is the partition whose blocks are the next ``counts[r]`` entries
+    of ``blocks``, indices into the per-block channels ``hs``, budgets or
+    caps ``limits`` and starts ``q0s``, in sweep order.  Each sweep lets
+    every block in turn best respond to its row's running total
+    N0 I + sum_j H_j Q_j H_j^T minus its own term.  That total's log det
+    is an exact potential of the game, so every step raises it and the
+    sweeps converge.  A row converges when the largest utility change of
+    its blocks in a sweep falls below ``tol``, and then stops sweeping.
+
+    Near the fixed point the sweeps converge linearly: each sweep's step
+    is a near-constant fraction of the last.  Under pooled budgets, once
+    two successive step ratios of a row agree to ``SUD_RATIO_AGREE``, its
+    profile jumps to the limit of that geometric series
+    (:func:`_extrapolate`) if the jump does not lower its potential;
+    sweeps then go on from there, so the returned profile is still one of
+    best responses.  A slowly converging game then takes about as many
+    sweeps as a fast one.
+
+    Rows advance in lockstep, one block position at a time: the pooled
+    best responses of every sweeping row's block of one width go through
+    one :func:`waterfill_stack` (:func:`waterfill` for a group of one),
+    and per-antenna blocks keep one :func:`pa_maximize` each.  Rows never
+    mix, and the stacked calls equal the scalar ones bitwise, so every
+    row's iterates are bitwise those it has when solved alone.
+
+    Returns (qs, utilities, rounds, converged, last_delta): per entry of
+    ``blocks`` its covariance (a list) and utility (an array), and per
+    row its sweep count, whether it converged and its last utility change.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    blocks = np.asarray(blocks, dtype=np.int64)
+    n_rows, n = len(counts), len(blocks)
+    starts = np.cumsum(counts) - counts
+    row_of = np.repeat(np.arange(n_rows), counts)
+    position = np.arange(n) - starts[row_of]
     pooled = not isinstance(limits[0], np.ndarray)
-    last_size = last_ratio = 0.0
-    for rounds in range(1, max_rounds + 1):
-        ok_all = True
-        before = list(qs)
-        for i, (h, limit) in enumerate(zip(hs, limits)):
-            q, _, conv = block_response(h, total - grams[i], limit, qs[i], pa_tol, pa_iter)
-            ok_all = ok_all and conv
-            gram = sym(h @ q @ h.T)
-            total = total - grams[i] + gram
-            qs[i], grams[i] = q, gram
-        _, ld1 = np.linalg.slogdet(total)
-        _, ld0 = np.linalg.slogdet(total - np.stack(grams))
-        utils = np.maximum(ld1 - ld0, 0.0)
-        delta = np.abs(utils - prev).max()
-        prev = utils
-        if rounds > 1 and delta < tol and ok_all:
-            converged = True
+    eye = n0 * np.eye(hs[0].shape[0])
+    # one sweep step: the entries of one block position and one width
+    plan = []
+    for p in range(int(counts.max(initial=0))):
+        by_width = {}
+        for j in np.flatnonzero(position == p).tolist():
+            by_width.setdefault(hs[blocks[j]].shape[1], []).append(j)
+        for idx in by_width.values():
+            idx = np.array(idx)
+            plan.append((idx, row_of[idx], np.stack([hs[b] for b in blocks[idx]]),
+                         np.array([limits[b] for b in blocks[idx]], dtype=np.float64)
+                         if pooled else None))
+    qs = [q0s[b] for b in blocks]
+    start_grams = [sym(h @ q @ h.T) for h, q in zip(hs, q0s)]
+    grams = np.stack([start_grams[b] for b in blocks])
+    total = np.zeros((n_rows,) + eye.shape)
+    for idx, rows, _, _ in plan:  # 0 + grams[0] + grams[1] + ..., as sum() adds
+        total[rows] += grams[idx]
+    total = eye + total
+    utils = np.zeros(n)
+    prev = np.full(n, -1.0)
+    delta = np.full(n_rows, np.inf)
+    rounds = np.zeros(n_rows, dtype=np.int64)
+    converged = np.zeros(n_rows, dtype=bool)
+    last_size = np.zeros(n_rows)
+    last_ratio = np.zeros(n_rows)
+    sweeping = np.ones(n_rows, dtype=bool)
+    for sweep in range(1, max_rounds + 1):
+        live = np.flatnonzero(sweeping)
+        if live.size == 0:
             break
+        rounds[live] = sweep
+        ok = np.ones(n_rows, dtype=bool)
+        before = list(qs)
+        for idx, rows, h, budgets in plan:
+            keep = sweeping[rows]
+            if not keep.all():
+                if not keep.any():
+                    continue
+                idx, rows, h = idx[keep], rows[keep], h[keep]
+                budgets = budgets[keep] if pooled else None
+            noise = total[rows] - grams[idx]
+            if not pooled:
+                q = []
+                for i, j in enumerate(idx.tolist()):
+                    qj, _, _, _, conv = pa_maximize(h[i], noise[i], limits[blocks[j]], qs[j],
+                                                    pa_tol, pa_iter)
+                    ok[rows[i]] &= conv
+                    q.append(qj)
+                q = np.stack(q)
+            elif len(idx) == 1:  # a stack of one costs more than the scalar call
+                q = waterfill(h[0], noise[0], budgets[0])[0][None]
+            else:
+                q = waterfill_stack(h, noise, budgets)[0]
+            gram = sym(h @ q @ h.swapaxes(-1, -2))
+            total[rows] = noise + gram
+            grams[idx] = gram
+            for j, qj in zip(idx.tolist(), q):
+                qs[j] = qj
+        # the blocks of the sweeping rows, row by row
+        ent = np.flatnonzero(sweeping[row_of])
+        ld1 = np.linalg.slogdet(total[live])[1]
+        ld0 = np.linalg.slogdet(total[row_of[ent]] - grams[ent])[1]
+        u = np.maximum(np.repeat(ld1, counts[live]) - ld0, 0.0)
+        delta[live] = np.maximum.reduceat(np.abs(u - prev[ent]), np.cumsum(counts[live])
+                                          - counts[live])
+        prev[ent] = utils[ent] = u
+        done = (delta[live] < tol) & ok[live] if sweep > 1 else np.zeros(live.size, bool)
+        converged[live[done]] = True
+        sweeping[live[done]] = False
         if not pooled:
             continue
-        steps = [q - b for q, b in zip(qs, before)]
-        size = np.sqrt(sum(float(np.vdot(s, s)) for s in steps))
-        ratio = size / last_size if last_size > 0.0 else 0.0
-        last_size = size
-        if (0.0 < ratio < SUD_RATIO_MAX and last_ratio > 0.0
-                and abs(ratio - last_ratio) < SUD_RATIO_AGREE * ratio):
-            jumped = _extrapolate(qs, steps, ratio)
-            jumped_grams = [sym(h @ q @ h.T) for h, q in zip(hs, jumped)]
-            jumped_total = eye + sum(jumped_grams)
-            if np.linalg.slogdet(jumped_total)[1] >= ld1:
-                qs, grams, total = jumped, jumped_grams, jumped_total
-            # the next jump needs two fresh ratios
-            last_size = ratio = 0.0
-        last_ratio = ratio
+        for r, ld in zip(live[~done].tolist(), ld1[~done].tolist()):
+            js = range(starts[r], starts[r] + counts[r])
+            steps = [qs[j] - before[j] for j in js]
+            size = np.sqrt(sum(float(np.vdot(s, s)) for s in steps))
+            ratio = size / last_size[r] if last_size[r] > 0.0 else 0.0
+            last_size[r] = size
+            if (0.0 < ratio < SUD_RATIO_MAX and last_ratio[r] > 0.0
+                    and abs(ratio - last_ratio[r]) < SUD_RATIO_AGREE * ratio):
+                jumped = _extrapolate([qs[j] for j in js], steps, ratio)
+                jumped_grams = [sym(hs[blocks[j]] @ q @ hs[blocks[j]].T)
+                                for j, q in zip(js, jumped)]
+                jumped_total = eye + sum(jumped_grams)
+                if np.linalg.slogdet(jumped_total)[1] >= ld:
+                    for j, q, g in zip(js, jumped, jumped_grams):
+                        qs[j], grams[j] = q, g
+                    total[r] = jumped_total
+                # the next jump needs two fresh ratios
+                last_size[r] = ratio = 0.0
+            last_ratio[r] = ratio
     return qs, utils, rounds, converged, delta
 
 

@@ -8,7 +8,6 @@ dB via 10*log10.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -18,13 +17,12 @@ import numpy as np
 from .capacity import timeshare_highsnr_utility
 from .cores import CORE_MAX_USERS, ExpectationModel, _CoreLp, _table_demands, grand_value
 from .equilibrium import (
-    UtilityTable,
     _closed_form_tables,
-    ne_timeshare,
-    ne_utilities,
+    _table_and_stalls,
+    _table_of,
     require_uniform_timeshare,
 )
-from .errors import InvalidArgument, NonConvergence
+from .errors import InvalidArgument
 from .model import (
     Coalition,
     Partition,
@@ -33,7 +31,7 @@ from .model import (
     SicTimeShare,
     SumPower,
     UserSpec,
-    enumerate_partitions,
+    rgs_matrix,
 )
 
 
@@ -111,24 +109,6 @@ def _random_partition(rng: np.random.Generator, k: int, min_blocks: int) -> Part
     raise InvalidArgument(f"cannot sample a partition of {k} with {min_blocks}+ blocks")
 
 
-class _ValueCache:
-    """Equilibrium values per partition: table rows or lazy solves; stalls become skips."""
-
-    def __init__(self, scenario: Scenario, table: UtilityTable | None = None):
-        self._solve = (table.partition_values if table is not None
-                       else functools.partial(ne_utilities, scenario))
-        self._cache: dict[tuple[int, ...], dict[int, float] | None] = {}
-
-    def get(self, partition: Partition) -> dict[int, float] | None:
-        key = partition.rgs
-        if key not in self._cache:
-            try:
-                self._cache[key] = self._solve(partition)
-            except NonConvergence:
-                self._cache[key] = None
-        return self._cache[key]
-
-
 def verify_superadditivity(
     scenario: Scenario,
     trials: int,
@@ -141,18 +121,20 @@ def verify_superadditivity(
     utility is at least the sum of the parts' (within
     ``SUPERADDITIVITY_TOL``).  Cohesiveness (no partition's total utility
     beats the grand coalition's) is checked over every partition, not
-    sampled; with a closed-form table it reads the table's row totals.
-    One user has no partition of two blocks, so no trial runs.
+    sampled, from the row totals of one table of every partition.  A
+    partition whose solve stalls is skipped: each trial that meets one
+    and each such partition counts in ``skipped``.  One user has no
+    partition of two blocks, so no trial runs.
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
     require_uniform_timeshare(scenario, "superadditivity audits")
     rng = np.random.default_rng(seed)
-    # every partition is visited, so one closed-form table beats a solve each
-    closed = _closed_form_tables(scenario)
-    table = closed(scenario.noise) if closed is not None else None
-    cache = _ValueCache(scenario, table)
     k = scenario.k
+    table, stalled = _table_and_stalls(scenario, rgs_matrix(k))
+    if 0 in stalled:  # row 0 is the grand partition, whose value every check needs
+        raise stalled[0]
+    skip = {tuple(table.rgs[row].tolist()) for row in stalled}
     skipped = 0
     counterexample = None
     passed = True
@@ -168,11 +150,11 @@ def verify_superadditivity(
             merged_mask |= m
         keep = [b for b in before.blocks if b.mask not in chosen_masks]
         after = Partition(k, tuple(keep) + (Coalition(merged_mask),))
-        vals_before = cache.get(before)
-        vals_after = cache.get(after)
-        if vals_before is None or vals_after is None:
+        if before.rgs in skip or after.rgs in skip:
             skipped += 1
             continue
+        vals_before = table.partition_values(before)
+        vals_after = table.partition_values(after)
         parts_total = sum(vals_before[m] for m in chosen_masks)
         merged_value = vals_after[merged_mask]
         if merged_value < parts_total - SUPERADDITIVITY_TOL:
@@ -180,23 +162,10 @@ def verify_superadditivity(
             if counterexample is None:
                 counterexample = MergeSample(before, after, Coalition(merged_mask),
                                              merged_value, parts_total)
-    v_k = grand_value(scenario, table=table)
-    if table is not None:
-        gaps = table.totals - v_k
-        worst = float(np.fmax.reduce(gaps, initial=-math.inf))
-        cohesive = not (gaps > SUPERADDITIVITY_TOL).any()
-    else:
-        worst = -math.inf
-        cohesive = True
-        for part in enumerate_partitions(k):
-            vals = cache.get(part)
-            if vals is None:
-                skipped += 1
-                continue
-            gap = sum(vals.values()) - v_k
-            worst = max(worst, gap)
-            if gap > SUPERADDITIVITY_TOL:
-                cohesive = False
+    gaps = np.delete(table.totals, list(stalled)) - grand_value(scenario, table=table)
+    worst = float(np.fmax.reduce(gaps, initial=-math.inf))
+    cohesive = not (gaps > SUPERADDITIVITY_TOL).any()
+    skipped += len(stalled)
     return SuperadditivityReport(passed and cohesive, trials_run, skipped,
                                  counterexample, cohesive, worst)
 
@@ -211,8 +180,9 @@ def classify_externalities(
     Samples partitions with at least three blocks, merges two, and
     compares every remaining block's equilibrium utility before and
     after.  "mixed" requires a strict witness of each sign; with no
-    strict positive witness the game is classified "negative".  Closed-form
-    games read a table of just the sampled partitions.
+    strict positive witness the game is classified "negative".  Values
+    come from one table of just the sampled partitions; a merger whose
+    partitions include one whose solve stalls is skipped.
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
@@ -229,16 +199,16 @@ def classify_externalities(
         mergers.append((before, Partition(scenario.k, tuple(externals) + (merged,)), externals))
     # a full table would cost seconds at K=12
     rows = dict.fromkeys(p.rgs for before, after, _ in mergers for p in (before, after))
-    closed = _closed_form_tables(scenario, np.array(list(rows), dtype=np.int8))
-    cache = _ValueCache(scenario, closed(scenario.noise) if closed is not None else None)
+    table, stalled = _table_and_stalls(scenario, np.array(list(rows), dtype=np.int8))
+    skip = {tuple(table.rgs[row].tolist()) for row in stalled}
     witnesses: list[ExternalityWitness] = []
     has_pos = False
     has_neg = False
     for before, after, externals in mergers:
-        vals_before = cache.get(before)
-        vals_after = cache.get(after)
-        if vals_before is None or vals_after is None:
+        if before.rgs in skip or after.rgs in skip:
             continue
+        vals_before = table.partition_values(before)
+        vals_after = table.partition_values(after)
         for ext in externals:
             vb = vals_before[ext.mask]
             va = vals_after[ext.mask]
@@ -406,19 +376,17 @@ def approx_ratio(scenario: Scenario, snr_list_db: Sequence[float]) -> RatioCurve
     """
     _require_symmetric_timeshare(scenario)
     k = scenario.k
+    # row s - 1 is {1..s} (label 0) against its complement, row K - 1 the grand partition
+    rows = (np.arange(k)[None, :] > np.arange(k)[:, None]).astype(np.int8)
     points: list[RatioPoint] = []
     for snr_db in snr_list_db:
         at_noise = scenario.with_noise(snr_db_to_noise(float(snr_db)))
+        table = _table_of(at_noise, rows)
+        exact = table.values[table.offsets[:-1]].tolist()
         for size in range(1, k + 1):
             coalition = Coalition.from_members(range(1, size + 1))
-            if size == k:
-                partition = Partition.grand(k)
-            else:
-                complement = Coalition.from_members(range(size + 1, k + 1))
-                partition = Partition(k, (coalition, complement))
-            exact = ne_timeshare(at_noise, partition)[coalition.mask]
             approx = timeshare_highsnr_utility(at_noise, coalition)
-            points.append(RatioPoint(float(snr_db), size, approx, exact))
+            points.append(RatioPoint(float(snr_db), size, approx, exact[size - 1]))
     violations: list[tuple[int, float]] = []
     for size in range(1, k + 1):
         series = [p for p in points if p.size == size]

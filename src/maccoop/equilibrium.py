@@ -14,7 +14,10 @@ Because a cancelled block sees only the blocks decoded after it, its
 solve depends only on its decoding suffix (itself and the ordered blocks
 after it).  The cancellation receivers collect the distinct suffixes of
 every order they need, across partitions for a table, and solve each
-once; values are bitwise those of one backward sweep per order.
+once; values are bitwise those of one backward sweep per order.  A
+single-user-decoding table sweeps all its partitions in lockstep, one
+block position at a time, and each partition keeps the iterates of its
+own solve bit for bit.
 
 Utility tables collect the equilibrium value of every coalition of every
 partition and are the substrate for the core computations.
@@ -178,6 +181,24 @@ def _linalg_failure(exc: np.linalg.LinAlgError, partition: Partition) -> Numeric
     return NumericalFailure(f"linear algebra failed on partition {partition}: {exc}")
 
 
+def _pa_stall(partition: Partition) -> NonConvergence:
+    return NonConvergence(f"per-antenna solver stalled while decoding partition {partition}",
+                          diagnostics={"partition": partition.rgs})
+
+
+def _sud_stall(partition: Partition, qs, utils, rounds, delta) -> NonConvergence:
+    """A stalled sweep's error, carrying its last iterate as ``best``."""
+    profile = CovarianceProfile(partition, tuple(qs))
+    utilities = {b.mask: float(u) for b, u in zip(partition.blocks, utils)}
+    return NonConvergence(
+        f"iterative waterfilling did not settle on partition {partition} "
+        f"(last utility change {delta:.3e} after {rounds} sweeps)",
+        best=(profile, utilities),
+        diagnostics={"rounds": int(rounds), "last_delta": float(delta),
+                     "partition": partition.rgs},
+    )
+
+
 def _require_size(scenario: Scenario, partition: Partition) -> None:
     if partition.k != scenario.k:
         raise InvalidArgument(
@@ -196,10 +217,10 @@ def _solve_orders(scenario: Scenario, partition_at: Callable[[int], Partition],
     only on the blocks decoded after it, so every order that ends alike
     shares those solves (:func:`_kernels.sic_backward`).
 
-    Returns (qs, rates, sids): each suffix's head covariance and rate,
-    and per row a list whose entry [o][j] is the suffix block j heads in
-    order o.  Raises :class:`NonConvergence` naming the first row whose
-    orders need a stalled per-antenna solve.
+    Returns (qs, rates, sids, stalled): each suffix's head covariance
+    and rate, per row a list whose entry [o][j] is the suffix block j
+    heads in order o, and the rows whose orders need a stalled
+    per-antenna solve, each mapped to the :class:`NonConvergence` naming it.
     """
     block_of: dict[int, int] = {}  # mask -> block index
     suffix_of: dict[tuple[int, int], int] = {}  # (block, tail suffix) -> suffix
@@ -235,15 +256,11 @@ def _solve_orders(scenario: Scenario, partition_at: Callable[[int], Partition],
             _solve_orders(scenario, lambda _, row=row: partition_at(row),
                           masks[row:row + 1], orders[row:row + 1], init=init)
         raise NumericalFailure(f"linear algebra failed while decoding a table: {exc}") from exc
-    if not all(ok):
-        for row, ids in enumerate(sids):
-            if not all(ok[sid] for order_ids in ids for sid in order_ids):
-                partition = partition_at(row)
-                raise NonConvergence(
-                    f"per-antenna solver stalled while decoding partition {partition}",
-                    diagnostics={"partition": partition.rgs},
-                )
-    return qs, rates, sids
+    stalled = {} if all(ok) else {
+        row: _pa_stall(partition_at(row)) for row, ids in enumerate(sids)
+        if not all(ok[sid] for order_ids in ids for sid in order_ids)
+    }
+    return qs, rates, sids, stalled
 
 
 def ne_sic(
@@ -267,9 +284,11 @@ def ne_sic(
     blocks = partition.blocks
     label = {b.mask: j for j, b in enumerate(blocks)}
     order = tuple(label[b.mask] for b in induced_order(partition, scenario.receiver.base_order))
-    qs, rates, ((ids,),) = _solve_orders(
+    qs, rates, ((ids,),), stalled = _solve_orders(
         scenario, lambda _: partition, [[b.mask for b in blocks]], [[order]], init=init
     )
+    if stalled:
+        raise stalled[0]
     profile = CovarianceProfile(partition, tuple(qs[s] for s in ids))
     values = rates.tolist()
     utilities = {blocks[j].mask: values[ids[j]] for j in order}
@@ -303,17 +322,10 @@ def ne_sud(
         )
     except np.linalg.LinAlgError as exc:
         raise _linalg_failure(exc, partition) from exc
-    profile = CovarianceProfile(partition, tuple(qs))
-    utilities = {b.mask: float(u) for b, u in zip(blocks, utils)}
     if not converged:
-        raise NonConvergence(
-            f"iterative waterfilling did not settle on partition {partition} "
-            f"(last utility change {delta:.3e} after {rounds} sweeps)",
-            best=(profile, utilities),
-            diagnostics={"rounds": int(rounds), "last_delta": float(delta),
-                         "partition": partition.rgs},
-        )
-    return profile, utilities
+        raise _sud_stall(partition, qs, utils, rounds, delta)
+    return CovarianceProfile(partition, tuple(qs)), {b.mask: float(u)
+                                                     for b, u in zip(blocks, utils)}
 
 
 def _timeshare_orders(receiver: SicTimeShare,
@@ -353,7 +365,10 @@ def ne_timeshare(scenario: Scenario, partition: Partition) -> dict[int, float]:
     if not isinstance(scenario.receiver, SicTimeShare):
         raise InvalidArgument("ne_timeshare requires the time-sharing receiver")
     _require_size(scenario, partition)
-    masks, values = _cancellation_blocks(scenario, np.array([partition.rgs], dtype=np.int8))
+    masks, values, stalled = _cancellation_blocks(scenario,
+                                                  np.array([partition.rgs], dtype=np.int8))
+    if stalled:
+        raise stalled[0]
     return dict(zip(masks, values.tolist()))
 
 
@@ -502,11 +517,12 @@ def _label_masks(rgs: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Every row's fixed-order or time-shared block masks and utilities.
+def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray):
+    """Every row's fixed-order or time-shared block masks and utilities, and its stalls.
 
     Each distinct decoding suffix is solved once.  Fixed-order rows list
     their blocks in decoding order, time-shared rows in label order.
+    Returns (masks, values, stalled) with ``stalled`` as :func:`_solve_orders` gives it.
     """
     receiver = scenario.receiver
     counts = (rgs.max(axis=1) + 1).tolist()
@@ -519,12 +535,13 @@ def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray) -> tuple[list[int]
         # block counts in row order: a misfit weight vector fails on its first row
         plans = {n: _timeshare_orders(receiver, n) for n in dict.fromkeys(counts)}
         orders = [plans[n][1] for n in counts]
-    _, rates, sids = _solve_orders(scenario, lambda row: Partition.from_rgs(rgs[row].tolist()),
-                                   masks, orders)
+    _, rates, sids, stalled = _solve_orders(
+        scenario, lambda row: Partition.from_rgs(rgs[row].tolist()), masks, orders
+    )
     if isinstance(receiver, SicFixed):
         flat = [(row_masks[j], ids[j])
                 for row_masks, (order,), (ids,) in zip(masks, orders, sids) for j in order]
-        return [m for m, _ in flat], rates[[sid for _, sid in flat]]
+        return [m for m, _ in flat], rates[[sid for _, sid in flat]], stalled
     # the rows of one block count average their orders at once, adding them in order
     counts = np.array(counts)
     starts = np.cumsum(counts) - counts
@@ -534,7 +551,41 @@ def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray) -> tuple[list[int]
         per_order = rates[np.array([sids[r] for r in rows])]  # (rows, orders, blocks)
         acc = np.cumsum(weights[:, None] * per_order, axis=1)[:, -1]
         values[starts[rows, None] + np.arange(n)] = acc
-    return [m for row in masks for m in row], values
+    return [m for row in masks for m in row], values, stalled
+
+
+def _sud_blocks(scenario: Scenario, rgs: np.ndarray):
+    """Every row's single-user-decoding block masks and utilities (label order), and its stalls.
+
+    All rows sweep in lockstep (:func:`_kernels.sud_lockstep`), each with
+    the iterates of its own :func:`ne_sud`.  Returns (masks, values,
+    stalled): ``stalled`` maps each row whose sweeps did not settle to the
+    :class:`NonConvergence` naming it, and such a row's values are its
+    last iterate's.  A failed factorization names the first row that
+    fails alone.
+    """
+    counts = rgs.max(axis=1) + 1
+    masks = _label_masks(rgs)[np.arange(rgs.shape[1]) < counts[:, None]]
+    distinct, blocks = np.unique(masks, return_inverse=True)
+    hs, limits, starts = _block_inputs(scenario, [Coalition(m) for m in distinct.tolist()], None)
+    try:
+        qs, utils, rounds, converged, delta = _kernels.sud_lockstep(
+            scenario.noise, hs, limits, starts, blocks, counts, SUD_TOL, SUD_MAX_ROUNDS,
+            SOLVER_TOL, PA_MAX_ITER,
+        )
+    except np.linalg.LinAlgError as exc:
+        if len(rgs) == 1:
+            raise _linalg_failure(exc, Partition.from_rgs(rgs[0].tolist())) from exc
+        for row in range(len(rgs)):  # the first row whose own sweeps fail names it
+            _sud_blocks(scenario, rgs[row:row + 1])
+        raise NumericalFailure(f"linear algebra failed while solving a table: {exc}") from exc
+    offsets = np.cumsum(counts) - counts
+    stalled = {}
+    for row in np.flatnonzero(~converged).tolist():
+        at = slice(offsets[row], offsets[row] + counts[row])
+        stalled[row] = _sud_stall(Partition.from_rgs(rgs[row].tolist()), qs[at], utils[at],
+                                  rounds[row], delta[row])
+    return masks.tolist(), utils, stalled
 
 
 def require_uniform_timeshare(scenario: Scenario, what: str = "tables and core checks",
@@ -582,18 +633,30 @@ def _table_of(scenario: Scenario, rgs: np.ndarray) -> UtilityTable:
     a utility near zero (the log of a ratio near one); their heard power
     holds no noise, so N0 is never rounded away.  Cancellation tables
     solve each distinct decoding suffix once for all the rows and orders
-    that share it.  Solver failures name the first row needing the solve.
+    that share it; single-user decoding with several receive antennas
+    sweeps every row in lockstep (:func:`_sud_blocks`).  Solver failures
+    and stalls name the first row in table order that has one.
+    """
+    table, stalled = _table_and_stalls(scenario, rgs)
+    if stalled:
+        raise stalled[min(stalled)]
+    return table
+
+
+def _table_and_stalls(scenario: Scenario, rgs: np.ndarray):
+    """:func:`_table_of`, but a row whose solve stalls keeps its last iterate's values.
+
+    Returns (table, stalled): ``stalled`` maps each such row to the
+    :class:`NonConvergence` its own solve raises.  Factorization failures
+    still raise.
     """
     closed = _closed_form_tables(scenario, rgs)
     if closed is not None:
-        return closed(scenario.noise)
-    masks, values = [], []
-    if isinstance(scenario.receiver, Sud):
-        for row in rgs.tolist():
-            utilities = ne_utilities(scenario, Partition.from_rgs(row))
-            masks += utilities
-            values += utilities.values()
-    elif len(rgs):  # the suffix solver needs at least one block
-        masks, values = _cancellation_blocks(scenario, rgs)
-    return UtilityTable.from_arrays(scenario.k, scenario, rgs, rgs.max(axis=1) + 1,
-                                    masks, values)
+        return closed(scenario.noise), {}
+    masks, values, stalled = [], [], {}
+    if len(rgs):  # the solvers need at least one block
+        solve = _sud_blocks if isinstance(scenario.receiver, Sud) else _cancellation_blocks
+        masks, values, stalled = solve(scenario, rgs)
+    table = UtilityTable.from_arrays(scenario.k, scenario, rgs, rgs.max(axis=1) + 1,
+                                     masks, values)
+    return table, stalled

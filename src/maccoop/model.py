@@ -11,6 +11,7 @@ canonical order (sorted by smallest member).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -204,9 +205,12 @@ class Partition:
     def grand(k: int) -> "Partition":
         return Partition(k, (Coalition((1 << k) - 1),))
 
-    @property
+    @functools.cached_property
     def rgs(self) -> tuple[int, ...]:
-        """Restricted growth string; block labels follow first appearance."""
+        """Restricted growth string; block labels follow first appearance.
+
+        Computed on first read and kept in the instance ``__dict__``, which
+        a frozen dataclass without slots still has."""
         labels = [0] * self.k
         for idx, block in enumerate(self.blocks):
             m = block.mask

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from maccoop import analysis, cores, equilibrium
+from maccoop import _kernels, analysis, cores, equilibrium, model
 from maccoop.analysis import (
     SweepSpec,
     approx_ratio,
@@ -15,8 +15,9 @@ from maccoop.analysis import (
 )
 from maccoop.cores import CORE_MAX_USERS, ExpectationModel, check_core
 from maccoop.equilibrium import ne_sic, utility_table
-from maccoop.errors import InvalidArgument
+from maccoop.errors import InvalidArgument, NonConvergence
 from maccoop.model import (
+    Coalition,
     Partition,
     PerAntenna,
     Scenario,
@@ -24,6 +25,7 @@ from maccoop.model import (
     SicTimeShare,
     Sud,
     UserSpec,
+    rgs_matrix,
 )
 
 from conftest import random_scenario
@@ -42,7 +44,7 @@ class TestSuperadditivity:
         def no_solve(*args, **kwargs):
             raise AssertionError("per-partition solve")
 
-        monkeypatch.setattr(analysis, "ne_utilities", no_solve)
+        monkeypatch.setattr(equilibrium, "ne_utilities", no_solve)
         report = verify_superadditivity(symmetric_scenario(5), 100, seed=7)
         assert report.passed and report.cohesive and report.skipped == 0
 
@@ -80,10 +82,67 @@ class TestSuperadditivity:
         def no_enumeration(*args, **kwargs):
             raise AssertionError("partitions enumerated one by one")
 
-        monkeypatch.setattr(analysis, "enumerate_partitions", no_enumeration)
+        monkeypatch.setattr(model, "enumerate_partitions", no_enumeration)
         report = verify_superadditivity(s, 50, seed=2)
         assert report.cohesiveness_worst.hex() == want.hex()
         assert report.cohesive and report.skipped == 0
+
+
+def stalled_sud_game(monkeypatch, mode, seed, rounds):
+    """A K=4, M=2 SUD game whose sweeps stop after ``rounds``, and the RGS of
+    each partition whose own solve (``ne_sud``) then stalls."""
+    s = random_scenario(np.random.default_rng(seed), k=4, m=2, mode=mode, receiver=Sud())
+    stalled = set()
+    for row in rgs_matrix(4).tolist():
+        try:
+            equilibrium.ne_sud(s, Partition.from_rgs(row), max_rounds=rounds)
+        except NonConvergence:
+            stalled.add(tuple(row))
+    assert 0 < len(stalled) < 14 and (0, 0, 0, 0) not in stalled
+    monkeypatch.setattr(equilibrium, "SUD_MAX_ROUNDS", rounds)
+    return s, stalled
+
+
+@pytest.mark.parametrize("mode, seed, rounds", [("sum", 1, 4), ("caps", 0, 3)])
+class TestStalledPartitions:
+    # the trials' partitions are drawn here as each audit draws them
+
+    def test_superadditivity_skips_each_stalled_trial_and_partition(self, monkeypatch, mode,
+                                                                    seed, rounds):
+        s, stalled = stalled_sud_game(monkeypatch, mode, seed, rounds)
+        rng = np.random.default_rng(5)
+        skipped = len(stalled)
+        for _ in range(60):
+            before = analysis._random_partition(rng, 4, 2)
+            chosen = rng.choice(len(before), size=int(rng.integers(2, len(before) + 1)),
+                                replace=False)
+            merged = Coalition(sum(before.blocks[i].mask for i in chosen))
+            after = Partition(4, tuple(b for i, b in enumerate(before.blocks)
+                                       if i not in chosen) + (merged,))
+            skipped += before.rgs in stalled or after.rgs in stalled
+        report = verify_superadditivity(s, 60, seed=5)
+        assert report.skipped == skipped
+
+    def test_externalities_skip_each_stalled_merger(self, monkeypatch, mode, seed, rounds):
+        s, stalled = stalled_sud_game(monkeypatch, mode, seed, rounds)
+        rng = np.random.default_rng(6)
+        witnesses = 0
+        for _ in range(40):
+            before = analysis._random_partition(rng, 4, 3)
+            i, j = rng.choice(len(before), size=2, replace=False)
+            merged = Coalition(before.blocks[i].mask | before.blocks[j].mask)
+            after = Partition(4, tuple(b for n, b in enumerate(before.blocks)
+                                       if n not in (i, j)) + (merged,))
+            if before.rgs not in stalled and after.rgs not in stalled:
+                witnesses += len(before) - 2
+        verdict = classify_externalities(s, 40, seed=6)
+        assert len(verdict.witnesses) == witnesses > 0
+
+    def test_stalled_grand_partition_raises(self, monkeypatch, mode, seed, rounds):
+        s, _ = stalled_sud_game(monkeypatch, mode, seed, rounds)
+        monkeypatch.setattr(equilibrium, "SUD_MAX_ROUNDS", 1)  # every row stalls
+        with pytest.raises(NonConvergence, match=r"partition \{1,2,3,4\}"):
+            verify_superadditivity(s, 10, seed=0)
 
 
 @pytest.mark.parametrize("audit", [verify_superadditivity, classify_externalities])
@@ -119,7 +178,8 @@ class TestExternalities:
         (2, SicTimeShare()),
     ])
     def test_witness_values_are_table_rows(self, rng, m, receiver):
-        # single-antenna games read the closed-form table, others solve each partition
+        # the oracle: the closed-form table with one receive antenna, else each
+        # partition's own solve
         s = random_scenario(rng, k=4, m=m, receiver=receiver)
         verdict = classify_externalities(s, 30, seed=2)
         assert verdict.witnesses
@@ -281,6 +341,27 @@ class TestApproxRatio:
         assert by_size[1].approx == pytest.approx(np.log(1 + 1 / n0) / 3, rel=1e-12)
         exact2 = 0.5 * (np.log((n0 + 5) / (n0 + 1)) + np.log((n0 + 4) / n0))
         assert by_size[2].exact == pytest.approx(exact2, rel=1e-12)
+
+    def test_exact_values_are_each_partitions_own(self, monkeypatch):
+        # one table of the K rows per SNR: one suffix solve call each
+        s = symmetric_scenario(4, 0.5, SicTimeShare(), power=1.3, gain=0.7)
+        calls = []
+        original = _kernels.sic_backward
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(_kernels, "sic_backward", counted)
+        curve = approx_ratio(s, [0.0, 30.0])
+        assert len(calls) == 2
+        monkeypatch.setattr(_kernels, "sic_backward", original)
+        for p in curve.points:
+            at = s.with_noise(snr_db_to_noise(p.snr_db))
+            coalition = Coalition.from_members(range(1, p.size + 1))
+            rest = Coalition.from_members(range(p.size + 1, 5)) if p.size < 4 else None
+            partition = Partition(4, (coalition, rest) if rest else (coalition,))
+            assert p.exact.hex() == equilibrium.ne_timeshare(at, partition)[coalition.mask].hex()
 
     def test_violations_reported_not_raised(self):
         s = symmetric_scenario(3, receiver=SicTimeShare())

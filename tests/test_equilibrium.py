@@ -775,3 +775,136 @@ class TestCancellationSharing:
         ne_sic(s, Partition.grand(3))
         with pytest.raises(NonConvergence, match=r"\{1\}\{2\}\{3\}"):
             ne_sic(s, Partition.singletons(3))
+
+
+def reference_sud_fixed_point(n0, hs, limits, q0s, tol, max_rounds, pa_tol, pa_iter):
+    """One partition's Gauss-Seidel sweeps written out block by block, with the
+    extrapolation of :func:`_kernels.sud_lockstep`: the oracle its rows must
+    equal bitwise."""
+    qs = list(q0s)
+    grams = [_kernels.sym(h @ q @ h.T) for h, q in zip(hs, qs)]
+    eye = n0 * np.eye(hs[0].shape[0])
+    total = eye + sum(grams)
+    utils = np.zeros(len(hs))
+    prev = np.full(len(hs), -1.0)
+    delta = np.inf
+    converged = False
+    rounds = 0
+    pooled = not isinstance(limits[0], np.ndarray)
+    last_size = last_ratio = 0.0
+    for rounds in range(1, max_rounds + 1):
+        ok_all = True
+        before = list(qs)
+        for i, (h, limit) in enumerate(zip(hs, limits)):
+            q, _, conv = _kernels.block_response(h, total - grams[i], limit, qs[i], pa_tol,
+                                                 pa_iter)
+            ok_all = ok_all and conv
+            gram = _kernels.sym(h @ q @ h.T)
+            total = total - grams[i] + gram
+            qs[i], grams[i] = q, gram
+        _, ld1 = np.linalg.slogdet(total)
+        _, ld0 = np.linalg.slogdet(total - np.stack(grams))
+        utils = np.maximum(ld1 - ld0, 0.0)
+        delta = np.abs(utils - prev).max()
+        prev = utils
+        if rounds > 1 and delta < tol and ok_all:
+            converged = True
+            break
+        if not pooled:
+            continue
+        steps = [q - b for q, b in zip(qs, before)]
+        size = np.sqrt(sum(float(np.vdot(s, s)) for s in steps))
+        ratio = size / last_size if last_size > 0.0 else 0.0
+        last_size = size
+        if (0.0 < ratio < _kernels.SUD_RATIO_MAX and last_ratio > 0.0
+                and abs(ratio - last_ratio) < _kernels.SUD_RATIO_AGREE * ratio):
+            jumped = _kernels._extrapolate(qs, steps, ratio)
+            jumped_grams = [_kernels.sym(h @ q @ h.T) for h, q in zip(hs, jumped)]
+            jumped_total = eye + sum(jumped_grams)
+            if np.linalg.slogdet(jumped_total)[1] >= ld1:
+                qs, grams, total = jumped, jumped_grams, jumped_total
+            last_size = ratio = 0.0
+        last_ratio = ratio
+    return qs, utils, rounds, converged, delta
+
+
+def array_hexes(a):
+    return [x.hex() for x in np.ravel(a).tolist()]
+
+
+def sud_rows(s, rgs):
+    """Per-block inputs, block ids and block counts of RGS rows, as the table builds them."""
+    counts = rgs.max(axis=1) + 1
+    masks = equilibrium._label_masks(rgs)[np.arange(s.k) < counts[:, None]]
+    distinct, blocks = np.unique(masks, return_inverse=True)
+    hs, limits, starts = equilibrium._block_inputs(
+        s, [Coalition(m) for m in distinct.tolist()], None)
+    return hs, limits, starts, blocks, counts
+
+
+class TestSudLockstep:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("mode", ["sum", "caps"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rows_equal_their_one_row_solve(self, m, mode, k):
+        # rows of one lockstep call against sud_fixed_point and the
+        # block-by-block oracle on their blocks alone; one sweep leaves every row stalled
+        s = random_scenario(np.random.default_rng(100 * m + k), k=k, m=m, mode=mode,
+                            receiver=Sud())
+        hs, limits, starts, blocks, counts = sud_rows(s, rgs_matrix(k)[::{6: 6}.get(k, 1)])
+        offsets = np.cumsum(counts) - counts
+        checked = range(0, len(counts), {5: 5, 6: 6}.get(k, 1))
+        for max_rounds in (1, equilibrium.SUD_MAX_ROUNDS):
+            qs, utils, rounds, converged, delta = _kernels.sud_lockstep(
+                s.noise, hs, limits, starts, blocks, counts, equilibrium.SUD_TOL, max_rounds,
+                SOLVER_TOL, PA_MAX_ITER)
+            assert len(qs) == len(utils) == counts.sum()
+            assert converged.any() == (max_rounds > 1)
+            for row in checked:
+                ids = blocks[offsets[row]:offsets[row] + counts[row]].tolist()
+                args = (s.noise, [hs[b] for b in ids], [limits[b] for b in ids],
+                        [starts[b] for b in ids], equilibrium.SUD_TOL, max_rounds,
+                        SOLVER_TOL, PA_MAX_ITER)
+                at = slice(offsets[row], offsets[row] + counts[row])
+                got = ([array_hexes(q) for q in qs[at]], array_hexes(utils[at]), int(rounds[row]),
+                       bool(converged[row]), float(delta[row]).hex())
+                for solve in (_kernels.sud_fixed_point, reference_sud_fixed_point):
+                    q1, u1, r1, c1, d1 = solve(*args)
+                    assert got == ([array_hexes(q) for q in q1], array_hexes(u1), r1, c1,
+                                   float(d1).hex()), (row, solve.__name__)
+
+    @pytest.mark.parametrize("mode, seed, rounds", [("sum", 1, 4), ("caps", 0, 3)])
+    def test_table_stall_names_the_first_stalled_row(self, monkeypatch, mode, seed, rounds):
+        s = random_scenario(np.random.default_rng(seed), k=4, m=2, mode=mode, receiver=Sud())
+        first = None
+        for row in rgs_matrix(4).tolist():
+            try:
+                ne_sud(s, Partition.from_rgs(row), max_rounds=rounds)
+            except NonConvergence as exc:
+                first = first or exc
+        assert first is not None and first.diagnostics["partition"] != (0, 1, 2, 3)
+        monkeypatch.setattr(equilibrium, "SUD_MAX_ROUNDS", rounds)
+        with pytest.raises(NonConvergence) as err:
+            utility_table(s)
+        assert str(err.value) == str(first)
+        assert err.value.diagnostics == first.diagnostics
+        (profile, utils), (want_profile, want_utils) = err.value.best, first.best
+        assert profile.partition == want_profile.partition
+        assert ([array_hexes(q) for q in profile.matrices]
+                == [array_hexes(q) for q in want_profile.matrices])
+        assert {m: u.hex() for m, u in utils.items()} == {m: u.hex()
+                                                         for m, u in want_utils.items()}
+
+    def test_table_runs_one_lockstep_solve(self, monkeypatch):
+        s = random_scenario(np.random.default_rng(4), k=4, m=2, receiver=Sud())
+        calls = []
+        original = _kernels.sud_lockstep
+
+        def counted(*args):
+            calls.append(len(args[5]))
+            return original(*args)
+
+        monkeypatch.setattr(_kernels, "sud_lockstep", counted)
+        monkeypatch.setattr(_kernels, "sud_fixed_point", None)
+        utility_table(s)
+        assert calls == [15]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from maccoop import _kernels, analysis, cli, equilibrium, io
+from maccoop import _kernels, cli, equilibrium, io
 from maccoop.errors import ScenarioFormatError
 from maccoop.model import Coalition, PerAntenna, Scenario, SicFixed, SicTimeShare, Sud, UserSpec
 
@@ -314,9 +314,9 @@ class TestCli:
             raise AssertionError("generic per-partition solve")
 
         monkeypatch.setattr(equilibrium, "ne_utilities", no_solve)
-        monkeypatch.setattr(analysis, "ne_utilities", no_solve)
         monkeypatch.setattr(_kernels, "sic_backward", no_solve)
         monkeypatch.setattr(_kernels, "sud_fixed_point", no_solve)
+        monkeypatch.setattr(_kernels, "sud_lockstep", no_solve)
         runs = [[cmd, "--model", model] for cmd in ("core", "least-core", "region")
                 for model in ("rational", "merging", "cautious", "singleton")]
         runs += [["utilities"], ["properties", "--trials", "20"],

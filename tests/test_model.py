@@ -91,6 +91,14 @@ class TestPartitionRgs:
         part = Partition.from_blocks(5, [[4], [2, 5], [1, 3]])
         assert part.rgs == (0, 1, 0, 2, 1)
 
+    def test_rgs_is_computed_once_and_leaves_equality_alone(self):
+        part = Partition.from_blocks(5, [[4], [2, 5], [1, 3]])
+        assert part.rgs is part.rgs
+        again = Partition.from_rgs((0, 1, 0, 2, 1))
+        assert part == again and hash(part) == hash(again)
+        with pytest.raises(AttributeError):
+            part.k = 4
+
 
 class TestInducedOrder:
     def test_merge_moves_to_latest_slot(self):
