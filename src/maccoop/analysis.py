@@ -283,10 +283,6 @@ def _symmetric_verdicts(k: int, model: ExpectationModel) -> Callable[[float], st
     return verdict
 
 
-def _symmetric_verdict(k: int, snr_db: float, model: ExpectationModel) -> str:
-    return _symmetric_verdicts(k, model)(snr_db)
-
-
 def snr_boundary(spec: SweepSpec, model: ExpectationModel, *,
                  resolution_db: float = 0.01) -> list[BoundaryPoint]:
     """Empty/nonempty core boundary vs SNR for symmetric fixed-order games.

@@ -81,12 +81,6 @@ class CovarianceProfile:
             mats.append(arr)
         object.__setattr__(self, "matrices", tuple(mats))
 
-    def matrix_for(self, coalition: Coalition) -> np.ndarray:
-        for block, q in zip(self.partition.blocks, self.matrices):
-            if block.mask == coalition.mask:
-                return q
-        raise InvalidArgument(f"{coalition} is not a block of {self.partition}")
-
 
 def block_budget(scenario: Scenario, coalition: Coalition) -> float:
     """Pooled trace budget of a coalition (sum-power scenarios)."""

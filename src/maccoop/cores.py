@@ -102,25 +102,23 @@ class LeastCoreResult:
 # demands
 
 
-def _fixed_arrangement(k: int, mask: int, model: ExpectationModel) -> tuple[int, ...]:
-    """RGS of S = ``mask`` facing one merged outside block, or outsiders alone.
+def _fixed_arrangements(k: int, masks, model: ExpectationModel) -> np.ndarray:
+    """RGS rows (int8, one per mask) of S = ``masks[i]`` facing one merged outside
+    block, or outsiders alone.
 
     Merging labels a user 0 when it sits on user 1's side and 1 otherwise.
-    Singleton numbers blocks by first appearance, S being one block.
+    Singleton numbers blocks by first appearance, S being one block: each
+    outsider and S's first member open a new label, and every member of S
+    takes its first member's.
     """
-    inside = [mask >> u & 1 for u in range(k)]
+    inside = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(k)) & 1
     if model is ExpectationModel.MERGING:
-        return tuple(int(side != inside[0]) for side in inside)
-    labels, s_label, fresh = [], None, 0
-    for member in inside:
-        if member and s_label is not None:
-            labels.append(s_label)
-        else:
-            if member:
-                s_label = fresh
-            labels.append(fresh)
-            fresh += 1
-    return tuple(labels)
+        return (inside ^ inside[:, :1]).astype(np.int8)
+    first = np.argmax(inside, axis=1)[:, None]
+    opens = (inside == 0) | (np.arange(k) == first)
+    labels = np.cumsum(opens, axis=1) - 1
+    s_label = np.take_along_axis(labels, first, axis=1)
+    return np.where(inside == 1, s_label, labels).astype(np.int8)
 
 
 def _table_demands(table: UtilityTable, model: ExpectationModel) -> np.ndarray:
@@ -167,10 +165,12 @@ def _model_table(scenario: Scenario, model: ExpectationModel, *, grand: bool) ->
     if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
         return utility_table(scenario)
     k = scenario.k
-    rows = dict.fromkeys(_fixed_arrangement(k, mask, model) for mask in range(1, (1 << k) - 1))
+    rows = _fixed_arrangements(k, range(1, (1 << k) - 1), model)
+    # distinct rows, each where its first mask put it
+    rows = rows[np.sort(np.unique(rows, axis=0, return_index=True)[1])]
     if grand:
-        rows[(0,) * k] = None
-    return _table_of(scenario, np.array(list(rows), dtype=np.int8).reshape(-1, k))
+        rows = np.vstack((rows, np.zeros((1, k), dtype=np.int8)))
+    return _table_of(scenario, rows)
 
 
 def coalition_demand(
@@ -199,8 +199,7 @@ def coalition_demand(
     if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
         return demand_vector(scenario, model, table=table)[coalition.mask]
     if table is None:
-        rgs = np.array([_fixed_arrangement(k, coalition.mask, model)], dtype=np.int8)
-        table = _table_of(scenario, rgs)
+        table = _table_of(scenario, _fixed_arrangements(k, [coalition.mask], model))
     return float(_table_demands(table, model)[coalition.mask])
 
 
@@ -232,7 +231,10 @@ def grand_value(scenario: Scenario, *, table: UtilityTable | None = None) -> flo
 def _demands_and_grand(scenario: Scenario, model: ExpectationModel,
                        table: UtilityTable | None) -> tuple[dict[int, float], float]:
     """Demands and v(N) from one table: ``table``, or else the model's own
-    (:func:`_model_table`) with the grand partition's row."""
+    (:func:`_model_table`) with the grand partition's row.  Every core
+    computation from a scenario comes here, so the core cap is checked here."""
+    if scenario.k > CORE_MAX_USERS:
+        raise InvalidArgument(f"core checks are capped at {CORE_MAX_USERS} users")
     model = ExpectationModel(model)
     if table is None:
         table = _model_table(scenario, model, grand=True)
@@ -461,8 +463,6 @@ def check_core(
     minimum slack); empty verdicts come with a validated balanced
     certificate.  Exactly one of the two is present.
     """
-    if scenario.k > CORE_MAX_USERS:
-        raise InvalidArgument(f"core checks are capped at {CORE_MAX_USERS} users")
     demands, v_k = _demands_and_grand(scenario, model, table)
     return check_core_from_demands(demands, v_k, scenario.k)
 
@@ -487,8 +487,6 @@ def least_core(
     the unrelaxed core is nonempty.  The allocation returned attains the
     optimum.
     """
-    if scenario.k > CORE_MAX_USERS:
-        raise InvalidArgument(f"core checks are capped at {CORE_MAX_USERS} users")
     demands, v_k = _demands_and_grand(scenario, model, table)
     return least_core_from_demands(demands, v_k, scenario.k)
 

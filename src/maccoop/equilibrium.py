@@ -17,7 +17,8 @@ every order they need, across partitions for a table, and solve each
 once; values are bitwise those of one backward sweep per order.  A
 single-user-decoding table sweeps all its partitions in lockstep, one
 block position at a time, and each partition keeps the iterates of its
-own solve bit for bit.
+own solve bit for bit.  A single partition's equilibrium is the one-row
+call of the same route.
 
 Utility tables collect the equilibrium value of every coalition of every
 partition and are the substrate for the core computations.
@@ -45,7 +46,6 @@ from .capacity import (
 from .errors import InvalidArgument, NonConvergence, NumericalFailure
 from .io import fingerprint as scenario_fingerprint
 from .model import (
-    MAX_USERS,
     RGS_CHUNK_ROWS,
     Coalition,
     Partition,
@@ -116,7 +116,7 @@ class UtilityTable:
         self.rgs = rgs
         self.counts = np.asarray(counts, dtype=np.int64)  # blocks per row
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
-        self.masks = np.asarray(masks, dtype=np.int16)  # k <= 12 bits
+        self.masks = np.asarray(masks, dtype=np.int16)  # k <= 15 bits
         self.values = np.asarray(values, dtype=np.float64)
         self.totals = np.zeros(len(rgs))
         with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add
@@ -175,10 +175,23 @@ def _block_inputs(scenario: Scenario, blocks: Sequence[Coalition],
 # equilibria
 
 
-def _linalg_failure(exc: np.linalg.LinAlgError, partition: Partition) -> NumericalFailure:
-    """A kernel's factorization failure (a noise covariance lost definiteness, as
-    at very high SNR) as a :class:`NumericalFailure` naming the partition."""
-    return NumericalFailure(f"linear algebra failed on partition {partition}: {exc}")
+def _solved(route: Callable, scenario: Scenario, rgs: np.ndarray, **options):
+    """``route(scenario, rgs, **options)`` of a table route, failing as a
+    :class:`NumericalFailure` that names a partition.
+
+    A kernel's factorization failure (a noise covariance lost
+    definiteness, as at very high SNR) re-runs the route one row at a
+    time, and the first row that fails alone names it.
+    """
+    try:
+        return route(scenario, rgs, **options)
+    except np.linalg.LinAlgError as exc:
+        if len(rgs) == 1:
+            raise NumericalFailure(f"linear algebra failed on partition "
+                                   f"{Partition.from_rgs(rgs[0].tolist())}: {exc}") from exc
+        for row in range(len(rgs)):  # the first row whose own solve fails names it
+            _solved(route, scenario, rgs[row:row + 1], **options)
+        raise NumericalFailure(f"linear algebra failed while solving a table: {exc}") from exc
 
 
 def _pa_stall(partition: Partition) -> NonConvergence:
@@ -206,21 +219,20 @@ def _require_size(scenario: Scenario, partition: Partition) -> None:
         )
 
 
-def _solve_orders(scenario: Scenario, partition_at: Callable[[int], Partition],
-                  masks: list[list[int]], orders: Sequence[Sequence[tuple[int, ...]]], *,
+def _solve_orders(scenario: Scenario, masks: list[list[int]],
+                  orders: Sequence[Sequence[tuple[int, ...]]], *,
                   init: CovarianceProfile | None = None):
     """Cancellation equilibria of decoding orders, each distinct suffix solved once.
 
-    Row i is the partition ``partition_at(i)`` with block masks
-    ``masks[i]`` (label order); ``orders[i]`` lists its decoding orders as
-    tuples of block labels, first decoded first.  A block's rate depends
-    only on the blocks decoded after it, so every order that ends alike
-    shares those solves (:func:`_kernels.sic_backward`).
+    Row i has block masks ``masks[i]`` (label order); ``orders[i]`` lists
+    its decoding orders as tuples of block labels, first decoded first.
+    A block's rate depends only on the blocks decoded after it, so every
+    order that ends alike shares those solves (:func:`_kernels.sic_backward`).
 
     Returns (qs, rates, sids, stalled): each suffix's head covariance
     and rate, per row a list whose entry [o][j] is the suffix block j
     heads in order o, and the rows whose orders need a stalled
-    per-antenna solve, each mapped to the :class:`NonConvergence` naming it.
+    per-antenna solve.
     """
     block_of: dict[int, int] = {}  # mask -> block index
     suffix_of: dict[tuple[int, int], int] = {}  # (block, tail suffix) -> suffix
@@ -245,22 +257,32 @@ def _solve_orders(scenario: Scenario, partition_at: Callable[[int], Partition],
         sids.append(ids)
     blocks = [Coalition(mask) for mask in block_of]
     hs, limits, starts = _block_inputs(scenario, blocks, init)
-    try:
-        qs, rates, ok = _kernels.sic_backward(
-            scenario.noise, hs, limits, starts, heads, tails, SOLVER_TOL, PA_MAX_ITER
-        )
-    except np.linalg.LinAlgError as exc:
-        if len(masks) == 1:
-            raise _linalg_failure(exc, partition_at(0)) from exc
-        for row in range(len(masks)):  # the first row whose own solves fail names it
-            _solve_orders(scenario, lambda _, row=row: partition_at(row),
-                          masks[row:row + 1], orders[row:row + 1], init=init)
-        raise NumericalFailure(f"linear algebra failed while decoding a table: {exc}") from exc
-    stalled = {} if all(ok) else {
-        row: _pa_stall(partition_at(row)) for row, ids in enumerate(sids)
+    qs, rates, ok = _kernels.sic_backward(
+        scenario.noise, hs, limits, starts, heads, tails, SOLVER_TOL, PA_MAX_ITER
+    )
+    stalled = [] if all(ok) else [
+        row for row, ids in enumerate(sids)
         if not all(ok[sid] for order_ids in ids for sid in order_ids)
-    }
+    ]
     return qs, rates, sids, stalled
+
+
+def _one_row(route: Callable, scenario: Scenario, partition: Partition, **options):
+    """A partition's equilibrium as the one-row call of a table route.
+
+    Returns (profile, utilities): the :class:`CovarianceProfile` (None
+    for time sharing) and each block's utility in the route's block order.
+    """
+    _require_size(scenario, partition)
+    masks, values, qs, stalled = _solved(route, scenario,
+                                         np.array([partition.rgs], dtype=np.int8), **options)
+    if stalled:
+        raise stalled[0]
+    profile = None
+    if qs is not None:
+        by_mask = dict(zip(masks, qs))
+        profile = CovarianceProfile(partition, tuple(by_mask[b.mask] for b in partition.blocks))
+    return profile, dict(zip(masks, values.tolist()))
 
 
 def ne_sic(
@@ -276,23 +298,13 @@ def ne_sic(
     and each earlier block against the interference of all later blocks;
     because rates depend only on later blocks this single backward pass
     is an exact equilibrium.  ``init`` seeds the per-antenna solver and
-    must not change the resulting utilities (they are unique).
+    must not change the resulting utilities (they are unique).  The
+    solve is the partition's row of a cancellation table
+    (:func:`_cancellation_blocks`); utilities come in decoding order.
     """
     if not isinstance(scenario.receiver, SicFixed):
         raise InvalidArgument("ne_sic requires a fixed-order cancellation receiver")
-    _require_size(scenario, partition)
-    blocks = partition.blocks
-    label = {b.mask: j for j, b in enumerate(blocks)}
-    order = tuple(label[b.mask] for b in induced_order(partition, scenario.receiver.base_order))
-    qs, rates, ((ids,),), stalled = _solve_orders(
-        scenario, lambda _: partition, [[b.mask for b in blocks]], [[order]], init=init
-    )
-    if stalled:
-        raise stalled[0]
-    profile = CovarianceProfile(partition, tuple(qs[s] for s in ids))
-    values = rates.tolist()
-    utilities = {blocks[j].mask: values[ids[j]] for j in order}
-    return profile, utilities
+    return _one_row(_cancellation_blocks, scenario, partition, init=init)
 
 
 def ne_sud(
@@ -309,23 +321,13 @@ def ne_sud(
     sweep lets every block in turn best respond to the others' current
     interference.  Stops when the largest utility change in a sweep drops
     below ``SUD_TOL``; raises :class:`NonConvergence` (with the last
-    iterate and its diagnostics) after ``max_rounds`` sweeps.
+    iterate and its diagnostics) after ``max_rounds`` sweeps.  The solve
+    is the partition's row of a single-user-decoding table
+    (:func:`_sud_blocks`).
     """
     if not isinstance(scenario.receiver, Sud):
         raise InvalidArgument("ne_sud requires a single-user-decoding receiver")
-    _require_size(scenario, partition)
-    blocks = partition.blocks
-    hs, limits, starts = _block_inputs(scenario, blocks, init)
-    try:
-        qs, utils, rounds, converged, delta = _kernels.sud_fixed_point(
-            scenario.noise, hs, limits, starts, SUD_TOL, max_rounds, SOLVER_TOL, PA_MAX_ITER,
-        )
-    except np.linalg.LinAlgError as exc:
-        raise _linalg_failure(exc, partition) from exc
-    if not converged:
-        raise _sud_stall(partition, qs, utils, rounds, delta)
-    return CovarianceProfile(partition, tuple(qs)), {b.mask: float(u)
-                                                     for b, u in zip(blocks, utils)}
+    return _one_row(_sud_blocks, scenario, partition, init=init, max_rounds=max_rounds)
 
 
 def _timeshare_orders(receiver: SicTimeShare,
@@ -364,12 +366,7 @@ def ne_timeshare(scenario: Scenario, partition: Partition) -> dict[int, float]:
     """
     if not isinstance(scenario.receiver, SicTimeShare):
         raise InvalidArgument("ne_timeshare requires the time-sharing receiver")
-    _require_size(scenario, partition)
-    masks, values, stalled = _cancellation_blocks(scenario,
-                                                  np.array([partition.rgs], dtype=np.int8))
-    if stalled:
-        raise stalled[0]
-    return dict(zip(masks, values.tolist()))
+    return _one_row(_cancellation_blocks, scenario, partition)[1]
 
 
 def ne_utilities(scenario: Scenario, partition: Partition) -> dict[int, float]:
@@ -510,38 +507,45 @@ def _closed_form_tables(scenario: Scenario, rgs=None) -> Callable[[float], Utili
 def _label_masks(rgs: np.ndarray) -> np.ndarray:
     """Block masks of RGS rows: (rows, k) int16, column j for label j, 0 past the last block."""
     rows, k = rgs.shape
-    masks = np.zeros((rows, k), dtype=np.int16)  # user bits fit int16 for k <= 12
+    if k > 15:  # every table's masks come from here
+        raise InvalidArgument(f"coalition masks hold games of at most 15 users, not {k}")
+    masks = np.zeros((rows, k), dtype=np.int16)
     every = np.arange(rows)
     for u in range(k):
         masks[every, rgs[:, u]] |= np.int16(1 << u)
     return masks
 
 
-def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray):
+def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray, *,
+                         init: CovarianceProfile | None = None):
     """Every row's fixed-order or time-shared block masks and utilities, and its stalls.
 
     Each distinct decoding suffix is solved once.  Fixed-order rows list
     their blocks in decoding order, time-shared rows in label order.
-    Returns (masks, values, stalled) with ``stalled`` as :func:`_solve_orders` gives it.
+    Returns (masks, values, qs, stalled): ``qs`` lists each fixed-order
+    block's covariance (None for time sharing), and ``stalled`` maps each
+    row whose orders need a stalled per-antenna solve to the
+    :class:`NonConvergence` naming it.
     """
     receiver = scenario.receiver
     counts = (rgs.max(axis=1) + 1).tolist()
-    masks = [row[:n] for row, n in zip(_label_masks(rgs).tolist(), counts)]
-    if isinstance(receiver, SicFixed):
+    if isinstance(receiver, SicTimeShare):
+        # block counts in row order, before any solve: a misfit weight
+        # vector or an order cap fails on its first row
+        plans = {n: _timeshare_orders(receiver, n) for n in dict.fromkeys(counts)}
+        orders = [plans[n][1] for n in counts]
+    else:
         # blocks decode at their latest member's slot, as in the closed form
         slots = np.argsort(_kernels.label_slots(rgs, _decoding_slots(receiver)), axis=1)
         orders = [[tuple(row[:n])] for row, n in zip(slots.tolist(), counts)]
-    else:
-        # block counts in row order: a misfit weight vector fails on its first row
-        plans = {n: _timeshare_orders(receiver, n) for n in dict.fromkeys(counts)}
-        orders = [plans[n][1] for n in counts]
-    _, rates, sids, stalled = _solve_orders(
-        scenario, lambda row: Partition.from_rgs(rgs[row].tolist()), masks, orders
-    )
+    masks = [row[:n] for row, n in zip(_label_masks(rgs).tolist(), counts)]
+    qs, rates, sids, stalled_rows = _solve_orders(scenario, masks, orders, init=init)
+    stalled = {row: _pa_stall(Partition.from_rgs(rgs[row].tolist())) for row in stalled_rows}
     if isinstance(receiver, SicFixed):
         flat = [(row_masks[j], ids[j])
                 for row_masks, (order,), (ids,) in zip(masks, orders, sids) for j in order]
-        return [m for m, _ in flat], rates[[sid for _, sid in flat]], stalled
+        return ([m for m, _ in flat], rates[[sid for _, sid in flat]],
+                [qs[sid] for _, sid in flat], stalled)
     # the rows of one block count average their orders at once, adding them in order
     counts = np.array(counts)
     starts = np.cumsum(counts) - counts
@@ -551,41 +555,36 @@ def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray):
         per_order = rates[np.array([sids[r] for r in rows])]  # (rows, orders, blocks)
         acc = np.cumsum(weights[:, None] * per_order, axis=1)[:, -1]
         values[starts[rows, None] + np.arange(n)] = acc
-    return [m for row in masks for m in row], values, stalled
+    return [m for row in masks for m in row], values, None, stalled
 
 
-def _sud_blocks(scenario: Scenario, rgs: np.ndarray):
+def _sud_blocks(scenario: Scenario, rgs: np.ndarray, *,
+                init: CovarianceProfile | None = None, max_rounds: int | None = None):
     """Every row's single-user-decoding block masks and utilities (label order), and its stalls.
 
-    All rows sweep in lockstep (:func:`_kernels.sud_lockstep`), each with
-    the iterates of its own :func:`ne_sud`.  Returns (masks, values,
-    stalled): ``stalled`` maps each row whose sweeps did not settle to the
-    :class:`NonConvergence` naming it, and such a row's values are its
-    last iterate's.  A failed factorization names the first row that
-    fails alone.
+    All rows sweep in lockstep (:func:`_kernels.sud_lockstep`), at most
+    ``max_rounds`` sweeps each (``SUD_MAX_ROUNDS`` when None), each row
+    with the iterates it has when solved alone.  Returns (masks, values,
+    qs, stalled): ``qs`` lists each block's covariance, and ``stalled``
+    maps each row whose sweeps did not settle to the
+    :class:`NonConvergence` naming it; such a row's values are its last
+    iterate's.
     """
     counts = rgs.max(axis=1) + 1
     masks = _label_masks(rgs)[np.arange(rgs.shape[1]) < counts[:, None]]
     distinct, blocks = np.unique(masks, return_inverse=True)
-    hs, limits, starts = _block_inputs(scenario, [Coalition(m) for m in distinct.tolist()], None)
-    try:
-        qs, utils, rounds, converged, delta = _kernels.sud_lockstep(
-            scenario.noise, hs, limits, starts, blocks, counts, SUD_TOL, SUD_MAX_ROUNDS,
-            SOLVER_TOL, PA_MAX_ITER,
-        )
-    except np.linalg.LinAlgError as exc:
-        if len(rgs) == 1:
-            raise _linalg_failure(exc, Partition.from_rgs(rgs[0].tolist())) from exc
-        for row in range(len(rgs)):  # the first row whose own sweeps fail names it
-            _sud_blocks(scenario, rgs[row:row + 1])
-        raise NumericalFailure(f"linear algebra failed while solving a table: {exc}") from exc
+    hs, limits, starts = _block_inputs(scenario, [Coalition(m) for m in distinct.tolist()], init)
+    qs, utils, rounds, converged, delta = _kernels.sud_lockstep(
+        scenario.noise, hs, limits, starts, blocks, counts, SUD_TOL,
+        SUD_MAX_ROUNDS if max_rounds is None else max_rounds, SOLVER_TOL, PA_MAX_ITER,
+    )
     offsets = np.cumsum(counts) - counts
     stalled = {}
     for row in np.flatnonzero(~converged).tolist():
         at = slice(offsets[row], offsets[row] + counts[row])
         stalled[row] = _sud_stall(Partition.from_rgs(rgs[row].tolist()), qs[at], utils[at],
                                   rounds[row], delta[row])
-    return masks.tolist(), utils, stalled
+    return masks.tolist(), utils, qs, stalled
 
 
 def require_uniform_timeshare(scenario: Scenario, what: str = "tables and core checks",
@@ -606,20 +605,13 @@ def require_uniform_timeshare(scenario: Scenario, what: str = "tables and core c
 def utility_table(scenario: Scenario) -> UtilityTable:
     """Equilibrium utilities for every coalition of every partition.
 
-    Partitions are enumerated in restricted-growth order, their values
-    come from :func:`_table_of`, and the size caps are checked first.
+    Partitions are enumerated in restricted-growth order and their values
+    come from :func:`_table_of`.  The user cap (:func:`rgs_matrix`) and
+    the time-share order cap (:func:`_timeshare_orders`) raise before any
+    solve.
     """
-    k = scenario.k
     require_uniform_timeshare(scenario)
-    if isinstance(scenario.receiver, SicTimeShare):
-        if math.factorial(k) > _TIMESHARE_MAX_ORDERS:
-            raise InvalidArgument(
-                f"time-share tables are capped at {_TIMESHARE_MAX_ORDERS} decoding orders "
-                f"(the singleton partition of {k} users has {math.factorial(k)})"
-            )
-    elif k > MAX_USERS:
-        raise InvalidArgument(f"utility tables are capped at {MAX_USERS} users")
-    return _table_of(scenario, rgs_matrix(k))
+    return _table_of(scenario, rgs_matrix(scenario.k))
 
 
 def _table_of(scenario: Scenario, rgs: np.ndarray) -> UtilityTable:
@@ -655,8 +647,8 @@ def _table_and_stalls(scenario: Scenario, rgs: np.ndarray):
         return closed(scenario.noise), {}
     masks, values, stalled = [], [], {}
     if len(rgs):  # the solvers need at least one block
-        solve = _sud_blocks if isinstance(scenario.receiver, Sud) else _cancellation_blocks
-        masks, values, stalled = solve(scenario, rgs)
+        route = _sud_blocks if isinstance(scenario.receiver, Sud) else _cancellation_blocks
+        masks, values, _, stalled = _solved(route, scenario, rgs)
     table = UtilityTable.from_arrays(scenario.k, scenario, rgs, rgs.max(axis=1) + 1,
                                      masks, values)
     return table, stalled

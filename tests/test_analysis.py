@@ -173,6 +173,12 @@ class TestExternalities:
         with pytest.raises(InvalidArgument):
             classify_externalities(symmetric_scenario(2), 10, seed=0)
 
+    @pytest.mark.parametrize("receiver", [None, Sud()])
+    def test_sixteen_users_raise_invalid_argument(self, receiver):
+        # coalition masks are int16; numpy's OverflowError used to escape here
+        with pytest.raises(InvalidArgument, match="at most 15 users"):
+            classify_externalities(symmetric_scenario(16, 1.0, receiver), 5, seed=0)
+
     @pytest.mark.parametrize("m, receiver", [
         (1, SicFixed((3, 1, 4, 2))), (1, Sud()), (2, SicFixed((3, 1, 4, 2))), (2, Sud()),
         (2, SicTimeShare()),
@@ -241,10 +247,10 @@ class TestSnrBoundary:
         # verdicts flip within one resolution step of the threshold
         lo = point.threshold_db - 0.01
         hi = point.threshold_db + 0.01
-        from maccoop.analysis import _symmetric_verdict
+        from maccoop.analysis import _symmetric_verdicts
 
-        assert _symmetric_verdict(4, lo, ExpectationModel.RATIONAL) == "nonempty"
-        assert _symmetric_verdict(4, hi, ExpectationModel.RATIONAL) == "empty"
+        assert _symmetric_verdicts(4, ExpectationModel.RATIONAL)(lo) == "nonempty"
+        assert _symmetric_verdicts(4, ExpectationModel.RATIONAL)(hi) == "empty"
 
     def test_no_transition_reported(self):
         spec = SweepSpec((4,), (-40.0, -35.0, -30.0))

@@ -15,8 +15,10 @@ import maccoop
 
 from maccoop._exact_lp import exact_lp_max
 from maccoop.cores import (
+    CORE_MAX_USERS,
     BalancedCertificate,
-    _fixed_arrangement,
+    _fixed_arrangements,
+    _model_table,
     _dual_simplex,
     _incidence,
     _singleton_rows,
@@ -66,6 +68,24 @@ def hand_k3_table(*, apart, own_apart=0.25, own_merged=0.5, reverse=False):
     return UtilityTable(3, "hand-built", dict(rows[::-1] if reverse else rows))
 
 
+def fixed_arrangement_loop(k, mask, model):
+    """RGS of S = ``mask`` facing one merged outside block, or outsiders alone, one
+    user at a time: the oracle of ``_fixed_arrangements``."""
+    inside = [mask >> u & 1 for u in range(k)]
+    if model is ExpectationModel.MERGING:
+        return tuple(int(side != inside[0]) for side in inside)
+    labels, s_label, fresh = [], None, 0
+    for member in inside:
+        if member and s_label is not None:
+            labels.append(s_label)
+        else:
+            if member:
+                s_label = fresh
+            labels.append(fresh)
+            fresh += 1
+    return tuple(labels)
+
+
 def dict_demands(table, model):
     """The dict-of-dicts demand reduction, one Python pass per row: the oracle.
 
@@ -75,7 +95,7 @@ def dict_demands(table, model):
     """
     grand = (1 << table.k) - 1
     if model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
-        return {mask: table.entries[_fixed_arrangement(table.k, mask, model)][mask]
+        return {mask: table.entries[fixed_arrangement_loop(table.k, mask, model)][mask]
                 for mask in range(1, grand)}
     rows = [(functools.reduce(operator.add, values.values(), 0.0), values)
             for values in table.entries.values()]
@@ -194,6 +214,26 @@ class TestDemands:
         s = random_scenario(rng, k=1, m=m, receiver=receiver)
         for model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
             assert demand_vector(s, model) == {}
+
+    @pytest.mark.parametrize("k", range(2, 16))
+    def test_fixed_arrangements_equal_the_user_loop(self, k):
+        masks = range(1, (1 << k) - 1)
+        for model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
+            got = _fixed_arrangements(k, masks, model)
+            assert got.dtype == np.int8
+            assert [tuple(row) for row in got.tolist()] == [
+                fixed_arrangement_loop(k, mask, model) for mask in masks]
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_model_table_keeps_each_arrangement_where_its_first_mask_put_it(self, k):
+        s = symmetric(k, 1.0, SicFixed(tuple(range(1, k + 1))))
+        for model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
+            want = list(dict.fromkeys(fixed_arrangement_loop(k, mask, model)
+                                      for mask in range(1, (1 << k) - 1)))
+            for grand in (False, True):
+                rows = _model_table(s, model, grand=grand).rgs
+                assert rows.dtype == np.int8
+                assert [tuple(r) for r in rows.tolist()] == want + [(0,) * k] * grand
 
     def test_two_users_all_models_coincide(self):
         s = symmetric(2, 1.0, SicFixed((1, 2)))
@@ -520,6 +560,33 @@ class TestCheckCore:
         assert result.allocation is None
         validate_certificate(result.certificate, demand_vector(s, model, table=table),
                              v_k, 10)
+
+
+class TestSizeCaps:
+    def test_core_cap_binds_every_core_computation(self):
+        s = symmetric(CORE_MAX_USERS + 1, 1.0, SicFixed(tuple(range(1, CORE_MAX_USERS + 2))))
+        for model in ALL_MODELS:
+            for call in (check_core, least_core):
+                with pytest.raises(InvalidArgument, match=f"capped at {CORE_MAX_USERS} users"):
+                    call(s, model)
+
+    @pytest.mark.parametrize("receiver", [SicFixed(tuple(range(16, 0, -1))), Sud(),
+                                          SicTimeShare()])
+    def test_sixteen_users_raise_invalid_argument(self, receiver):
+        # coalition masks are int16; numpy's OverflowError used to escape here
+        s = symmetric(16, 1.0, receiver)
+        with pytest.raises(InvalidArgument, match="at most 15 users"):
+            grand_value(s)
+        with pytest.raises(InvalidArgument, match="at most 15 users"):
+            coalition_demand(s, Coalition(0b101), ExpectationModel.MERGING)
+        with pytest.raises(InvalidArgument, match="at most 15 users"):
+            demand_vector(s, ExpectationModel.MERGING)
+        for model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS,
+                      ExpectationModel.SINGLETON):
+            with pytest.raises(InvalidArgument):
+                demand_vector(s, model)
+            with pytest.raises(InvalidArgument):
+                coalition_demand(s, Coalition(0b101), model)
 
 
 class TestAgainstExactLp:

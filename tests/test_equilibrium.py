@@ -232,6 +232,37 @@ class TestNeSud:
             ne_sud(s, Partition.singletons(2))
 
 
+    @pytest.mark.parametrize("mode", ["sum", "caps"])
+    def test_is_the_one_row_lockstep_solve(self, monkeypatch, mode):
+        # bitwise the block-by-block oracle, covariances and stalls included,
+        # without a sud_fixed_point call
+        def forbidden(*args):
+            raise AssertionError("sud_fixed_point called")
+
+        monkeypatch.setattr(_kernels, "sud_fixed_point", forbidden)
+        gen = np.random.default_rng(21)
+        s = random_scenario(gen, k=4, m=2, mode=mode, receiver=Sud())
+        for part in enumerate_partitions(4):
+            for init in (None, random_feasible_profile(gen, s, part)):
+                hs, limits, starts = equilibrium._block_inputs(s, part.blocks, init)
+                for max_rounds in (1, equilibrium.SUD_MAX_ROUNDS):
+                    qs, utils, _, converged, _ = reference_sud_fixed_point(
+                        s.noise, hs, limits, starts, equilibrium.SUD_TOL, max_rounds,
+                        SOLVER_TOL, PA_MAX_ITER)
+                    assert converged == (max_rounds > 1)
+                    if converged:
+                        profile, got = ne_sud(s, part, init=init, max_rounds=max_rounds)
+                    else:  # one sweep never settles
+                        with pytest.raises(NonConvergence) as err:
+                            ne_sud(s, part, init=init, max_rounds=max_rounds)
+                        profile, got = err.value.best
+                    assert profile.partition == part
+                    assert ([array_hexes(q) for q in profile.matrices]
+                            == [array_hexes(q) for q in qs])
+                    assert [(mask, u.hex()) for mask, u in got.items()] == [
+                        (b.mask, u.hex()) for b, u in zip(part.blocks, utils.tolist())]
+
+
 class TestNeTimeshare:
     def test_three_user_hand_average(self):
         s = symmetric(3, 0.5, SicTimeShare())
@@ -496,6 +527,28 @@ class TestUtilityTable:
         with pytest.raises(NumericalFailure, match=r"partition \{1,2\}\{3\}"):
             ne_timeshare(s, Partition.from_rgs((0, 0, 1)))
 
+    def test_failed_fixed_order_factorization_names_the_first_failing_row(self, monkeypatch):
+        # the batched call fails wherever block {1,2} is decoded; the table and
+        # each row's own ne_sic name the first row in table order that holds it
+        s = Scenario(per_antenna_mimo().users, 2, 1.0, SicFixed((2, 3, 1)))
+        original = _kernels.sic_backward
+
+        def failing(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter):
+            if any(np.array_equal(hs[b], coalition_channel(s, Coalition(0b011))) for b in heads):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return original(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter)
+
+        monkeypatch.setattr(_kernels, "sic_backward", failing)
+        with pytest.raises(NumericalFailure, match=r"partition \{1,2\}\{3\}: Matrix"):
+            utility_table(s)
+        rows = np.array([[0, 1, 1], [0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=np.int8)
+        with pytest.raises(NumericalFailure, match=r"partition \{1,2\}\{3\}"):
+            equilibrium._table_of(s, rows)
+        with pytest.raises(NumericalFailure, match=r"partition \{1,2\}\{3\}"):
+            ne_sic(s, Partition.from_rgs((0, 0, 1)))
+        assert equilibrium._table_of(s, rows[[0, 1, 3]]).entries == {
+            p: ne_sic(s, Partition.from_rgs(p))[1] for p in [(0, 1, 1), (0, 0, 0), (0, 1, 0)]}
+
     def test_fingerprint_changes_with_noise(self):
         s = symmetric(3, 1.0, SicFixed((1, 2, 3)))
         assert utility_table(s).fingerprint != utility_table(s.with_noise(2.0)).fingerprint
@@ -730,6 +783,19 @@ class TestCancellationSharing:
             if len(part) == 3:
                 assert hexes(ne_timeshare(s, part)) == hexes(reference_utilities(s, part))
             assert hexes(ne_sic(fixed, part)[1]) == hexes(reference_utilities(fixed, part))
+
+    @pytest.mark.parametrize("mode", ["sum", "caps"])
+    def test_ne_sic_is_one_backward_sweep(self, monkeypatch, mode):
+        counts = self.count_suffixes(monkeypatch)
+        s = random_scenario(np.random.default_rng(5), k=5, m=2, mode=mode,
+                            receiver=SicFixed((4, 2, 5, 1, 3)))
+        for part in enumerate_partitions(5):
+            counts.clear()
+            profile, got = ne_sic(s, part)
+            assert counts == [len(part)]
+            assert hexes(got) == hexes(reference_utilities(s, part))
+            assert profile.partition == part
+            validate_profile(s, profile)
 
     @pytest.mark.parametrize("receiver", [SicFixed((3, 1, 4, 2)), SicTimeShare()])
     def test_table_builds_no_partition(self, monkeypatch, receiver):

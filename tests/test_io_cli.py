@@ -282,6 +282,25 @@ class TestCli:
         assert code == 1
         assert "at least 2 users" in err
 
+    @pytest.mark.parametrize("command", ["core", "least-core"])
+    def test_core_over_the_cap_exits_one(self, tmp_path, capsys, command):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(io.serialize_scenario(symmetric(11, 1.0, SicFixed(tuple(range(1, 12))))))
+        code, _, err = run_cli(
+            [command, "--scenario", str(cfg), "--model", "merging", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "capped at 10 users" in err
+
+    def test_sixteen_user_externalities_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(io.serialize_scenario(symmetric(16, 1.0, SicFixed(tuple(range(1, 17))))))
+        code, _, err = run_cli(["externalities", "--scenario", str(cfg), "--trials", "5",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "at most 15 users" in err
+
     def test_rational_core_at_160_db_exits_zero(self, tmp_path, capsys):
         # demands and v(N) both come from the closed-form table
         cfg = tmp_path / "s.cfg"
