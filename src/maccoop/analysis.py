@@ -18,6 +18,7 @@ from .capacity import timeshare_highsnr_utility
 from .cores import CORE_MAX_USERS, ExpectationModel, _CoreLp, _table_demands, grand_value
 from .equilibrium import (
     _closed_form_tables,
+    _every_partition,
     _table_and_stalls,
     _table_of,
     require_uniform_timeshare,
@@ -31,7 +32,6 @@ from .model import (
     SicTimeShare,
     SumPower,
     UserSpec,
-    rgs_matrix,
 )
 
 
@@ -131,7 +131,7 @@ def verify_superadditivity(
     require_uniform_timeshare(scenario, "superadditivity audits")
     rng = np.random.default_rng(seed)
     k = scenario.k
-    table, stalled = _table_and_stalls(scenario, rgs_matrix(k))
+    table, stalled = _table_and_stalls(scenario, _every_partition(scenario))
     if 0 in stalled:  # row 0 is the grand partition, whose value every check needs
         raise stalled[0]
     skip = {tuple(table.rgs[row].tolist()) for row in stalled}

@@ -37,9 +37,9 @@ from .cores import (
     core_region_3user,
     least_core,
 )
-from .equilibrium import utility_table
+from .equilibrium import _label_masks, utility_table
 from .errors import InvalidArgument, MacCoopError, NumericalFailure
-from .model import bell_number, enumerate_partitions
+from .model import bell_number, rgs_matrix
 
 LN2 = math.log(2.0)
 
@@ -53,18 +53,51 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _member_names(k: int) -> list[str]:
+def _member_names(k: int) -> np.ndarray:
     """Entry ``mask`` lists the members of coalition ``mask``, ascending and space separated."""
     names = [""]
     for mask in range(1, 1 << k):
         rest = mask & (mask - 1)  # all but the lowest member
         lowest = str((mask ^ rest).bit_length())
         names.append(f"{lowest} {names[rest]}" if rest else lowest)
-    return names
+    return np.array(names)
 
 
-def _blocks_str(partition) -> str:
-    return "|".join(" ".join(map(str, b.members)) for b in partition.blocks)
+def _joined(words: np.ndarray, index: np.ndarray, sep: str) -> np.ndarray:
+    """Row r joins ``words[index[r, j]]`` over columns j by ``sep``, skipping empty words
+    after the first column: one string add per column."""
+    tails = np.char.add(sep, words)
+    tails[words == ""] = ""
+    out = words[index[:, 0]]
+    for col in index.T[1:]:
+        out = np.char.add(out, tails[col])
+    return out
+
+
+def _rgs_keys(rgs: np.ndarray) -> np.ndarray:
+    """Each RGS row's labels joined by commas."""
+    return _joined(np.array([str(j) for j in range(rgs.shape[1])]), rgs, ",")
+
+
+def _by_mask(values: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A mask-keyed dict as ascending masks and their float values."""
+    masks = sorted(values)
+    return (np.array(masks, dtype=np.int64),
+            np.array([values[m] for m in masks], dtype=np.float64))
+
+
+class _SlicedColumn:
+    """A table column built a slice of rows at a time, as the writer asks for it."""
+
+    def __init__(self, n: int, cells):
+        self.n = n
+        self.cells = cells
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice):
+        return self.cells(rows)
 
 
 class _Emitter:
@@ -84,10 +117,11 @@ class _Emitter:
             "timings": None,
         }
 
-    def conv(self, nats: float) -> float:
+    def conv(self, nats):
+        """Nats to the display unit; a float or a float64 array."""
         return nats / LN2 if self.args.bits else nats
 
-    def table(self, name: str, columns, rows, scenario=None, **extra):
+    def table(self, name: str, header, columns, scenario=None, **extra):
         meta = io.table_meta(
             scenario,
             seed=self.args.seed,
@@ -97,7 +131,7 @@ class _Emitter:
         self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / name
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            io.write_table(fh, columns, rows, meta)
+            io.write_table(fh, header, columns, meta)
 
     def finish(self) -> int:
         self.out.mkdir(parents=True, exist_ok=True)
@@ -117,12 +151,15 @@ def _cmd_partitions(args) -> int:
         print(bell_number(args.k))
         return 0
     em = _Emitter(args)
-    rows = [
-        (i, ",".join(map(str, p.rgs)), _blocks_str(p), len(p))
-        for i, p in enumerate(enumerate_partitions(args.k))
-    ]
-    em.table("partitions.csv", ["index", "rgs", "blocks", "n_blocks"], rows, k=args.k)
-    em.summary["data"] = {"k": args.k, "count": len(rows)}
+    rgs = rgs_matrix(args.k)
+    masks = _label_masks(rgs)  # label order, 0 past the last block
+    names = _member_names(args.k)
+    n = len(rgs)
+    em.table("partitions.csv", ["index", "rgs", "blocks", "n_blocks"],
+             [np.arange(n), _SlicedColumn(n, lambda rows: _rgs_keys(rgs[rows])),
+              _SlicedColumn(n, lambda rows: _joined(names, masks[rows], "|")),
+              rgs.max(axis=1) + 1], k=args.k)
+    em.summary["data"] = {"k": args.k, "count": n}
     return em.finish()
 
 
@@ -131,15 +168,14 @@ def _cmd_utilities(args) -> int:
     em = _Emitter(args)
     table = utility_table(scenario)
     # table rows come in lexicographic RGS order; each row's blocks go by mask
-    keys = [",".join(map(str, rgs)) for rgs in table.rgs.tolist()]
-    row_of = np.repeat(np.arange(len(keys)), table.counts)
+    row_of = np.repeat(np.arange(len(table.rgs)), table.counts)
     order = np.lexsort((table.masks, row_of))
-    names = _member_names(scenario.k)
-    rows = [(keys[row], mask, names[mask], em.conv(value))
-            for row, mask, value in zip(row_of[order].tolist(), table.masks[order].tolist(),
-                                        table.values[order].tolist())]
+    masks = table.masks[order]
+    keys, names, n = _rgs_keys(table.rgs), _member_names(scenario.k), len(masks)
     em.table("utilities.csv", ["rgs", "coalition_mask", "members", f"utility_{em.unit}"],
-             rows, scenario)
+             [_SlicedColumn(n, lambda rows: keys[row_of[rows]]), masks,
+              _SlicedColumn(n, lambda rows: names[masks[rows]]),
+              em.conv(table.values[order])], scenario)
     em.summary["data"] = {"fingerprint": table.fingerprint, "entries": len(table)}
     return em.finish()
 
@@ -151,22 +187,21 @@ def _cmd_core(args) -> int:
     demands, v_k = _demands_and_grand(scenario, model, None)
     result = check_core_from_demands(demands, v_k, scenario.k)
     names = _member_names(scenario.k)
+    masks, values = _by_mask(demands)
     em.table("demands.csv", ["coalition_mask", "members", f"demand_{em.unit}"],
-             [(m, names[m], em.conv(d)) for m, d in sorted(demands.items())],
+             [masks, names[masks], em.conv(values)],
              scenario, model=model.value, grand_value=em.conv(v_k))
     em.summary["verdict"] = result.verdict
     em.summary["data"] = {"model": model.value, "grand_value": em.conv(v_k),
-                          "min_slack": result.slack}
+                          "min_slack": em.conv(result.slack)}
     if result.nonempty:
         em.summary["allocation"] = [em.conv(x) for x in result.allocation]
     else:
         cert = result.certificate
-        em.table(
-            "certificate.csv",
-            ["coalition_mask", "members", "weight"],
-            [(m, names[m], w) for m, w in sorted(cert.weights.items())],
-            scenario, model=model.value, margin=em.conv(cert.margin),
-        )
+        masks, weights = _by_mask(cert.weights)
+        em.table("certificate.csv", ["coalition_mask", "members", "weight"],
+                 [masks, names[masks], weights],
+                 scenario, model=model.value, margin=em.conv(cert.margin))
         em.summary["certificate"] = {
             "weights": {str(m): w for m, w in sorted(cert.weights.items())},
             "margin": em.conv(cert.margin),
@@ -183,8 +218,9 @@ def _cmd_least_core(args) -> int:
     em.summary["epsilon_star"] = em.conv(result.epsilon_star)
     em.summary["allocation"] = [em.conv(x) for x in result.allocation]
     em.summary["data"] = {"model": model.value}
+    allocation = np.asarray(result.allocation, dtype=np.float64)
     em.table("least_core.csv", ["user", f"allocation_{em.unit}"],
-             [(i + 1, em.conv(x)) for i, x in enumerate(result.allocation)],
+             [np.arange(1, len(allocation) + 1), em.conv(allocation)],
              scenario, model=model.value, epsilon_star=em.conv(result.epsilon_star))
     return em.finish()
 
@@ -194,11 +230,9 @@ def _cmd_region(args) -> int:
     em = _Emitter(args)
     model = ExpectationModel(args.model)
     vertices = core_region_3user(scenario, model)
-    rows = [
-        (i, em.conv(x1), em.conv(x2), em.conv(x3))
-        for i, (x1, x2, x3) in enumerate(vertices)
-    ]
-    em.table("region.csv", ["index", "x1", "x2", "x3"], rows, scenario, model=model.value)
+    xs = em.conv(np.array(vertices, dtype=np.float64).reshape(-1, 3))
+    em.table("region.csv", ["index", "x1", "x2", "x3"],
+             [np.arange(len(xs)), xs[:, 0], xs[:, 1], xs[:, 2]], scenario, model=model.value)
     em.summary["verdict"] = "nonempty" if vertices else "empty"
     em.summary["data"] = {"model": model.value, "n_vertices": len(vertices)}
     return em.finish()
@@ -217,12 +251,10 @@ def _cmd_sweep(args) -> int:
     )
     spec = SweepSpec(tuple(range(args.k_min, args.k_max + 1)), grid)
     points = snr_boundary(spec, model)
-    rows = [
-        (p.k, p.status, "" if p.threshold_db is None else p.threshold_db,
-         ";".join(v for v in p.grid_verdicts))
-        for p in points
-    ]
-    em.table("boundary.csv", ["k", "status", "threshold_db", "grid_verdicts"], rows,
+    em.table("boundary.csv", ["k", "status", "threshold_db", "grid_verdicts"],
+             [[p.k for p in points], [p.status for p in points],
+              ["" if p.threshold_db is None else p.threshold_db for p in points],
+              [";".join(p.grid_verdicts) for p in points]],
              model=model.value, snr_min=args.snr_min, snr_max=args.snr_max,
              snr_step=args.snr_step)
     em.summary["data"] = {
@@ -236,17 +268,18 @@ def _cmd_externalities(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
     verdict = classify_externalities(scenario, args.trials, args.seed)
-    names = _member_names(scenario.k)
-    rows = [
-        (",".join(map(str, w.before.rgs)), ",".join(map(str, w.after.rgs)),
-         names[w.coalition.mask], em.conv(w.value_before), em.conv(w.value_after),
-         em.conv(w.value_after - w.value_before))
-        for w in verdict.witnesses
-    ]
+    witnesses = verdict.witnesses
+    masks = np.array([w.coalition.mask for w in witnesses], dtype=np.int64)
+    before = np.array([w.value_before for w in witnesses], dtype=np.float64)
+    after = np.array([w.value_after for w in witnesses], dtype=np.float64)
     em.table("externalities.csv",
              ["rgs_before", "rgs_after", "external_members",
               f"value_before_{em.unit}", f"value_after_{em.unit}", "delta"],
-             rows, scenario, trials=args.trials)
+             [[",".join(map(str, w.before.rgs)) for w in witnesses],
+              [",".join(map(str, w.after.rgs)) for w in witnesses],
+              _member_names(scenario.k)[masks], em.conv(before), em.conv(after),
+              em.conv(after - before)],
+             scenario, trials=args.trials)
     em.summary["verdict"] = verdict.classification
     em.summary["data"] = {"trials": args.trials, "witnesses": len(verdict.witnesses)}
     return em.finish()
@@ -256,20 +289,19 @@ def _cmd_properties(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
     report = verify_superadditivity(scenario, args.trials, args.seed)
-    rows = [
-        ("merge_superadditivity", report.trials_run, report.skipped,
-         "pass" if report.counterexample is None else "fail"),
-        ("cohesiveness", "all_partitions", report.skipped,
-         "pass" if report.cohesive else "fail"),
-    ]
-    em.table("properties.csv", ["check", "trials", "skipped", "result"], rows,
-             scenario, trials=args.trials,
-             cohesiveness_worst=report.cohesiveness_worst)
+    worst = em.conv(report.cohesiveness_worst)
+    em.table("properties.csv", ["check", "trials", "skipped", "result"],
+             [["merge_superadditivity", "cohesiveness"],
+              [report.trials_run, "all_partitions"],
+              [report.skipped, report.skipped],
+              ["pass" if report.counterexample is None else "fail",
+               "pass" if report.cohesive else "fail"]],
+             scenario, trials=args.trials, cohesiveness_worst=worst)
     em.summary["verdict"] = "pass" if report.passed else "fail"
     em.summary["data"] = {
         "trials": report.trials_run,
         "skipped": report.skipped,
-        "cohesiveness_worst": report.cohesiveness_worst,
+        "cohesiveness_worst": worst,
     }
     return em.finish()
 
@@ -284,13 +316,15 @@ def _cmd_ratio(args) -> int:
     if not snrs or not all(map(math.isfinite, snrs)):
         raise InvalidArgument("--snr needs a comma-separated list of finite dB values")
     curve = approx_ratio(scenario, snrs)
-    rows = [
-        (p.snr_db, p.size, em.conv(p.approx), em.conv(p.exact), p.ratio)
-        for p in curve.points
-    ]
+    points = curve.points
     em.table("ratio.csv",
              ["snr_db", "size", f"approx_{em.unit}", f"exact_{em.unit}", "ratio"],
-             rows, scenario)
+             [np.array([p.snr_db for p in points], dtype=np.float64),
+              np.array([p.size for p in points], dtype=np.int64),
+              em.conv(np.array([p.approx for p in points], dtype=np.float64)),
+              em.conv(np.array([p.exact for p in points], dtype=np.float64)),
+              np.array([p.ratio for p in points], dtype=np.float64)],
+             scenario)
     em.summary["data"] = {
         "monotonicity_violations": [list(v) for v in curve.monotonicity_violations],
     }

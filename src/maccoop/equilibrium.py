@@ -46,6 +46,7 @@ from .capacity import (
 from .errors import InvalidArgument, NonConvergence, NumericalFailure
 from .io import fingerprint as scenario_fingerprint
 from .model import (
+    MAX_USERS,
     RGS_CHUNK_ROWS,
     Coalition,
     Partition,
@@ -330,6 +331,16 @@ def ne_sud(
     return _one_row(_sud_blocks, scenario, partition, init=init, max_rounds=max_rounds)
 
 
+def _order_count(n: int) -> int:
+    """n!, the decoding orders of n blocks; raises past ``_TIMESHARE_MAX_ORDERS``."""
+    n_orders = math.factorial(n)
+    if n_orders > _TIMESHARE_MAX_ORDERS:
+        raise InvalidArgument(
+            f"{n} blocks give {n_orders} decoding orders; the cap is {_TIMESHARE_MAX_ORDERS}"
+        )
+    return n_orders
+
+
 def _timeshare_orders(receiver: SicTimeShare,
                       n: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Weights and label tuples of the nonzero-weight decoding orders of n blocks.
@@ -338,11 +349,7 @@ def _timeshare_orders(receiver: SicTimeShare,
     ``_TIMESHARE_MAX_ORDERS``; weights are uniform unless the receiver
     lists one per order.
     """
-    n_orders = math.factorial(n)
-    if n_orders > _TIMESHARE_MAX_ORDERS:
-        raise InvalidArgument(
-            f"{n} blocks give {n_orders} decoding orders; the cap is {_TIMESHARE_MAX_ORDERS}"
-        )
+    n_orders = _order_count(n)
     if receiver.weights is None:
         weights = (1.0 / n_orders,) * n_orders
     elif len(receiver.weights) != n_orders:
@@ -602,16 +609,29 @@ def require_uniform_timeshare(scenario: Scenario, what: str = "tables and core c
         )
 
 
+def _every_partition(scenario: Scenario) -> np.ndarray:
+    """``rgs_matrix(K)``, the rows of a table of every partition, once its caps pass.
+
+    Every block count 1..K occurs, so a time-share game meets the order
+    cap (:func:`_order_count`) at the count its first row over the cap
+    would, but before the B_K rows are built.  Past ``MAX_USERS`` the
+    user cap (:func:`rgs_matrix`) speaks first.
+    """
+    if isinstance(scenario.receiver, SicTimeShare) and scenario.k <= MAX_USERS:
+        for n in range(1, scenario.k + 1):
+            _order_count(n)
+    return rgs_matrix(scenario.k)
+
+
 def utility_table(scenario: Scenario) -> UtilityTable:
     """Equilibrium utilities for every coalition of every partition.
 
-    Partitions are enumerated in restricted-growth order and their values
-    come from :func:`_table_of`.  The user cap (:func:`rgs_matrix`) and
-    the time-share order cap (:func:`_timeshare_orders`) raise before any
-    solve.
+    Partitions are enumerated in restricted-growth order
+    (:func:`_every_partition`, whose caps raise before any row is built)
+    and their values come from :func:`_table_of`.
     """
     require_uniform_timeshare(scenario)
-    return _table_of(scenario, rgs_matrix(scenario.k))
+    return _table_of(scenario, _every_partition(scenario))
 
 
 def _table_of(scenario: Scenario, rgs: np.ndarray) -> UtilityTable:

@@ -5,8 +5,13 @@ canonical file and serializing it back is byte-identical.  Parse errors
 are anchored to a line/column (syntax) or a field path (semantics).
 
 Result tables are CSV preceded by ``#``-prefixed metadata lines (tool
-version, scenario fingerprint, seed, tolerances) so that identical
-inputs always produce identical bytes.
+version, scenario fingerprint, seed, units) so that identical inputs
+always produce identical bytes.  Tables are handed over by column: each
+column is formatted in one pass chosen by its dtype (floats to 12
+significant digits by ``%.12g``, which spells ``nan``, ``inf`` and
+``-inf``), and rows go to the CSV writer ``CHUNK_ROWS`` at a time, so a
+table's formatted cells are never all alive at once.  Quoting is the
+``csv`` module's minimal quoting.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -194,24 +198,56 @@ def format_value(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (np.floating, float)):
-        x = float(value)
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".12g")
+        return format(float(value), ".12g")  # spells nan, inf and -inf
     if isinstance(value, (np.integer, int)):
         return str(int(value))
     return str(value)
 
 
-def write_table(fh, columns: Sequence[str], rows: Iterable[Sequence[Any]],
+#: Rows formatted and handed to one ``csv.writer.writerows`` call at a time.
+CHUNK_ROWS = 2048
+
+
+def _format_column(column: Sequence[Any]) -> list[str]:
+    """A column's cells as strings, in one pass chosen by its dtype.
+
+    float64 arrays go through ``%.12g``, which equals ``format_value``'s
+    ``.12g`` on every double, nan and the infinities included; integer
+    arrays through ``str``; str arrays stand as they are.  Any other
+    column, numpy or not, goes through ``format_value`` cell by cell.
+    """
+    if not isinstance(column, np.ndarray):
+        return list(map(format_value, column))
+    cells = column.tolist()
+    if column.dtype == np.float64:
+        return list(map("%.12g".__mod__, cells))
+    if column.dtype.kind in "iu":
+        return list(map(str, cells))
+    if column.dtype.kind == "U":
+        return cells
+    return list(map(format_value, cells))
+
+
+def write_table(fh, header: Sequence[str], columns: Sequence[Sequence[Any]],
                 meta: Mapping[str, Any] | None = None) -> None:
-    """Write a CSV table preceded by '#'-prefixed metadata lines."""
+    """Write a CSV table preceded by '#'-prefixed metadata lines.
+
+    ``columns`` holds one column per ``header`` name, all of one length.
+    A column is anything with ``len`` and slicing: a numpy array, a list,
+    or an object that computes each slice of rows when asked.  Each
+    ``CHUNK_ROWS`` slice of every column is formatted (``_format_column``)
+    and written before the next is taken.
+    """
+    n = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(len(col) != n for col in columns):
+        raise ValueError(f"{len(header)} header names need as many columns of one length")
     for key, value in (meta or {}).items():
         fh.write(f"# {key}: {format_value(value)}\n")
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([format_value(cell) for cell in row])
+    writer.writerow(header)
+    for start in range(0, n, CHUNK_ROWS):
+        writer.writerows(zip(*(_format_column(col[start:start + CHUNK_ROWS])
+                               for col in columns)))
 
 
 def table_meta(scenario: Scenario | None = None, *, seed: int | None = None,

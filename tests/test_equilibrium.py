@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -680,10 +681,24 @@ class TestUtilityTable:
         with pytest.raises(InvalidArgument):
             utility_table(s)
 
-    def test_timeshare_guard_names_the_cap(self):
-        s = symmetric(8, 1.0, SicTimeShare())
-        with pytest.raises(InvalidArgument, match="5040"):
-            utility_table(s)
+    @pytest.mark.parametrize("k, message", [
+        (8, "8 blocks give 40320 decoding orders; the cap is 5040"),
+        (11, "8 blocks give 40320 decoding orders; the cap is 5040"),
+        (12, "8 blocks give 40320 decoding orders; the cap is 5040"),
+        (13, "k must be in 1..12, got 13"),
+    ])
+    def test_timeshare_guard_names_the_cap(self, k, message):
+        # the caps raise before any of the B_K rows is built
+        s = symmetric(k, 1.0, SicTimeShare())
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArgument) as err:
+                utility_table(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message
+        assert peak < 1 << 20
 
     def test_timeshare_at_the_cap(self):
         # K=7: the singleton partition has 7! = 5040 orders, the cap itself

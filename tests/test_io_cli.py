@@ -1,12 +1,31 @@
+import contextlib
+import csv
+import dataclasses
+import hashlib
+import io as _io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maccoop import _kernels, cli, equilibrium, io
 from maccoop.errors import ScenarioFormatError
-from maccoop.model import Coalition, PerAntenna, Scenario, SicFixed, SicTimeShare, Sud, UserSpec
+from maccoop.model import (
+    Coalition,
+    PerAntenna,
+    Scenario,
+    SicFixed,
+    SicTimeShare,
+    Sud,
+    SumPower,
+    UserSpec,
+    enumerate_partitions,
+)
 
 from conftest import random_scenario, rank_one_sud_160db, symmetric
 
@@ -67,12 +86,86 @@ class TestScenarioFiles:
         assert (tmp_path / "copy.cfg").read_text() == sym4_text()
 
 
+def reference_write_table(fh, columns, rows, meta=None):
+    """The per-cell writer the columnar one replaced: every cell through format_value."""
+    for key, value in (meta or {}).items():
+        fh.write(f"# {key}: {io.format_value(value)}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([io.format_value(cell) for cell in row])
+
+
+def written(write, *args):
+    fh = _io.StringIO()
+    write(fh, *args)
+    return fh.getvalue()
+
+
+class _Recorded(list):
+    """A list column that records the length of every slice the writer takes."""
+
+    def __init__(self, cells, taken):
+        super().__init__(cells)
+        self.taken = taken
+
+    def __getitem__(self, rows):
+        out = super().__getitem__(rows)
+        self.taken.append(len(out))
+        return out
+
+
 class TestFormatting:
     def test_twelve_significant_digits(self):
         assert io.format_value(math.log(19.0) / 3) == "0.981479659722"
         assert io.format_value(1.0) == "1"
         assert io.format_value(True) == "true"
         assert io.format_value(np.float64(0.25)) == "0.25"
+        assert [io.format_value(x) for x in (math.nan, -math.nan, math.inf, -math.inf, -0.0)] == [
+            "nan", "nan", "inf", "-inf", "-0"]
+
+    @pytest.mark.parametrize("n", [0, 1, io.CHUNK_ROWS - 1, io.CHUNK_ROWS, io.CHUNK_ROWS + 1])
+    def test_columns_write_the_bytes_of_the_per_cell_writer(self, n):
+        floats = np.resize(np.array([
+            math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300,
+            1e-300, 1.7976931348623157e308, math.log(19.0) / 3, 0.1 + 0.2, 123456789012345.0,
+            -1.0, 2.0 ** 60, 1e16, 1e-5,
+        ]), n)
+        ints = np.resize(np.array([0, -1, 7, 127, -128, 32767, 5 - 2 ** 62, 2 ** 62]), n)
+        strs = ["a,b", 'say "hi"', "two\nlines", " padded ", "", "plain", "1 2|3"]
+        mixed = ["", 0.5, 3, True, "x,y", np.float64(math.nan), np.int16(-4), None]
+        taken = []
+        columns = {
+            "f64": floats,
+            "f64_list": floats.tolist(),
+            "i8": ints.astype(np.int8),
+            "i16": ints.astype(np.int16),
+            "i64": ints,
+            "u8": ints.astype(np.uint8),
+            "py_int": ints.tolist(),
+            "bool": np.resize(np.array([True, False, False]), n),
+            "py_bool": np.resize(np.array([False, True]), n).tolist(),
+            "str": np.resize(np.array(strs), n),
+            "str_list": np.resize(np.array(strs), n).tolist(),
+            "mixed": [mixed[i % len(mixed)] for i in range(n)],
+            "object": np.resize(np.array(mixed, dtype=object), n),
+            "recorded": _Recorded(np.resize(floats, n).tolist(), taken),
+        }
+        header = list(columns)
+        meta = {"tool_version": io.TOOL_VERSION, "grand": math.log(5.0), "flag": False,
+                "note": "a, b"}
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else list(c)
+                     for c in columns.values()))
+        got = written(io.write_table, header, list(columns.values()), meta)
+        assert got == written(reference_write_table, header, rows, meta)
+        assert len(got.splitlines()) >= len(meta) + 1 + n
+        assert sum(taken) == n and all(t <= io.CHUNK_ROWS for t in taken)
+
+    def test_columns_of_unequal_length_raise(self):
+        with pytest.raises(ValueError):
+            written(io.write_table, ["a", "b"], [np.arange(3), np.arange(2)])
+        with pytest.raises(ValueError):
+            written(io.write_table, ["a", "b"], [np.arange(3)])
 
 
 def run_cli(args, capsys):
@@ -86,6 +179,27 @@ class TestCli:
         code, out, _ = run_cli(["partitions", "--k", "4", "--count-only"], capsys)
         assert code == 0
         assert out.strip() == "15"
+
+    def test_module_runs_the_cli(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "maccoop", "partitions", "--k", "4", "--count-only"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "15"
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_partitions_table_is_the_per_partition_one(self, tmp_path, capsys, k):
+        code, _, _ = run_cli(["partitions", "--k", str(k), "--out", str(tmp_path)], capsys)
+        assert code == 0
+        rows = [(i, ",".join(map(str, p.rgs)),
+                 "|".join(" ".join(map(str, b.members)) for b in p.blocks), len(p))
+                for i, p in enumerate(enumerate_partitions(k))]
+        meta = io.table_meta(seed=0, unit="nats", k=k)
+        want = written(reference_write_table, ["index", "rgs", "blocks", "n_blocks"], rows, meta)
+        assert (tmp_path / "partitions.csv").read_text() == want
 
     def test_partitions_table(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -189,6 +303,41 @@ class TestCli:
         nats = json.loads(out_nats)["epsilon_star"]
         bits = json.loads(out_bits)["epsilon_star"]
         assert bits == pytest.approx(nats / math.log(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("name, verdict", [("sym4", "empty"), ("sud3", "nonempty")])
+    def test_bits_flag_rescales_core(self, tmp_path, capsys, name, verdict):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(io.serialize_scenario(_pinned_scenarios()[name]))
+        runs = []
+        for sub, flags in (("a", []), ("b", ["--bits"])):
+            code, out, _ = run_cli(["core", "--scenario", str(cfg), "--model", "rational",
+                                    "--out", str(tmp_path / sub), *flags], capsys)
+            assert code == 0
+            runs.append(json.loads(out))
+        nats, bits = runs
+        assert nats["verdict"] == bits["verdict"] == verdict
+        for key in ("grand_value", "min_slack"):
+            assert bits["data"][key] == nats["data"][key] / cli.LN2
+        if verdict == "empty":
+            assert bits["certificate"]["margin"] == nats["certificate"]["margin"] / cli.LN2
+            assert bits["certificate"]["weights"] == nats["certificate"]["weights"]
+        else:
+            assert bits["allocation"] == [x / cli.LN2 for x in nats["allocation"]]
+
+    def test_bits_flag_rescales_properties(self, tmp_path, capsys, monkeypatch):
+        # every pinned game's worst gap is 0.0, which reads the same in both units
+        original = cli.verify_superadditivity
+        monkeypatch.setattr(cli, "verify_superadditivity", lambda *a: dataclasses.replace(
+            original(*a), cohesiveness_worst=0.75))
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(sym4_text())
+        for sub, flags, want in (("a", [], 0.75), ("b", ["--bits"], 0.75 / cli.LN2)):
+            code, out, _ = run_cli(["properties", "--scenario", str(cfg), "--trials", "5",
+                                    "--out", str(tmp_path / sub), *flags], capsys)
+            assert code == 0
+            assert json.loads(out)["data"]["cohesiveness_worst"] == want
+            meta = (tmp_path / sub / "properties.csv").read_text().splitlines()
+            assert f"# cohesiveness_worst: {io.format_value(want)}" in meta
 
     def test_utilities_and_determinism(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
@@ -387,3 +536,152 @@ class TestCli:
         )
         assert code == 2
         assert "numerical failure" in err
+
+
+def _pinned_scenarios():
+    """One-antenna closed-form and K=3 time-share games: no value of theirs goes through BLAS."""
+    sic4 = Scenario((
+        UserSpec(1, 1, np.array([[0.8]]), PerAntenna((1.5,))),
+        UserSpec(2, 2, np.array([[1.1, -0.4]]), PerAntenna((0.7, 1.2))),
+        UserSpec(3, 1, np.array([[-0.6]]), PerAntenna((2.0,))),
+        UserSpec(4, 2, np.array([[0.3, 0.9]]), PerAntenna((1.0, 0.5))),
+    ), 1, 0.5, SicFixed((2, 4, 1, 3)))
+    sud3 = Scenario(tuple(
+        UserSpec(i + 1, 1, np.array([[g]]), SumPower(p))
+        for i, (g, p) in enumerate([(0.9, 1.0), (1.3, 2.0), (0.5, 0.8)])
+    ), 1, 0.3, Sud())
+    ts3 = Scenario(tuple(
+        UserSpec(i + 1, 1, np.array([[g]]), SumPower(p))
+        for i, (g, p) in enumerate([(1.2, 0.6), (0.7, 1.5), (1.0, 1.0)])
+    ), 1, 0.4, SicTimeShare())
+    return {"sic4": sic4, "sud3": sud3, "ts3": ts3,
+            "sym4": symmetric(4, 1.0, SicFixed((1, 2, 3, 4))),
+            "sym3ts": symmetric(3, 0.5, SicTimeShare())}
+
+
+#: (label, scenario name or None, argv before --scenario/--out)
+PINNED_RUNS = (
+    ("partitions-k1", None, ["partitions", "--k", "1"]),
+    ("partitions-k4", None, ["partitions", "--k", "4"]),
+    ("utilities-sic4", "sic4", ["utilities"]),
+    ("utilities-sic4-bits", "sic4", ["utilities", "--bits"]),
+    ("utilities-ts3", "ts3", ["utilities"]),
+    ("core-empty", "sym4", ["core", "--model", "rational"]),
+    ("core-nonempty", "sud3", ["core", "--model", "rational"]),
+    ("core-sic4-merging", "sic4", ["core", "--model", "merging"]),
+    ("least-core", "ts3", ["least-core", "--model", "cautious"]),
+    ("least-core-bits", "sym4", ["least-core", "--model", "rational", "--bits"]),
+    ("region", "sym3ts", ["region", "--model", "rational"]),
+    ("region-sud3", "sud3", ["region", "--model", "merging"]),
+    ("sweep", None, ["sweep", "--k-min", "2", "--k-max", "4", "--snr-min", "-30",
+                     "--snr-max", "0", "--snr-step", "10"]),
+    ("externalities", "sic4", ["externalities", "--trials", "20", "--seed", "3"]),
+    ("properties", "sic4", ["properties", "--trials", "20"]),
+    ("properties-ts3", "ts3", ["properties", "--trials", "10"]),
+    ("ratio", "sym3ts", ["ratio", "--snr", "0,20,40"]),
+)
+
+
+def pinned_run_digests(workdir, label):
+    """Exit code, sha256 of stdout, and sha256 of every file the run writes by file name."""
+    _, name, argv = next(run for run in PINNED_RUNS if run[0] == label)
+    argv = list(argv)
+    if name is not None:
+        path = workdir / f"{name}.cfg"
+        path.write_text(io.serialize_scenario(_pinned_scenarios()[name]))
+        argv += ["--scenario", str(path)]
+    out = workdir / label
+    stdout = _io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(_io.StringIO()):
+        code = cli.main(argv + ["--out", str(out)])
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    return code, hashlib.sha256(stdout.getvalue().encode()).hexdigest(), files
+
+
+#: What each of ``PINNED_RUNS`` writes, by sha256 (see the test below).
+PINNED_DIGESTS = {
+    "partitions-k1": {
+        "partitions.csv": "b18ef3271651a090f0df7e1ef463af4b771a77a6927f6539f6cb336473289915",
+        "summary.json": "c5e6e5e8a4a633612aa4d6b69b9e580660b098a16197986b2ba7e0bf33897fa5",
+    },
+    "partitions-k4": {
+        "partitions.csv": "c3097ff15377deda07badb9423d575cfb4376f21ff4abf9154d0e49efb7772e7",
+        "summary.json": "8a08158f5ed5404773f0caf2475589df54026c9a1bb722ffc1434178fd19b6eb",
+    },
+    "utilities-sic4": {
+        "summary.json": "602bf93a37b4b756196bdafa636509ad90a4af23d9ac9be994655fa0bc5c58a1",
+        "utilities.csv": "400cc19ec6e54b2384895badffd29d62199e5ad88fad67743b1d95bce74aa296",
+    },
+    "utilities-sic4-bits": {
+        "summary.json": "602bf93a37b4b756196bdafa636509ad90a4af23d9ac9be994655fa0bc5c58a1",
+        "utilities.csv": "1c8b9b636df20b61593751c3cf1e1d35a6809113c34455bcb0e8694f09fe992b",
+    },
+    "utilities-ts3": {
+        "summary.json": "13033631e6f1a984b13ada6196c5e8a138b0223e1e7ee43c70bc1523e60454ea",
+        "utilities.csv": "1b80f6f4bc1ccf05f4e715057dc137239231481e867065af4b306f511c5f31a3",
+    },
+    "core-empty": {
+        "certificate.csv": "fb91824a8de48068fc9fae86b176dc90ceef7c035baa7ff4c64c290562544e86",
+        "demands.csv": "fd3792f4d5a29eb6cdc6742198e8dfdf57c95c262b30008042a9625aafc9186f",
+        "summary.json": "03122d426e2f931a62c1fb8aec2199865eafb07ce084abbda59e56a343d41e1b",
+    },
+    "core-nonempty": {
+        "demands.csv": "65aa4a07e2630fcda005b856a1b1f1628f9af5584a6f9e9a0237bebb8d41b8c2",
+        "summary.json": "21f5dfa6bf4236c3854e93260fa6778934284c99672679c17d251e89feac2fc4",
+    },
+    "core-sic4-merging": {
+        "certificate.csv": "08134ad5ac7455459c341ac1d9849e2873a7a4e1f17442d71961e967a4c19b4c",
+        "demands.csv": "07a73f0f33292b90d7fe1a48c8efe9849b5ff5b75a5b7aa93c8edc5104cd6aef",
+        "summary.json": "859702d4d5b3b1ad7c5a67ab1fce2dbe3bf27ba311cc6c2e7bab1c2d087303f3",
+    },
+    "least-core": {
+        "least_core.csv": "b5325b8c7a6ea58df2478d11e667772755f9e602a8f55b5b5f740544eb89a7bd",
+        "summary.json": "74fccc3b3cdd35e79681ed4415c1677f86f4c08a59980599bb952c367f6baf7d",
+    },
+    "least-core-bits": {
+        "least_core.csv": "0af7deeb363c8436c74149feda8313fccfa5fb8deafe0218de7791340b1b698b",
+        "summary.json": "f0c503fd5636c5b8fc6dab2ae4750278c458b86be0b7af77da4c571f0d557d0b",
+    },
+    "region": {
+        "region.csv": "fac660d7e29aebd31f54576d18397baf21e4539da7d1b9293919ed61acd1c117",
+        "summary.json": "95971023c3cdee1e5541083b8f94da669d808acfe30ae549f299e4e9bcd26471",
+    },
+    "region-sud3": {
+        "region.csv": "4723ad447297e07cefe3c6fa53c523676af7614c2d02befd49edd44b1091fcff",
+        "summary.json": "7aadedc6b933c5a919b5f95b6fa528e0a5b4f7b8c083ffd0eadba43dcff3ee23",
+    },
+    "sweep": {
+        "boundary.csv": "b27460a58a6fc3bac5cfcb2d39fc20cbaa2f8f24bb6e3f192335be52d4a49ea0",
+        "summary.json": "16ebbad3525e16fbdc2ee396fb4c7678676c006cd57d5f9945fbd46eb087af1e",
+    },
+    "externalities": {
+        "externalities.csv": "cade352f7edc410bdb976c4f2afbd0bd17fa00e05a87bb798881403bb645774f",
+        "summary.json": "b602ee523a0a20db9f1e531c7bfb7a3cb777e4b5957cfb442f871ad9d299f608",
+    },
+    "properties": {
+        "properties.csv": "08fa47149657782772b16406c502c54c14cac6ba5bdbce67cb57f30cc71fd588",
+        "summary.json": "4886e7284f020292c464fc69354686669bfb382f9b0994f0d04ec9a7f27c2e0e",
+    },
+    "properties-ts3": {
+        "properties.csv": "dc15000772a5924047deec0c2ddd5c92f731bd9ce8fe5d1529ff2c7f0f624373",
+        "summary.json": "a7b62af5066fe08ab676b2151b9f1cd9c8d9d424747364384f779aee582cc3f0",
+    },
+    "ratio": {
+        "ratio.csv": "98a78014d3d840f4fee5c164ba11687e7767e41f26652905559a320309ba1393",
+        "summary.json": "e5bd3c1b6da795e485331b3ff4f025ec9ce2bee6ca45180fe3452009685c1459",
+    },
+}
+
+
+@pytest.mark.parametrize("label", [run[0] for run in PINNED_RUNS])
+def test_cli_files_are_byte_identical_to_the_per_cell_writer(tmp_path, label):
+    """Every file a subcommand writes has the bytes of the per-cell writer.
+
+    The digests were computed by ``pinned_run_digests`` on a separate
+    checkout of commit dd7b727, the parent of the columnar writer, whose
+    ``write_table`` sent every cell through ``format_value``.
+    """
+    code, stdout, files = pinned_run_digests(tmp_path, label)
+    assert code == 0
+    assert files == PINNED_DIGESTS[label]
+    assert stdout == files["summary.json"]
