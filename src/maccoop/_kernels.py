@@ -11,6 +11,10 @@ one per decoding suffix it is asked to solve.  A number is a pooled
 trace budget (waterfilling); an array holds per-antenna caps
 (:func:`pa_maximize`).
 
+The one-receive-antenna closed form solves nothing: a block's received
+power and decoding slot are 2^K tables indexed by coalition mask
+(:func:`mask_table`), read at each partition's block masks.
+
 Kernels never raise domain errors; they return status flags and the
 wrappers in :mod:`maccoop.capacity` / :mod:`maccoop.equilibrium` turn
 those into exceptions.  All inputs are float64 and are not mutated.
@@ -464,75 +468,53 @@ def sud_lockstep(n0, hs, limits, q0s, blocks, counts, tol, max_rounds, pa_tol, p
     return qs, utils, rounds, converged, delta
 
 
-def _block_powers(rgs_mat, gain2, p_sum, amp, mode):
-    """Each block label's received power, (rows, K) float64, 0 past the last block.
+def mask_table(ufunc, values, empty):
+    """A per-coalition quantity as a 2^K table indexed by coalition mask.
 
-    A block's received power is (sum of member gains^2)(sum of member
-    budgets) under a trace budget (mode 0) or (sum of member |h| sqrt(cap)
-    amplitudes)^2 under antenna caps (mode 1).  Member weights are summed
-    with one fancy-indexed add per user, in user order, so no (rows, K, K)
-    one-hot array is formed.
+    Entry m folds ``values`` over m's bits with ``ufunc``, lowest bit
+    first, starting from ``empty``.  Masks with highest bit b are the
+    masks below 2^b, each folded with ``values[b]``: one slice op per
+    bit.  With ``np.add`` and 0.0 members are added in user order, as a
+    per-user ``+=`` adds them.  ``values`` is an array of any dtype (int8
+    decoding slots, say), and the table has that dtype.
     """
-    rows, k = rgs_mat.shape
-    every = np.arange(rows)
-
-    def label_sums(weight):
-        out = np.zeros((rows, k))
-        for u in range(k):
-            out[every, rgs_mat[:, u]] += weight[u]
-        return out
-
-    if mode == 0:
-        return label_sums(gain2) * label_sums(p_sum)
-    a = label_sums(amp)
-    return a * a
-
-
-def label_slots(rgs_mat, slot):
-    """Each block label's decoding position: its latest member's ``slot``, as int8.
-
-    ``slot[u]`` is user u's base decoding position.  Users are written in
-    decoding order, so a label keeps its latest member's slot; a label
-    with no member keeps K and sorts last.
-    """
-    rows, k = rgs_mat.shape
-    out = np.full((rows, k), k, dtype=np.int8)
-    every = np.arange(rows)
-    for u in np.argsort(slot):
-        out[every, rgs_mat[:, u]] = slot[u]
+    out = np.empty(1 << len(values), dtype=values.dtype)
+    out[0] = empty
+    for b, v in enumerate(values):
+        ufunc(out[:1 << b], v, out=out[1 << b:2 << b])
     return out
 
 
-def single_rx_layout(rgs_mat, slot, gain2, p_sum, amp, mode):
-    """The noise-free part of the one-receive-antenna closed forms, one RGS per row.
+def single_rx_layout(masks, power_of, slot_of):
+    """The noise-free part of the one-receive-antenna closed forms, one partition per row.
 
-    With fixed-order cancellation (``slot[u]`` is user u's base decoding
-    position) blocks decode at their latest member's slot
-    (:func:`label_slots`) and each hears the blocks decoded after it.
-    With single-user decoding (``slot`` None) each block hears all the
-    others: an exclusive prefix sum plus an exclusive suffix sum over the
-    labels, so no block's own power is ever subtracted and a weak block
-    beside a strong one is not lost to cancellation.  Heard power holds
-    no noise, so a block alone in its row hears exactly 0.
+    ``masks`` holds each row's block masks in label order, 0 past its
+    last block.  ``power_of`` and ``slot_of`` are :func:`mask_table`
+    tables: each coalition's received power and decoding slot, with the
+    empty mask's slot past every block's.  With fixed-order cancellation
+    each block hears the blocks decoded after it.  With single-user
+    decoding (``slot_of`` None) each block hears all the others: an
+    exclusive prefix sum plus an exclusive suffix sum over the labels, so
+    no block's own power is ever subtracted and a weak block beside a
+    strong one is not lost to cancellation.  Heard power holds no noise,
+    so a block alone in its row hears exactly 0.
 
-    Returns (power, heard, exists), each (rows, K) in block label order:
-    each block's received power, the power it hears, and which labels are
-    blocks (labels up to the row's largest).  :func:`single_rx_values`
+    Returns (power, heard), each shaped like ``masks``: each block's
+    received power and the power it hears.  :func:`single_rx_values`
     turns them into utilities.
     """
-    power = _block_powers(rgs_mat, gain2, p_sum, amp, mode)
-    exists = np.arange(rgs_mat.shape[1]) <= rgs_mat.max(axis=1, keepdims=True)
-    if slot is None:
+    power = power_of[masks]
+    if slot_of is None:
         heard = np.zeros_like(power)
         np.cumsum(power[:, :-1], axis=1, out=heard[:, 1:])
         heard[:, :-1] += np.cumsum(power[:, :0:-1], axis=1)[:, ::-1]
-        return power, heard, exists
-    order = np.argsort(label_slots(rgs_mat, slot), axis=1)
+        return power, heard
+    order = np.argsort(slot_of[masks], axis=1)
     power_sorted = np.take_along_axis(power, order, axis=1)
     heard_sorted = np.cumsum(power_sorted[:, ::-1], axis=1)[:, ::-1] - power_sorted
     heard = np.empty_like(heard_sorted)
     np.put_along_axis(heard, order, heard_sorted, axis=1)
-    return power, heard, exists
+    return power, heard
 
 
 #: perfbench's tracer wraps the layout kernel, and counts its rows, under

@@ -244,8 +244,9 @@ class SweepSpec:
                 or any(b <= a for a, b in zip(grid, grid[1:]))):
             raise InvalidArgument("SNR grid must be finite, strictly increasing, length >= 2")
         ks = tuple(int(k) for k in self.k_values)
-        if any(k < 2 or k > CORE_MAX_USERS for k in ks):
-            raise InvalidArgument(f"boundary sweeps need 2 <= K <= {CORE_MAX_USERS}")
+        if not ks or any(k < 2 or k > CORE_MAX_USERS for k in ks):
+            raise InvalidArgument(f"boundary sweeps need one or more K, each "
+                                  f"2 <= K <= {CORE_MAX_USERS}, got {ks}")
         object.__setattr__(self, "snr_grid_db", grid)
         object.__setattr__(self, "k_values", ks)
 

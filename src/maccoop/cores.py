@@ -45,7 +45,9 @@ import numpy as np
 
 # _exact_lp is unused here; perfbench's tracer looks it up in sys.modules
 from . import _exact_lp  # noqa: F401
-from .equilibrium import UtilityTable, _table_of, require_uniform_timeshare, utility_table
+from ._kernels import mask_table
+from .equilibrium import (UtilityTable, _require_mask_bits, _table_of,
+                          require_uniform_timeshare, utility_table)
 from .errors import InvalidArgument, NumericalFailure
 from .model import Coalition, Scenario
 # enumerate_partitions is unused here; perfbench's restore test asserts the binding
@@ -109,8 +111,10 @@ def _fixed_arrangements(k: int, masks, model: ExpectationModel) -> np.ndarray:
     Merging labels a user 0 when it sits on user 1's side and 1 otherwise.
     Singleton numbers blocks by first appearance, S being one block: each
     outsider and S's first member open a new label, and every member of S
-    takes its first member's.
+    takes its first member's.  The mask cap is checked before any row is
+    built.
     """
+    _require_mask_bits(k)
     inside = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(k)) & 1
     if model is ExpectationModel.MERGING:
         return (inside ^ inside[:, :1]).astype(np.int8)
@@ -136,12 +140,9 @@ def _table_demands(table: UtilityTable, model: ExpectationModel) -> np.ndarray:
     counts = table.counts
     demand = np.full(1 << k, np.inf)
     if model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
-        blocks = np.repeat(counts, counts)
-        if model is ExpectationModel.MERGING:
-            hit = blocks == 2
-        else:
-            size = _incidence(range(1 << k), k).sum(axis=1)
-            hit = blocks == k - size[masks] + 1
+        size = mask_table(np.add, np.ones(k, dtype=np.int64), 0)[masks]
+        hit = np.repeat(counts, counts) == (2 if model is ExpectationModel.MERGING
+                                            else k - size + 1)
         demand[masks[hit]] = own[hit]
         return demand
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats

@@ -454,55 +454,62 @@ def dsc_diagnostic(
 # utility tables
 
 
-def _single_rx_powers(scenario: Scenario) -> tuple:
-    """What the single-antenna closed forms read of the users: gain2, p_sum, amp, mode."""
-    k = scenario.k
-    gain2 = np.array([float(np.sum(u.channel ** 2)) for u in scenario.users])
+def _power_of(scenario: Scenario) -> np.ndarray:
+    """Each coalition's received power at one receive antenna, indexed by mask: (sum of
+    member gains^2)(sum of member budgets) under pooled budgets, (sum of member
+    |h| sqrt(cap) amplitudes)^2 under antenna caps."""
+    users = scenario.users
     if scenario.power_mode == "sum":
-        p_sum = np.array([u.power.total for u in scenario.users])
-        return gain2, p_sum, np.zeros(k), 0
-    amp = np.array(
-        [float(np.abs(u.channel[0]) @ np.sqrt(np.asarray(u.power.caps)))
-         for u in scenario.users]
-    )
-    return gain2, np.zeros(k), amp, 1
+        gain2 = np.array([float(np.sum(u.channel ** 2)) for u in users])
+        budget = np.array([u.power.total for u in users], dtype=np.float64)
+        return _kernels.mask_table(np.add, gain2, 0.0) * _kernels.mask_table(np.add, budget, 0.0)
+    amp = _kernels.mask_table(np.add, np.array(
+        [float(np.abs(u.channel[0]) @ np.sqrt(np.asarray(u.power.caps))) for u in users]), 0.0)
+    return amp * amp
 
 
-def _decoding_slots(receiver: SicFixed) -> np.ndarray:
-    """Each user's base decoding position, as int8."""
-    slot = np.empty(len(receiver.base_order), dtype=np.int8)
-    slot[np.asarray(receiver.base_order) - 1] = np.arange(len(slot))
-    return slot
+def _slot_of(receiver: SicFixed) -> np.ndarray:
+    """Each coalition's decoding slot, indexed by mask, as int8.
+
+    Blocks decode at their latest member's base position; the empty mask
+    (a label with no member) gets K and sorts last.
+    """
+    out = _kernels.mask_table(np.maximum, np.argsort(receiver.base_order).astype(np.int8), 0)
+    out[0] = len(receiver.base_order)
+    return out
 
 
 def _closed_form_tables(scenario: Scenario, rgs=None) -> Callable[[float], UtilityTable] | None:
     """Closed-form tables of RGS rows ``rgs`` (default: every partition) at any N0, or None.
 
     Applies to one receive antenna with fixed-order cancellation or
-    single-user decoding.  Only the utilities depend on N0: the block
-    masks and noise-free layout (:func:`_kernels.single_rx_layout`) are
-    built once, in chunks of ``RGS_CHUNK_ROWS`` rows, and the returned
-    function gives the table of ``scenario.with_noise(n0)``.  A row's
-    values depend on that row alone, so any subset of rows holds them
-    bitwise as the full table does.
+    single-user decoding.  Only the utilities depend on N0: each chunk of
+    ``RGS_CHUNK_ROWS`` rows gets its block masks once, which read
+    :func:`_power_of` and :func:`_slot_of` for the noise-free layout
+    (:func:`_kernels.single_rx_layout`), and the returned function gives
+    the table of ``scenario.with_noise(n0)``.  A row's values depend on
+    that row alone, so any subset of rows holds them bitwise as the full
+    table does.
     """
     receiver = scenario.receiver
     if scenario.rx_antennas != 1 or isinstance(receiver, SicTimeShare):
         return None
     k = scenario.k
     rgs = rgs_matrix(k) if rgs is None else rgs
+    _require_mask_bits(k)  # before any 2^K table
+    power_of = _power_of(scenario)
+    slot_of = _slot_of(receiver) if isinstance(receiver, SicFixed) else None
     counts = rgs.max(axis=1) + 1
-    slot = _decoding_slots(receiver) if isinstance(receiver, SicFixed) else None
-    powers = _single_rx_powers(scenario)
     n = int(counts.sum())
     power, heard, masks = np.empty(n), np.empty(n), np.empty(n, dtype=np.int16)
     end = 0
     for start in range(0, len(rgs), RGS_CHUNK_ROWS):
-        chunk = rgs[start:start + RGS_CHUNK_ROWS]
-        p, h, exists = _kernels.single_rx_layout(chunk, slot, *powers)
+        chunk = _label_masks(rgs[start:start + RGS_CHUNK_ROWS])
+        p, h = _kernels.single_rx_layout(chunk, power_of, slot_of)
+        exists = chunk != 0
         begin, end = end, end + int(exists.sum())
         power[begin:end], heard[begin:end] = p[exists], h[exists]
-        masks[begin:end] = _label_masks(chunk)[exists]
+        masks[begin:end] = chunk[exists]
 
     def closed(n0: float) -> UtilityTable:
         values = _kernels.single_rx_values(power, heard, n0)
@@ -511,11 +518,15 @@ def _closed_form_tables(scenario: Scenario, rgs=None) -> Callable[[float], Utili
     return closed
 
 
+def _require_mask_bits(k: int) -> None:
+    if k > 15:  # coalition masks are int16
+        raise InvalidArgument(f"coalition masks hold games of at most 15 users, not {k}")
+
+
 def _label_masks(rgs: np.ndarray) -> np.ndarray:
     """Block masks of RGS rows: (rows, k) int16, column j for label j, 0 past the last block."""
     rows, k = rgs.shape
-    if k > 15:  # every table's masks come from here
-        raise InvalidArgument(f"coalition masks hold games of at most 15 users, not {k}")
+    _require_mask_bits(k)  # every table's masks come from here
     masks = np.zeros((rows, k), dtype=np.int16)
     every = np.arange(rows)
     for u in range(k):
@@ -541,11 +552,12 @@ def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray, *,
         # vector or an order cap fails on its first row
         plans = {n: _timeshare_orders(receiver, n) for n in dict.fromkeys(counts)}
         orders = [plans[n][1] for n in counts]
-    else:
+    label_masks = _label_masks(rgs)
+    if isinstance(receiver, SicFixed):
         # blocks decode at their latest member's slot, as in the closed form
-        slots = np.argsort(_kernels.label_slots(rgs, _decoding_slots(receiver)), axis=1)
+        slots = np.argsort(_slot_of(receiver)[label_masks], axis=1)
         orders = [[tuple(row[:n])] for row, n in zip(slots.tolist(), counts)]
-    masks = [row[:n] for row, n in zip(_label_masks(rgs).tolist(), counts)]
+    masks = [row[:n] for row, n in zip(label_masks.tolist(), counts)]
     qs, rates, sids, stalled_rows = _solve_orders(scenario, masks, orders, init=init)
     stalled = {row: _pa_stall(Partition.from_rgs(rgs[row].tolist())) for row in stalled_rows}
     if isinstance(receiver, SicFixed):

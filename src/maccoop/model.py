@@ -12,6 +12,7 @@ canonical order (sorted by smallest member).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -46,8 +47,8 @@ class SumPower:
     total: float
 
     def __post_init__(self):
-        if not self.total >= 0.0:
-            raise InvalidArgument(f"sum power must be >= 0, got {self.total}")
+        if not 0.0 <= self.total < math.inf:
+            raise InvalidArgument(f"sum power must be finite and >= 0, got {self.total}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class PerAntenna:
 
     def __post_init__(self):
         caps = tuple(float(c) for c in self.caps)
-        if not caps or any(not c >= 0.0 for c in caps):
-            raise InvalidArgument(f"per-antenna caps must be nonnegative, got {caps}")
+        if not caps or any(not 0.0 <= c < math.inf for c in caps):
+            raise InvalidArgument(f"per-antenna caps must be finite and nonnegative, got {caps}")
         object.__setattr__(self, "caps", caps)
 
 
@@ -108,8 +109,8 @@ class SicTimeShare:
         if self.weights is None:
             return
         w = tuple(float(x) for x in self.weights)
-        if any(x < 0.0 for x in w):
-            raise InvalidArgument("time-share weights must be nonnegative")
+        if any(not 0.0 <= x < math.inf for x in w):
+            raise InvalidArgument("time-share weights must be finite and nonnegative")
         if abs(sum(w) - 1.0) > 1e-12:
             raise InvalidArgument(f"time-share weights must sum to 1, got {sum(w)!r}")
         object.__setattr__(self, "weights", w)
@@ -251,8 +252,8 @@ def rgs_matrix(k: int) -> np.ndarray:
     return rgs
 
 
-#: Rows of :func:`rgs_matrix` turned into Python objects at a time, so
-#: callers never hold B_12 partitions' worth of lists or one-hot tensors.
+#: Rows of :func:`rgs_matrix` handled at a time (as Partitions here, as block masks
+#: and layout arrays in the closed-form tables), so no caller holds B_12 rows of them.
 RGS_CHUNK_ROWS = 100_000
 
 
@@ -320,8 +321,8 @@ class Scenario:
             raise InvalidArgument("scenario needs at least one user")
         if self.rx_antennas < 1:
             raise InvalidArgument("rx_antennas must be >= 1")
-        if not self.noise > 0.0:
-            raise InvalidArgument(f"noise N0 must be > 0, got {self.noise}")
+        if not 0.0 < self.noise < math.inf:
+            raise InvalidArgument(f"noise N0 must be finite and > 0, got {self.noise}")
         users = tuple(self.users)
         ids = [u.id for u in users]
         if ids != list(range(1, len(users) + 1)):

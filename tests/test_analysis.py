@@ -258,6 +258,10 @@ class TestSnrBoundary:
         assert point.status == "outside_grid"
         assert point.threshold_db is None
 
+    def test_k_values_must_not_be_empty(self):
+        with pytest.raises(InvalidArgument, match="one or more K"):
+            SweepSpec((), (-10.0, 0.0))
+
     def test_grid_must_increase(self):
         with pytest.raises(InvalidArgument):
             SweepSpec((4,), (0.0, 0.0, 1.0))

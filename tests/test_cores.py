@@ -5,6 +5,7 @@ import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from maccoop.cores import (
     region_from_demands,
     validate_certificate,
 )
-from maccoop.equilibrium import UtilityTable, ne_utilities, utility_table
+from maccoop.equilibrium import UtilityTable, ne_sic, ne_sud, ne_utilities, utility_table
 from maccoop.errors import InvalidArgument, NumericalFailure
 from maccoop.model import Coalition, Partition, SicFixed, SicTimeShare, Sud, enumerate_partitions
 
@@ -587,6 +588,32 @@ class TestSizeCaps:
                 demand_vector(s, model)
             with pytest.raises(InvalidArgument):
                 coalition_demand(s, Coalition(0b101), model)
+
+
+    @pytest.mark.parametrize("receiver", ["sic", "sud"])
+    @pytest.mark.parametrize("k", [16, 20])
+    def test_mask_cap_raises_before_any_row_or_table(self, k, receiver):
+        # neither the 2^K - 2 fixed arrangements nor a 2^K per-coalition
+        # table is built before the cap speaks
+        s = symmetric(k, 1.0, SicFixed(tuple(range(k, 0, -1))) if receiver == "sic" else Sud())
+        calls = [
+            functools.partial(demand_vector, s, ExpectationModel.MERGING),
+            functools.partial(demand_vector, s, ExpectationModel.SINGLETON),
+            functools.partial(coalition_demand, s, Coalition(0b101), ExpectationModel.MERGING),
+            functools.partial(coalition_demand, s, Coalition(0b101), ExpectationModel.SINGLETON),
+            functools.partial(grand_value, s),
+            functools.partial(ne_sic if receiver == "sic" else ne_sud, s, Partition.grand(k)),
+        ]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidArgument,
+                                   match=f"at most 15 users, not {k}"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, call
 
 
 class TestAgainstExactLp:

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maccoop import _kernels, equilibrium, io
 from maccoop.capacity import (
@@ -20,8 +22,8 @@ from maccoop.equilibrium import (
     SOLVER_TOL,
     UtilityTable,
     _closed_form_tables,
-    _decoding_slots,
-    _single_rx_powers,
+    _power_of,
+    _slot_of,
     dsc_diagnostic,
     ne_sic,
     ne_sud,
@@ -408,9 +410,10 @@ class TestUtilityTable:
     def reference_table(s):
         """Closed-form entries built one Partition at a time, as a dict of dicts."""
         parts = list(enumerate_partitions(s.k))
-        slot = _decoding_slots(s.receiver) if isinstance(s.receiver, SicFixed) else None
-        power, heard, _ = _kernels.single_rx_layout(
-            np.array([p.rgs for p in parts], dtype=np.int64), slot, *_single_rx_powers(s))
+        masks = np.array([[b.mask for b in p.blocks] + [0] * (s.k - len(p)) for p in parts],
+                         dtype=np.int16)
+        slot_of = _slot_of(s.receiver) if isinstance(s.receiver, SicFixed) else None
+        power, heard = _kernels.single_rx_layout(masks, _power_of(s), slot_of)
         values = _kernels.single_rx_values(power, heard, s.noise)
         return {
             p.rgs: {b.mask: float(values[row, j]) for j, b in enumerate(p.blocks)}
@@ -649,10 +652,17 @@ class TestUtilityTable:
     def test_block_powers_bitwise_equal_one_hot_oracle(self, mode):
         for k in range(1, 11):
             rgs = rgs_matrix(k)
+            masks = equilibrium._label_masks(rgs)
             for seed in range(2):
                 gen = np.random.default_rng([k, seed, mode])
                 gain2, p_sum, amp = 10.0 ** gen.uniform(-3.0, 3.0, size=(3, k))
-                got = _kernels._block_powers(rgs, gain2, p_sum, amp, mode)
+                if mode == 0:
+                    power_of = (_kernels.mask_table(np.add, gain2, 0.0)
+                                * _kernels.mask_table(np.add, p_sum, 0.0))
+                else:
+                    a = _kernels.mask_table(np.add, amp, 0.0)
+                    power_of = a * a
+                got = _kernels.single_rx_layout(masks, power_of, None)[0]
                 want = self.onehot_block_powers(rgs, gain2, p_sum, amp, mode)
                 assert got.tobytes() == want.tobytes()
 
@@ -711,6 +721,117 @@ class TestUtilityTable:
             got = table.partition_values(parts[row])
             assert list(got) == list(direct)
             assert [v.hex() for v in got.values()] == [v.hex() for v in direct.values()]
+
+
+def reference_block_powers(rgs_mat, gain2, p_sum, amp, mode):
+    """Each block label's received power from one fancy-indexed add per user, in user order."""
+    rows, k = rgs_mat.shape
+    every = np.arange(rows)
+
+    def label_sums(weight):
+        out = np.zeros((rows, k))
+        for u in range(k):
+            out[every, rgs_mat[:, u]] += weight[u]
+        return out
+
+    if mode == 0:
+        return label_sums(gain2) * label_sums(p_sum)
+    a = label_sums(amp)
+    return a * a
+
+
+def reference_label_slots(rgs_mat, slot):
+    """Each block label's latest member's slot (int8), K for a label with no member."""
+    rows, k = rgs_mat.shape
+    out = np.full((rows, k), k, dtype=np.int8)
+    every = np.arange(rows)
+    for u in np.argsort(slot):
+        out[every, rgs_mat[:, u]] = slot[u]
+    return out
+
+
+def reference_layout(rgs_mat, slot, gain2, p_sum, amp, mode):
+    """(power, heard, decoding order) of RGS rows from the per-user loops above."""
+    power = reference_block_powers(rgs_mat, gain2, p_sum, amp, mode)
+    if slot is None:
+        heard = np.zeros_like(power)
+        np.cumsum(power[:, :-1], axis=1, out=heard[:, 1:])
+        heard[:, :-1] += np.cumsum(power[:, :0:-1], axis=1)[:, ::-1]
+        return power, heard, None
+    order = np.argsort(reference_label_slots(rgs_mat, slot), axis=1)
+    power_sorted = np.take_along_axis(power, order, axis=1)
+    heard_sorted = np.cumsum(power_sorted[:, ::-1], axis=1)[:, ::-1] - power_sorted
+    heard = np.empty_like(heard_sorted)
+    np.put_along_axis(heard, order, heard_sorted, axis=1)
+    return power, heard, order
+
+
+def spread_scenario(gen, k, mode, receiver):
+    """A one-antenna game whose gains, budgets and caps span 1e-3..1e3."""
+    users = []
+    for uid in range(1, k + 1):
+        n_t = int(gen.integers(1, 3))
+        channel = gen.choice([-1.0, 1.0], size=(1, n_t)) * 10.0 ** gen.uniform(-1.5, 1.5, (1, n_t))
+        power = (SumPower(float(10.0 ** gen.uniform(-3.0, 3.0))) if mode == "sum"
+                 else PerAntenna(tuple(10.0 ** gen.uniform(-3.0, 3.0, size=n_t))))
+        users.append(UserSpec(uid, n_t, channel, power))
+    return Scenario(tuple(users), 1, 1.0, receiver)
+
+
+class TestMaskTables:
+    @settings(deadline=None)
+    @given(st.integers(0, 15).flatmap(lambda k: st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k)))
+    def test_mask_table_folds_members_in_ascending_order(self, values):
+        k = len(values)
+        # numpy and Python disagree on which of 0.0 and -0.0 is the max, so
+        # the max table reads the values with -0.0 as 0.0
+        unsigned = [v + 0.0 for v in values]
+        with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow quietly
+            sums = _kernels.mask_table(np.add, np.array(values, dtype=np.float64), 0.0)
+        maxes = _kernels.mask_table(np.maximum, np.array(unsigned, dtype=np.float64), -math.inf)
+        assert len(sums) == len(maxes) == 1 << k
+        members = [[u for u in range(k) if m >> u & 1] for m in range(1 << k)]
+        assert [x.hex() for x in sums.tolist()] == [
+            sum([values[u] for u in row], 0.0).hex() for row in members]
+        assert [x.hex() for x in maxes.tolist()] == [
+            max([unsigned[u] for u in row], default=-math.inf).hex() for row in members]
+
+    @pytest.mark.parametrize("mode", ["sum", "caps"])
+    @pytest.mark.parametrize("receiver", ["sic", "sud"])
+    def test_layout_bitwise_equals_per_user_loops(self, receiver, mode):
+        for k in range(1, 11):
+            gen = np.random.default_rng([19, k, mode == "sum", receiver == "sic"])
+            rx = SicFixed(tuple(int(u) + 1 for u in gen.permutation(k))) if receiver == "sic" \
+                else Sud()
+            s = spread_scenario(gen, k, mode, rx)
+            # the per-user weights the loops read, as the closed form used to
+            gain2 = np.array([float(np.sum(u.channel ** 2)) for u in s.users])
+            if mode == "sum":
+                p_sum, amp, code = np.array([u.power.total for u in s.users]), np.zeros(k), 0
+            else:
+                p_sum, code = np.zeros(k), 1
+                amp = np.array([float(np.abs(u.channel[0]) @ np.sqrt(np.asarray(u.power.caps)))
+                                for u in s.users])
+            slot = None
+            if receiver == "sic":
+                slot = np.empty(k, dtype=np.int8)
+                slot[np.asarray(rx.base_order) - 1] = np.arange(k)
+            slot_of = _slot_of(rx) if receiver == "sic" else None
+            rgs = rgs_matrix(k)
+            subsets = [rgs] + [rgs[gen.permutation(len(rgs))[:int(gen.integers(1, len(rgs) + 1))]]
+                               for _ in range(3)]
+            for rows in subsets:
+                masks = equilibrium._label_masks(rows)
+                power, heard = _kernels.single_rx_layout(masks, _power_of(s), slot_of)
+                ref_power, ref_heard, ref_order = reference_layout(rows, slot, gain2, p_sum,
+                                                                   amp, code)
+                assert power.tobytes() == ref_power.tobytes()
+                assert heard.tobytes() == ref_heard.tobytes()
+                if receiver == "sic":
+                    slots = slot_of[masks]
+                    assert slots.tobytes() == reference_label_slots(rows, slot).tobytes()
+                    assert np.array_equal(np.argsort(slots, axis=1), ref_order)
 
 
 def chain_utilities(s, partition, order):

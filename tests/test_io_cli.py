@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from maccoop import _kernels, cli, equilibrium, io
-from maccoop.errors import ScenarioFormatError
+from maccoop.errors import InvalidArgument, ScenarioFormatError
 from maccoop.model import (
     Coalition,
     PerAntenna,
@@ -72,6 +72,22 @@ class TestScenarioFiles:
         doc["noise_N0"] = -1.0
         with pytest.raises(ScenarioFormatError, match="noise"):
             io.parse_scenario(json.dumps(doc), source="neg.cfg")
+
+    @pytest.mark.parametrize("field, where", [
+        ("noise_N0", "noise N0"), ("power", "sum power"), ("weights", "weights"),
+    ])
+    def test_infinity_is_rejected(self, field, where):
+        # Python's json reads Infinity and NaN; the model rejects them
+        doc = json.loads(sym3_ts_text())
+        for bad in (math.inf, math.nan):
+            if field == "noise_N0":
+                doc["noise_N0"] = bad
+            elif field == "power":
+                doc["users"][1]["power"]["values"] = [bad]
+            else:
+                doc["receiver"]["weights"] = [bad, 1.0]
+            with pytest.raises(InvalidArgument, match=f"{where} must be finite"):
+                io.parse_scenario(json.dumps(doc), source="inf.cfg")
 
     def test_fingerprint_stable_and_sensitive(self):
         s = symmetric(3, 1.0, SicFixed((1, 2, 3)))
@@ -502,6 +518,24 @@ class TestCli:
         code, _, err = run_cli(["sweep", *flags, "--out", str(tmp_path)], capsys)
         assert code == 1
         assert "error: --snr-min, --snr-max and --snr-step must be finite" in err
+
+    def test_sweep_rejects_an_empty_k_range(self, tmp_path, capsys):
+        code, _, err = run_cli(["sweep", "--k-min", "5", "--k-max", "2", "--out",
+                                str(tmp_path)], capsys)
+        assert code == 1
+        assert "one or more K" in err
+        assert not (tmp_path / "boundary.csv").exists()
+
+    @pytest.mark.parametrize("command", [["utilities"], ["core", "--model", "rational"]],
+                             ids=["utilities", "core"])
+    def test_infinite_noise_exits_one(self, tmp_path, capsys, command):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(sym4_text().replace('"noise_N0": 1.0', '"noise_N0": Infinity'))
+        code, _, err = run_cli([*command, "--scenario", str(cfg), "--out", str(tmp_path)],
+                               capsys)
+        assert code == 1
+        assert "noise N0 must be finite" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("snr", ["abc", "0,x", "nan", "0,inf", ","])
     def test_ratio_rejects_bad_snr_lists(self, tmp_path, capsys, snr):

@@ -179,6 +179,18 @@ class TestValidation:
         with pytest.raises(InvalidArgument):
             PerAntenna((1.0, -1.0))
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_inputs_rejected(self, bad):
+        user = UserSpec(1, 1, np.ones((1, 1)), SumPower(1.0))
+        with pytest.raises(InvalidArgument, match="noise N0 must be finite"):
+            Scenario((user,), 1, bad, Sud())
+        with pytest.raises(InvalidArgument, match="sum power must be finite"):
+            SumPower(bad)
+        with pytest.raises(InvalidArgument, match="caps must be finite"):
+            PerAntenna((1.0, bad))
+        with pytest.raises(InvalidArgument, match="weights must be finite"):
+            SicTimeShare((bad, 1.0))
+
     def test_per_antenna_length(self):
         with pytest.raises(InvalidArgument):
             UserSpec(1, 2, np.ones((1, 2)), PerAntenna((1.0,)))
