@@ -247,8 +247,10 @@ def sic_backward(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter):
     block's rate depends only on the blocks decoded after it, so each
     head best responds to noise plus its tail's interference J(tail), and
     J(i) = J(tail) + H Q H^T: one backward sweep per decoding order,
-    shared by every order that ends alike.  Pooled-budget heads of one
-    width and one suffix length share a :func:`waterfill_stack`.
+    shared by every order that ends alike.  Suffixes are solved by
+    length, shortest first, in groups of one length and one head width:
+    pooled-budget heads of a group share a :func:`waterfill_stack`, and
+    each head under antenna caps has its own :func:`pa_maximize`.
 
     Returns (qs, rates, ok): per suffix, the head's covariance (a list),
     its rate (an array) and whether its solve converged (a list).
@@ -269,12 +271,8 @@ def sic_backward(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter):
                                                 pa_tol, pa_iter)
         jmat[i] = sym(jmat[t] + h @ qs[i] @ h.T)
 
-    if isinstance(limits[0], np.ndarray):  # antenna caps: one dual solve per suffix
-        for i in range(n):
-            solve_one(i)
-        return qs, np.array(rates), ok
-
-    # group suffixes by (length, head width), shortest first
+    # group suffixes by (length, head width), shortest first: a tail is
+    # shallower than its head, so it is solved before every suffix that reads it
     depth = [0] * n
     groups = {}
     for i, (b, t) in enumerate(zip(heads, tails)):
@@ -283,8 +281,10 @@ def sic_backward(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter):
         groups.setdefault((depth[i], hs[b].shape[1]), []).append(i)
     for key in sorted(groups):
         idx = groups[key]
-        if len(idx) == 1:  # a stack of one costs more than the scalar call
-            solve_one(idx[0])
+        if len(idx) == 1 or isinstance(limits[0], np.ndarray):
+            # a stack of one costs more than the scalar call; caps take one dual solve each
+            for i in idx:
+                solve_one(i)
             continue
         h = np.stack([hs[heads[i]] for i in idx])
         budgets = np.array([limits[heads[i]] for i in idx], dtype=np.float64)

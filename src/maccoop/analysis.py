@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .capacity import timeshare_highsnr_utility
-from .cores import CORE_MAX_USERS, ExpectationModel, _CoreLp, _table_demands, grand_value
+from .cores import (CORE_MAX_USERS, ExpectationModel, _CoreLp, _grand_of, _table_demands,
+                    grand_value)
 from .equilibrium import (
     _closed_form_tables,
     _every_partition,
@@ -95,6 +96,13 @@ class ExternalityVerdict:
     witnesses: tuple[ExternalityWitness, ...]
 
 
+def _seeded(seed: int) -> np.random.Generator:
+    """The audits' generator; numpy seeds it from a nonnegative integer only."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgument(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def _random_partition(rng: np.random.Generator, k: int, min_blocks: int) -> Partition:
     for _ in range(1000):
         labels = [0]
@@ -129,7 +137,7 @@ def verify_superadditivity(
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
     require_uniform_timeshare(scenario, "superadditivity audits")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     k = scenario.k
     table, stalled = _table_and_stalls(scenario, _every_partition(scenario))
     if 0 in stalled:  # row 0 is the grand partition, whose value every check needs
@@ -189,7 +197,7 @@ def classify_externalities(
     if scenario.k < 3:
         raise InvalidArgument("externalities need at least 3 users")
     require_uniform_timeshare(scenario, "externality audits", fewest=2)
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     mergers = []
     for _ in range(trials):
         before = _random_partition(rng, scenario.k, 3)
@@ -279,7 +287,7 @@ def _symmetric_verdicts(k: int, model: ExpectationModel) -> Callable[[float], st
     def verdict(snr_db: float) -> str:
         table = tables(snr_db_to_noise(snr_db))
         demands = _table_demands(table, model)[1:-1]
-        return lp.check(demands, grand_value(scenario, table=table)).verdict
+        return lp.check(demands, _grand_of(table)).verdict
 
     return verdict
 
@@ -297,6 +305,8 @@ def snr_boundary(spec: SweepSpec, model: ExpectationModel, *,
     evaluates only the utilities, and its LPs start from the previous
     point's optimal basis.
     """
+    if not (math.isfinite(resolution_db) and resolution_db > 0.0):
+        raise InvalidArgument(f"resolution_db must be finite and > 0, got {resolution_db}")
     out: list[BoundaryPoint] = []
     for k in spec.k_values:
         verdict_at = _symmetric_verdicts(k, model)
@@ -320,6 +330,8 @@ def snr_boundary(spec: SweepSpec, model: ExpectationModel, *,
         lo, hi = flips[0]
         while hi - lo > resolution_db:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # adjacent doubles: no finer bracket exists
+                break
             if verdict_at(mid) == "nonempty":
                 lo = mid
             else:

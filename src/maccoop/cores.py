@@ -125,12 +125,26 @@ def _fixed_arrangements(k: int, masks, model: ExpectationModel) -> np.ndarray:
     return np.where(inside == 1, s_label, labels).astype(np.int8)
 
 
+_FIXED_MODELS = (ExpectationModel.MERGING, ExpectationModel.SINGLETON)
+
+
+def _read_entries(table: UtilityTable, model: ExpectationModel):
+    """The table's block entries a model reads: every one, or under merging and
+    singleton those in S's row of two blocks or of k - |S| + 1 blocks."""
+    if model not in _FIXED_MODELS:
+        return slice(None)
+    k, counts = table.k, table.counts
+    size = mask_table(np.add, np.ones(k, dtype=np.int64), 0)[table.masks]
+    return np.repeat(counts, counts) == (2 if model is ExpectationModel.MERGING
+                                         else k - size + 1)
+
+
 def _table_demands(table: UtilityTable, model: ExpectationModel) -> np.ndarray:
     """Every coalition's demand, indexed by mask, from one group-by over the table's blocks.
 
     A row holding S as a block is one arrangement of S's outsiders, whose
-    total is the row total minus S's own value.  Merging reads S's row of
-    two blocks and singleton its row of k - |S| + 1 blocks.  Cautious
+    total is the row total minus S's own value.  Merging and singleton
+    read S's one fixed arrangement (:func:`_read_entries`).  Cautious
     keeps the smallest own value.  Rational keeps the smallest own value
     among arrangements whose outsider total is within 1e-12 (relative) of
     the largest.  A mask with no such row demands +inf.
@@ -139,11 +153,9 @@ def _table_demands(table: UtilityTable, model: ExpectationModel) -> np.ndarray:
     masks, own = table.masks, table.values
     counts = table.counts
     demand = np.full(1 << k, np.inf)
-    if model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
-        size = mask_table(np.add, np.ones(k, dtype=np.int64), 0)[masks]
-        hit = np.repeat(counts, counts) == (2 if model is ExpectationModel.MERGING
-                                            else k - size + 1)
-        demand[masks[hit]] = own[hit]
+    if model in _FIXED_MODELS:
+        read = _read_entries(table, model)
+        demand[masks[read]] = own[read]
         return demand
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats
         outsiders = np.repeat(table.totals, counts) - own
@@ -155,6 +167,29 @@ def _table_demands(table: UtilityTable, model: ExpectationModel) -> np.ndarray:
             masks, own = masks[near], own[near]
     # scanned backwards, so of equal values (0.0 and -0.0) the first in table order wins
     np.fmin.at(demand, masks[::-1], own[::-1])
+    return demand
+
+
+def _require_table_of(scenario: Scenario, table: UtilityTable) -> None:
+    if not table.built_for(scenario):
+        raise InvalidArgument(f"the table was built for another game than this one "
+                              f"(table K={table.k}, game K={scenario.k})")
+
+
+def _read_demands(scenario: Scenario, table: UtilityTable, model: ExpectationModel,
+                  masks) -> np.ndarray:
+    """Demands of coalitions ``masks`` read from ``table``; raises InvalidArgument
+    unless the table is ``scenario``'s and holds a row the model reads for each."""
+    _require_table_of(scenario, table)
+    masks = np.asarray(masks)
+    demand = _table_demands(table, model)[masks]
+    unread = masks[demand == np.inf]  # no row, or rows whose utilities are +inf
+    if unread.size:
+        held = np.zeros(1 << table.k, dtype=bool)
+        held[table.masks[_read_entries(table, model)]] = True
+        if not held[unread].all():
+            raise InvalidArgument(f"the table holds no row the {model.value} model reads "
+                                  f"for coalition mask {unread[~held[unread]][0]}")
     return demand
 
 
@@ -201,7 +236,7 @@ def coalition_demand(
         return demand_vector(scenario, model, table=table)[coalition.mask]
     if table is None:
         table = _table_of(scenario, _fixed_arrangements(k, [coalition.mask], model))
-    return float(_table_demands(table, model)[coalition.mask])
+    return float(_read_demands(scenario, table, model, [coalition.mask])[0])
 
 
 def demand_vector(
@@ -211,22 +246,31 @@ def demand_vector(
     table: UtilityTable | None = None,
 ) -> dict[int, float]:
     """Demand of every proper nonempty coalition, keyed by mask (ascending), read
-    from ``table`` or else the model's own (:func:`_model_table`)."""
+    from ``table``, which must be ``scenario``'s, or else the model's own
+    (:func:`_model_table`)."""
     require_uniform_timeshare(scenario)
     model = ExpectationModel(model)
-    grand = (1 << scenario.k) - 1
     if table is None:
         table = _model_table(scenario, model, grand=False)
-    return dict(zip(range(1, grand), _table_demands(table, model)[1:grand].tolist()))
+    proper = np.arange(1, (1 << scenario.k) - 1)
+    return dict(zip(proper.tolist(), _read_demands(scenario, table, model, proper).tolist()))
 
 
 def grand_value(scenario: Scenario, *, table: UtilityTable | None = None) -> float:
     """Utility of the grand coalition (its interference-free maximum rate), read from
-    ``table`` or else a table of the grand partition's row."""
-    grand = (1 << scenario.k) - 1
+    ``table``, which must be ``scenario``'s, or else a table of the grand partition's row."""
     if table is None:
         table = _table_of(scenario, np.zeros((1, scenario.k), dtype=np.int8))
-    return float(table.values[table.masks == grand][0])
+    _require_table_of(scenario, table)
+    return _grand_of(table)
+
+
+def _grand_of(table: UtilityTable) -> float:
+    """v(N) from the table's grand row; raises InvalidArgument when it has none."""
+    held = table.values[table.masks == (1 << table.k) - 1]
+    if not held.size:
+        raise InvalidArgument("the table holds no grand-coalition row")
+    return float(held[0])
 
 
 def _demands_and_grand(scenario: Scenario, model: ExpectationModel,

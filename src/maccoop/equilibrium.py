@@ -8,7 +8,7 @@ block to every other; Gauss-Seidel iterative waterfilling on the game's
 potential (Yu et al., IEEE T-IT 2004) finds an equilibrium
 (non-convergence is surfaced, never hidden).
 Time sharing averages the fixed-order game over the partition's block
-decoding orders.
+decoding orders, and fixed order is the plan of one order, weight 1.
 
 Because a cancelled block sees only the blocks decoded after it, its
 solve depends only on its decoding suffix (itself and the ordered blocks
@@ -55,7 +55,6 @@ from .model import (
     SicTimeShare,
     Sud,
     coalition_channel,
-    induced_order,
     rgs_matrix,
 )
 
@@ -79,11 +78,12 @@ class UtilityTable:
 
     Row r is the partition with restricted growth string ``rgs[r]``.  Its
     blocks are entries ``offsets[r]:offsets[r + 1]`` of ``masks`` (the
-    coalition bitmask) and ``values`` (the utility in nats): label order
-    for closed-form and time-shared rows, decoding order for fixed-order
-    cancellation rows.  ``totals[r]`` adds row r's values left to right
-    in that order.  ``fingerprint`` identifies the scenario the table was
-    built from, making cached tables auditable.
+    coalition bitmask) and ``values`` (the utility in nats), in label
+    order (as ``Partition.blocks``) for every route.  ``totals[r]`` adds
+    row r's values left to right in that order.  ``fingerprint``
+    identifies the scenario the table was built from, making cached
+    tables auditable, and :meth:`built_for` tells whether a scenario's
+    core computations may read the table.
 
     ``UtilityTable(k, fingerprint, entries)`` converts a dict keyed by
     restricted growth string whose values map mask to utility;
@@ -113,6 +113,7 @@ class UtilityTable:
         if isinstance(fingerprint, Scenario):
             self._scenario = fingerprint
         else:
+            self._scenario = None
             self.fingerprint = fingerprint
         self.rgs = rgs
         self.counts = np.asarray(counts, dtype=np.int64)  # blocks per row
@@ -128,6 +129,25 @@ class UtilityTable:
     @functools.cached_property
     def fingerprint(self) -> str:
         return scenario_fingerprint(self._scenario)
+
+    def built_for(self, scenario: Scenario) -> bool:
+        """Whether the table can be ``scenario``'s.
+
+        K must match.  ``with_noise`` keeps the users tuple, so a table
+        a route built for the same users compares noise, receiver and
+        receive antennas directly, and one built for other users objects
+        compares fingerprints.  A table made from a fingerprint string
+        is taken at its word: hand-made and loaded tables carry any label.
+        """
+        own = self._scenario
+        if self.k != scenario.k:
+            return False
+        if own is None:
+            return True
+        if own.users is not scenario.users:
+            return self.fingerprint == scenario_fingerprint(scenario)
+        return (own.noise == scenario.noise and own.receiver == scenario.receiver
+                and own.rx_antennas == scenario.rx_antennas)
 
     @functools.cached_property
     def entries(self) -> dict[tuple[int, ...], dict[int, float]]:
@@ -272,17 +292,15 @@ def _one_row(route: Callable, scenario: Scenario, partition: Partition, **option
     """A partition's equilibrium as the one-row call of a table route.
 
     Returns (profile, utilities): the :class:`CovarianceProfile` (None
-    for time sharing) and each block's utility in the route's block order.
+    for time sharing) and each block's utility keyed by mask, both in
+    label order (as ``partition.blocks``), the order of a route's row.
     """
     _require_size(scenario, partition)
     masks, values, qs, stalled = _solved(route, scenario,
                                          np.array([partition.rgs], dtype=np.int8), **options)
     if stalled:
         raise stalled[0]
-    profile = None
-    if qs is not None:
-        by_mask = dict(zip(masks, qs))
-        profile = CovarianceProfile(partition, tuple(by_mask[b.mask] for b in partition.blocks))
+    profile = None if qs is None else CovarianceProfile(partition, tuple(qs))
     return profile, dict(zip(masks, values.tolist()))
 
 
@@ -301,7 +319,8 @@ def ne_sic(
     is an exact equilibrium.  ``init`` seeds the per-antenna solver and
     must not change the resulting utilities (they are unique).  The
     solve is the partition's row of a cancellation table
-    (:func:`_cancellation_blocks`); utilities come in decoding order.
+    (:func:`_cancellation_blocks`), its one decoding order weighted 1;
+    utilities come in label order, as ``partition.blocks``.
     """
     if not isinstance(scenario.receiver, SicFixed):
         raise InvalidArgument("ne_sic requires a fixed-order cancellation receiver")
@@ -413,9 +432,7 @@ def _utility_gradients(
         total = eye + sum(grams)
         return [h.T @ np.linalg.solve(total, h) for h in channels]
     if isinstance(receiver, SicFixed):
-        order = induced_order(partition, receiver.base_order)
-        index = {b.mask: i for i, b in enumerate(blocks)}
-        return sic_grads([index[b.mask] for b in order])
+        return sic_grads(np.argsort(_slot_of(receiver)[[b.mask for b in blocks]]).tolist())
     weights, orders = _timeshare_orders(receiver, len(blocks))
     acc = [np.zeros((h.shape[1], h.shape[1])) for h in channels]
     for w, perm in zip(weights.tolist(), orders):
@@ -536,35 +553,35 @@ def _label_masks(rgs: np.ndarray) -> np.ndarray:
 
 def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray, *,
                          init: CovarianceProfile | None = None):
-    """Every row's fixed-order or time-shared block masks and utilities, and its stalls.
+    """Every row's cancellation block masks and utilities (label order), and its stalls.
 
-    Each distinct decoding suffix is solved once.  Fixed-order rows list
-    their blocks in decoding order, time-shared rows in label order.
-    Returns (masks, values, qs, stalled): ``qs`` lists each fixed-order
-    block's covariance (None for time sharing), and ``stalled`` maps each
-    row whose orders need a stalled per-antenna solve to the
-    :class:`NonConvergence` naming it.
+    A row's plan is its weighted decoding orders: for fixed order the one
+    order by latest member's slot, weight 1; for time sharing those of its
+    block count (:func:`_timeshare_orders`).  Each distinct decoding
+    suffix is solved once, and a block's utility adds its weighted rates
+    over the orders in order (a fixed-order block's is its rate, bit for
+    bit).  Returns (masks, values, qs, stalled): ``qs`` lists each
+    fixed-order block's covariance (None for time sharing), and
+    ``stalled`` maps each row whose orders need a stalled per-antenna
+    solve to the :class:`NonConvergence` naming it.
     """
     receiver = scenario.receiver
+    fixed = isinstance(receiver, SicFixed)
     counts = (rgs.max(axis=1) + 1).tolist()
-    if isinstance(receiver, SicTimeShare):
-        # block counts in row order, before any solve: a misfit weight
-        # vector or an order cap fails on its first row
-        plans = {n: _timeshare_orders(receiver, n) for n in dict.fromkeys(counts)}
-        orders = [plans[n][1] for n in counts]
+    # block counts in row order, before any solve: a misfit weight
+    # vector or an order cap fails on its first row
+    plans = {n: (np.ones(1), None) if fixed else _timeshare_orders(receiver, n)
+             for n in dict.fromkeys(counts)}
     label_masks = _label_masks(rgs)
-    if isinstance(receiver, SicFixed):
+    if fixed:
         # blocks decode at their latest member's slot, as in the closed form
         slots = np.argsort(_slot_of(receiver)[label_masks], axis=1)
         orders = [[tuple(row[:n])] for row, n in zip(slots.tolist(), counts)]
+    else:
+        orders = [plans[n][1] for n in counts]
     masks = [row[:n] for row, n in zip(label_masks.tolist(), counts)]
     qs, rates, sids, stalled_rows = _solve_orders(scenario, masks, orders, init=init)
     stalled = {row: _pa_stall(Partition.from_rgs(rgs[row].tolist())) for row in stalled_rows}
-    if isinstance(receiver, SicFixed):
-        flat = [(row_masks[j], ids[j])
-                for row_masks, (order,), (ids,) in zip(masks, orders, sids) for j in order]
-        return ([m for m, _ in flat], rates[[sid for _, sid in flat]],
-                [qs[sid] for _, sid in flat], stalled)
     # the rows of one block count average their orders at once, adding them in order
     counts = np.array(counts)
     starts = np.cumsum(counts) - counts
@@ -574,7 +591,8 @@ def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray, *,
         per_order = rates[np.array([sids[r] for r in rows])]  # (rows, orders, blocks)
         acc = np.cumsum(weights[:, None] * per_order, axis=1)[:, -1]
         values[starts[rows, None] + np.arange(n)] = acc
-    return [m for row in masks for m in row], values, None, stalled
+    qs = [qs[sid] for (ids,) in sids for sid in ids] if fixed else None
+    return [m for row in masks for m in row], values, qs, stalled
 
 
 def _sud_blocks(scenario: Scenario, rgs: np.ndarray, *,

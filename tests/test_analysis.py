@@ -157,6 +157,19 @@ def test_weighted_timeshare_audits_rejected_before_any_solve(audit, monkeypatch)
         audit(s, 5, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, -(2 ** 70), 1.5, "0", None])
+@pytest.mark.parametrize("audit", [verify_superadditivity, classify_externalities])
+def test_audits_reject_a_seed_that_is_not_a_nonnegative_integer(audit, seed):
+    # numpy's own ValueError or TypeError used to escape
+    with pytest.raises(InvalidArgument, match="seed must be a nonnegative integer"):
+        audit(symmetric_scenario(3), 5, seed)
+
+
+@pytest.mark.parametrize("audit", [verify_superadditivity, classify_externalities])
+def test_audits_take_numpy_integer_seeds(audit):
+    assert audit(symmetric_scenario(3), 5, np.int64(7)) == audit(symmetric_scenario(3), 5, 7)
+
+
 class TestExternalities:
     def test_single_rx_negative(self):
         verdict = classify_externalities(symmetric_scenario(4), 50, seed=11)
@@ -251,6 +264,37 @@ class TestSnrBoundary:
 
         assert _symmetric_verdicts(4, ExpectationModel.RATIONAL)(lo) == "nonempty"
         assert _symmetric_verdicts(4, ExpectationModel.RATIONAL)(hi) == "empty"
+
+    @pytest.mark.parametrize("resolution", [0.0, -0.01, float("nan"), float("inf")])
+    def test_resolution_must_be_finite_and_positive(self, monkeypatch, resolution):
+        def no_verdicts(*args):
+            raise AssertionError("verdicts computed before the resolution was checked")
+
+        monkeypatch.setattr(analysis, "_symmetric_verdicts", no_verdicts)
+        spec = SweepSpec((4,), tuple(np.arange(-30.0, 10.1, 5.0)))
+        with pytest.raises(InvalidArgument, match="resolution_db must be finite and > 0"):
+            snr_boundary(spec, ExpectationModel.RATIONAL, resolution_db=resolution)
+
+    def test_a_resolution_below_the_double_spacing_ends_at_adjacent_doubles(self, monkeypatch):
+        calls = []
+        real = analysis._symmetric_verdicts
+
+        def counted(k, model):
+            verdict = real(k, model)
+
+            def at(snr_db):
+                calls.append(snr_db)
+                assert len(calls) < 200, "the bisection did not stop"
+                return verdict(snr_db)
+
+            return at
+
+        monkeypatch.setattr(analysis, "_symmetric_verdicts", counted)
+        spec = SweepSpec((4,), (-5.0, 0.0))
+        (fine,) = snr_boundary(spec, ExpectationModel.RATIONAL, resolution_db=1e-300)
+        (coarse,) = snr_boundary(spec, ExpectationModel.RATIONAL)
+        assert fine.status == coarse.status == "found"
+        assert abs(fine.threshold_db - coarse.threshold_db) <= 0.01
 
     def test_no_transition_reported(self):
         spec = SweepSpec((4,), (-40.0, -35.0, -30.0))

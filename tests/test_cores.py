@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import maccoop
+from maccoop import io
 
 from maccoop._exact_lp import exact_lp_max
 from maccoop.cores import (
@@ -39,7 +40,8 @@ from maccoop.cores import (
 )
 from maccoop.equilibrium import UtilityTable, ne_sic, ne_sud, ne_utilities, utility_table
 from maccoop.errors import InvalidArgument, NumericalFailure
-from maccoop.model import Coalition, Partition, SicFixed, SicTimeShare, Sud, enumerate_partitions
+from maccoop.model import (Coalition, Partition, Scenario, SicFixed, SicTimeShare, Sud, UserSpec,
+                           enumerate_partitions)
 
 from conftest import random_scenario, rank_one_sud_160db, symmetric
 
@@ -338,6 +340,94 @@ class TestTableDemands:
         assert grand_value(s, table=table).hex() == grand.hex()
         for model, demands in want.items():
             assert hexes(demand_vector(s, model, table=table)) == hexes(demands)
+
+
+class TestTableOfTheGame:
+    """A table given to a core computation must be the scenario's and hold the rows it reads."""
+
+    @staticmethod
+    def calls(s, table, model=ExpectationModel.RATIONAL):
+        out = [functools.partial(check_core, s, model, table=table),
+               functools.partial(least_core, s, model, table=table),
+               functools.partial(demand_vector, s, model, table=table),
+               functools.partial(coalition_demand, s, Coalition(0b011), model, table=table),
+               functools.partial(grand_value, s, table=table)]
+        if s.k == 3:
+            out.append(functools.partial(core_region_3user, s, model, table=table))
+        return out
+
+    def test_table_of_another_k_is_rejected(self):
+        # a K=3 game read its first 3 users' coalitions from a K=4 table: slack
+        # 0.4729 instead of 0.0959, v(N) 1.7047 instead of 2.3026
+        s4 = k4_fixed_sic()
+        s3 = Scenario(s4.users[:3], 1, 1.0, SicFixed((1, 2, 3)))
+        assert check_core(s3, ExpectationModel.RATIONAL).slack == pytest.approx(0.0959, abs=1e-4)
+        for s, other in ((s3, s4), (s4, s3)):
+            for model in ALL_MODELS:
+                for call in self.calls(s, utility_table(other), model):
+                    with pytest.raises(InvalidArgument, match="another game"):
+                        call()
+
+    def test_table_at_another_noise_or_receiver_is_rejected(self):
+        s = k4_fixed_sic().with_noise(0.01)
+        own = check_core(s, ExpectationModel.MERGING, table=utility_table(s))
+        assert own.slack == pytest.approx(-0.1422, abs=1e-4)
+        others = [s.with_noise(1.0), s.with_receiver(SicFixed((4, 3, 2, 1))),
+                  s.with_receiver(Sud()), s.with_receiver(SicTimeShare())]
+        for other in others:
+            for model in ALL_MODELS:
+                for call in self.calls(s, utility_table(other), model):
+                    with pytest.raises(InvalidArgument, match="another game"):
+                        call()
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_tables_of_an_equal_game_are_read(self, model):
+        # other users objects of the same content compare fingerprints; a table
+        # made from a fingerprint string is taken at its word
+        s = k4_fixed_sic().with_noise(0.5)
+        twin = io.parse_scenario(io.serialize_scenario(s))
+        assert twin.users is not s.users
+        table = utility_table(twin)
+        want = check_core(s, model)
+        for given in (table, UtilityTable(4, "label", table.entries)):
+            got = check_core(s, model, table=given)
+            assert (got.verdict, got.slack) == (want.verdict, want.slack)
+            assert grand_value(s, table=given) == grand_value(s)
+        moved = Scenario(tuple(UserSpec(u.id, 1, 2.0 * u.channel, u.power) for u in s.users),
+                         1, 0.5, s.receiver)
+        with pytest.raises(InvalidArgument, match="another game"):
+            check_core(moved, model, table=table)
+
+    def test_missing_rows_are_rejected(self):
+        s = k4_fixed_sic()
+        entries = utility_table(s).entries
+        no_grand = UtilityTable(4, "no grand", {key: row for key, row in entries.items()
+                                                if len(row) > 1})
+        for call in (functools.partial(check_core, s, ExpectationModel.RATIONAL),
+                     functools.partial(least_core, s, ExpectationModel.RATIONAL),
+                     functools.partial(grand_value, s)):
+            with pytest.raises(InvalidArgument, match="no grand-coalition row"):
+                call(table=no_grand)
+        # without the rows where {4} is alone, the first coalition left without a row
+        # is {1,2,3}, whose one arrangement is {1,2,3}{4}, and {1} under singleton
+        no_4 = UtilityTable(4, "no {4}", {key: row for key, row in entries.items()
+                                          if 0b1000 not in row})
+        first = {"rational": 7, "cautious": 7, "merging": 7, "singleton": 1}
+        for model in ALL_MODELS:
+            message = f"no row the {model.value} model reads for coalition mask {first[model]}$"
+            for call in (demand_vector, check_core, least_core):
+                with pytest.raises(InvalidArgument, match=message):
+                    call(s, model, table=no_4)
+        # the one arrangement merging reads for {1,2} is {1,2}{3,4}
+        no_merged = UtilityTable(4, "no {1,2}{3,4}", {key: row for key, row in entries.items()
+                                                      if key != (0, 0, 1, 1)})
+        with pytest.raises(InvalidArgument, match="merging model reads for coalition mask 3"):
+            coalition_demand(s, Coalition(0b0011), ExpectationModel.MERGING, table=no_merged)
+        # cautious still finds {1,2} in other rows
+        assert coalition_demand(s, Coalition(0b0011), ExpectationModel.CAUTIOUS,
+                                table=no_merged) == min(row[0b0011] for row in
+                                                        no_merged.entries.values()
+                                                        if 0b0011 in row)
 
 
 class TestCheckCore:

@@ -493,12 +493,8 @@ class TestUtilityTable:
     def test_dict_round_trip_keeps_rows_and_their_order(self, receiver):
         s = random_scenario(np.random.default_rng(8), k=4, m=2, receiver=receiver)
         table = utility_table(s)
-        for part in enumerate_partitions(4):
-            listed = list(table.partition_values(part))
-            if isinstance(receiver, SicFixed):  # decoding order
-                assert listed == [b.mask for b in induced_order(part, receiver.base_order)]
-            else:  # label order
-                assert listed == [b.mask for b in part.blocks]
+        for part in enumerate_partitions(4):  # label order, whatever the receiver
+            assert list(table.partition_values(part)) == [b.mask for b in part.blocks]
         again = UtilityTable(4, table.fingerprint, table.entries)
         assert self.row_items(again) == self.row_items(table)
         for name in ("rgs", "offsets", "masks", "values", "totals"):
@@ -851,7 +847,7 @@ def chain_utilities(s, partition, order):
         assert ok
         jmat = _kernels.sym(jmat + h @ q @ h.T)
         out[block.mask] = float(rate)
-    return dict(reversed(out.items()))  # decoding order, as ne_sic lists it
+    return {b.mask: out[b.mask] for b in partition.blocks}  # label order, as every route
 
 
 def reference_utilities(s, partition):
@@ -977,6 +973,40 @@ class TestCancellationSharing:
         ne_sic(s, Partition.grand(3))
         with pytest.raises(NonConvergence, match=r"\{1\}\{2\}\{3\}"):
             ne_sic(s, Partition.singletons(3))
+
+
+class TestLabelOrder:
+    """Every route lists a row's blocks in label order, as ``Partition.blocks``."""
+
+    @pytest.mark.parametrize("mode", ["sum", "caps"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("receiver", ["sic", "sud", "ts"])
+    def test_every_route_lists_blocks_in_label_order(self, receiver, m, mode):
+        # m=1: the closed forms, and time sharing's cancellation route; m=2: the
+        # lockstep SUD sweep and both cancellation receivers
+        k = 4
+        gen = np.random.default_rng([20, m, mode == "sum", len(receiver)])
+        rx = {"sic": SicFixed(tuple(int(u) + 1 for u in gen.permutation(k))), "sud": Sud(),
+              "ts": SicTimeShare()}[receiver]
+        s = random_scenario(gen, k=k, m=m, mode=mode, receiver=rx)
+        table = utility_table(s)
+        labels = equilibrium._label_masks(table.rgs)
+        assert table.masks.tobytes() == labels[labels != 0].tobytes()
+        if receiver != "sic":
+            return
+        for part in enumerate_partitions(k):
+            profile, got = ne_sic(s, part)
+            assert list(got) == [b.mask for b in part.blocks]
+            assert profile.partition == part
+            validate_profile(s, profile)
+            # each block's own covariance, read in decoding order, gives its utility
+            jmat = np.zeros((m, m))
+            for block in reversed(induced_order(part, rx.base_order)):
+                h = coalition_channel(s, block)
+                q = profile.matrices[part.blocks.index(block)]
+                assert _kernels.logdet_ratio(s.noise, h, q, jmat) == pytest.approx(
+                    got[block.mask], rel=1e-9, abs=1e-12)
+                jmat = jmat + h @ q @ h.T
 
 
 def reference_sud_fixed_point(n0, hs, limits, q0s, tol, max_rounds, pa_tol, pa_iter):

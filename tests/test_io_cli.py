@@ -537,6 +537,16 @@ class TestCli:
         assert "noise N0 must be finite" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["properties", "externalities"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, command):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(sym4_text())
+        code, _, err = run_cli([command, "--scenario", str(cfg), "--trials", "5", "--seed", "-1",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "error:" in err and "seed must be a nonnegative integer, got -1" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("snr", ["abc", "0,x", "nan", "0,inf", ","])
     def test_ratio_rejects_bad_snr_lists(self, tmp_path, capsys, snr):
         cfg = tmp_path / "s.cfg"
