@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .capacity import timeshare_highsnr_utility
-from .cores import (CORE_MAX_USERS, ExpectationModel, _CoreLp, _grand_of, _table_demands,
-                    grand_value)
+from .cores import (CORE_MAX_USERS, ExpectationModel, _CoreLp, _expectation_model, _grand_of,
+                    _table_demands, grand_value)
 from .equilibrium import (
     _closed_form_tables,
     _every_partition,
@@ -103,6 +103,11 @@ def _seeded(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _require_trials(trials: int) -> None:
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise InvalidArgument(f"trials must be an integer >= 1, got {trials!r}")
+
+
 def _random_partition(rng: np.random.Generator, k: int, min_blocks: int) -> Partition:
     for _ in range(1000):
         labels = [0]
@@ -134,8 +139,7 @@ def verify_superadditivity(
     and each such partition counts in ``skipped``.  One user has no
     partition of two blocks, so no trial runs.
     """
-    if trials < 1:
-        raise InvalidArgument("trials must be >= 1")
+    _require_trials(trials)
     require_uniform_timeshare(scenario, "superadditivity audits")
     rng = _seeded(seed)
     k = scenario.k
@@ -192,8 +196,7 @@ def classify_externalities(
     come from one table of just the sampled partitions; a merger whose
     partitions include one whose solve stalls is skipped.
     """
-    if trials < 1:
-        raise InvalidArgument("trials must be >= 1")
+    _require_trials(trials)
     if scenario.k < 3:
         raise InvalidArgument("externalities need at least 3 users")
     require_uniform_timeshare(scenario, "externality audits", fewest=2)
@@ -279,7 +282,7 @@ def _symmetric_verdicts(k: int, model: ExpectationModel) -> Callable[[float], st
     basis.  Every verdict is ``check_core``'s on ``utility_table``, with
     its witness or certificate validated.
     """
-    model = ExpectationModel(model)
+    model = _expectation_model(model)
     scenario = symmetric_scenario(k)
     tables = _closed_form_tables(scenario)
     lp = _CoreLp(k)

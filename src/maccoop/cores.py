@@ -68,6 +68,16 @@ class ExpectationModel(str, Enum):
     SINGLETON = "singleton"
 
 
+def _expectation_model(model) -> ExpectationModel:
+    """``model`` as an :class:`ExpectationModel`; InvalidArgument when it names none."""
+    try:
+        return ExpectationModel(model)
+    except ValueError:
+        names = ", ".join(m.value for m in ExpectationModel)
+        raise InvalidArgument(f"unknown expectation model {model!r}; "
+                              f"expected one of {names}") from None
+
+
 @dataclass(frozen=True)
 class BalancedCertificate:
     """Balanced weights proving core emptiness.
@@ -151,20 +161,19 @@ def _table_demands(table: UtilityTable, model: ExpectationModel) -> np.ndarray:
     """
     k = table.k
     masks, own = table.masks, table.values
-    counts = table.counts
     demand = np.full(1 << k, np.inf)
     if model in _FIXED_MODELS:
         read = _read_entries(table, model)
         demand[masks[read]] = own[read]
         return demand
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats
-        outsiders = np.repeat(table.totals, counts) - own
-        if model is ExpectationModel.RATIONAL:
+    if model is ExpectationModel.RATIONAL:
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats
+            outsiders = np.repeat(table.totals, table.counts) - own
             best = np.full(1 << k, -np.inf)
             np.fmax.at(best, masks, outsiders)
             floor = best - 1e-12 * np.maximum(1.0, np.abs(best))
             near = outsiders >= floor[masks]
-            masks, own = masks[near], own[near]
+        masks, own = masks[near], own[near]
     # scanned backwards, so of equal values (0.0 and -0.0) the first in table order wins
     np.fmin.at(demand, masks[::-1], own[::-1])
     return demand
@@ -231,7 +240,7 @@ def coalition_demand(
     grand = (1 << k) - 1
     if coalition.mask == grand or not 0 < coalition.mask < grand:
         raise InvalidArgument("demands are defined for proper nonempty coalitions")
-    model = ExpectationModel(model)
+    model = _expectation_model(model)
     if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
         return demand_vector(scenario, model, table=table)[coalition.mask]
     if table is None:
@@ -249,7 +258,7 @@ def demand_vector(
     from ``table``, which must be ``scenario``'s, or else the model's own
     (:func:`_model_table`)."""
     require_uniform_timeshare(scenario)
-    model = ExpectationModel(model)
+    model = _expectation_model(model)
     if table is None:
         table = _model_table(scenario, model, grand=False)
     proper = np.arange(1, (1 << scenario.k) - 1)
@@ -280,7 +289,7 @@ def _demands_and_grand(scenario: Scenario, model: ExpectationModel,
     computation from a scenario comes here, so the core cap is checked here."""
     if scenario.k > CORE_MAX_USERS:
         raise InvalidArgument(f"core checks are capped at {CORE_MAX_USERS} users")
-    model = ExpectationModel(model)
+    model = _expectation_model(model)
     if table is None:
         table = _model_table(scenario, model, grand=True)
     return demand_vector(scenario, model, table=table), grand_value(scenario, table=table)
@@ -302,7 +311,8 @@ _PIVOT_TOL = 1e-9
 
 
 def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
-                  a_eq: np.ndarray, b_eq: np.ndarray):
+                  a_eq: np.ndarray, b_eq: np.ndarray,
+                  inverses: dict[tuple[int, ...], np.ndarray] | None = None):
     """min c.z s.t. g z >= d and a_eq z = b_eq, z free, by a dense dual simplex.
 
     ``basis`` lists rows of ``g`` that, with every equality row, form a
@@ -318,9 +328,17 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
     no iteration cap.  Bases seen before the switch are forgotten, since
     Bland's rule may pass through them again.  A recurrence under Bland's
     rule, a singular basis or a ratio test with no candidate raises
-    :class:`NumericalFailure`.  The basis inverse is recomputed at every
-    pivot: at these sizes a rank-one update of it saves little, and the
-    pivot count is what matters.
+    :class:`NumericalFailure`.
+
+    Each basis matrix is inverted once: ``inverses`` maps a basis tuple to
+    the inverse of ``vstack((a_eq, g[basis]))`` and is filled as bases are
+    met.  The matrix depends on the basic rows only, not on ``d`` or
+    ``b_eq``, so callers that solve one ``(a_eq, g)`` for many right-hand
+    sides pass one dict to all those solves, and a start basis that is
+    already optimal costs no inversion.  The same matrix inverts to the
+    same bits, so the dict changes no result.  At these sizes a rank-one
+    update of the inverse would save little; the count of distinct bases
+    is what matters.
 
     Returns (z, basis, y): the optimal vertex, its basic inequality rows
     (ascending) and their multipliers, so that c = a_eq^T mu + g[basis]^T y.
@@ -329,8 +347,8 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
     basis = sorted(basis)
     tol = 1e-12 * max(1.0, float(np.abs(d).max(initial=0.0)),
                       float(np.abs(b_eq).max(initial=0.0)))
-    a_b = np.vstack([a_eq, g[basis]])
-    rhs = np.concatenate([b_eq, d[basis]])
+    if inverses is None:
+        inverses = {}
     seen: set[tuple[int, ...]] = set()
     bland = False
     while True:
@@ -341,27 +359,29 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
             bland = True
             seen.clear()
         seen.add(key)
-        try:
-            inv = np.linalg.inv(a_b)
-        except np.linalg.LinAlgError:
-            raise NumericalFailure("core LP basis is singular") from None
-        z = inv @ rhs
+        inv = inverses.get(key)
+        if inv is None:
+            try:
+                inv = inverses[key] = np.linalg.inv(np.vstack((a_eq, g[basis])))
+            except np.linalg.LinAlgError:
+                raise NumericalFailure("core LP basis is singular") from None
+        z = inv @ np.concatenate((b_eq, d[basis]))
         y = (c @ inv)[n_eq:]
         residual = g @ z - d
-        violated = np.flatnonzero(residual < -tol)
-        if not len(violated):
+        enter = int(np.argmin(residual))
+        if not residual[enter] < -tol:
             return z, basis, y
-        enter = int(violated[0] if bland else np.argmin(residual))
-        w = (g[enter] @ inv)[n_eq:]
-        candidates = np.flatnonzero(w > _PIVOT_TOL)
-        if not len(candidates):
+        if bland:
+            enter = int(np.flatnonzero(residual < -tol)[0])
+        # ratio test over at most K + 1 floats: lowest row of the smallest ratios
+        w = (g[enter] @ inv)[n_eq:].tolist()
+        ratios = [(max(y_s, 0.0) / w_s, s) for s, (y_s, w_s) in enumerate(zip(y.tolist(), w))
+                  if w_s > _PIVOT_TOL]
+        if not ratios:
             raise NumericalFailure("core LP ratio test found no leaving row")
-        ratios = np.maximum(y[candidates], 0.0) / w[candidates]
-        ties = candidates[ratios <= ratios.min() + 1e-12]
-        basis[ties[0]] = enter
+        band = min(r for r, _ in ratios) + 1e-12
+        basis[next(s for r, s in ratios if r <= band)] = enter
         basis.sort()
-        a_b[n_eq:] = g[basis]
-        rhs[n_eq:] = d[basis]
 
 
 def _singleton_rows(k: int) -> list[int]:
@@ -383,6 +403,13 @@ class _CoreLp:
     LP's optimal basis of the same demands, which is dual feasible for it
     too (see :meth:`check`); :meth:`balanced` alone starts from its own
     previous optimal basis.
+
+    Each LP keeps the inverse of every basis matrix it has met, keyed by
+    basis (:func:`_dual_simplex`), so a warm start whose basis is still
+    optimal costs one matrix product and no inversion.  The dicts live as
+    long as the instance: one :func:`check_core_from_demands` call, or one
+    K of one :func:`analysis.snr_boundary` call.  Nothing is kept between
+    calls.
     """
 
     def __init__(self, k: int):
@@ -395,7 +422,11 @@ class _CoreLp:
         self.a_eq[0, :k] = 1.0
         self.c = np.zeros(k + 1)
         self.c[k] = -1.0
+        # certificate LP over y: min sum y s.t. y(S) >= d_S
+        self.cover = self.incidence.astype(np.float64)
         self.slack_basis = self.balanced_basis = _singleton_rows(k)
+        self.slack_inverses: dict[tuple[int, ...], np.ndarray] = {}
+        self.balanced_inverses: dict[tuple[int, ...], np.ndarray] = {}
 
     def slack(self, d: np.ndarray, v_k: float):
         """max t s.t. sum_{i in S} x_i - t >= d_S, sum x = v_k.
@@ -407,7 +438,8 @@ class _CoreLp:
         multiplier 1/k.
         """
         z, self.slack_basis, _ = _dual_simplex(self.c, self.g, d, self.slack_basis,
-                                               self.a_eq, np.array([float(v_k)]))
+                                               self.a_eq, np.array([float(v_k)]),
+                                               self.slack_inverses)
         return z[:self.k], float(z[self.k])
 
     def balanced(self, d: np.ndarray):
@@ -419,8 +451,8 @@ class _CoreLp:
         """
         k = self.k
         _, self.balanced_basis, y = _dual_simplex(
-            np.ones(k), self.incidence.astype(np.float64), d, self.balanced_basis,
-            np.empty((0, k)), np.empty(0))
+            np.ones(k), self.cover, d, self.balanced_basis, np.empty((0, k)), np.empty(0),
+            self.balanced_inverses)
         weights = {row + 1: float(w) for row, w in zip(self.balanced_basis, y)
                    if w > 1e-15}
         return weights, sum(w * d[mask - 1] for mask, w in weights.items())

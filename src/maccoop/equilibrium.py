@@ -80,7 +80,9 @@ class UtilityTable:
     blocks are entries ``offsets[r]:offsets[r + 1]`` of ``masks`` (the
     coalition bitmask) and ``values`` (the utility in nats), in label
     order (as ``Partition.blocks``) for every route.  ``totals[r]`` adds
-    row r's values left to right in that order.  ``fingerprint``
+    row r's values left to right in that order.  ``offsets`` and
+    ``totals`` are built on first read, since most readers need neither
+    (of the core demands only rational's read the totals).  ``fingerprint``
     identifies the scenario the table was built from, making cached
     tables auditable, and :meth:`built_for` tells whether a scenario's
     core computations may read the table.
@@ -117,14 +119,21 @@ class UtilityTable:
             self.fingerprint = fingerprint
         self.rgs = rgs
         self.counts = np.asarray(counts, dtype=np.int64)  # blocks per row
-        self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
         self.masks = np.asarray(masks, dtype=np.int16)  # k <= 15 bits
         self.values = np.asarray(values, dtype=np.float64)
-        self.totals = np.zeros(len(rgs))
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.counts)))
+
+    @functools.cached_property
+    def totals(self) -> np.ndarray:
+        totals = np.zeros(len(self.rgs))
         with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add
             for j in range(int(self.counts.max(initial=0))):
                 rows = np.flatnonzero(self.counts > j)
-                self.totals[rows] += self.values[self.offsets[rows] + j]
+                totals[rows] += self.values[self.offsets[rows] + j]
+        return totals
 
     @functools.cached_property
     def fingerprint(self) -> str:

@@ -165,9 +165,22 @@ def test_audits_reject_a_seed_that_is_not_a_nonnegative_integer(audit, seed):
         audit(symmetric_scenario(3), 5, seed)
 
 
+@pytest.mark.parametrize("trials", [1.5, 2.5, 3.0, "3", None])
+@pytest.mark.parametrize("audit", [verify_superadditivity, classify_externalities])
+def test_audits_reject_a_trial_count_that_is_not_an_integer(audit, trials):
+    # range() used to raise a bare TypeError
+    with pytest.raises(InvalidArgument, match="trials must be an integer >= 1"):
+        audit(symmetric_scenario(3), trials, 0)
+
+
 @pytest.mark.parametrize("audit", [verify_superadditivity, classify_externalities])
 def test_audits_take_numpy_integer_seeds(audit):
     assert audit(symmetric_scenario(3), 5, np.int64(7)) == audit(symmetric_scenario(3), 5, 7)
+
+
+@pytest.mark.parametrize("audit", [verify_superadditivity, classify_externalities])
+def test_audits_take_numpy_integer_trials(audit):
+    assert audit(symmetric_scenario(3), np.int64(5), 7) == audit(symmetric_scenario(3), 5, 7)
 
 
 class TestExternalities:
@@ -264,6 +277,10 @@ class TestSnrBoundary:
 
         assert _symmetric_verdicts(4, ExpectationModel.RATIONAL)(lo) == "nonempty"
         assert _symmetric_verdicts(4, ExpectationModel.RATIONAL)(hi) == "empty"
+
+    def test_unknown_model_is_an_invalid_argument(self):
+        with pytest.raises(InvalidArgument, match="unknown expectation model 'bogus'"):
+            snr_boundary(SweepSpec((3,), (-5.0, 0.0)), "bogus")
 
     @pytest.mark.parametrize("resolution", [0.0, -0.01, float("nan"), float("inf")])
     def test_resolution_must_be_finite_and_positive(self, monkeypatch, resolution):

@@ -21,6 +21,7 @@ from maccoop.cores import (
     BalancedCertificate,
     _fixed_arrangements,
     _model_table,
+    _PIVOT_TOL,
     _dual_simplex,
     _incidence,
     _singleton_rows,
@@ -706,6 +707,31 @@ class TestSizeCaps:
             assert peak < 1 << 20, call
 
 
+class TestModelNames:
+    ENTRY_POINTS = {
+        "check_core": check_core,
+        "least_core": least_core,
+        "balancedness_certificate": balancedness_certificate,
+        "demand_vector": demand_vector,
+        "coalition_demand": lambda s, model: coalition_demand(s, Coalition(0b001), model),
+        "core_region_3user": core_region_3user,
+    }
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_unknown_model_is_an_invalid_argument(self, name):
+        # the enum's own ValueError used to escape
+        with pytest.raises(InvalidArgument,
+                           match="unknown expectation model 'bogus'; expected one of "
+                                 "rational, merging, cautious, singleton"):
+            self.ENTRY_POINTS[name](symmetric(3, 1.0, SicFixed((1, 2, 3))), "bogus")
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_model_names_are_accepted(self, name):
+        s = symmetric(3, 1.0, SicFixed((1, 2, 3)))
+        call = self.ENTRY_POINTS[name]
+        assert repr(call(s, "cautious")) == repr(call(s, ExpectationModel.CAUTIOUS))
+
+
 class TestAgainstExactLp:
     def _exact_slack(self, demands, v_k, k):
         grid = 10**12
@@ -763,6 +789,45 @@ class TestAgainstExactLp:
             assert -res.epsilon_star == pytest.approx(exact, abs=1e-9)
 
 
+def reference_dual_simplex(c, g, d, basis, a_eq, b_eq):
+    """The pivot loop that inverted the basis matrix at every pivot, with
+    numpy's vector ratio test: the bits ``_dual_simplex`` must reproduce."""
+    n_eq = len(b_eq)
+    basis = sorted(basis)
+    tol = 1e-12 * max(1.0, float(np.abs(d).max(initial=0.0)),
+                      float(np.abs(b_eq).max(initial=0.0)))
+    a_b = np.vstack([a_eq, g[basis]])
+    rhs = np.concatenate([b_eq, d[basis]])
+    seen = set()
+    bland = False
+    while True:
+        key = tuple(basis)
+        if key in seen:
+            if bland:
+                raise NumericalFailure("core LP cycled under Bland's rule")
+            bland = True
+            seen.clear()
+        seen.add(key)
+        inv = np.linalg.inv(a_b)
+        z = inv @ rhs
+        y = (c @ inv)[n_eq:]
+        residual = g @ z - d
+        violated = np.flatnonzero(residual < -tol)
+        if not len(violated):
+            return z, basis, y
+        enter = int(violated[0] if bland else np.argmin(residual))
+        w = (g[enter] @ inv)[n_eq:]
+        candidates = np.flatnonzero(w > _PIVOT_TOL)
+        if not len(candidates):
+            raise NumericalFailure("core LP ratio test found no leaving row")
+        ratios = np.maximum(y[candidates], 0.0) / w[candidates]
+        ties = candidates[ratios <= ratios.min() + 1e-12]
+        basis[ties[0]] = enter
+        basis.sort()
+        a_b[n_eq:] = g[basis]
+        rhs[n_eq:] = d[basis]
+
+
 class TestDualSimplex:
     def test_beale_cycling_example_reaches_the_optimum(self):
         # Beale's LP (1955): min cost.x s.t. A x = b, x >= 0 cycles under the
@@ -816,7 +881,8 @@ class TestDualSimplex:
         monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
         lp.slack(d, v_k)
         lp.balanced(d)
-        assert len(inversions) == 2  # both stored bases are already optimal
+        # both stored bases are already optimal, and each LP inverted them before
+        assert len(inversions) == 0
 
     @staticmethod
     def empty_demands(k, gen, grid):
@@ -894,6 +960,43 @@ class TestDualSimplex:
                     cold += count(_CoreLp(s.k).balanced, d)
         assert empty >= 10
         assert warm < 0.6 * cold
+
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_stored_inverses_give_the_bits_of_a_fresh_solve(self, k, grid, monkeypatch):
+        # along a random walk of demands, on a half-integer grid when ``grid``
+        # (ties, degenerate pivots, repeated demands), every solve of one warm
+        # _CoreLp equals a solve from its start basis without stored inverses
+        # and the loop that inverted every basis it met, byte for byte
+        solves = hits = 0
+
+        def compared(c, g, d, basis, a_eq, b_eq, inverses):
+            nonlocal solves, hits
+            solves += 1
+            hits += tuple(sorted(basis)) in inverses
+            got = _dual_simplex(c, g, d, basis, a_eq, b_eq, inverses)
+            for want in (_dual_simplex(c, g, d, basis, a_eq, b_eq),
+                         reference_dual_simplex(c, g, d, basis, a_eq, b_eq)):
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1] == want[1]
+                assert got[2].tobytes() == want[2].tobytes()
+            return got
+
+        monkeypatch.setattr(maccoop.cores, "_dual_simplex", compared)
+        gen = np.random.default_rng([k, grid, 21])
+        lp = _CoreLp(k)
+        walk, v_k = self.empty_demands(k, gen, False)
+        verdicts = set()
+        for step in range(16 if k < 9 else 8):
+            # two steps below the equal split, two above: the walk crosses the boundary
+            walk = walk + gen.normal(scale=0.05, size=walk.size)
+            d = walk + (-1.0 if step % 4 < 2 else 1.0)
+            if grid:
+                d = np.round(2 * d) / 2
+            verdicts.add(lp.check(d, v_k).verdict)
+            lp.balanced(d)
+        assert verdicts == {"empty", "nonempty"}
+        assert hits >= solves // 3
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_any_order_of_the_start_basis_gives_the_same_bits(self, k):
