@@ -15,10 +15,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .capacity import timeshare_highsnr_utility
-from .cores import (CORE_MAX_USERS, ExpectationModel, _CoreLp, _expectation_model, _grand_of,
-                    _table_demands, grand_value)
+from . import _kernels
+from .cores import (CORE_MAX_USERS, ExpectationModel, _CoreLp, _expectation_model, _model_rows,
+                    _read_index, grand_value)
 from .equilibrium import (
-    _closed_form_tables,
+    _closed_form_layout,
     _every_partition,
     _table_and_stalls,
     _table_of,
@@ -276,21 +277,26 @@ class BoundaryPoint:
 def _symmetric_verdicts(k: int, model: ExpectationModel) -> Callable[[float], str]:
     """Core verdict of the symmetric K-user fixed-order game as a function of SNR (dB).
 
-    Only the utilities depend on SNR: the table layout
-    (:func:`equilibrium._closed_form_tables`) and the core LPs are built
-    once for K, and each LP starts from the previous point's optimal
-    basis.  Every verdict is ``check_core``'s on ``utility_table``, with
-    its witness or certificate validated.
+    Only the utilities depend on SNR.  Once per K: the closed-form layout
+    (:func:`equilibrium._closed_form_layout`) of the model's rows
+    (:func:`cores._model_rows`: merging rows for merging, rational and
+    cautious, singleton rows for singleton, then the grand row), the one
+    block entry each proper coalition's demand and v(N) read, and the
+    core LPs.  A point then takes one log pass over those entries'
+    powers and one LP check, which starts from the previous point's
+    optimal basis.  Every verdict is ``check_core``'s on
+    ``utility_table``, with its witness or certificate validated.
     """
     model = _expectation_model(model)
     scenario = symmetric_scenario(k)
-    tables = _closed_form_tables(scenario)
+    layout = _closed_form_layout(scenario, _model_rows(scenario, model, grand=True))
+    read = _read_index(k, layout.counts, layout.masks, model)
+    power, heard = layout.power[read], layout.heard[read]
     lp = _CoreLp(k)
 
     def verdict(snr_db: float) -> str:
-        table = tables(snr_db_to_noise(snr_db))
-        demands = _table_demands(table, model)[1:-1]
-        return lp.check(demands, _grand_of(table)).verdict
+        values = _kernels.single_rx_values(power, heard, snr_db_to_noise(snr_db))
+        return lp.check(values[:-1], float(values[-1])).verdict
 
     return verdict
 
@@ -303,10 +309,11 @@ def snr_boundary(spec: SweepSpec, model: ExpectationModel, *,
     nonempty-to-empty flip is bisected to ``resolution_db`` and reported
     as the threshold (the largest SNR still nonempty, within
     resolution).  Multiple flips are reported verbatim, and a grid with
-    no flip reports the boundary as outside the grid.  Each K builds its
-    table layout and core LPs once; every grid and bisection point then
-    evaluates only the utilities, and its LPs start from the previous
-    point's optimal basis.
+    no flip reports the boundary as outside the grid.  Each K builds the
+    layout of its model's rows and its core LPs once
+    (:func:`_symmetric_verdicts`); every grid and bisection point then
+    evaluates only the utilities it reads, and its LPs start from the
+    previous point's optimal basis.
     """
     if not (math.isfinite(resolution_db) and resolution_db > 0.0):
         raise InvalidArgument(f"resolution_db must be finite and > 0, got {resolution_db}")

@@ -46,8 +46,8 @@ import numpy as np
 # _exact_lp is unused here; perfbench's tracer looks it up in sys.modules
 from . import _exact_lp  # noqa: F401
 from ._kernels import mask_table
-from .equilibrium import (UtilityTable, _require_mask_bits, _table_of,
-                          require_uniform_timeshare, utility_table)
+from .equilibrium import (UtilityTable, _closed_form_applies, _every_partition,
+                          _require_mask_bits, _table_of, require_uniform_timeshare)
 from .errors import InvalidArgument, NumericalFailure
 from .model import Coalition, Scenario
 # enumerate_partitions is unused here; perfbench's restore test asserts the binding
@@ -138,13 +138,13 @@ def _fixed_arrangements(k: int, masks, model: ExpectationModel) -> np.ndarray:
 _FIXED_MODELS = (ExpectationModel.MERGING, ExpectationModel.SINGLETON)
 
 
-def _read_entries(table: UtilityTable, model: ExpectationModel):
-    """The table's block entries a model reads: every one, or under merging and
-    singleton those in S's row of two blocks or of k - |S| + 1 blocks."""
+def _read_entries(k: int, counts, masks, model: ExpectationModel):
+    """The block entries a model reads, of blocks ``masks`` in rows of ``counts``
+    blocks: every one, or under merging and singleton those in S's row of two
+    blocks or of k - |S| + 1 blocks."""
     if model not in _FIXED_MODELS:
         return slice(None)
-    k, counts = table.k, table.counts
-    size = mask_table(np.add, np.ones(k, dtype=np.int64), 0)[table.masks]
+    size = mask_table(np.add, np.ones(k, dtype=np.int64), 0)[masks]
     return np.repeat(counts, counts) == (2 if model is ExpectationModel.MERGING
                                          else k - size + 1)
 
@@ -157,13 +157,16 @@ def _table_demands(table: UtilityTable, model: ExpectationModel) -> np.ndarray:
     read S's one fixed arrangement (:func:`_read_entries`).  Cautious
     keeps the smallest own value.  Rational keeps the smallest own value
     among arrangements whose outsider total is within 1e-12 (relative) of
-    the largest.  A mask with no such row demands +inf.
+    the largest.  A mask with no such row demands +inf.  Where the
+    closed form applies, every model's own rows (:func:`_model_rows`)
+    hold one arrangement per mask; for rational and cautious it is the
+    merged one, which :func:`_model_rows` proves is the one both keep.
     """
     k = table.k
     masks, own = table.masks, table.values
     demand = np.full(1 << k, np.inf)
     if model in _FIXED_MODELS:
-        read = _read_entries(table, model)
+        read = _read_entries(k, table.counts, masks, model)
         demand[masks[read]] = own[read]
         return demand
     if model is ExpectationModel.RATIONAL:
@@ -195,27 +198,91 @@ def _read_demands(scenario: Scenario, table: UtilityTable, model: ExpectationMod
     unread = masks[demand == np.inf]  # no row, or rows whose utilities are +inf
     if unread.size:
         held = np.zeros(1 << table.k, dtype=bool)
-        held[table.masks[_read_entries(table, model)]] = True
+        held[table.masks[_read_entries(table.k, table.counts, table.masks, model)]] = True
         if not held[unread].all():
             raise InvalidArgument(f"the table holds no row the {model.value} model reads "
                                   f"for coalition mask {unread[~held[unread]][0]}")
     return demand
 
 
-def _model_table(scenario: Scenario, model: ExpectationModel, *, grand: bool) -> UtilityTable:
-    """The table a model's demands read: every partition for rational and cautious;
-    for merging and singleton the distinct fixed arrangements, in mask order
-    (2^(K-1) - 1 or 2^K - K - 1 rows), then the grand row when ``grand``."""
+def _model_rows(scenario: Scenario, model: ExpectationModel, *, grand: bool) -> np.ndarray:
+    """RGS rows of the table a model's demands read.
+
+    Merging and singleton read their distinct fixed arrangements, in mask
+    order (2^(K-1) - 1 or 2^K - K - 1 rows), then the grand row when
+    ``grand``.  Rational and cautious read every partition, except where
+    the one-antenna closed form applies
+    (:func:`equilibrium._closed_form_applies`): there they read the
+    merging rows, because their demands are the merging demands.
+
+    Proof.  With one receive antenna a block B of power P_B hearing power
+    I gets log(1 + P_B/(N0 + I)).  P_B = (sum of gains^2)(sum of budgets)
+    under pooled budgets and (sum of |h| sqrt(cap))^2 under antenna caps,
+    so it is superadditive and monotone: the outside blocks of any
+    arrangement of N - S, and any union of them, have at most the power
+    P_out of the merged outsiders.  Fix S.
+
+    - Single-user decoding: S hears the outsiders' total Q <= P_out, so
+      its value is smallest when they merge (cautious).  With c = N0 + P_S
+      the outsiders earn sum_j log((c + Q)/(c + Q - P_j)), which is at
+      most log((c + Q)/c) since prod(1 - x_j) >= 1 - sum x_j (Weierstrass),
+      and log((c + Q)/c) grows with Q; the merged outsiders attain it at
+      Q = P_out.
+    - Fixed-order cancellation: the values of a row telescope to
+      log(1 + total power/N0), so the outsiders earn
+      log((N0 + P_S + Q)/N0) - u_S(A), where A is the power decoded after
+      S.  Both terms grow with Q and with A.  The merged block decodes at
+      its latest member's slot, so it decodes after S whenever some
+      outsider's slot is later than S's, and then A = P_out; otherwise no
+      arrangement decodes a block after S and A = 0 in all of them.
+
+    So the merged arrangement maximizes the outsiders' total and, among
+    all arrangements, minimizes S's own value: rational and cautious
+    both demand S's value in its merging row.  That is the exact answer;
+    on the full table rounding could in principle move a rational or
+    cautious demand by an ulp, and the tests check on seeded games that
+    it does not.  Time share averages orders and M > 1 solves
+    covariances, so neither is covered and both keep every partition.
+    """
     require_uniform_timeshare(scenario)
     if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
-        return utility_table(scenario)
+        if not _closed_form_applies(scenario):
+            return _every_partition(scenario)
+        model = ExpectationModel.MERGING
     k = scenario.k
     rows = _fixed_arrangements(k, range(1, (1 << k) - 1), model)
     # distinct rows, each where its first mask put it
     rows = rows[np.sort(np.unique(rows, axis=0, return_index=True)[1])]
     if grand:
         rows = np.vstack((rows, np.zeros((1, k), dtype=np.int8)))
-    return _table_of(scenario, rows)
+    return rows
+
+
+def _model_table(scenario: Scenario, model: ExpectationModel, *, grand: bool) -> UtilityTable:
+    """The table of :func:`_model_rows`."""
+    return _table_of(scenario, _model_rows(scenario, model, grand=grand))
+
+
+def _read_index(k: int, counts, masks, model: ExpectationModel) -> np.ndarray:
+    """Entry indices of each proper mask's demand (ascending mask), then of v(N),
+    among blocks ``masks`` in rows of ``counts`` blocks.
+
+    Raises unless the rows hold exactly one entry the model reads per
+    proper mask and a grand row, as a model's own rows do where the closed
+    form applies (:func:`_model_rows`).  From one entry
+    :func:`_table_demands` returns its value, so the values at these
+    indices are the demands and v(N), bitwise.
+    """
+    full = (1 << k) - 1
+    read = np.arange(len(masks))[_read_entries(k, counts, masks, model)]
+    held = np.bincount(masks[read], minlength=full + 1)[1:full]
+    grand = np.flatnonzero(masks == full)
+    if (held != 1).any() or not grand.size:
+        raise AssertionError(f"the {model.value} rows do not hold one read entry per "
+                             f"coalition and a grand row")
+    entry = np.empty(full + 1, dtype=np.intp)
+    entry[masks[read]] = read
+    return np.append(entry[1:full], grand[0])
 
 
 def coalition_demand(
@@ -230,11 +297,12 @@ def coalition_demand(
     Rational keeps the outside arrangements maximizing the outsiders'
     total utility and among ties returns the smallest value for the
     deviator (conservative, deterministic).  Cautious takes the worst
-    case over arrangements.  Both are read from the utility table, which
-    is built when none is given, and equal ``demand_vector``'s value for
-    the mask.  Merging and singleton fix one arrangement each, read from
-    the given table or from a table of that one row, which a weighted
-    time-share receiver fits when its weights fit that row.
+    case over arrangements.  Both are read from the given table, or else
+    from the model's rows (:func:`_model_rows`), and equal
+    ``demand_vector``'s value for the mask.  Merging and singleton fix
+    one arrangement each, read from the given table or from a table of
+    that one row, which a weighted time-share receiver fits when its
+    weights fit that row.
     """
     k = scenario.k
     grand = (1 << k) - 1

@@ -505,25 +505,51 @@ def _slot_of(receiver: SicFixed) -> np.ndarray:
     return out
 
 
-def _closed_form_tables(scenario: Scenario, rgs=None) -> Callable[[float], UtilityTable] | None:
-    """Closed-form tables of RGS rows ``rgs`` (default: every partition) at any N0, or None.
+def _closed_form_applies(scenario: Scenario) -> bool:
+    """Whether ``scenario``'s tables come from the one-receive-antenna closed form.
 
-    Applies to one receive antenna with fixed-order cancellation or
-    single-user decoding.  Only the utilities depend on N0: each chunk of
-    ``RGS_CHUNK_ROWS`` rows gets its block masks once, which read
-    :func:`_power_of` and :func:`_slot_of` for the noise-free layout
-    (:func:`_kernels.single_rx_layout`), and the returned function gives
-    the table of ``scenario.with_noise(n0)``.  A row's values depend on
-    that row alone, so any subset of rows holds them bitwise as the full
+    It applies to one receive antenna with fixed-order cancellation or
+    single-user decoding, under pooled budgets or antenna caps.  On this
+    class a block's received power is superadditive in its members, which
+    is also what lets every expectation model's core read the merging
+    rows (:func:`cores._model_rows`).
+    """
+    return scenario.rx_antennas == 1 and isinstance(scenario.receiver, (SicFixed, Sud))
+
+
+@dataclass(frozen=True, eq=False)
+class _ClosedFormLayout:
+    """The noise-free part of a closed-form table: RGS rows, blocks per row, and
+    every block's mask (label order), received power and heard power."""
+
+    rgs: np.ndarray
+    counts: np.ndarray
+    masks: np.ndarray
+    power: np.ndarray
+    heard: np.ndarray
+
+    def values(self, n0: float) -> np.ndarray:
+        """Every block's utility at noise level ``n0``, in one elementwise pass."""
+        return _kernels.single_rx_values(self.power, self.heard, n0)
+
+
+def _closed_form_layout(scenario: Scenario, rgs=None) -> _ClosedFormLayout | None:
+    """The closed-form layout of RGS rows ``rgs`` (default: every partition), or None
+    when :func:`_closed_form_applies` does not.
+
+    Each chunk of ``RGS_CHUNK_ROWS`` rows gets its block masks once, which
+    read :func:`_power_of` and :func:`_slot_of` for the noise-free layout
+    (:func:`_kernels.single_rx_layout`).  A row's values depend on that
+    row alone, so any subset of rows holds them bitwise as the full
     table does.
     """
-    receiver = scenario.receiver
-    if scenario.rx_antennas != 1 or isinstance(receiver, SicTimeShare):
+    if not _closed_form_applies(scenario):
         return None
     k = scenario.k
     rgs = rgs_matrix(k) if rgs is None else rgs
     _require_mask_bits(k)  # before any 2^K table
     power_of = _power_of(scenario)
+    receiver = scenario.receiver
     slot_of = _slot_of(receiver) if isinstance(receiver, SicFixed) else None
     counts = rgs.max(axis=1) + 1
     n = int(counts.sum())
@@ -536,10 +562,23 @@ def _closed_form_tables(scenario: Scenario, rgs=None) -> Callable[[float], Utili
         begin, end = end, end + int(exists.sum())
         power[begin:end], heard[begin:end] = p[exists], h[exists]
         masks[begin:end] = chunk[exists]
+    return _ClosedFormLayout(rgs, counts, masks, power, heard)
+
+
+def _closed_form_tables(scenario: Scenario, rgs=None) -> Callable[[float], UtilityTable] | None:
+    """Closed-form tables of RGS rows ``rgs`` (default: every partition) at any N0, or None.
+
+    Only the utilities depend on N0: the layout (:func:`_closed_form_layout`)
+    is built once, and the returned function gives the table of
+    ``scenario.with_noise(n0)``.
+    """
+    layout = _closed_form_layout(scenario, rgs)
+    if layout is None:
+        return None
 
     def closed(n0: float) -> UtilityTable:
-        values = _kernels.single_rx_values(power, heard, n0)
-        return UtilityTable.from_arrays(k, scenario.with_noise(n0), rgs, counts, masks, values)
+        return UtilityTable.from_arrays(scenario.k, scenario.with_noise(n0), layout.rgs,
+                                        layout.counts, layout.masks, layout.values(n0))
 
     return closed
 

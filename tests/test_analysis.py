@@ -337,56 +337,69 @@ class TestSnrBoundary:
 
     @pytest.mark.parametrize("model", list(ExpectationModel))
     def test_every_point_equals_a_per_point_oracle(self, model, monkeypatch):
-        # at every grid and bisection point the sweep's table is utility_table's
-        # bit for bit, and its verdict is check_core's on that table
-        points, verdicts, oracle_at = [], [], {}
-        make_tables, check = analysis._closed_form_tables, cores._CoreLp.check
+        # at every grid and bisection point the LP gets the demands and v(N) that
+        # demand_vector and grand_value read from utility_table, bit for bit, and
+        # its verdict is check_core's on that table
+        points, checks, oracle_at = [], [], {}
+        make_verdicts, check = analysis._symmetric_verdicts, cores._CoreLp.check
 
-        def recording_tables(scenario):
-            tables = make_tables(scenario)
+        def recording_verdicts(k, m):
+            verdict = make_verdicts(k, m)
 
-            def at(n0):
-                points.append((scenario.k, n0, tables(n0)))
-                return points[-1][2]
+            def at(snr_db):
+                points.append((k, snr_db_to_noise(snr_db)))
+                return verdict(snr_db)
 
             return at
 
         def recording_check(lp, d, v_k):
             result = check(lp, d, v_k)
-            verdicts.append(result.verdict)
+            checks.append(([x.hex() for x in d.tolist()], float(v_k).hex(), result.verdict))
             return result
 
         def oracle(k, n0):
             if (k, n0) not in oracle_at:
                 s = symmetric_scenario(k, n0)
                 table = utility_table(s)
-                oracle_at[k, n0] = table, check_core(s, model, table=table).verdict
+                demands = cores.demand_vector(s, model, table=table)
+                oracle_at[k, n0] = ([x.hex() for x in demands.values()],
+                                    cores.grand_value(s, table=table).hex(),
+                                    check_core(s, model, table=table).verdict)
             return oracle_at[k, n0]
 
         spec = SweepSpec(tuple(range(2, 9)), (-20.0, -5.0, 10.0, 25.0))
         with monkeypatch.context() as patch:
-            patch.setattr(analysis, "_closed_form_tables", recording_tables)
+            patch.setattr(analysis, "_symmetric_verdicts", recording_verdicts)
             patch.setattr(cores._CoreLp, "check", recording_check)
             got = snr_boundary(spec, model, resolution_db=0.1)
         assert sum(p.status == "found" for p in got) == 5
-        assert len(points) == len(verdicts) == 7 * 4 + 5 * 8  # 8 bisection steps each
-        for (k, n0, table), verdict in zip(points, verdicts):
-            want, want_verdict = oracle(k, n0)
-            for name in ("rgs", "counts", "offsets", "masks", "values", "totals"):
-                assert getattr(table, name).tobytes() == getattr(want, name).tobytes()
-            assert [v.hex() for v in table.values.tolist()] == \
-                [v.hex() for v in want.values.tolist()]
-            assert verdict == want_verdict
+        assert len(points) == len(checks) == 7 * 4 + 5 * 8  # 8 bisection steps each
+        for (k, n0), seen in zip(points, checks):
+            assert seen == oracle(k, n0)
         # the whole sweep again, deciding every point by the oracle
         monkeypatch.setattr(analysis, "_symmetric_verdicts",
-                            lambda k, m: lambda db: oracle(k, snr_db_to_noise(db))[1])
+                            lambda k, m: lambda db: oracle(k, snr_db_to_noise(db))[2])
         assert snr_boundary(spec, model, resolution_db=0.1) == got
+
+    @pytest.mark.parametrize("model", list(ExpectationModel))
+    def test_a_sweep_builds_one_scenario_and_no_table_per_k(self, model, monkeypatch):
+        scenarios, tables = [], []
+        post_init, setup = Scenario.__post_init__, equilibrium.UtilityTable._setup
+        monkeypatch.setattr(Scenario, "__post_init__",
+                            lambda s: scenarios.append(s.k) or post_init(s))
+        monkeypatch.setattr(equilibrium.UtilityTable, "_setup",
+                            lambda t, k, *args: tables.append(k) or setup(t, k, *args))
+        spec = SweepSpec((2, 4, 6), (-20.0, -5.0, 10.0, 25.0))
+        got = snr_boundary(spec, model, resolution_db=0.01)
+        assert sum(len(p.grid_verdicts) for p in got) == 12
+        assert sorted(scenarios) == [2, 4, 6]
+        assert tables == []
 
     def test_k_above_core_cap_rejected_before_any_table(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a utility table was built")
 
-        monkeypatch.setattr(analysis, "_closed_form_tables", forbidden)
+        monkeypatch.setattr(analysis, "_closed_form_layout", forbidden)
         with pytest.raises(InvalidArgument, match=f"K <= {CORE_MAX_USERS}"):
             snr_boundary(SweepSpec((3, CORE_MAX_USERS + 1), (-10.0, 0.0)),
                          ExpectationModel.RATIONAL)

@@ -42,7 +42,7 @@ from maccoop.cores import (
 from maccoop.equilibrium import UtilityTable, ne_sic, ne_sud, ne_utilities, utility_table
 from maccoop.errors import InvalidArgument, NumericalFailure
 from maccoop.model import (Coalition, Partition, Scenario, SicFixed, SicTimeShare, Sud, UserSpec,
-                           enumerate_partitions)
+                           enumerate_partitions, rgs_matrix)
 
 from conftest import random_scenario, rank_one_sud_160db, symmetric
 
@@ -1186,6 +1186,88 @@ class TestModelRelations:
                 m = coalition_demand(s, Coalition(mask), ExpectationModel.MERGING,
                                      table=table)
                 assert r == pytest.approx(m, abs=1e-7)
+
+
+def same_core_result(a, b):
+    """Verdict, slack, witness and certificate equal bit for bit."""
+    def bits(r):
+        cert = r.certificate
+        return (r.verdict, r.slack.hex(),
+                None if r.allocation is None else r.allocation.tobytes(),
+                None if cert is None else (sorted((m, w.hex()) for m, w in cert.weights.items()),
+                                           cert.margin.hex()))
+    return bits(a) == bits(b)
+
+
+#: The SNRs (dB) of the merging-row gate.
+GATE_DB = (-20.0, 0.0, 20.0, 40.0, 60.0)
+TABLE_MODELS = (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS)
+
+
+def gate_game(k, receiver, mode):
+    """A seeded one-antenna game: fixed-order SIC in a random decoding order, or SUD."""
+    gen = np.random.default_rng([22, k, len(receiver), len(mode)])
+    rx = SicFixed(tuple(int(u) + 1 for u in gen.permutation(k))) if receiver == "sic" else Sud()
+    return random_scenario(gen, k=k, m=1, mode=mode, receiver=rx)
+
+
+def merging_row_differences(s):
+    """Where a one-antenna game's rational and cautious cores, read from the merging
+    rows as they are without a table, differ from those read from every partition,
+    at each ``GATE_DB`` SNR: demands compared by float.hex, and core results."""
+    every = maccoop.equilibrium._closed_form_tables(s)  # utility_table's table at any N0
+    out = []
+    for db in GATE_DB:
+        at = s.with_noise(10.0 ** (-db / 10.0))
+        table = every(at.noise)
+        for model in TABLE_MODELS:
+            got, want = demand_vector(at, model), demand_vector(at, model, table=table)
+            out += [f"{model.value} demand of mask {mask} at {db} dB"
+                    for mask in want if got[mask].hex() != want[mask].hex()]
+            if not same_core_result(check_core(at, model), check_core(at, model, table=table)):
+                out.append(f"{model.value} core at {db} dB")
+    return out
+
+
+class TestMergingRowsDecideRationalAndCautious:
+    """With one receive antenna, fixed-order SIC or SUD, pooled budgets or antenna caps,
+    rational and cautious demands are the merging demands (cores._model_rows proves it),
+    so their cores read the 2^(K-1) merging rows instead of all B_K partitions."""
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    @pytest.mark.parametrize("receiver", ["sic", "sud"])
+    @pytest.mark.parametrize("mode", ["sum", "per_antenna"])
+    def test_merging_rows_give_the_full_table_demands_and_cores(self, k, receiver, mode):
+        s = gate_game(k, receiver, mode)
+        for model in TABLE_MODELS:
+            assert len(_model_table(s, model, grand=True).rgs) == 1 << (k - 1)
+        assert merging_row_differences(s) == []
+
+    @pytest.mark.parametrize("receiver", ["sic", "sud"])
+    @pytest.mark.parametrize("mode", ["sum", "per_antenna"])
+    def test_a_block_power_that_is_not_superadditive_fails_the_gate(self, receiver, mode,
+                                                                    monkeypatch):
+        # the largest member's power: merged outsiders no longer carry the most power
+        power_of = maccoop.equilibrium._power_of
+
+        def largest_member(scenario):
+            alone = power_of(scenario)[1 << np.arange(scenario.k)]
+            return maccoop._kernels.mask_table(np.maximum, alone, 0.0)
+
+        monkeypatch.setattr(maccoop.equilibrium, "_power_of", largest_member)
+        assert any("demand" in d for d in merging_row_differences(gate_game(4, receiver, mode)))
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    @pytest.mark.parametrize("m, receiver", [(1, SicTimeShare()), (2, Sud()), (2, "sic"),
+                                             (2, SicTimeShare())])
+    def test_games_off_the_class_read_every_partition(self, k, m, receiver):
+        gen = np.random.default_rng([k, m])
+        rx = SicFixed(tuple(range(k, 0, -1))) if receiver == "sic" else receiver
+        s = random_scenario(gen, k=k, m=m, receiver=rx)
+        for model in TABLE_MODELS:
+            for grand in (False, True):
+                rows = _model_table(s, model, grand=grand).rgs
+                assert rows.tobytes() == rgs_matrix(k).tobytes()
 
 
 def test_import_loads_no_scipy():

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maccoop import _kernels, cli, equilibrium, io
+from maccoop import _kernels, cli, cores, equilibrium, io
 from maccoop.errors import InvalidArgument, ScenarioFormatError
 from maccoop.model import (
     Coalition,
@@ -25,6 +25,7 @@ from maccoop.model import (
     SumPower,
     UserSpec,
     enumerate_partitions,
+    rgs_matrix,
 )
 
 from conftest import random_scenario, rank_one_sud_160db, symmetric
@@ -509,6 +510,34 @@ class TestCli:
             code, _, err = run_cli(argv + ["--scenario", str(cfg), "--out", str(tmp_path)],
                                    capsys)
             assert code == 0, (argv, err)
+
+    @pytest.mark.parametrize("command", ["core", "least-core", "region"])
+    @pytest.mark.parametrize("model", ["rational", "cautious"])
+    @pytest.mark.parametrize("mode, receiver", [("per_antenna", "sic"), ("sum", "sud")])
+    def test_rational_and_cautious_read_the_merging_rows(self, tmp_path, capsys, monkeypatch,
+                                                        command, model, mode, receiver):
+        # one receive antenna: 2^(K-1) rows, and the bytes of the every-partition route
+        k = 3 if command == "region" else 8
+        gen = np.random.default_rng([k, len(mode)])
+        rx = SicFixed(tuple(int(u) + 1 for u in gen.permutation(k))) if receiver == "sic" else Sud()
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(io.serialize_scenario(random_scenario(gen, k=k, m=1, mode=mode,
+                                                             receiver=rx)))
+        rows, table_of = [], cores._table_of
+        monkeypatch.setattr(cores, "_table_of", lambda s, rgs: rows.append(len(rgs))
+                            or table_of(s, rgs))
+
+        def run(out):
+            code, stdout, err = run_cli([command, "--scenario", str(cfg), "--model", model,
+                                         "--out", str(out)], capsys)
+            assert code == 0, err
+            return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        got = run(tmp_path / "merging-rows")
+        assert rows == [1 << (k - 1)]
+        monkeypatch.setattr(cores, "_closed_form_applies", lambda s: False)
+        assert run(tmp_path / "every-partition") == got
+        assert rows[1:] == [len(rgs_matrix(k))]
 
     @pytest.mark.parametrize("flags", [
         ["--snr-step", "0"], ["--snr-step", "-5"], ["--snr-step", "nan"], ["--snr-step", "inf"],
