@@ -9,7 +9,14 @@ takes many partitions at once as rows of indices into those blocks and
 returns one covariance per row entry; the cancellation kernel returns
 one per decoding suffix it is asked to solve.  A number is a pooled
 trace budget (waterfilling); an array holds per-antenna caps
-(:func:`pa_maximize`).
+(:func:`pa_maximize`).  Under a trace budget a block's rate and the
+interference it causes depend on its channel H only through H H^T, so
+a pooled block enters as its m x m equivalent channel
+(:func:`equivalent_channels`) with covariances in that channel's
+coordinates: every pooled block of a game has one shape, and the blocks
+at one sweep position or of one suffix length share one
+:func:`waterfill_stack`.  A block under antenna caps keeps its own H,
+since the caps belong to its physical antennas.
 
 The one-receive-antenna closed form solves nothing: a block's received
 power and decoding slot are 2^K tables indexed by coalition mask
@@ -47,74 +54,80 @@ def logdet_ratio(n0, h, q, j):
     return max(ld1 - ld0, 0.0)
 
 
+def equivalent_channels(h):
+    """m x m equivalent channels of a stack of channels of one width.
+
+    ``h`` is (B, m, w).  A reduced QR of each H^T gives H = E Omega^T with
+    E (B, m, m) lower triangular and Omega (B, w, m) orthonormal columns;
+    when w < m both are zero-padded to m columns.  Under a trace budget a
+    block's rate and the interference it causes depend on H only through
+    H H^T = E E^T, so Q_E = Omega^T Q Omega solves E's problem exactly
+    when Q solves H's, with the same trace, and Q = Omega Q_E Omega^T maps
+    back.  An equivalent channel is its own: E's QR is (E, I) bit for bit.
+
+    Returns (e, omega).
+    """
+    b, m, w = h.shape
+    omega, r = np.linalg.qr(h.swapaxes(1, 2))
+    if w >= m:
+        return r.swapaxes(1, 2), omega
+    e = np.zeros((b, m, m))
+    e[:, :, :w] = r.swapaxes(1, 2)
+    pad = np.zeros((b, w, m))
+    pad[:, :, :w] = omega
+    return e, pad
+
+
 def waterfill(h, noise_cov, p_total):
     """Rate-optimal covariance under a trace budget.
 
     Maximizes log det(noise_cov + H Q H^T) - log det(noise_cov) over
-    Q >= 0 with tr(Q) <= p_total by waterfilling across the eigenmodes
-    of the noise-whitened channel.  noise_cov must be positive definite.
+    Q >= 0 with tr(Q) <= p_total: the one-problem :func:`waterfill_stack`
+    on H's equivalent channel (:func:`equivalent_channels`), mapped back.
+    noise_cov must be positive definite.
 
     Returns (q, rate) with q of shape (w, w).
     """
-    w = h.shape[1]
-    if p_total <= 0.0:
-        return np.zeros((w, w)), 0.0
-    ell = np.linalg.cholesky(sym(noise_cov))
-    white = np.linalg.solve(ell, h)
-    _, s, vt = np.linalg.svd(white, full_matrices=False)
-    gains = s * s
-    if gains[0] <= 0.0:
-        return np.zeros((w, w)), 0.0
-    # water level: largest active set k with mu_k above the weakest
-    # included mode's inverse gain (gains sorted descending by svd); none
-    # when the budget is below rounding
-    inv = 1.0 / gains[gains > 1e-15 * gains[0]]
-    mu_try = (p_total + inv.cumsum()) / np.arange(1, inv.size + 1)
-    active = np.flatnonzero(mu_try > inv)
-    if active.size == 0:
-        return np.zeros((w, w)), 0.0
-    k = active[-1] + 1
-    mu = mu_try[k - 1]
-    modes = vt[:k]
-    q = (modes.T * (mu - inv[:k])) @ modes
-    return sym(q), np.log(gains[:k] * mu).sum()  # = sum log(1 + gains*power)
+    e, omega = equivalent_channels(h[None])
+    q, rate = waterfill_stack(e, noise_cov[None], np.array([p_total], dtype=np.float64))
+    return sym(omega[0] @ q[0] @ omega[0].T), rate[0]
 
 
 def waterfill_stack(h, noise_cov, p_total):
-    """:func:`waterfill` over a stack of problems of one shape.
+    """Rate-optimal covariances of a stack of trace-budget problems of one shape.
 
     ``h`` is (B, m, w), ``noise_cov`` (B, m, m) and ``p_total`` (B,).
-    Row i equals ``waterfill(h[i], noise_cov[i], p_total[i])`` bitwise:
-    the factorizations are batched, the water level is the scalar one
-    with masked modes, and each active-mode count gets its own products.
+    Each problem waterfills across the eigenmodes of its noise-whitened
+    channel: the modes whose inverse gain lies below the water level,
+    which is the largest active set k whose level mu_k lies above the
+    weakest included mode's inverse gain (none when the budget is at most
+    zero or below rounding).  Every step is a batched factorization or an
+    elementwise or per-problem reduction, so each row is bitwise its
+    one-problem call, whatever else the stack holds.
 
     Returns (q, rate) of shapes (B, w, w) and (B,).
     """
-    b, _, w = h.shape
+    b = h.shape[0]
     ell = np.linalg.cholesky(sym(noise_cov))
     white = np.linalg.solve(ell, h)
     _, s, vt = np.linalg.svd(white, full_matrices=False)
     gains = s * s
     r = gains.shape[1]
-    # the scalar form keeps a prefix of the modes (svd sorts descending);
-    # a dropped mode's inverse gain is +inf, and inf > inf is false
+    # svd sorts gains descending, so the active modes are a prefix; a
+    # dropped mode's inverse gain is +inf, and inf > inf is false
     keep = gains > 1e-15 * gains[:, :1]
     inv = np.divide(1.0, gains, out=np.full_like(gains, np.inf), where=keep)
     mu_try = (p_total[:, None] + inv.cumsum(axis=1)) / np.arange(1, r + 1)
     active = mu_try > inv
-    count = np.where(active.any(axis=1), r - np.argmax(active[:, ::-1], axis=1), 0)
-    count[p_total <= 0.0] = 0
-    q = np.zeros((b, w, w))
-    rate = np.zeros(b)
-    for k in range(1, r + 1):
-        rows = np.flatnonzero(count == k)
-        if rows.size == 0:
-            continue
-        mu = mu_try[rows, k - 1]
-        modes = vt[rows, :k]
-        power = mu[:, None] - inv[rows, :k]
-        q[rows] = sym((modes.swapaxes(1, 2) * power[:, None, :]) @ modes)
-        rate[rows] = np.log(gains[rows, :k] * mu[:, None]).sum(axis=1)
+    count = np.where(active.any(axis=1) & (p_total > 0.0),
+                     r - np.argmax(active[:, ::-1], axis=1), 0)
+    on = np.arange(r) < count[:, None]
+    mu = mu_try[np.arange(b), np.maximum(count - 1, 0), None]
+    power = np.subtract(mu, inv, out=np.zeros_like(inv), where=on)
+    q = sym((vt.swapaxes(1, 2) * power[:, None, :]) @ vt)
+    q[count == 0] = 0.0
+    # = sum log(1 + gains * power) over the active modes
+    rate = np.log(np.multiply(gains, mu, out=np.ones_like(gains), where=on)).sum(axis=1)
     return q, rate
 
 
@@ -247,53 +260,46 @@ def sic_backward(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter):
     block's rate depends only on the blocks decoded after it, so each
     head best responds to noise plus its tail's interference J(tail), and
     J(i) = J(tail) + H Q H^T: one backward sweep per decoding order,
-    shared by every order that ends alike.  Suffixes are solved by
-    length, shortest first, in groups of one length and one head width:
-    pooled-budget heads of a group share a :func:`waterfill_stack`, and
-    each head under antenna caps has its own :func:`pa_maximize`.
+    shared by every order that ends alike.  Under pooled budgets every
+    channel is m x m (an equivalent channel, :func:`equivalent_channels`)
+    and the heads of one suffix length, shortest first, share one
+    :func:`waterfill_stack`.  Under antenna caps each head has its own
+    :func:`pa_maximize`, in suffix order (a tail precedes its heads).
 
-    Returns (qs, rates, ok): per suffix, the head's covariance (a list),
-    its rate (an array) and whether its solve converged (a list).
+    Returns (qs, rates, ok): per suffix, the head's covariance, its rate
+    (an array) and whether its solve converged (a list).
     """
     n = len(heads)
     m = hs[0].shape[0]
     noise = n0 * np.eye(m)
     # entry n stays zero: tail -1 reads it, the interference a last-decoded head sees
-    jmat = [None] * n + [np.zeros((m, m))]
-    qs = [None] * n
-    rates = [0.0] * n
+    jmat = np.zeros((n + 1, m, m))
+    rates = np.zeros(n)
     ok = [True] * n
-
-    def solve_one(i):
-        b, t = heads[i], tails[i]
-        h = hs[b]
-        qs[i], rates[i], ok[i] = block_response(h, noise + jmat[t], limits[b], q0s[b],
-                                                pa_tol, pa_iter)
-        jmat[i] = sym(jmat[t] + h @ qs[i] @ h.T)
-
-    # group suffixes by (length, head width), shortest first: a tail is
-    # shallower than its head, so it is solved before every suffix that reads it
+    if isinstance(limits[0], np.ndarray):
+        qs = [None] * n
+        for i, (b, t) in enumerate(zip(heads, tails)):
+            h = hs[b]
+            qs[i], rates[i], ok[i] = block_response(h, noise + jmat[t], limits[b], q0s[b],
+                                                    pa_tol, pa_iter)
+            jmat[i] = sym(jmat[t] + h @ qs[i] @ h.T)
+        return qs, rates, ok
+    # a tail is shorter than its head, so it is solved before every suffix that reads it
     depth = [0] * n
-    groups = {}
-    for i, (b, t) in enumerate(zip(heads, tails)):
+    for i, t in enumerate(tails):
         if t >= 0:
             depth[i] = depth[t] + 1
-        groups.setdefault((depth[i], hs[b].shape[1]), []).append(i)
-    for key in sorted(groups):
-        idx = groups[key]
-        if len(idx) == 1 or isinstance(limits[0], np.ndarray):
-            # a stack of one costs more than the scalar call; caps take one dual solve each
-            for i in idx:
-                solve_one(i)
-            continue
-        h = np.stack([hs[heads[i]] for i in idx])
-        budgets = np.array([limits[heads[i]] for i in idx], dtype=np.float64)
-        j_tail = np.stack([jmat[tails[i]] for i in idx])
-        q, rate = waterfill_stack(h, noise + j_tail, budgets)
-        j_new = sym(j_tail + h @ q @ h.swapaxes(-1, -2))
-        for i, qi, ri, ji in zip(idx, q, rate.tolist(), j_new):
-            qs[i], rates[i], jmat[i] = qi, ri, ji
-    return qs, np.array(rates), ok
+    chan = np.asarray(hs)[heads]
+    budget = np.asarray(limits, dtype=np.float64)[heads]
+    tails = np.asarray(tails, dtype=np.int64)
+    qs = np.empty((n, m, m))
+    by_length = np.argsort(depth, kind="stable")
+    for idx in np.split(by_length, np.cumsum(np.bincount(depth))[:-1]):
+        h, j_tail = chan[idx], jmat[tails[idx]]
+        q, rates[idx] = waterfill_stack(h, noise + j_tail, budget[idx])
+        qs[idx] = q
+        jmat[idx] = sym(j_tail + h @ q @ h.swapaxes(1, 2))
+    return qs, rates, ok
 
 
 #: Two successive sweep-step ratios must agree to this relative
@@ -306,24 +312,39 @@ SUD_RATIO_MAX = 0.98
 def _extrapolate(qs, steps, ratio):
     """Covariances moved to the limit of steps that shrink by ``ratio`` per sweep.
 
-    q + ratio / (1 - ratio) * step sums the remaining geometric steps.
+    q + ratio / (1 - ratio) * step sums the remaining geometric steps,
+    for a stack of covariances, their steps and ratios broadcast to them.
     Negative eigenvalues (a mode whose power was decaying to zero) are
     clipped and the trace of q restored, so each result stays feasible.
     """
-    out = []
-    for q, step in zip(qs, steps):
-        lam, vec = np.linalg.eigh(q + ratio / (1.0 - ratio) * step)
-        lam = np.maximum(lam, 0.0)
-        kept = lam.sum()
-        if kept > 0.0:
-            lam *= np.trace(q) / kept
-        out.append(sym((vec * lam) @ vec.T))
-    return out
+    lam, vec = np.linalg.eigh(qs + ratio / (1.0 - ratio) * steps)
+    lam = np.maximum(lam, 0.0)
+    kept = lam.sum(axis=-1, keepdims=True)
+    lam *= np.divide(np.trace(qs, axis1=-2, axis2=-1)[..., None], kept,
+                     out=np.ones_like(kept), where=kept > 0.0)
+    return sym((vec * lam[..., None, :]) @ vec.swapaxes(-1, -2))
+
+
+def _exclusive_sums(grams):
+    """Running sums of (rows, positions, m, m) grams along each row, left to right.
+
+    Returns (inclusive, before, after): at each position, the sum up to and
+    including it, the sum of the positions before it, and the sum of the
+    positions after it (added from the last one).  No term is ever
+    subtracted, so a weak block beside a strong one is not lost.
+    """
+    inclusive = np.cumsum(grams, axis=1)
+    before = np.zeros_like(grams)
+    before[:, 1:] = inclusive[:, :-1]
+    after = np.zeros_like(grams)
+    after[:, :-1] = np.cumsum(grams[:, :0:-1], axis=1)[:, ::-1]
+    return inclusive, before, after
 
 
 def sud_fixed_point(n0, hs, limits, q0s, tol, max_rounds, pa_tol, pa_iter):
     """Gauss-Seidel iterative waterfilling for one partition: :func:`sud_lockstep`
-    of one row whose blocks are ``hs``, ``limits`` and ``q0s`` in that order.
+    of one row whose blocks are ``hs``, ``limits`` and ``q0s`` in that order
+    (under pooled budgets, equivalent channels and their covariances).
 
     Returns (qs, utilities, rounds, converged, last_delta).
     """
@@ -341,11 +362,15 @@ def sud_lockstep(n0, hs, limits, q0s, blocks, counts, tol, max_rounds, pa_tol, p
     Row r is the partition whose blocks are the next ``counts[r]`` entries
     of ``blocks``, indices into the per-block channels ``hs``, budgets or
     caps ``limits`` and starts ``q0s``, in sweep order.  Each sweep lets
-    every block in turn best respond to its row's running total
-    N0 I + sum_j H_j Q_j H_j^T minus its own term.  That total's log det
-    is an exact potential of the game, so every step raises it and the
-    sweeps converge.  A row converges when the largest utility change of
-    its blocks in a sweep falls below ``tol``, and then stops sweeping.
+    every block in turn best respond to N0 I plus the other blocks' terms
+    H_j Q_j H_j^T of its row: the sum of the terms before it, updated
+    this sweep, plus the sum of those after it, each added up without
+    ever subtracting a term (:func:`_exclusive_sums`).  The log det of
+    N0 I + sum_j H_j Q_j H_j^T is an exact potential of the game, so
+    every step raises it and the sweeps converge.  A block's utility is
+    that log det less the log det of N0 I plus the others' terms.  A row
+    converges when the largest utility change of its blocks in a sweep
+    falls below ``tol``, and then stops sweeping.
 
     Near the fixed point the sweeps converge linearly: each sweep's step
     is a near-constant fraction of the last.  Under pooled budgets, once
@@ -356,45 +381,44 @@ def sud_lockstep(n0, hs, limits, q0s, blocks, counts, tol, max_rounds, pa_tol, p
     best responses.  A slowly converging game then takes about as many
     sweeps as a fast one.
 
-    Rows advance in lockstep, one block position at a time: the pooled
-    best responses of every sweeping row's block of one width go through
-    one :func:`waterfill_stack` (:func:`waterfill` for a group of one),
-    and per-antenna blocks keep one :func:`pa_maximize` each.  Rows never
-    mix, and the stacked calls equal the scalar ones bitwise, so every
-    row's iterates are bitwise those it has when solved alone.
+    Rows advance in lockstep, one block position at a time.  Under pooled
+    budgets every channel is m x m (an equivalent channel,
+    :func:`equivalent_channels`), so the best responses of every sweeping
+    row's block at one position go through one :func:`waterfill_stack`;
+    under antenna caps each block has its own :func:`pa_maximize`.  Rows
+    never mix, and every step is stacked per row, so each row's iterates
+    are bitwise those it has when solved alone.
 
     Returns (qs, utilities, rounds, converged, last_delta): per entry of
-    ``blocks`` its covariance (a list) and utility (an array), and per
-    row its sweep count, whether it converged and its last utility change.
+    ``blocks`` its covariance and utility (an array), and per row its
+    sweep count, whether it converged and its last utility change.
     """
     counts = np.asarray(counts, dtype=np.int64)
     blocks = np.asarray(blocks, dtype=np.int64)
-    n_rows, n = len(counts), len(blocks)
-    starts = np.cumsum(counts) - counts
+    n_rows, width = len(counts), int(counts.max(initial=0))
     row_of = np.repeat(np.arange(n_rows), counts)
-    position = np.arange(n) - starts[row_of]
+    starts = np.cumsum(counts) - counts
+    # entry j sits at (row, block position) at[j]; unused positions hold zeros
+    at = (row_of, np.arange(len(blocks)) - starts[row_of])
+    valid = np.arange(width) < counts[:, None]
     pooled = not isinstance(limits[0], np.ndarray)
-    eye = n0 * np.eye(hs[0].shape[0])
-    # one sweep step: the entries of one block position and one width
-    plan = []
-    for p in range(int(counts.max(initial=0))):
-        by_width = {}
-        for j in np.flatnonzero(position == p).tolist():
-            by_width.setdefault(hs[blocks[j]].shape[1], []).append(j)
-        for idx in by_width.values():
-            idx = np.array(idx)
-            plan.append((idx, row_of[idx], np.stack([hs[b] for b in blocks[idx]]),
-                         np.array([limits[b] for b in blocks[idx]], dtype=np.float64)
-                         if pooled else None))
-    qs = [q0s[b] for b in blocks]
-    start_grams = [sym(h @ q @ h.T) for h, q in zip(hs, q0s)]
-    grams = np.stack([start_grams[b] for b in blocks])
-    total = np.zeros((n_rows,) + eye.shape)
-    for idx, rows, _, _ in plan:  # 0 + grams[0] + grams[1] + ..., as sum() adds
-        total[rows] += grams[idx]
-    total = eye + total
-    utils = np.zeros(n)
-    prev = np.full(n, -1.0)
+    m = hs[0].shape[0]
+    eye = n0 * np.eye(m)
+    grams = np.zeros((n_rows, width, m, m))
+    grams[at] = np.stack([sym(h @ q @ h.T) for h, q in zip(hs, q0s)])[blocks]
+    if pooled:
+        chan = np.zeros_like(grams)
+        chan[at] = np.asarray(hs)[blocks]
+        budget = np.zeros((n_rows, width))
+        budget[at] = np.asarray(limits, dtype=np.float64)[blocks]
+        cov = np.zeros_like(grams)
+        cov[at] = np.asarray(q0s)[blocks]
+    else:
+        qs = [q0s[b] for b in blocks.tolist()]
+    suffix = _exclusive_sums(grams)[2]
+    prefix = np.zeros((n_rows, m, m))
+    utils = np.zeros(len(blocks))
+    prev = np.full(len(blocks), -1.0)
     delta = np.full(n_rows, np.inf)
     rounds = np.zeros(n_rows, dtype=np.int64)
     converged = np.zeros(n_rows, dtype=bool)
@@ -407,36 +431,38 @@ def sud_lockstep(n0, hs, limits, q0s, blocks, counts, tol, max_rounds, pa_tol, p
             break
         rounds[live] = sweep
         ok = np.ones(n_rows, dtype=bool)
-        before = list(qs)
-        for idx, rows, h, budgets in plan:
-            keep = sweeping[rows]
-            if not keep.all():
-                if not keep.any():
-                    continue
-                idx, rows, h = idx[keep], rows[keep], h[keep]
-                budgets = budgets[keep] if pooled else None
-            noise = total[rows] - grams[idx]
-            if not pooled:
-                q = []
-                for i, j in enumerate(idx.tolist()):
-                    qj, _, _, _, conv = pa_maximize(h[i], noise[i], limits[blocks[j]], qs[j],
-                                                    pa_tol, pa_iter)
-                    ok[rows[i]] &= conv
-                    q.append(qj)
-                q = np.stack(q)
-            elif len(idx) == 1:  # a stack of one costs more than the scalar call
-                q = waterfill(h[0], noise[0], budgets[0])[0][None]
+        prefix[live] = 0.0
+        if pooled:
+            before = cov[live]
+        for p in range(width):
+            rows = np.flatnonzero(sweeping & valid[:, p])
+            if rows.size == 0:
+                break
+            noise = eye + (prefix[rows] + suffix[rows, p])
+            if pooled:
+                h = chan[rows, p]
+                q = waterfill_stack(h, noise, budget[rows, p])[0]
+                cov[rows, p] = q
+                gram = sym(h @ q @ h.swapaxes(1, 2))
             else:
-                q = waterfill_stack(h, noise, budgets)[0]
-            gram = sym(h @ q @ h.swapaxes(-1, -2))
-            total[rows] = noise + gram
-            grams[idx] = gram
-            for j, qj in zip(idx.tolist(), q):
-                qs[j] = qj
+                gram = np.empty_like(noise)
+                for i, (r, j) in enumerate(zip(rows.tolist(), (starts[rows] + p).tolist())):
+                    h = hs[blocks[j]]
+                    qs[j], _, conv = block_response(h, noise[i], limits[blocks[j]], qs[j],
+                                                    pa_tol, pa_iter)
+                    ok[r] &= conv
+                    gram[i] = sym(h @ qs[j] @ h.T)
+            grams[rows, p] = gram
+            prefix[rows] += gram
+        inclusive, others, suffix[live] = _exclusive_sums(grams[live])
+        others += suffix[live]
+        sign1, ld1 = np.linalg.slogdet(eye + inclusive[:, -1])
+        sign0, ld0 = np.linalg.slogdet(eye + others[valid[live]])
+        if not (np.all(sign1 > 0.0) and np.all(sign0 > 0.0)):
+            # N0 I plus the received terms rounded to a singular matrix
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
         # the blocks of the sweeping rows, row by row
         ent = np.flatnonzero(sweeping[row_of])
-        ld1 = np.linalg.slogdet(total[live])[1]
-        ld0 = np.linalg.slogdet(total[row_of[ent]] - grams[ent])[1]
         u = np.maximum(np.repeat(ld1, counts[live]) - ld0, 0.0)
         delta[live] = np.maximum.reduceat(np.abs(u - prev[ent]), np.cumsum(counts[live])
                                           - counts[live])
@@ -444,28 +470,32 @@ def sud_lockstep(n0, hs, limits, q0s, blocks, counts, tol, max_rounds, pa_tol, p
         done = (delta[live] < tol) & ok[live] if sweep > 1 else np.zeros(live.size, bool)
         converged[live[done]] = True
         sweeping[live[done]] = False
-        if not pooled:
+        rest = live[~done]
+        if not pooled or rest.size == 0:
             continue
-        for r, ld in zip(live[~done].tolist(), ld1[~done].tolist()):
-            js = range(starts[r], starts[r] + counts[r])
-            steps = [qs[j] - before[j] for j in js]
-            size = np.sqrt(sum(float(np.vdot(s, s)) for s in steps))
-            ratio = size / last_size[r] if last_size[r] > 0.0 else 0.0
-            last_size[r] = size
-            if (0.0 < ratio < SUD_RATIO_MAX and last_ratio[r] > 0.0
-                    and abs(ratio - last_ratio[r]) < SUD_RATIO_AGREE * ratio):
-                jumped = _extrapolate([qs[j] for j in js], steps, ratio)
-                jumped_grams = [sym(hs[blocks[j]] @ q @ hs[blocks[j]].T)
-                                for j, q in zip(js, jumped)]
-                jumped_total = eye + sum(jumped_grams)
-                if np.linalg.slogdet(jumped_total)[1] >= ld:
-                    for j, q, g in zip(js, jumped, jumped_grams):
-                        qs[j], grams[j] = q, g
-                    total[r] = jumped_total
-                # the next jump needs two fresh ratios
-                last_size[r] = ratio = 0.0
-            last_ratio[r] = ratio
-    return qs, utils, rounds, converged, delta
+        step = cov[rest] - before[~done]
+        size = np.sqrt(np.cumsum((step * step).reshape(rest.size, -1), axis=1)[:, -1])
+        last = last_size[rest]
+        ratio = np.divide(size, last, out=np.zeros_like(size), where=last > 0.0)
+        last_size[rest] = size
+        prior = last_ratio[rest]
+        jump = ((0.0 < ratio) & (ratio < SUD_RATIO_MAX) & (prior > 0.0)
+                & (np.abs(ratio - prior) < SUD_RATIO_AGREE * ratio))
+        if jump.any():
+            rows = rest[jump]
+            jumped = _extrapolate(cov[rows], step[jump], ratio[jump, None, None, None])
+            h = chan[rows]
+            jumped_grams = sym(h @ jumped @ h.swapaxes(-1, -2))
+            jumped_total = eye + np.cumsum(jumped_grams, axis=1)[:, -1]
+            better = np.linalg.slogdet(jumped_total)[1] >= ld1[~done][jump]
+            take = rows[better]
+            cov[take], grams[take] = jumped[better], jumped_grams[better]
+            suffix[take] = _exclusive_sums(jumped_grams[better])[2]
+            # the next jump needs two fresh ratios
+            last_size[rows] = 0.0
+            ratio[jump] = 0.0
+        last_ratio[rest] = ratio
+    return (cov[at] if pooled else qs), utils, rounds, converged, delta
 
 
 def mask_table(ufunc, values, empty):

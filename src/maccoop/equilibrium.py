@@ -128,12 +128,10 @@ class UtilityTable:
 
     @functools.cached_property
     def totals(self) -> np.ndarray:
-        totals = np.zeros(len(self.rgs))
-        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats add
-            for j in range(int(self.counts.max(initial=0))):
-                rows = np.flatnonzero(self.counts > j)
-                totals[rows] += self.values[self.offsets[rows] + j]
-        return totals
+        # bincount adds each weight into its zeroed bin in input order, so a
+        # row's total is 0.0 + v_0 + v_1 + ... left to right, as Python floats add
+        return np.bincount(np.repeat(np.arange(len(self.rgs)), self.counts),
+                           weights=self.values, minlength=len(self.rgs)).astype(np.float64)
 
     @functools.cached_property
     def fingerprint(self) -> str:
@@ -187,18 +185,43 @@ class UtilityTable:
 
 def _block_inputs(scenario: Scenario, blocks: Sequence[Coalition],
                   init: CovarianceProfile | None):
-    """Channel, budget or cap vector, and start covariance of each block."""
+    """Each block's kernel channel, budget or cap vector, start covariance and basis.
+
+    Under antenna caps a block keeps its channel H, since the caps belong
+    to its physical antennas, and its basis is None.  Under a pooled
+    budget its channel is the m x m equivalent channel E of H = E Omega^T
+    (:func:`_kernels.equivalent_channels`, one call per transmit width),
+    its basis is Omega, and its covariances are E's, Q_E = Omega^T Q Omega;
+    :func:`_covariances` maps them back.
+    """
     hs = [coalition_channel(scenario, b) for b in blocks]
-    if scenario.power_mode == "sum":
-        limits = [block_budget(scenario, b) for b in blocks]
-        starts = [np.zeros((h.shape[1], h.shape[1])) for h in hs]
-    else:
+    by_mask = None if init is None else dict(zip((b.mask for b in init.partition.blocks),
+                                                 init.matrices))
+    if scenario.power_mode != "sum":
         limits = [block_caps(scenario, b) for b in blocks]
-        starts = [np.diag(c) for c in limits]
-    if init is not None:
-        by_mask = {b.mask: q for b, q in zip(init.partition.blocks, init.matrices)}
-        starts = [by_mask[b.mask] for b in blocks]
-    return hs, limits, starts
+        starts = ([np.diag(c) for c in limits] if by_mask is None
+                  else [by_mask[b.mask] for b in blocks])
+        return hs, limits, starts, [None] * len(blocks)
+    m = scenario.rx_antennas
+    chan = np.empty((len(blocks), m, m))
+    bases = [None] * len(blocks)
+    by_width: dict[int, list[int]] = {}
+    for i, h in enumerate(hs):
+        by_width.setdefault(h.shape[1], []).append(i)
+    for idx in by_width.values():
+        chan[idx], omegas = _kernels.equivalent_channels(np.stack([hs[i] for i in idx]))
+        for i, omega in zip(idx, omegas):
+            bases[i] = omega
+    limits = [block_budget(scenario, b) for b in blocks]
+    starts = (np.zeros_like(chan) if by_mask is None else
+              [_kernels.sym(o.T @ by_mask[b.mask] @ o) for b, o in zip(blocks, bases)])
+    return chan, limits, starts, bases
+
+
+def _covariances(qs, bases) -> list[np.ndarray]:
+    """Kernel covariances in their blocks' transmit-antenna coordinates,
+    Q = Omega Q_E Omega^T (a block without a basis keeps its own)."""
+    return [q if o is None else _kernels.sym(o @ q @ o.T) for q, o in zip(qs, bases)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +274,7 @@ def _require_size(scenario: Scenario, partition: Partition) -> None:
 
 def _solve_orders(scenario: Scenario, masks: list[list[int]],
                   orders: Sequence[Sequence[tuple[int, ...]]], *,
-                  init: CovarianceProfile | None = None):
+                  init: CovarianceProfile | None = None, covariances: bool = False):
     """Cancellation equilibria of decoding orders, each distinct suffix solved once.
 
     Row i has block masks ``masks[i]`` (label order); ``orders[i]`` lists
@@ -260,9 +283,9 @@ def _solve_orders(scenario: Scenario, masks: list[list[int]],
     order that ends alike shares those solves (:func:`_kernels.sic_backward`).
 
     Returns (qs, rates, sids, stalled): each suffix's head covariance
-    and rate, per row a list whose entry [o][j] is the suffix block j
-    heads in order o, and the rows whose orders need a stalled
-    per-antenna solve.
+    (None unless ``covariances``) and rate, per row a list whose entry
+    [o][j] is the suffix block j heads in order o, and the rows whose
+    orders need a stalled per-antenna solve.
     """
     block_of: dict[int, int] = {}  # mask -> block index
     suffix_of: dict[tuple[int, int], int] = {}  # (block, tail suffix) -> suffix
@@ -286,10 +309,11 @@ def _solve_orders(scenario: Scenario, masks: list[list[int]],
             ids.append(order_ids)
         sids.append(ids)
     blocks = [Coalition(mask) for mask in block_of]
-    hs, limits, starts = _block_inputs(scenario, blocks, init)
+    hs, limits, starts, bases = _block_inputs(scenario, blocks, init)
     qs, rates, ok = _kernels.sic_backward(
         scenario.noise, hs, limits, starts, heads, tails, SOLVER_TOL, PA_MAX_ITER
     )
+    qs = _covariances(qs, [bases[b] for b in heads]) if covariances else None
     stalled = [] if all(ok) else [
         row for row, ids in enumerate(sids)
         if not all(ok[sid] for order_ids in ids for sid in order_ids)
@@ -333,7 +357,7 @@ def ne_sic(
     """
     if not isinstance(scenario.receiver, SicFixed):
         raise InvalidArgument("ne_sic requires a fixed-order cancellation receiver")
-    return _one_row(_cancellation_blocks, scenario, partition, init=init)
+    return _one_row(_cancellation_blocks, scenario, partition, init=init, covariances=True)
 
 
 def ne_sud(
@@ -356,7 +380,8 @@ def ne_sud(
     """
     if not isinstance(scenario.receiver, Sud):
         raise InvalidArgument("ne_sud requires a single-user-decoding receiver")
-    return _one_row(_sud_blocks, scenario, partition, init=init, max_rounds=max_rounds)
+    return _one_row(_sud_blocks, scenario, partition, init=init, max_rounds=max_rounds,
+                    covariances=True)
 
 
 def _order_count(n: int) -> int:
@@ -600,7 +625,7 @@ def _label_masks(rgs: np.ndarray) -> np.ndarray:
 
 
 def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray, *,
-                         init: CovarianceProfile | None = None):
+                         init: CovarianceProfile | None = None, covariances: bool = False):
     """Every row's cancellation block masks and utilities (label order), and its stalls.
 
     A row's plan is its weighted decoding orders: for fixed order the one
@@ -609,7 +634,7 @@ def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray, *,
     suffix is solved once, and a block's utility adds its weighted rates
     over the orders in order (a fixed-order block's is its rate, bit for
     bit).  Returns (masks, values, qs, stalled): ``qs`` lists each
-    fixed-order block's covariance (None for time sharing), and
+    fixed-order block's covariance if ``covariances`` (else None), and
     ``stalled`` maps each row whose orders need a stalled per-antenna
     solve to the :class:`NonConvergence` naming it.
     """
@@ -628,7 +653,9 @@ def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray, *,
     else:
         orders = [plans[n][1] for n in counts]
     masks = [row[:n] for row, n in zip(label_masks.tolist(), counts)]
-    qs, rates, sids, stalled_rows = _solve_orders(scenario, masks, orders, init=init)
+    covariances = covariances and fixed
+    qs, rates, sids, stalled_rows = _solve_orders(scenario, masks, orders, init=init,
+                                                  covariances=covariances)
     stalled = {row: _pa_stall(Partition.from_rgs(rgs[row].tolist())) for row in stalled_rows}
     # the rows of one block count average their orders at once, adding them in order
     counts = np.array(counts)
@@ -639,37 +666,43 @@ def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray, *,
         per_order = rates[np.array([sids[r] for r in rows])]  # (rows, orders, blocks)
         acc = np.cumsum(weights[:, None] * per_order, axis=1)[:, -1]
         values[starts[rows, None] + np.arange(n)] = acc
-    qs = [qs[sid] for (ids,) in sids for sid in ids] if fixed else None
+    qs = [qs[sid] for (ids,) in sids for sid in ids] if covariances else None
     return [m for row in masks for m in row], values, qs, stalled
 
 
 def _sud_blocks(scenario: Scenario, rgs: np.ndarray, *,
-                init: CovarianceProfile | None = None, max_rounds: int | None = None):
+                init: CovarianceProfile | None = None, max_rounds: int | None = None,
+                covariances: bool = False):
     """Every row's single-user-decoding block masks and utilities (label order), and its stalls.
 
     All rows sweep in lockstep (:func:`_kernels.sud_lockstep`), at most
     ``max_rounds`` sweeps each (``SUD_MAX_ROUNDS`` when None), each row
     with the iterates it has when solved alone.  Returns (masks, values,
-    qs, stalled): ``qs`` lists each block's covariance, and ``stalled``
-    maps each row whose sweeps did not settle to the
+    qs, stalled): ``qs`` lists each block's covariance if ``covariances``
+    (else None), and ``stalled`` maps each row whose sweeps did not settle to the
     :class:`NonConvergence` naming it; such a row's values are its last
     iterate's.
     """
     counts = rgs.max(axis=1) + 1
     masks = _label_masks(rgs)[np.arange(rgs.shape[1]) < counts[:, None]]
     distinct, blocks = np.unique(masks, return_inverse=True)
-    hs, limits, starts = _block_inputs(scenario, [Coalition(m) for m in distinct.tolist()], init)
+    hs, limits, starts, bases = _block_inputs(
+        scenario, [Coalition(m) for m in distinct.tolist()], init)
     qs, utils, rounds, converged, delta = _kernels.sud_lockstep(
         scenario.noise, hs, limits, starts, blocks, counts, SUD_TOL,
         SUD_MAX_ROUNDS if max_rounds is None else max_rounds, SOLVER_TOL, PA_MAX_ITER,
     )
+
+    def physical(at):
+        return _covariances(qs[at], [bases[b] for b in blocks[at].tolist()])
+
     offsets = np.cumsum(counts) - counts
     stalled = {}
     for row in np.flatnonzero(~converged).tolist():
         at = slice(offsets[row], offsets[row] + counts[row])
-        stalled[row] = _sud_stall(Partition.from_rgs(rgs[row].tolist()), qs[at], utils[at],
-                                  rounds[row], delta[row])
-    return masks.tolist(), utils, qs, stalled
+        stalled[row] = _sud_stall(Partition.from_rgs(rgs[row].tolist()), physical(at),
+                                  utils[at], rounds[row], delta[row])
+    return masks.tolist(), utils, physical(slice(None)) if covariances else None, stalled
 
 
 def require_uniform_timeshare(scenario: Scenario, what: str = "tables and core checks",

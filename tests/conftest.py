@@ -20,10 +20,11 @@ def symmetric(k, n0, receiver, power=1.0, gain=1.0):
 
 
 def rank_one_sud_160db():
-    """Three users on one direction (1, 0) of a 2-antenna receiver, unit budgets,
-    N0 = 1e-16, single-user decoding: its grand partition's sweep factors
-    N0 + 9 - 9 = 0, and no closed form applies."""
-    users = tuple(UserSpec(i + 1, 1, np.array([[1.0], [0.0]]), SumPower(1.0)) for i in range(3))
+    """Three users on one direction (1, 1) of a 2-antenna receiver, unit budgets,
+    N0 = 1e-16, single-user decoding: N0 I plus any block's received covariance
+    rounds to a singular matrix, so the grand partition's potential log det
+    cannot be formed, and no closed form applies."""
+    users = tuple(UserSpec(i + 1, 1, np.array([[1.0], [1.0]]), SumPower(1.0)) for i in range(3))
     return Scenario(users, 2, 1e-16, Sud())
 
 

@@ -156,6 +156,56 @@ class TestWaterfill:
         np.testing.assert_array_equal(q, np.zeros((2, 2)))
 
 
+def reference_waterfill(h, noise_cov, p_total):
+    """Waterfilling by an SVD of the whitened channel H itself, as the kernel did
+    before equivalent channels: the accuracy oracle of :func:`_kernels.waterfill`."""
+    w = h.shape[1]
+    if p_total <= 0.0:
+        return np.zeros((w, w)), 0.0
+    ell = np.linalg.cholesky(_kernels.sym(noise_cov))
+    white = np.linalg.solve(ell, h)
+    _, s, vt = np.linalg.svd(white, full_matrices=False)
+    gains = s * s
+    if gains[0] <= 0.0:
+        return np.zeros((w, w)), 0.0
+    inv = 1.0 / gains[gains > 1e-15 * gains[0]]
+    mu_try = (p_total + inv.cumsum()) / np.arange(1, inv.size + 1)
+    active = np.flatnonzero(mu_try > inv)
+    if active.size == 0:
+        return np.zeros((w, w)), 0.0
+    k = active[-1] + 1
+    mu = mu_try[k - 1]
+    modes = vt[:k]
+    q = (modes.T * (mu - inv[:k])) @ modes
+    return _kernels.sym(q), np.log(gains[:k] * mu).sum()
+
+
+def adversarial_problems(gen, rows, m, w):
+    """Channels, noise covariances and budgets: plain, a zero column, rank one and
+    all-zero channels, condition numbers 1 to 1e8, N0 1 to 1e-6 with or without
+    interference, budgets 1e-6 to 1e2, and a few budgets of zero and below."""
+    r = min(m, w)
+    h = np.empty((rows, m, w))
+    for i in range(rows):
+        left = np.linalg.qr(gen.normal(size=(m, m)))[0][:, :r]
+        right = np.linalg.qr(gen.normal(size=(w, w)))[0][:r]
+        spread = np.logspace(0.0, -gen.uniform(0.0, 8.0), r) * 10.0 ** gen.uniform(-1.0, 1.0)
+        h[i] = (left * spread) @ right
+        if i % 4 == 1:
+            h[i][:, gen.integers(w)] = 0.0
+        elif i % 4 == 2:
+            h[i] = np.outer(gen.normal(size=m), gen.normal(size=w))
+        elif i % 4 == 3 and i % 3 == 0:
+            h[i] = 0.0
+    a = gen.normal(size=(rows, m, m)) * (np.arange(rows) % 2)[:, None, None]
+    n0 = 10.0 ** gen.uniform(-6.0, 0.0, size=rows)
+    noise = a @ a.swapaxes(1, 2) + n0[:, None, None] * np.eye(m)
+    p = 10.0 ** gen.uniform(-6.0, 2.0, size=rows)
+    p[::29] = 0.0
+    p[7] = -0.5
+    return h, noise, p
+
+
 class TestWaterfillStack:
     @staticmethod
     def hexes(a):
@@ -164,29 +214,64 @@ class TestWaterfillStack:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
     def test_rows_equal_scalar_calls_bitwise(self, m, w):
-        # 140 rows per shape, 2100 in all: plain, a zero column, rank one,
-        # an all-zero channel, budgets 1e-6..1e2 and a few budgets <= 0
-        gen = np.random.default_rng([41, m, w])
-        rows = 140
-        h = gen.normal(size=(rows, m, w))
-        for i in range(rows):
-            if i % 4 == 1:
-                h[i][:, gen.integers(w)] = 0.0
-            elif i % 4 == 2:
-                h[i] = np.outer(gen.normal(size=m), gen.normal(size=w))
-            elif i % 4 == 3 and i % 3 == 0:
-                h[i] = 0.0
-        a = gen.normal(size=(rows, m, m))
-        noise = a @ a.swapaxes(1, 2) + gen.uniform(0.01, 3.0, size=(rows, 1, 1)) * np.eye(m)
-        p = 10.0 ** gen.uniform(-6.0, 2.0, size=rows)
-        p[::29] = 0.0
-        p[7] = -0.5
-        q, rate = _kernels.waterfill_stack(h, noise, p)
-        assert q.shape == (rows, w, w) and rate.shape == (rows,)
-        for i in range(rows):
+        # 140 rows per shape, 2100 in all: one stack of equivalent channels
+        # against waterfill on each channel itself, its covariance mapped back
+        h, noise, p = adversarial_problems(np.random.default_rng([41, m, w]), 140, m, w)
+        e, omega = _kernels.equivalent_channels(h)
+        assert e.shape == (140, m, m) and omega.shape == (140, w, m)
+        q, rate = _kernels.waterfill_stack(e, noise, p)
+        assert q.shape == (140, m, m) and rate.shape == (140,)
+        for i in range(140):
             q1, r1 = _kernels.waterfill(h[i], noise[i], p[i])
-            assert self.hexes(q[i]) == self.hexes(q1), i
+            assert self.hexes(_kernels.sym(omega[i] @ q[i] @ omega[i].T)) == self.hexes(q1), i
             assert float(rate[i]).hex() == float(r1).hex(), i
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_stack_over_mixed_widths_equals_its_one_problem_calls(self, m):
+        gen = np.random.default_rng([42, m])
+        parts = [adversarial_problems(gen, 60, m, w) for w in (1, 2, 3, 4, 5)]
+        e = np.concatenate([_kernels.equivalent_channels(h)[0] for h, _, _ in parts])
+        noise = np.concatenate([n for _, n, _ in parts])
+        p = np.concatenate([b for _, _, b in parts])
+        order = gen.permutation(len(p))
+        q, rate = _kernels.waterfill_stack(e[order], noise[order], p[order])
+        for row, i in enumerate(order.tolist()):
+            q1, r1 = _kernels.waterfill_stack(e[i:i + 1], noise[i:i + 1], p[i:i + 1])
+            assert self.hexes(q[row]) == self.hexes(q1[0]), i
+            assert float(rate[row]).hex() == float(r1[0]).hex(), i
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+    def test_equivalent_channel_matches_the_svd_on_the_channel(self, m, w):
+        # rate within 1e-13 * max(1, rate) of the SVD-on-H solve, and H Q H^T
+        # within that times its largest entry: the SVD-on-H covariance itself
+        # errs by up to ~1e-13 of it (at condition 1e3 it was 7.3e-12 off an
+        # exact solve, the equivalent channel's 4.9e-13)
+        h, noise, p = adversarial_problems(np.random.default_rng([43, m, w]), 140, m, w)
+        for i in range(140):
+            q0, r0 = reference_waterfill(h[i], noise[i], p[i])
+            q1, r1 = _kernels.waterfill(h[i], noise[i], p[i])
+            bound = 1e-13 * max(1.0, r0)
+            assert abs(r1 - r0) <= bound, i
+            g0, g1 = h[i] @ q0 @ h[i].T, h[i] @ q1 @ h[i].T
+            assert np.abs(g1 - g0).max() <= bound * max(1.0, np.abs(g0).max()), i
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+    def test_an_equivalent_channel_is_its_own(self, m, w):
+        # lower triangular with zero padding: its QR is (E, I) bit for bit, so
+        # waterfill on an equivalent channel is the one-problem stack on it
+        h, noise, p = adversarial_problems(np.random.default_rng([44, m, w]), 40, m, w)
+        e, omega = _kernels.equivalent_channels(h)
+        np.testing.assert_array_equal(np.triu(e, 1), 0.0)
+        np.testing.assert_allclose(e @ omega.swapaxes(1, 2), h, rtol=0, atol=1e-13 * np.abs(h).max())
+        again, basis = _kernels.equivalent_channels(e)
+        assert again.tobytes() == e.tobytes()
+        np.testing.assert_array_equal(basis, np.broadcast_to(np.eye(m), basis.shape))
+        q, rate = _kernels.waterfill_stack(e, noise, p)
+        for i in range(40):
+            q1, r1 = _kernels.waterfill(e[i], noise[i], p[i])
+            assert self.hexes(q1) == self.hexes(q[i]) and float(r1).hex() == float(rate[i]).hex()
 
 
 def grid_search_max_rate(h, noise, caps, coarse=101, fine_step=1e-3, span=0.02):

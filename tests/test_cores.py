@@ -590,11 +590,13 @@ class TestCheckCore:
         with pytest.raises(NumericalFailure, match="witness"):
             check_core_from_demands({0b01: 0.5, 0b10: 0.5}, 2.0, 2)
 
-    @pytest.mark.parametrize("model", [ExpectationModel.MERGING, ExpectationModel.SINGLETON])
-    def test_failed_factorization_names_the_partition(self, model):
-        # the grand partition's SUD sweep factors n0 + 9 - 9 = 0
+    @pytest.mark.parametrize("model, first", [(ExpectationModel.MERGING, r"\{1\}\{2,3\}"),
+                                              (ExpectationModel.SINGLETON, r"\{1\}\{2\}\{3\}")])
+    def test_failed_factorization_names_the_partition(self, model, first):
+        # every SUD sweep meets a singular N0 I + received covariance; the
+        # first of the model's rows names it
         s = rank_one_sud_160db()
-        with pytest.raises(NumericalFailure, match=r"partition \{1,2,3\}"):
+        with pytest.raises(NumericalFailure, match=rf"partition {first}: Matrix"):
             check_core(s, model)
 
     @pytest.mark.parametrize("model", ALL_MODELS)

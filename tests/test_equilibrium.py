@@ -190,12 +190,11 @@ class TestNeSud:
                                SumPower(float(gen.uniform(0.5, 2.5)))) for u in (1, 2))
         s = Scenario(users, 2, float(gen.uniform(0.1, 1.0)), Sud())
         part = Partition.singletons(2)
-        hs = [coalition_channel(s, b) for b in part.blocks]
-        budgets = [block_budget(s, b) for b in part.blocks]
+        hs, budgets, starts, _ = equilibrium._block_inputs(s, part.blocks, None)
 
         def solve(tol):
-            return _kernels.sud_fixed_point(s.noise, hs, budgets, [np.zeros((3, 3))] * 2,
-                                            tol, 10_000, SOLVER_TOL, PA_MAX_ITER)
+            return _kernels.sud_fixed_point(s.noise, hs, budgets, starts, tol, 10_000,
+                                            SOLVER_TOL, PA_MAX_ITER)
 
         _, fast, fast_rounds, fast_ok, _ = solve(1e-9)
         monkeypatch.setattr(_kernels, "SUD_RATIO_MAX", 0.0)  # plain sweeps only
@@ -210,7 +209,7 @@ class TestNeSud:
         # the jump would drive the second mode negative: it is clipped and
         # the trace of the current iterate restored
         q = np.diag([1.5, 0.5])
-        (jumped,) = _kernels._extrapolate([q], [np.diag([0.1, -0.1])], 0.9)
+        (jumped,) = _kernels._extrapolate(q[None], np.diag([0.1, -0.1])[None], 0.9)
         np.testing.assert_allclose(jumped, np.diag([2.0, 0.0]), rtol=0, atol=1e-12)
 
     def test_nonconvergence_carries_last_iterate(self):
@@ -234,6 +233,17 @@ class TestNeSud:
         with pytest.raises(InvalidArgument):
             ne_sud(s, Partition.singletons(2))
 
+    @pytest.mark.parametrize("n0", [1e-12, 1e-9, 1e-6])
+    def test_a_weak_block_beside_a_strong_one_is_not_lost(self, n0):
+        # user 2 adds diag(1e-10, 0) to user 1's noise; a running total less
+        # user 1's own term loses it to cancellation (2.2e-5 nats at 1e-12)
+        users = (UserSpec(1, 2, np.eye(2), SumPower(1.0)),
+                 UserSpec(2, 1, np.array([[1e-5], [0.0]]), SumPower(1.0)))
+        _, utils = ne_sud(Scenario(users, 2, n0, Sud()), Partition.singletons(2))
+        mu = (1.0 + 2.0 * n0 + 1e-10) / 2.0
+        exact = math.log(mu / (n0 + 1e-10)) + math.log(mu / n0)
+        assert utils[0b01] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
 
     @pytest.mark.parametrize("mode", ["sum", "caps"])
     def test_is_the_one_row_lockstep_solve(self, monkeypatch, mode):
@@ -247,11 +257,12 @@ class TestNeSud:
         s = random_scenario(gen, k=4, m=2, mode=mode, receiver=Sud())
         for part in enumerate_partitions(4):
             for init in (None, random_feasible_profile(gen, s, part)):
-                hs, limits, starts = equilibrium._block_inputs(s, part.blocks, init)
+                hs, limits, starts, bases = equilibrium._block_inputs(s, part.blocks, init)
                 for max_rounds in (1, equilibrium.SUD_MAX_ROUNDS):
                     qs, utils, _, converged, _ = reference_sud_fixed_point(
                         s.noise, hs, limits, starts, equilibrium.SUD_TOL, max_rounds,
                         SOLVER_TOL, PA_MAX_ITER)
+                    qs = equilibrium._covariances(qs, bases)
                     assert converged == (max_rounds > 1)
                     if converged:
                         profile, got = ne_sud(s, part, init=init, max_rounds=max_rounds)
@@ -511,13 +522,43 @@ class TestUtilityTable:
         assert [t.hex() for t in table.totals.tolist()] == want
         assert table.counts.max() == 9
 
+    @staticmethod
+    def reference_totals(table):
+        """Row totals by one masked add per block position, left to right."""
+        totals = np.zeros(len(table.rgs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(int(table.counts.max(initial=0))):
+                rows = np.flatnonzero(table.counts > j)
+                totals[rows] += table.values[table.offsets[rows] + j]
+        return totals
+
+    @pytest.mark.parametrize("route", ["closed-sic", "closed-sud", "sic", "sud", "ts"])
+    def test_totals_equal_the_per_position_adds(self, route):
+        # every route's table, then the same rows with nan, +-inf and signed
+        # zeros planted: float.hex equal to one masked add per block position
+        gen = np.random.default_rng([17, len(route)])
+        k, m = (8, 1) if route.startswith("closed") else (5, 2)
+        receiver = {"sic": SicFixed(tuple(int(u) + 1 for u in gen.permutation(k))),
+                    "sud": Sud(), "ts": SicTimeShare()}[route.split("-")[-1]]
+        table = utility_table(random_scenario(gen, k=k, m=m, receiver=receiver))
+        values = table.values.copy()
+        picks = gen.choice(len(values), size=(6, len(values) // 7), replace=False)
+        for pick, special in zip(picks, (np.nan, np.inf, -np.inf, 0.0, -0.0, -1e308)):
+            values[pick] = special
+        planted = UtilityTable.from_arrays(k, "planted", table.rgs, table.counts, table.masks,
+                                           values)
+        for t in (table, planted):
+            want = [x.hex() for x in self.reference_totals(t).tolist()]
+            assert [x.hex() for x in t.totals.tolist()] == want
+        assert np.isnan(planted.totals).any() and np.isinf(planted.totals).any()
+
     def test_failed_factorization_names_the_first_failing_partition(self, monkeypatch):
         # a factorization fails wherever a block of two users is decoded
         s = symmetric(3, 1.0, SicTimeShare())
         original = _kernels.sic_backward
 
         def failing(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter):
-            if any(hs[b].shape[1] == 2 for b in heads):
+            if any(limits[b] == 2.0 for b in heads):  # the budget of two users
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
             return original(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter)
 
@@ -831,18 +872,14 @@ class TestMaskTables:
 
 
 def chain_utilities(s, partition, order):
-    """One backward sweep of ``block_response`` along ``order`` (block labels)."""
+    """One backward sweep of ``block_response`` along ``order`` (block labels), on
+    each block's kernel channel (its equivalent channel under a pooled budget)."""
     noise = s.noise * np.eye(s.rx_antennas)
     jmat = np.zeros((s.rx_antennas, s.rx_antennas))
     out = {}
     for label in reversed(order):
         block = partition.blocks[label]
-        h = coalition_channel(s, block)
-        if s.power_mode == "sum":
-            limit, q0 = block_budget(s, block), None
-        else:
-            limit = block_caps(s, block)
-            q0 = np.diag(limit)
+        (h,), (limit,), (q0,), _ = equilibrium._block_inputs(s, [block], None)
         q, rate, ok = _kernels.block_response(h, noise + jmat, limit, q0, SOLVER_TOL, PA_MAX_ITER)
         assert ok
         jmat = _kernels.sym(jmat + h @ q @ h.T)
@@ -1011,12 +1048,22 @@ class TestLabelOrder:
 
 def reference_sud_fixed_point(n0, hs, limits, q0s, tol, max_rounds, pa_tol, pa_iter):
     """One partition's Gauss-Seidel sweeps written out block by block, with the
-    extrapolation of :func:`_kernels.sud_lockstep`: the oracle its rows must
-    equal bitwise."""
+    leave-one-out sums and extrapolation of :func:`_kernels.sud_lockstep`: the
+    oracle its rows must equal bitwise.  Block i hears N0 I plus the grams
+    before it (added from the first) plus those after it (added from the last)."""
+    n = len(hs)
     qs = list(q0s)
     grams = [_kernels.sym(h @ q @ h.T) for h, q in zip(hs, qs)]
     eye = n0 * np.eye(hs[0].shape[0])
-    total = eye + sum(grams)
+    zero = np.zeros_like(eye)
+
+    def after(grams):
+        out = [zero] * n
+        for i in range(n - 2, -1, -1):
+            out[i] = grams[i + 1] if i == n - 2 else out[i + 1] + grams[i + 1]
+        return out
+
+    suffix = after(grams)
     utils = np.zeros(len(hs))
     prev = np.full(len(hs), -1.0)
     delta = np.inf
@@ -1027,15 +1074,19 @@ def reference_sud_fixed_point(n0, hs, limits, q0s, tol, max_rounds, pa_tol, pa_i
     for rounds in range(1, max_rounds + 1):
         ok_all = True
         before = list(qs)
+        prefix = zero
         for i, (h, limit) in enumerate(zip(hs, limits)):
-            q, _, conv = _kernels.block_response(h, total - grams[i], limit, qs[i], pa_tol,
-                                                 pa_iter)
+            q, _, conv = _kernels.block_response(h, eye + (prefix + suffix[i]), limit, qs[i],
+                                                 pa_tol, pa_iter)
             ok_all = ok_all and conv
             gram = _kernels.sym(h @ q @ h.T)
-            total = total - grams[i] + gram
+            prefix = prefix + gram
             qs[i], grams[i] = q, gram
-        _, ld1 = np.linalg.slogdet(total)
-        _, ld0 = np.linalg.slogdet(total - np.stack(grams))
+        suffix = after(grams)
+        running = list(itertools.accumulate(grams))
+        others = [(zero if i == 0 else running[i - 1]) + suffix[i] for i in range(n)]
+        _, ld1 = np.linalg.slogdet(eye + running[-1])
+        _, ld0 = np.linalg.slogdet(eye + np.stack(others))
         utils = np.maximum(ld1 - ld0, 0.0)
         delta = np.abs(utils - prev).max()
         prev = utils
@@ -1044,17 +1095,17 @@ def reference_sud_fixed_point(n0, hs, limits, q0s, tol, max_rounds, pa_tol, pa_i
             break
         if not pooled:
             continue
-        steps = [q - b for q, b in zip(qs, before)]
-        size = np.sqrt(sum(float(np.vdot(s, s)) for s in steps))
+        steps = np.stack(qs) - np.stack(before)
+        size = np.sqrt(np.cumsum((steps * steps).ravel())[-1])
         ratio = size / last_size if last_size > 0.0 else 0.0
         last_size = size
         if (0.0 < ratio < _kernels.SUD_RATIO_MAX and last_ratio > 0.0
                 and abs(ratio - last_ratio) < _kernels.SUD_RATIO_AGREE * ratio):
-            jumped = _kernels._extrapolate(qs, steps, ratio)
+            jumped = list(_kernels._extrapolate(np.stack(qs), steps, ratio))
             jumped_grams = [_kernels.sym(h @ q @ h.T) for h, q in zip(hs, jumped)]
-            jumped_total = eye + sum(jumped_grams)
-            if np.linalg.slogdet(jumped_total)[1] >= ld1:
-                qs, grams, total = jumped, jumped_grams, jumped_total
+            if np.linalg.slogdet(eye + list(itertools.accumulate(jumped_grams))[-1])[1] >= ld1:
+                qs, grams = jumped, jumped_grams
+                suffix = after(grams)
             last_size = ratio = 0.0
         last_ratio = ratio
     return qs, utils, rounds, converged, delta
@@ -1069,7 +1120,7 @@ def sud_rows(s, rgs):
     counts = rgs.max(axis=1) + 1
     masks = equilibrium._label_masks(rgs)[np.arange(s.k) < counts[:, None]]
     distinct, blocks = np.unique(masks, return_inverse=True)
-    hs, limits, starts = equilibrium._block_inputs(
+    hs, limits, starts, _ = equilibrium._block_inputs(
         s, [Coalition(m) for m in distinct.tolist()], None)
     return hs, limits, starts, blocks, counts
 
@@ -1126,6 +1177,56 @@ class TestSudLockstep:
                 == [array_hexes(q) for q in want_profile.matrices])
         assert {m: u.hex() for m, u in utils.items()} == {m: u.hex()
                                                          for m, u in want_utils.items()}
+
+    @staticmethod
+    def count_pooled_calls(monkeypatch):
+        """Stack sizes of every ``waterfill_stack`` call; a scalar ``waterfill`` call fails."""
+        calls = []
+        original = _kernels.waterfill_stack
+
+        def counted(h, noise, p):
+            calls.append(len(p))
+            return original(h, noise, p)
+
+        def forbidden(*args):
+            raise AssertionError("a table route called the scalar waterfill")
+
+        monkeypatch.setattr(_kernels, "waterfill_stack", counted)
+        monkeypatch.setattr(_kernels, "waterfill", forbidden)
+        return calls
+
+    def test_pooled_table_makes_one_call_per_sweep_and_block_position(self, monkeypatch):
+        calls = self.count_pooled_calls(monkeypatch)
+        sweeps = []
+        original = _kernels.sud_lockstep
+
+        def recorded(*args):
+            out = original(*args)
+            sweeps.append((np.asarray(args[5]), out[2]))
+            return out
+
+        monkeypatch.setattr(_kernels, "sud_lockstep", recorded)
+        utility_table(random_scenario(np.random.default_rng(12), k=5, m=2, receiver=Sud()))
+        ((counts, rounds),) = sweeps
+        # sweep t visits the block positions of the rows still sweeping
+        bound = sum(int(counts[rounds >= t].max()) for t in range(1, int(rounds.max()) + 1))
+        assert 0 < len(calls) <= bound
+        assert sum(calls) == int(counts @ rounds)  # every row's blocks, every sweep
+
+    @pytest.mark.parametrize("receiver", [SicFixed((4, 2, 5, 1, 3)), SicTimeShare()])
+    def test_cancellation_table_makes_one_call_per_suffix_length(self, monkeypatch, receiver):
+        calls = self.count_pooled_calls(monkeypatch)
+        utility_table(random_scenario(np.random.default_rng(13), k=5, m=2, receiver=receiver))
+        if isinstance(receiver, SicTimeShare):
+            assert len(calls) == 5 and sum(calls) == 1081  # suffixes of 1..5 blocks
+        else:
+            assert len(calls) == 5
+
+    def test_one_antenna_timeshare_table_calls_no_scalar_waterfill(self, monkeypatch):
+        calls = self.count_pooled_calls(monkeypatch)
+        utility_table(random_scenario(np.random.default_rng(14), k=4, m=1,
+                                      receiver=SicTimeShare()))
+        assert len(calls) == 4
 
     def test_table_runs_one_lockstep_solve(self, monkeypatch):
         s = random_scenario(np.random.default_rng(4), k=4, m=2, receiver=Sud())

@@ -586,13 +586,13 @@ class TestCli:
         assert "error: --snr needs a comma-separated list of finite dB values" in err
 
     def test_failed_factorization_exits_two(self, tmp_path, capsys):
-        # at 160 dB the grand partition's SUD sweep factors n0 + 9 - 9 = 0
+        # at 160 dB every SUD sweep meets a singular N0 I + received covariance
         cfg = tmp_path / "s.cfg"
         cfg.write_text(io.serialize_scenario(rank_one_sud_160db()))
         code, _, err = run_cli(["core", "--scenario", str(cfg), "--model", "merging",
                                 "--out", str(tmp_path)], capsys)
         assert code == 2
-        assert "numerical failure" in err and "partition {1,2,3}" in err
+        assert "numerical failure" in err and "partition {1}{2,3}" in err
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         from maccoop.errors import NumericalFailure
@@ -709,7 +709,7 @@ PINNED_DIGESTS = {
     },
     "least-core": {
         "least_core.csv": "b5325b8c7a6ea58df2478d11e667772755f9e602a8f55b5b5f740544eb89a7bd",
-        "summary.json": "74fccc3b3cdd35e79681ed4415c1677f86f4c08a59980599bb952c367f6baf7d",
+        "summary.json": "a37646cd40106127ffb94c39194de62dfb5315144479d725955f921c7a9ed440",
     },
     "least-core-bits": {
         "least_core.csv": "0af7deeb363c8436c74149feda8313fccfa5fb8deafe0218de7791340b1b698b",
@@ -752,7 +752,10 @@ def test_cli_files_are_byte_identical_to_the_per_cell_writer(tmp_path, label):
 
     The digests were computed by ``pinned_run_digests`` on a separate
     checkout of commit dd7b727, the parent of the columnar writer, whose
-    ``write_table`` sent every cell through ``format_value``.
+    ``write_table`` sent every cell through ``format_value``.  One was
+    re-pinned since: ``least-core``'s summary.json, whose time-share
+    allocation moved in its last digit (1.0924890014927644 to
+    1.092489001492765) when pooled blocks moved to equivalent channels.
     """
     code, stdout, files = pinned_run_digests(tmp_path, label)
     assert code == 0
