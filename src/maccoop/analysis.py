@@ -8,8 +8,9 @@ dB via 10*log10.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from .cores import (CORE_MAX_USERS, ExpectationModel, _CoreLp, _expectation_mode
 from .equilibrium import (
     _closed_form_layout,
     _every_partition,
+    _require_mask_bits,
     _table_and_stalls,
     _table_of,
     require_uniform_timeshare,
@@ -91,10 +93,39 @@ class ExternalityWitness:
     value_after: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExternalityVerdict:
+    """The externality audit's classification and its witnesses, one per array row.
+
+    Witness i is the outsider block ``masks[i]`` of the partition with
+    restricted growth string ``rgs_before[i]``, worth ``values_before[i]``
+    nats there and ``values_after[i]`` in ``rgs_after[i]``, the partition
+    after the merger.  :attr:`witnesses` lists them as
+    :class:`ExternalityWitness` objects, built on first read.  Two
+    verdicts are equal when their classifications and arrays are.
+    """
+
     classification: str  # "negative" | "positive" | "mixed"
-    witnesses: tuple[ExternalityWitness, ...]
+    rgs_before: np.ndarray  # (witnesses, K) int8
+    rgs_after: np.ndarray  # (witnesses, K) int8
+    masks: np.ndarray  # (witnesses,) int16
+    values_before: np.ndarray  # (witnesses,) float64
+    values_after: np.ndarray  # (witnesses,) float64
+
+    @functools.cached_property
+    def witnesses(self) -> tuple[ExternalityWitness, ...]:
+        return tuple(
+            ExternalityWitness(Partition.from_rgs(b), Partition.from_rgs(a), Coalition(m), vb, va)
+            for b, a, m, vb, va in zip(self.rgs_before.tolist(), self.rgs_after.tolist(),
+                                       self.masks.tolist(), self.values_before.tolist(),
+                                       self.values_after.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, ExternalityVerdict):
+            return NotImplemented
+        return self.classification == other.classification and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)[1:])
 
 
 def _seeded(seed: int) -> np.random.Generator:
@@ -109,18 +140,64 @@ def _require_trials(trials: int) -> None:
         raise InvalidArgument(f"trials must be an integer >= 1, got {trials!r}")
 
 
-def _random_partition(rng: np.random.Generator, k: int, min_blocks: int) -> Partition:
+#: Superadditivity trials drawn and then read as arrays at a time, so the
+#: audit's memory does not grow with the trial count.
+TRIAL_CHUNK = 4096
+
+
+def _random_labels(rng: np.random.Generator, k: int, min_blocks: int) -> tuple[list[int], int]:
+    """A random partition's restricted growth string and its block count.
+
+    User 1 takes label 0 and each later user one of the labels in use or
+    the next new one, uniformly (``rng.integers(0, top + 2)``).  A string
+    of fewer than ``min_blocks`` blocks is drawn again, up to 1000 times.
+    """
+    integers = rng.integers
     for _ in range(1000):
         labels = [0]
         top = 0
         for _ in range(k - 1):
-            lab = int(rng.integers(0, top + 2))
+            lab = int(integers(0, top + 2))
             labels.append(lab)
-            top = max(top, lab)
-        part = Partition.from_rgs(labels)
-        if len(part) >= min_blocks:
-            return part
+            if lab > top:
+                top = lab
+        if top >= min_blocks - 1:
+            return labels, top + 1
     raise InvalidArgument(f"cannot sample a partition of {k} with {min_blocks}+ blocks")
+
+
+def _packed_keys(rgs: np.ndarray) -> np.ndarray:
+    """Each RGS row as one int64, 4 bits per label, the first user's highest.
+
+    Keys order as their rows do lexicographically, so the keys of
+    :func:`rgs_matrix` come sorted.  K <= 15 labels fit in 60 bits.
+    """
+    keys = np.zeros(len(rgs), dtype=np.int64)
+    for col in rgs.T:
+        keys = keys << 4 | col
+    return keys
+
+
+def _merged(rgs: np.ndarray, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each RGS row with its ``chosen`` labels merged into one block.
+
+    ``chosen`` holds a row's merged labels, padded with -1.  Returns the
+    merged rows and ``relabel``, where label l of row r becomes
+    ``relabel[r, l]``.  The merged block takes the lowest chosen label,
+    whose first member is the merged block's first; every other label
+    drops by the number of merged-away labels below it.  So the merged
+    rows stay restricted growth strings, labels in order of first
+    appearance.
+    """
+    rows, k = rgs.shape
+    taken = np.where(chosen >= 0, chosen, k)  # padding lands in a spare column k
+    low = taken.min(axis=1)
+    gone = np.zeros((rows, k + 1), dtype=bool)
+    np.put_along_axis(gone, taken, True, axis=1)
+    gone = gone[:, :k]
+    gone[np.arange(rows), low] = False
+    relabel = np.where(gone, low[:, None], np.arange(k) - np.cumsum(gone, axis=1))
+    return np.take_along_axis(relabel, rgs.astype(np.intp), axis=1).astype(np.int8), relabel
 
 
 def verify_superadditivity(
@@ -130,15 +207,22 @@ def verify_superadditivity(
 ) -> SuperadditivityReport:
     """Sampled merge super-additivity plus exhaustive cohesiveness.
 
-    Each trial samples a partition and a random sub-collection of its
-    blocks, merges them, and checks that the merged block's equilibrium
-    utility is at least the sum of the parts' (within
-    ``SUPERADDITIVITY_TOL``).  Cohesiveness (no partition's total utility
-    beats the grand coalition's) is checked over every partition, not
-    sampled, from the row totals of one table of every partition.  A
-    partition whose solve stalls is skipped: each trial that meets one
-    and each such partition counts in ``skipped``.  One user has no
-    partition of two blocks, so no trial runs.
+    Each trial samples a partition (:func:`_random_labels`) and a random
+    sub-collection of its blocks (``rng.integers(2, n + 1)`` blocks,
+    ``rng.choice(n, size=r, replace=False)``), merges them, and checks
+    that the merged block's equilibrium utility is at least the sum of
+    the parts' (within ``SUPERADDITIVITY_TOL``), added left to right in
+    the order drawn.  Cohesiveness (no partition's total utility beats
+    the grand coalition's) is checked over every partition, not sampled,
+    from the row totals of one table of every partition.  A partition
+    whose solve stalls is skipped: each trial that meets one and each
+    such partition counts in ``skipped``.  One user has no partition of
+    two blocks, so no trial runs.
+
+    Trials are drawn ``TRIAL_CHUNK`` at a time as int8 label rows; each
+    chunk's partitions are found in the table by packed key
+    (:func:`_packed_keys`) and their values read by label.  The
+    counterexample is the first failing trial's.
     """
     _require_trials(trials)
     require_uniform_timeshare(scenario, "superadditivity audits")
@@ -147,39 +231,45 @@ def verify_superadditivity(
     table, stalled = _table_and_stalls(scenario, _every_partition(scenario))
     if 0 in stalled:  # row 0 is the grand partition, whose value every check needs
         raise stalled[0]
-    skip = {tuple(table.rgs[row].tolist()) for row in stalled}
-    skipped = 0
+    stalls = np.zeros(len(table.rgs), dtype=bool)
+    stalls[list(stalled)] = True
+    keys = _packed_keys(table.rgs)  # sorted: rgs_matrix is in lexicographic order
+    offsets, values = table.offsets, table.values
+    skipped = len(stalled)
     counterexample = None
-    passed = True
     trials_run = trials if k > 1 else 0
-    for _ in range(trials_run):
-        before = _random_partition(rng, k, 2)
-        n = len(before)
-        r = int(rng.integers(2, n + 1))
-        chosen = rng.choice(n, size=r, replace=False)
-        chosen_masks = [before.blocks[i].mask for i in chosen]
-        merged_mask = 0
-        for m in chosen_masks:
-            merged_mask |= m
-        keep = [b for b in before.blocks if b.mask not in chosen_masks]
-        after = Partition(k, tuple(keep) + (Coalition(merged_mask),))
-        if before.rgs in skip or after.rgs in skip:
-            skipped += 1
-            continue
-        vals_before = table.partition_values(before)
-        vals_after = table.partition_values(after)
-        parts_total = sum(vals_before[m] for m in chosen_masks)
-        merged_value = vals_after[merged_mask]
-        if merged_value < parts_total - SUPERADDITIVITY_TOL:
-            passed = False
-            if counterexample is None:
-                counterexample = MergeSample(before, after, Coalition(merged_mask),
-                                             merged_value, parts_total)
+    for start in range(0, trials_run, TRIAL_CHUNK):
+        size = min(TRIAL_CHUNK, trials_run - start)
+        before = np.empty((size, k), dtype=np.int8)
+        chosen = np.full((size, k), -1, dtype=np.int64)  # merged labels in draw order
+        for t in range(size):
+            labels, n = _random_labels(rng, k, 2)
+            r = int(rng.integers(2, n + 1))
+            before[t] = labels
+            chosen[t, :r] = rng.choice(n, size=r, replace=False)
+        after, relabel = _merged(before, chosen)
+        row_b = np.searchsorted(keys, _packed_keys(before))
+        row_a = np.searchsorted(keys, _packed_keys(after))
+        run = ~(stalls[row_b] | stalls[row_a])
+        skipped += size - int(run.sum())
+        first_b = offsets[row_b]
+        parts_total = np.zeros(size)
+        for col in chosen.T:
+            np.add(parts_total, values[first_b + np.maximum(col, 0)], out=parts_total,
+                   where=col >= 0)
+        merged_entry = offsets[row_a] + relabel[np.arange(size), chosen[:, 0]]
+        merged_value = values[merged_entry]
+        failed = np.flatnonzero(run & (merged_value < parts_total - SUPERADDITIVITY_TOL))
+        if failed.size and counterexample is None:
+            t = failed[0]
+            counterexample = MergeSample(
+                Partition.from_rgs(before[t].tolist()), Partition.from_rgs(after[t].tolist()),
+                Coalition(int(table.masks[merged_entry[t]])), float(merged_value[t]),
+                float(parts_total[t]))
     gaps = np.delete(table.totals, list(stalled)) - grand_value(scenario, table=table)
     worst = float(np.fmax.reduce(gaps, initial=-math.inf))
     cohesive = not (gaps > SUPERADDITIVITY_TOL).any()
-    skipped += len(stalled)
-    return SuperadditivityReport(passed and cohesive, trials_run, skipped,
+    return SuperadditivityReport(counterexample is None and cohesive, trials_run, skipped,
                                  counterexample, cohesive, worst)
 
 
@@ -190,52 +280,60 @@ def classify_externalities(
 ) -> ExternalityVerdict:
     """Sign of outsider utility changes across sampled two-block mergers.
 
-    Samples partitions with at least three blocks, merges two, and
-    compares every remaining block's equilibrium utility before and
-    after.  "mixed" requires a strict witness of each sign; with no
-    strict positive witness the game is classified "negative".  Values
-    come from one table of just the sampled partitions; a merger whose
-    partitions include one whose solve stalls is skipped.
+    Samples partitions with at least three blocks (:func:`_random_labels`),
+    merges two (``rng.choice(n, size=2, replace=False)``), and compares
+    every remaining block's equilibrium utility before and after.
+    "mixed" requires a strict witness of each sign; with no strict
+    positive witness the game is classified "negative".  Values come
+    from one table of just the sampled partitions, in order of first
+    appearance (a full table would cost seconds at K=12); a merger whose
+    partitions include one whose solve stalls is skipped.  The draws are
+    held as int8 label rows and the witnesses come back as arrays
+    (:class:`ExternalityVerdict`), in trial order and, within a trial,
+    in label order.
     """
     _require_trials(trials)
-    if scenario.k < 3:
+    k = scenario.k
+    if k < 3:
         raise InvalidArgument("externalities need at least 3 users")
     require_uniform_timeshare(scenario, "externality audits", fewest=2)
+    _require_mask_bits(k)  # before any draw: the keys hold 15 labels
     rng = _seeded(seed)
-    mergers = []
-    for _ in range(trials):
-        before = _random_partition(rng, scenario.k, 3)
-        i, j = rng.choice(len(before), size=2, replace=False)
-        merged = Coalition(before.blocks[i].mask | before.blocks[j].mask)
-        externals = [b for idx, b in enumerate(before.blocks) if idx not in (i, j)]
-        mergers.append((before, Partition(scenario.k, tuple(externals) + (merged,)), externals))
-    # a full table would cost seconds at K=12
-    rows = dict.fromkeys(p.rgs for before, after, _ in mergers for p in (before, after))
-    table, stalled = _table_and_stalls(scenario, np.array(list(rows), dtype=np.int8))
-    skip = {tuple(table.rgs[row].tolist()) for row in stalled}
-    witnesses: list[ExternalityWitness] = []
-    has_pos = False
-    has_neg = False
-    for before, after, externals in mergers:
-        if before.rgs in skip or after.rgs in skip:
-            continue
-        vals_before = table.partition_values(before)
-        vals_after = table.partition_values(after)
-        for ext in externals:
-            vb = vals_before[ext.mask]
-            va = vals_after[ext.mask]
-            witnesses.append(ExternalityWitness(before, after, ext, vb, va))
-            if va > vb + EXTERNALITY_TOL:
-                has_pos = True
-            elif va < vb - EXTERNALITY_TOL:
-                has_neg = True
+    before = np.empty((trials, k), dtype=np.int8)
+    pairs = np.empty((trials, 2), dtype=np.int64)
+    counts = np.empty(trials, dtype=np.int64)
+    for t in range(trials):
+        labels, n = _random_labels(rng, k, 3)
+        before[t] = labels
+        counts[t] = n
+        pairs[t] = rng.choice(n, size=2, replace=False)
+    after, relabel = _merged(before, pairs)
+    both = np.stack((before, after), axis=1).reshape(-1, k)  # before_0, after_0, before_1, ...
+    _, first, inverse = np.unique(_packed_keys(both), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    table, stalled = _table_and_stalls(scenario, both[first[order]])
+    row_of = np.empty_like(order)
+    row_of[order] = np.arange(len(order))
+    rows = row_of[inverse].reshape(-1, 2)
+    stalls = np.zeros(len(table.rgs), dtype=bool)
+    stalls[list(stalled)] = True
+    labels = np.arange(k)
+    outsider = ((labels < counts[:, None]) & (labels != pairs[:, :1]) & (labels != pairs[:, 1:])
+                & ~stalls[rows].any(axis=1)[:, None])
+    trial, label = np.nonzero(outsider)  # trial order, then label order
+    at_before = table.offsets[rows[trial, 0]] + label
+    at_after = table.offsets[rows[trial, 1]] + relabel[trial, label]
+    value_before, value_after = table.values[at_before], table.values[at_after]
+    has_pos = bool((value_after > value_before + EXTERNALITY_TOL).any())
+    has_neg = bool((value_after < value_before - EXTERNALITY_TOL).any())
     if has_pos and has_neg:
         kind = "mixed"
     elif has_pos:
         kind = "positive"
     else:
         kind = "negative"
-    return ExternalityVerdict(kind, tuple(witnesses))
+    return ExternalityVerdict(kind, before[trial], after[trial], table.masks[at_before],
+                              value_before, value_after)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,9 @@ from .model import bell_number, rgs_matrix
 
 LN2 = math.log(2.0)
 
+#: Most SNR grid points a sweep takes (10 000 points span 100 dB at 0.01 dB).
+SWEEP_MAX_POINTS = 10_000
+
 
 class _UsageError(Exception):
     pass
@@ -245,10 +248,12 @@ def _cmd_sweep(args) -> int:
     if not (all(map(math.isfinite, bounds)) and args.snr_step > 0):
         raise InvalidArgument("--snr-min, --snr-max and --snr-step must be finite, "
                               "and --snr-step > 0")
-    grid = tuple(
-        float(x) for x in np.arange(args.snr_min, args.snr_max + 0.5 * args.snr_step,
-                                    args.snr_step)
-    )
+    stop = args.snr_max + 0.5 * args.snr_step
+    # np.arange makes ceil(span / step) points, at most the cap exactly when
+    # span / step is; asked before it allocates (an overflowing span fails too)
+    if not (stop - args.snr_min) / args.snr_step <= SWEEP_MAX_POINTS:
+        raise InvalidArgument(f"the SNR grid would hold more than {SWEEP_MAX_POINTS} points")
+    grid = tuple(float(x) for x in np.arange(args.snr_min, stop, args.snr_step))
     spec = SweepSpec(tuple(range(args.k_min, args.k_max + 1)), grid)
     points = snr_boundary(spec, model)
     em.table("boundary.csv", ["k", "status", "threshold_db", "grid_verdicts"],
@@ -268,20 +273,16 @@ def _cmd_externalities(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
     verdict = classify_externalities(scenario, args.trials, args.seed)
-    witnesses = verdict.witnesses
-    masks = np.array([w.coalition.mask for w in witnesses], dtype=np.int64)
-    before = np.array([w.value_before for w in witnesses], dtype=np.float64)
-    after = np.array([w.value_after for w in witnesses], dtype=np.float64)
+    before, after = verdict.values_before, verdict.values_after
     em.table("externalities.csv",
              ["rgs_before", "rgs_after", "external_members",
               f"value_before_{em.unit}", f"value_after_{em.unit}", "delta"],
-             [[",".join(map(str, w.before.rgs)) for w in witnesses],
-              [",".join(map(str, w.after.rgs)) for w in witnesses],
-              _member_names(scenario.k)[masks], em.conv(before), em.conv(after),
+             [_rgs_keys(verdict.rgs_before), _rgs_keys(verdict.rgs_after),
+              _member_names(scenario.k)[verdict.masks], em.conv(before), em.conv(after),
               em.conv(after - before)],
              scenario, trials=args.trials)
     em.summary["verdict"] = verdict.classification
-    em.summary["data"] = {"trials": args.trials, "witnesses": len(verdict.witnesses)}
+    em.summary["data"] = {"trials": args.trials, "witnesses": len(before)}
     return em.finish()
 
 

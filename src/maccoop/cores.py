@@ -548,7 +548,7 @@ class _CoreLp:
         self.balanced_basis = self.slack_basis
         weights, value = self.balanced(d)
         cert = BalancedCertificate(weights, float(value - v_k))
-        validate_certificate(cert, dict(zip(range(1, len(d) + 1), d.tolist())), v_k, self.k)
+        validate_certificate(cert, {mask: float(d[mask - 1]) for mask in weights}, v_k, self.k)
         return CoreResult("empty", None, cert, float(t))
 
 
@@ -558,7 +558,10 @@ linprog = _dual_simplex
 
 def validate_certificate(cert: BalancedCertificate, demands: dict[int, float],
                          v_k: float, k: int) -> None:
-    """Raise unless the weights are balanced and genuinely violating."""
+    """Raise unless the weights are balanced and genuinely violating.
+
+    ``demands`` maps each mask the certificate weights (at least) to its demand.
+    """
     for i in range(k):
         cover = sum(w for m, w in cert.weights.items() if m >> i & 1)
         if abs(cover - 1.0) > LP_TOL:

@@ -9,16 +9,16 @@ version, scenario fingerprint, seed, units) so that identical inputs
 always produce identical bytes.  Tables are handed over by column: each
 column is formatted in one pass chosen by its dtype (floats to 12
 significant digits by ``%.12g``, which spells ``nan``, ``inf`` and
-``-inf``), and rows go to the CSV writer ``CHUNK_ROWS`` at a time, so a
-table's formatted cells are never all alive at once.  Quoting is the
-``csv`` module's minimal quoting.
+``-inf``), and ``CHUNK_ROWS`` rows at a time are joined into lines and
+written, so a table's formatted cells are never all alive at once.
+Quoting is the ``csv`` module's minimal quoting.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import re
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -204,28 +204,55 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
-#: Rows formatted and handed to one ``csv.writer.writerows`` call at a time.
+#: Rows formatted and written by one string join at a time.
 CHUNK_ROWS = 2048
+
+#: Characters that make csv's minimal quoting quote a cell, with this
+#: dialect's ',' delimiter, '"' quote and '\n' line terminator.
+_QUOTED = re.compile('[,"\n]')
+
+
+def _quoted(cells: list[str]) -> list[str]:
+    """Cells as csv's ``QUOTE_MINIMAL`` writes them: a cell holding ',', '"'
+    or a newline goes in double quotes, its '"' doubled ('\\r' is not quoted)."""
+    text = "\r".join(cells)
+    if not _QUOTED.search(text):
+        return cells
+    if '"' in text:  # a cell holding '"' is quoted, so every '"' doubles
+        cells = [c.replace('"', '""') for c in cells]
+    return [f'"{c}"' if quote else c for c, quote in zip(cells, map(_QUOTED.search, cells))]
 
 
 def _format_column(column: Sequence[Any]) -> list[str]:
-    """A column's cells as strings, in one pass chosen by its dtype.
+    """A column's cells as CSV fields, in one pass chosen by its dtype.
 
     float64 arrays go through ``%.12g``, which equals ``format_value``'s
     ``.12g`` on every double, nan and the infinities included; integer
-    arrays through ``str``; str arrays stand as they are.  Any other
-    column, numpy or not, goes through ``format_value`` cell by cell.
+    arrays through ``str``; neither needs quoting.  str arrays stand as
+    they are.  Any other column, numpy or not, goes through
+    ``format_value`` cell by cell.  Text is then quoted (:func:`_quoted`).
     """
     if not isinstance(column, np.ndarray):
-        return list(map(format_value, column))
+        return _quoted(list(map(format_value, column)))
     cells = column.tolist()
     if column.dtype == np.float64:
         return list(map("%.12g".__mod__, cells))
     if column.dtype.kind in "iu":
         return list(map(str, cells))
     if column.dtype.kind == "U":
-        return cells
-    return list(map(format_value, cells))
+        return _quoted(cells)
+    return _quoted(list(map(format_value, cells)))
+
+
+def _lines(fields: list[list[str]]) -> str:
+    """Rows of the field columns ``fields``, each line ended by '\\n'.
+
+    A row of one empty field is written '""', as csv writes it, so that
+    the line is not read back as a row of no fields.
+    """
+    if len(fields) == 1:
+        fields = [['""' if f == "" else f for f in fields[0]]]
+    return "".join(map("%s\n".__mod__, map(",".join, zip(*fields))))
 
 
 def write_table(fh, header: Sequence[str], columns: Sequence[Sequence[Any]],
@@ -235,19 +262,21 @@ def write_table(fh, header: Sequence[str], columns: Sequence[Sequence[Any]],
     ``columns`` holds one column per ``header`` name, all of one length.
     A column is anything with ``len`` and slicing: a numpy array, a list,
     or an object that computes each slice of rows when asked.  Each
-    ``CHUNK_ROWS`` slice of every column is formatted (``_format_column``)
-    and written before the next is taken.
+    ``CHUNK_ROWS`` slice of every column is formatted
+    (:func:`_format_column`) and written by one string join
+    (:func:`_lines`) before the next is taken.  The bytes are those of
+    ``csv.writer(fh, lineterminator="\\n")`` writing the formatted rows,
+    as Python 3.11's csv module writes them.
     """
     n = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(col) != n for col in columns):
         raise ValueError(f"{len(header)} header names need as many columns of one length")
     for key, value in (meta or {}).items():
         fh.write(f"# {key}: {format_value(value)}\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
+    # no header names make one empty line, as csv writes a row of no fields
+    fh.write(_lines([[name] for name in _quoted(list(header))]) or "\n")
     for start in range(0, n, CHUNK_ROWS):
-        writer.writerows(zip(*(_format_column(col[start:start + CHUNK_ROWS])
-                               for col in columns)))
+        fh.write(_lines([_format_column(col[start:start + CHUNK_ROWS]) for col in columns]))
 
 
 def table_meta(scenario: Scenario | None = None, *, seed: int | None = None,

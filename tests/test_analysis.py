@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from maccoop.model import (
     rgs_matrix,
 )
 
+import audit_reference
 from conftest import random_scenario
 
 
@@ -113,7 +115,7 @@ class TestStalledPartitions:
         rng = np.random.default_rng(5)
         skipped = len(stalled)
         for _ in range(60):
-            before = analysis._random_partition(rng, 4, 2)
+            before = Partition.from_rgs(analysis._random_labels(rng, 4, 2)[0])
             chosen = rng.choice(len(before), size=int(rng.integers(2, len(before) + 1)),
                                 replace=False)
             merged = Coalition(sum(before.blocks[i].mask for i in chosen))
@@ -128,7 +130,7 @@ class TestStalledPartitions:
         rng = np.random.default_rng(6)
         witnesses = 0
         for _ in range(40):
-            before = analysis._random_partition(rng, 4, 3)
+            before = Partition.from_rgs(analysis._random_labels(rng, 4, 3)[0])
             i, j = rng.choice(len(before), size=2, replace=False)
             merged = Coalition(before.blocks[i].mask | before.blocks[j].mask)
             after = Partition(4, tuple(b for n, b in enumerate(before.blocks)
@@ -143,6 +145,91 @@ class TestStalledPartitions:
         monkeypatch.setattr(equilibrium, "SUD_MAX_ROUNDS", 1)  # every row stalls
         with pytest.raises(NonConvergence, match=r"partition \{1,2,3,4\}"):
             verify_superadditivity(s, 10, seed=0)
+
+
+def report_fields(report):
+    """A superadditivity report with every float as its hex string."""
+    ce = report.counterexample
+    return (report.passed, report.trials_run, report.skipped, report.cohesive,
+            report.cohesiveness_worst.hex(),
+            None if ce is None else (ce.before, ce.after, ce.merged, ce.merged_value.hex(),
+                                     ce.parts_total.hex()))
+
+
+def witness_fields(witnesses):
+    return [(w.before, w.after, w.coalition, w.value_before.hex(), w.value_after.hex())
+            for w in witnesses]
+
+
+def assert_audits_replay(s, trials, seeds):
+    """Both audits equal the Partition-object ones, bit for bit, on ``seeds``."""
+    for seed in seeds:
+        assert (report_fields(verify_superadditivity(s, trials, seed))
+                == report_fields(audit_reference.verify_superadditivity(s, trials, seed)))
+        verdict = classify_externalities(s, trials, seed)
+        kind, witnesses = audit_reference.classify_externalities(s, trials, seed)
+        assert verdict.classification == kind
+        assert witness_fields(verdict.witnesses) == witness_fields(witnesses)
+
+
+class TestAuditsReplayThePartitionObjectAudits:
+    # the same generator calls in the same order give the same draws, values and witnesses
+
+    @pytest.mark.parametrize("game_seed", [0, 1])
+    def test_per_antenna_single_rx_k8(self, game_seed):
+        # the shape of the CLI benchmark's K=8 game: one receive antenna, antenna caps
+        rng = np.random.default_rng(game_seed)
+        s = random_scenario(rng, k=8, m=1, mode="caps",
+                            receiver=SicFixed(tuple(int(u) for u in rng.permutation(8) + 1)))
+        assert_audits_replay(s, 200, [0, 1, 2])
+
+    @pytest.mark.parametrize("mode, seed, rounds", [("sum", 1, 4), ("caps", 0, 3)])
+    def test_stalled_sud_games(self, monkeypatch, mode, seed, rounds):
+        s, _ = stalled_sud_game(monkeypatch, mode, seed, rounds)
+        assert verify_superadditivity(s, 60, 5).skipped > 0
+        assert_audits_replay(s, 60, [5, 6])
+
+    @pytest.mark.parametrize("k, m", [(3, 1), (4, 1), (3, 2), (4, 2)])
+    def test_uniform_timeshare(self, k, m):
+        s = random_scenario(np.random.default_rng(40 + k + m), k=k, m=m, receiver=SicTimeShare())
+        assert_audits_replay(s, 50, [0, 3])
+
+    def test_first_counterexample(self, monkeypatch):
+        # a negative tolerance fails every merger whose gain is under 0.05 nats
+        monkeypatch.setattr(analysis, "SUPERADDITIVITY_TOL", -0.05)
+        s = random_scenario(np.random.default_rng(3), k=6, m=1, mode="caps", receiver=Sud())
+        report = verify_superadditivity(s, 100, 4)
+        assert report.counterexample is not None and not report.passed
+        assert report_fields(report) == report_fields(
+            audit_reference.verify_superadditivity(s, 100, 4))
+
+    def test_parts_add_in_the_order_drawn(self, monkeypatch):
+        # every trial fails, so each seed's counterexample is its first trial, and
+        # the bits of a sum of three or more parts depend on the order they add in
+        monkeypatch.setattr(analysis, "SUPERADDITIVITY_TOL", -math.inf)
+        s = random_scenario(np.random.default_rng(8), k=7, m=1, mode="caps", receiver=Sud())
+        for seed in range(40):
+            report = verify_superadditivity(s, 1, seed)
+            assert report_fields(report) == report_fields(
+                audit_reference.verify_superadditivity(s, 1, seed))
+
+    def test_trial_chunks_do_not_change_the_report(self, monkeypatch):
+        monkeypatch.setattr(analysis, "SUPERADDITIVITY_TOL", -0.05)
+        s = random_scenario(np.random.default_rng(3), k=6, m=1, mode="caps", receiver=Sud())
+        want = report_fields(audit_reference.verify_superadditivity(s, 100, 4))
+        for chunk in (1, 7, 100):
+            monkeypatch.setattr(analysis, "TRIAL_CHUNK", chunk)
+            assert report_fields(verify_superadditivity(s, 100, 4)) == want
+
+    def test_witness_columns(self):
+        s = random_scenario(np.random.default_rng(5), k=5, m=2, receiver=Sud())
+        verdict = classify_externalities(s, 40, 1)
+        n = len(verdict.witnesses)
+        assert n > 0 and verdict.rgs_before.shape == verdict.rgs_after.shape == (n, 5)
+        assert verdict.rgs_before.dtype == verdict.rgs_after.dtype == np.int8
+        assert verdict.masks.tolist() == [w.coalition.mask for w in verdict.witnesses]
+        assert verdict == classify_externalities(s, 40, 1)
+        assert verdict != classify_externalities(s, 40, 2)
 
 
 @pytest.mark.parametrize("audit", [verify_superadditivity, classify_externalities])

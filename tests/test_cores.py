@@ -878,6 +878,33 @@ class TestDualSimplex:
             assert lp.balanced(d)[1] == pytest.approx(_CoreLp(k).balanced(d)[1], abs=1e-12)
         assert {"empty", "nonempty"} <= set(verdicts)
 
+    @pytest.mark.parametrize("k", [3, 6, 10])
+    def test_certificate_check_reads_only_the_weighted_demands(self, k, monkeypatch):
+        # an empty verdict's validation gets the demands of the certificate's own
+        # masks, as the full dict holds them, and no 2^K dict is built
+        seen = []
+        validate = maccoop.cores.validate_certificate
+
+        def recorded(cert, demands, v_k, k):
+            seen.append((cert, demands))
+            validate(cert, demands, v_k, k)
+
+        monkeypatch.setattr(maccoop.cores, "validate_certificate", recorded)
+        gen = np.random.default_rng(900 + k)
+        lp = _CoreLp(k)
+        size = lp.incidence.sum(axis=1)
+        v_k = 1.0 + k / 10
+        for shift in (0.02, 0.03, 0.05):
+            d = v_k * size / k + shift + gen.normal(scale=0.004, size=size.size)
+            result = lp.check(d, v_k)
+            assert result.verdict == "empty"
+            cert, demands = seen[-1]
+            assert cert is result.certificate and set(demands) == set(cert.weights)
+            full = dict(zip(range(1, (1 << k) - 1), d.tolist()))
+            assert [demands[m].hex() for m in cert.weights] == [full[m].hex() for m in cert.weights]
+            validate(cert, full, v_k, k)
+        assert len(seen) == 3
+
         inversions = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))

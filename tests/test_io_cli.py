@@ -178,6 +178,39 @@ class TestFormatting:
         assert len(got.splitlines()) >= len(meta) + 1 + n
         assert sum(taken) == n and all(t <= io.CHUNK_ROWS for t in taken)
 
+    ADVERSARIAL = ["a,b", 'say "hi"', '"', '""', ',"', "two\nlines", "cr\ronly", "crlf\r\n",
+                   "\r", " padded ", "  ", "", "nan", "-inf", "x|y z", "é,ü"]
+
+    @pytest.mark.parametrize("n", [1, io.CHUNK_ROWS + 3, 2 * io.CHUNK_ROWS + 1])
+    def test_adversarial_cells_write_the_bytes_of_csv(self, n):
+        texts = np.resize(np.array(self.ADVERSARIAL), n)
+        floats = np.resize(np.array([math.nan, math.inf, -math.inf, 0.5, -0.0]), n)
+        columns = {
+            'a "quoted", header': texts,
+            "": texts.tolist()[::-1],
+            "floats": floats,
+            "plain": np.resize(np.array(["p", "q"]), n),
+            "ints": np.arange(n),
+        }
+        header = list(columns)
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
+        got = written(io.write_table, header, list(columns.values()), {"note": "a\rb"})
+        assert got == written(reference_write_table, header, rows, {"note": "a\rb"})
+
+    @pytest.mark.parametrize("cells", [[""], ["", "a", ""], [" "], ["\r"], [",", "\n", '"']])
+    def test_one_column_tables_write_the_bytes_of_csv(self, cells):
+        # csv quotes a row of one empty field, so that it is not read as no fields
+        for header in (["name"], [""]):
+            for column in (cells, np.array(cells)):
+                got = written(io.write_table, header, [column])
+                assert got == written(reference_write_table, header, [[c] for c in cells])
+        floats = [math.nan, math.inf, -math.inf]
+        assert (written(io.write_table, ["x"], [np.array(floats)])
+                == written(reference_write_table, ["x"], [[x] for x in floats]))
+
+    def test_no_columns_write_one_empty_line(self):
+        assert written(io.write_table, [], []) == written(reference_write_table, [], [])
+
     def test_columns_of_unequal_length_raise(self):
         with pytest.raises(ValueError):
             written(io.write_table, ["a", "b"], [np.arange(3), np.arange(2)])
@@ -547,6 +580,34 @@ class TestCli:
         code, _, err = run_cli(["sweep", *flags, "--out", str(tmp_path)], capsys)
         assert code == 1
         assert "error: --snr-min, --snr-max and --snr-step must be finite" in err
+
+    @pytest.mark.parametrize("flags", [
+        # np.arange raised "Maximum allowed size exceeded" out of the CLI here
+        ["--snr-min", "0", "--snr-max", "1e300", "--snr-step", "1"],
+        ["--snr-min=-1e308", "--snr-max", "1e308", "--snr-step", "1e-300"],
+        # cap + 1 points: 0, 1, ..., cap
+        ["--snr-min", "0", "--snr-max", str(cli.SWEEP_MAX_POINTS), "--snr-step", "1"],
+    ])
+    def test_sweep_rejects_a_grid_over_the_cap_before_building_it(self, tmp_path, capsys,
+                                                                  monkeypatch, flags):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(np, "arange", no_grid)
+        code, _, err = run_cli(["sweep", *flags, "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert f"more than {cli.SWEEP_MAX_POINTS} points" in err
+        assert not (tmp_path / "boundary.csv").exists()
+
+    def test_sweep_takes_a_grid_of_cap_points(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SWEEP_MAX_POINTS", 3)
+        code, out, _ = run_cli(["sweep", "--k-max", "2", "--snr-min", "-20", "--snr-max", "0",
+                                "--snr-step", "10", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["data"]["thresholds"].keys() == {"2"}
+        code, _, err = run_cli(["sweep", "--k-max", "2", "--snr-min", "-20", "--snr-max", "0",
+                                "--snr-step", "6.5", "--out", str(tmp_path)], capsys)
+        assert code == 1 and "more than 3 points" in err
 
     def test_sweep_rejects_an_empty_k_range(self, tmp_path, capsys):
         code, _, err = run_cli(["sweep", "--k-min", "5", "--k-max", "2", "--out",
