@@ -50,6 +50,20 @@ def snr_db_to_noise(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
+def _outside_float_range(snr_db: float, k: int) -> bool:
+    """True unless N0 = 10^(-SNR/10) is a finite positive float and K^2/N0 is finite.
+
+    K^2/N0 is the largest power-to-noise ratio of a symmetric K-user game
+    (the grand coalition's), so every utility of such a game at this SNR
+    is finite exactly when this is False.
+    """
+    try:
+        n0 = snr_db_to_noise(snr_db)
+    except OverflowError:
+        return True
+    return not (0.0 < n0 < math.inf and k * k / n0 < math.inf)
+
+
 def symmetric_scenario(k: int, n0: float = 1.0, receiver=None, power: float = 1.0,
                        gain: float = 1.0) -> Scenario:
     """Identical single-antenna users: unit-style gain and power budget."""
@@ -342,7 +356,12 @@ def classify_externalities(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Symmetric-template sweep: which K values, which SNR grid (dB)."""
+    """Symmetric-template sweep: which K values, which SNR grid (dB).
+
+    Every grid point must keep the largest K's utilities finite
+    (:func:`_outside_float_range`); N0 is monotone in SNR, so bisection
+    points between grid points do too.
+    """
 
     k_values: tuple[int, ...]
     snr_grid_db: tuple[float, ...]
@@ -357,6 +376,12 @@ class SweepSpec:
         if not ks or any(k < 2 or k > CORE_MAX_USERS for k in ks):
             raise InvalidArgument(f"boundary sweeps need one or more K, each "
                                   f"2 <= K <= {CORE_MAX_USERS}, got {ks}")
+        k_max = max(ks)
+        outside = next((db for db in grid if _outside_float_range(db, k_max)), None)
+        if outside is not None:
+            raise InvalidArgument(f"SNR {outside!r} dB is out of range: N0 = 10^(-SNR/10) "
+                                  f"must be a finite positive float with K^2/N0 finite "
+                                  f"for K = {k_max}")
         object.__setattr__(self, "snr_grid_db", grid)
         object.__setattr__(self, "k_values", ks)
 

@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -348,20 +349,15 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("partitions", parents=[common])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--count-only", action="store_true", dest="count_only")
-    p.set_defaults(fn=_cmd_partitions)
 
-    for name, fn in (("utilities", _cmd_utilities),):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("--scenario", required=True)
-        p.set_defaults(fn=fn)
+    p = sub.add_parser("utilities", parents=[common])
+    p.add_argument("--scenario", required=True)
 
-    for name, fn in (("core", _cmd_core), ("least-core", _cmd_least_core),
-                     ("region", _cmd_region)):
+    for name in ("core", "least-core", "region"):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("--scenario", required=True)
         p.add_argument("--model", required=True,
                        choices=[m.value for m in ExpectationModel])
-        p.set_defaults(fn=fn)
 
     p = sub.add_parser("sweep", parents=[common])
     p.add_argument("--k-min", type=int, default=2, dest="k_min")
@@ -371,29 +367,36 @@ def _build_parser() -> _Parser:
     p.add_argument("--snr-step", type=float, default=5.0, dest="snr_step")
     p.add_argument("--model", default="rational",
                    choices=[m.value for m in ExpectationModel])
-    p.set_defaults(fn=_cmd_sweep)
 
-    for name, fn in (("externalities", _cmd_externalities),
-                     ("properties", _cmd_properties)):
+    for name in ("externalities", "properties"):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("--scenario", required=True)
         p.add_argument("--trials", type=int, default=100)
-        p.set_defaults(fn=fn)
 
     p = sub.add_parser("ratio", parents=[common])
     p.add_argument("--scenario", required=True)
     p.add_argument("--snr", default="0,10,20,30,40,50,60",
                    help="comma-separated SNR list in dB")
-    p.set_defaults(fn=_cmd_ratio)
     return parser
 
 
+#: The parser, built on first use and then shared by every call: it is
+#: configuration only, and parsing keeps nothing of a call in it.
+_parser = functools.cache(_build_parser)
+
+
+def _command(name: str):
+    """The function of subcommand ``name``: this module's ``_cmd_<name>``, dashes
+    read as underscores, looked up when it is called."""
+    return globals()["_cmd_" + name.replace("-", "_")]
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     t0 = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        code = args.fn(args)
+        code = _command(args.command)(args)
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

@@ -208,10 +208,15 @@ def _read_demands(scenario: Scenario, table: UtilityTable, model: ExpectationMod
 def _model_rows(scenario: Scenario, model: ExpectationModel, *, grand: bool) -> np.ndarray:
     """RGS rows of the table a model's demands read.
 
-    Merging and singleton read their distinct fixed arrangements, in mask
-    order (2^(K-1) - 1 or 2^K - K - 1 rows), then the grand row when
-    ``grand``.  Rational and cautious read every partition, except where
-    the one-antenna closed form applies
+    Merging and singleton read their distinct fixed arrangements, each
+    where its first mask puts it, then the grand row when ``grand``.
+    Merging puts S and N - S in one row, and of the two the mask without
+    user K is the smaller, so its rows are those of masks 1 .. 2^(K-1) - 1
+    in order: 2^(K-1) - 1 rows.  Singleton gives every one-member S the
+    all-singleton row, so its rows are those of mask 1 and then of every
+    mask with at least two members, ascending: 2^K - K - 1 rows.
+    Rational and cautious read every partition, except where the
+    one-antenna closed form applies
     (:func:`equilibrium._closed_form_applies`): there they read the
     merging rows, because their demands are the merging demands.
 
@@ -250,9 +255,13 @@ def _model_rows(scenario: Scenario, model: ExpectationModel, *, grand: bool) -> 
             return _every_partition(scenario)
         model = ExpectationModel.MERGING
     k = scenario.k
-    rows = _fixed_arrangements(k, range(1, (1 << k) - 1), model)
-    # distinct rows, each where its first mask put it
-    rows = rows[np.sort(np.unique(rows, axis=0, return_index=True)[1])]
+    _require_mask_bits(k)
+    if model is ExpectationModel.MERGING:
+        masks = np.arange(1, 1 << (k - 1))
+    else:
+        masks = np.arange(1, (1 << k) - 1)
+        masks = masks[((masks & (masks - 1)) != 0) | (masks == 1)]
+    rows = _fixed_arrangements(k, masks, model)
     if grand:
         rows = np.vstack((rows, np.zeros((1, k), dtype=np.int8)))
     return rows
@@ -380,7 +389,7 @@ _PIVOT_TOL = 1e-9
 
 def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
                   a_eq: np.ndarray, b_eq: np.ndarray,
-                  inverses: dict[tuple[int, ...], np.ndarray] | None = None):
+                  inverses: dict[tuple[int, ...], tuple] | None = None):
     """min c.z s.t. g z >= d and a_eq z = b_eq, z free, by a dense dual simplex.
 
     ``basis`` lists rows of ``g`` that, with every equality row, form a
@@ -398,15 +407,21 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
     rule, a singular basis or a ratio test with no candidate raises
     :class:`NumericalFailure`.
 
-    Each basis matrix is inverted once: ``inverses`` maps a basis tuple to
-    the inverse of ``vstack((a_eq, g[basis]))`` and is filled as bases are
-    met.  The matrix depends on the basic rows only, not on ``d`` or
-    ``b_eq``, so callers that solve one ``(a_eq, g)`` for many right-hand
-    sides pass one dict to all those solves, and a start basis that is
-    already optimal costs no inversion.  The same matrix inverts to the
-    same bits, so the dict changes no result.  At these sizes a rank-one
-    update of the inverse would save little; the count of distinct bases
-    is what matters.
+    Each basis is solved for once.  ``inverses`` maps a basis tuple to
+    what depends on that basis and on ``(c, g, a_eq)`` alone: the inverse
+    of the basis matrix ``vstack((a_eq, g[basis]))``, the inequality
+    multipliers ``y = (c @ inv)[n_eq:]`` and ``y.tolist()`` for the ratio
+    test.  None of them depends on ``d`` or ``b_eq``, so callers that
+    solve one ``(c, g, a_eq)`` for many right-hand sides pass one dict to
+    all those solves; the basis matrix is built only when its basis is
+    met for the first time, and a start basis that is already optimal
+    costs no inversion.  A pivot then pays only for what depends on the
+    demands: the right-hand side, z = inv @ rhs, the residual g z - d and
+    the ratio test.  The same matrix inverts to the same bits, so the
+    dict changes no result, and z and y are returned as fresh arrays, so
+    no caller can alias a stored one.  At these sizes a rank-one update
+    of the inverse would save little; the count of distinct bases is what
+    matters.
 
     Returns (z, basis, y): the optimal vertex, its basic inequality rows
     (ascending) and their multipliers, so that c = a_eq^T mu + g[basis]^T y.
@@ -414,9 +429,13 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
     n_eq = len(b_eq)
     basis = sorted(basis)
     tol = 1e-12 * max(1.0, float(np.abs(d).max(initial=0.0)),
-                      float(np.abs(b_eq).max(initial=0.0)))
+                      max(map(abs, b_eq.tolist()), default=0.0))
     if inverses is None:
         inverses = {}
+    rhs = np.empty(n_eq + len(basis))
+    rhs[:n_eq] = b_eq
+    basic_rhs = rhs[n_eq:]
+    residual = np.empty(len(g))
     seen: set[tuple[int, ...]] = set()
     bland = False
     while True:
@@ -427,23 +446,27 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
             bland = True
             seen.clear()
         seen.add(key)
-        inv = inverses.get(key)
-        if inv is None:
+        stored = inverses.get(key)
+        if stored is None:
             try:
-                inv = inverses[key] = np.linalg.inv(np.vstack((a_eq, g[basis])))
+                inv = np.linalg.inv(np.concatenate((a_eq, g.take(basis, axis=0))))
             except np.linalg.LinAlgError:
                 raise NumericalFailure("core LP basis is singular") from None
-        z = inv @ np.concatenate((b_eq, d[basis]))
-        y = (c @ inv)[n_eq:]
-        residual = g @ z - d
-        enter = int(np.argmin(residual))
+            y = (c @ inv)[n_eq:]
+            stored = inverses[key] = (inv, y, y.tolist())
+        inv, y, y_list = stored
+        d.take(basis, out=basic_rhs)
+        z = inv @ rhs
+        np.matmul(g, z, out=residual)
+        residual -= d
+        enter = int(residual.argmin())
         if not residual[enter] < -tol:
-            return z, basis, y
+            return z, basis, y.copy()
         if bland:
             enter = int(np.flatnonzero(residual < -tol)[0])
         # ratio test over at most K + 1 floats: lowest row of the smallest ratios
         w = (g[enter] @ inv)[n_eq:].tolist()
-        ratios = [(max(y_s, 0.0) / w_s, s) for s, (y_s, w_s) in enumerate(zip(y.tolist(), w))
+        ratios = [(max(y_s, 0.0) / w_s, s) for s, (y_s, w_s) in enumerate(zip(y_list, w))
                   if w_s > _PIVOT_TOL]
         if not ratios:
             raise NumericalFailure("core LP ratio test found no leaving row")
@@ -472,12 +495,13 @@ class _CoreLp:
     too (see :meth:`check`); :meth:`balanced` alone starts from its own
     previous optimal basis.
 
-    Each LP keeps the inverse of every basis matrix it has met, keyed by
-    basis (:func:`_dual_simplex`), so a warm start whose basis is still
-    optimal costs one matrix product and no inversion.  The dicts live as
-    long as the instance: one :func:`check_core_from_demands` call, or one
-    K of one :func:`analysis.snr_boundary` call.  Nothing is kept between
-    calls.
+    Each LP keeps, per basis it has met, the basis inverse and its
+    multipliers (:func:`_dual_simplex`), so a warm start whose basis is
+    still optimal costs two matrix-vector products and no inversion.  The
+    two LPs' constant inputs (rows, costs, the certificate LP's empty
+    equality block) are built here, once.  The dicts live as long as the
+    instance: one :func:`check_core_from_demands` call, or one K of one
+    :func:`analysis.snr_boundary` call.  Nothing is kept between calls.
     """
 
     def __init__(self, k: int):
@@ -492,9 +516,10 @@ class _CoreLp:
         self.c[k] = -1.0
         # certificate LP over y: min sum y s.t. y(S) >= d_S
         self.cover = self.incidence.astype(np.float64)
+        self.ones, self.no_eq, self.no_rhs = np.ones(k), np.empty((0, k)), np.empty(0)
         self.slack_basis = self.balanced_basis = _singleton_rows(k)
-        self.slack_inverses: dict[tuple[int, ...], np.ndarray] = {}
-        self.balanced_inverses: dict[tuple[int, ...], np.ndarray] = {}
+        self.slack_inverses: dict[tuple[int, ...], tuple] = {}
+        self.balanced_inverses: dict[tuple[int, ...], tuple] = {}
 
     def slack(self, d: np.ndarray, v_k: float):
         """max t s.t. sum_{i in S} x_i - t >= d_S, sum x = v_k.
@@ -515,15 +540,20 @@ class _CoreLp:
 
         Solved as its dual, min sum y s.t. y(S) >= d_S, from the
         singleton basis at first (multipliers 1): the optimal multipliers
-        are the weights.  Balancedness keeps every weight in [0, 1].
+        are the weights.  Balancedness keeps every weight in [0, 1].  The
+        value adds the weighted demands left to right in float64.
         """
-        k = self.k
         _, self.balanced_basis, y = _dual_simplex(
-            np.ones(k), self.cover, d, self.balanced_basis, np.empty((0, k)), np.empty(0),
+            self.ones, self.cover, d, self.balanced_basis, self.no_eq, self.no_rhs,
             self.balanced_inverses)
-        weights = {row + 1: float(w) for row, w in zip(self.balanced_basis, y)
-                   if w > 1e-15}
-        return weights, sum(w * d[mask - 1] for mask, w in weights.items())
+        weights: dict[int, float] = {}
+        value = 0.0
+        for row, w, d_s in zip(self.balanced_basis, y.tolist(),
+                               d.take(self.balanced_basis).tolist()):
+            if w > 1e-15:
+                weights[row + 1] = w
+                value += w * d_s
+        return weights, value
 
     def check(self, d: np.ndarray, v_k: float) -> CoreResult:
         """Core verdict for demands ``d`` (by mask - 1) and v(N), with validated evidence.
@@ -540,7 +570,7 @@ class _CoreLp:
         _require_finite(d, v_k)
         x, t = self.slack(d, v_k)
         if t >= -LP_TOL:
-            worst = (self.incidence @ x - d).min()
+            worst = (self.cover @ x - d).min()
             # written so that a NaN fails both checks
             if not (worst >= -LP_TOL and abs(x.sum() - v_k) <= LP_TOL * max(1.0, abs(v_k))):
                 raise NumericalFailure("witness fails post-validation")
@@ -585,6 +615,8 @@ def _demand_array(demands: dict[int, float], k: int) -> np.ndarray:
 
 
 def _require_finite(d: np.ndarray, v_k: float) -> None:
+    if math.isfinite(v_k) and np.isfinite(d).all():
+        return
     if not math.isfinite(v_k):
         raise NumericalFailure(f"grand-coalition value {v_k} is not finite")
     bad = np.flatnonzero(~np.isfinite(d))

@@ -422,6 +422,34 @@ class TestSnrBoundary:
         with pytest.raises(InvalidArgument, match="finite"):
             SweepSpec((2,), grid)
 
+    @pytest.mark.parametrize("ks, grid, first", [
+        # N0 is a positive subnormal from about 3080 dB on, and 2^2/N0 overflows
+        ((2,), tuple(np.arange(3050.0, 3101.0, 5.0)), 3080.0),
+        # N0 = 10^-325 rounds to 0
+        ((2,), (3000.0, 3250.0), 3250.0),
+        # 10.0 ** 320 raised OverflowError out of snr_db_to_noise
+        ((2,), (-3200.0, -3150.0), -3200.0),
+        # the largest K decides: 10^2/N0 overflows from 3062.6 dB, 2^2/N0 from 3076.6 dB
+        ((2, 10), (3060.0, 3065.0), 3065.0),
+    ], ids=["subnormal-n0", "n0-underflows", "n0-overflows", "largest-k-decides"])
+    def test_a_grid_point_outside_float_range_raises_before_any_verdict(
+            self, ks, grid, first, monkeypatch):
+        def no_verdict(*args):
+            raise AssertionError("a verdict was computed")
+
+        monkeypatch.setattr(analysis, "_symmetric_verdicts", no_verdict)
+        with pytest.raises(InvalidArgument, match=rf"SNR {first!r} dB is out of range: "
+                                                  rf"N0 = 10\^\(-SNR/10\).* K = {max(ks)}$"):
+            snr_boundary(SweepSpec(ks, grid), ExpectationModel.RATIONAL)
+
+    @pytest.mark.parametrize("model", list(ExpectationModel))
+    def test_grids_inside_float_range_still_sweep(self, model):
+        # the 3000-3050 dB grid is inside the range, and so is K=2 at 3065 dB
+        for ks, grid in (((2,), tuple(np.arange(3000.0, 3051.0, 5.0))),
+                         ((2,), (3060.0, 3065.0)), ((3,), (-3080.0, -3075.0))):
+            for point in snr_boundary(SweepSpec(ks, grid), model):
+                assert len(point.grid_verdicts) == len(grid)
+
     @pytest.mark.parametrize("model", list(ExpectationModel))
     def test_every_point_equals_a_per_point_oracle(self, model, monkeypatch):
         # at every grid and bisection point the LP gets the demands and v(N) that

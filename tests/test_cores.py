@@ -20,6 +20,7 @@ from maccoop.cores import (
     CORE_MAX_USERS,
     BalancedCertificate,
     _fixed_arrangements,
+    _model_rows,
     _model_table,
     _PIVOT_TOL,
     _dual_simplex,
@@ -1042,6 +1043,38 @@ class TestDualSimplex:
                 assert y.tobytes() == runs[0][2].tobytes()
 
 
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_returned_arrays_share_nothing_with_the_stored_bases(self, k):
+        # z, y and a witness written over after each solve: the next solves of the
+        # same _CoreLp, which meet the same stored bases, still equal those of a
+        # fresh _CoreLp given the same demands, and of solves without stored bases,
+        # byte for byte
+        gen = np.random.default_rng(800 + k)
+        lp, twin = _CoreLp(k), _CoreLp(k)
+        chain = [(d + shift, v_k) for shift in (-1.0, -1.0, 0.0, 0.0, -1.0, 0.0)
+                 for d, v_k in [self.empty_demands(k, gen, False)]]
+        verdicts = set()
+        for d, v_k in chain + chain:
+            got, want = lp.check(d, v_k), twin.check(d, v_k)
+            assert same_core_result(got, want)
+            verdicts.add(got.verdict)
+            if got.nonempty:
+                got.allocation[:] = np.nan
+            for start in (lp.slack_basis, _singleton_rows(k)):
+                z, _, y = _dual_simplex(lp.c, lp.g, d, start, lp.a_eq, np.array([v_k]),
+                                        lp.slack_inverses)
+                fresh = _dual_simplex(lp.c, lp.g, d, start, lp.a_eq, np.array([v_k]))
+                assert z.tobytes() == fresh[0].tobytes() and y.tobytes() == fresh[2].tobytes()
+                z[:] = np.nan
+                y[:] = np.nan
+            args = (np.ones(k), lp.cover, d, lp.balanced_basis, np.empty((0, k)), np.empty(0))
+            _, _, y = _dual_simplex(*args, lp.balanced_inverses)
+            assert y.tobytes() == _dual_simplex(*args)[2].tobytes()
+            y[:] = np.nan
+            assert lp.balanced(d) == twin.balanced(d)
+        assert verdicts == {"empty", "nonempty"}
+
+
 class TestLpInputs:
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
     def test_incidence_matches_membership_loop(self, k):
@@ -1297,6 +1330,36 @@ class TestMergingRowsDecideRationalAndCautious:
             for grand in (False, True):
                 rows = _model_table(s, model, grand=grand).rgs
                 assert rows.tobytes() == rgs_matrix(k).tobytes()
+
+
+def unique_model_rows(k, model):
+    """The model rows as np.unique built them: every proper mask's fixed arrangement,
+    then the distinct rows, each where its first mask put it."""
+    rows = _fixed_arrangements(k, range(1, (1 << k) - 1), model)
+    return rows[np.sort(np.unique(rows, axis=0, return_index=True)[1])]
+
+
+class TestModelRows:
+    @pytest.mark.parametrize("k", range(2, 16))
+    @pytest.mark.parametrize("model", [ExpectationModel.MERGING, ExpectationModel.SINGLETON])
+    def test_fixed_model_rows_equal_the_unique_rows(self, k, model):
+        s = symmetric(k, 1.0, SicFixed(tuple(range(k, 0, -1))))
+        want = unique_model_rows(k, model)
+        assert len(want) == ((1 << (k - 1)) - 1 if model is ExpectationModel.MERGING
+                             else (1 << k) - k - 1)
+        rows = _model_rows(s, model, grand=False)
+        assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
+        with_grand = _model_rows(s, model, grand=True)
+        assert with_grand.tobytes() == np.vstack((want, np.zeros((1, k), np.int8))).tobytes()
+
+    @pytest.mark.parametrize("k", range(2, 16))
+    @pytest.mark.parametrize("model", TABLE_MODELS)
+    def test_closed_form_rational_and_cautious_rows_equal_the_unique_merging_rows(self, k,
+                                                                                   model):
+        want = unique_model_rows(k, ExpectationModel.MERGING)
+        for rx in (SicFixed(tuple(range(1, k + 1))), Sud()):
+            rows = _model_rows(symmetric(k, 1.0, rx), model, grand=False)
+            assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
 
 
 def test_import_loads_no_scipy():

@@ -609,6 +609,51 @@ class TestCli:
                                 "--snr-step", "6.5", "--out", str(tmp_path)], capsys)
         assert code == 1 and "more than 3 points" in err
 
+    @pytest.mark.parametrize("snr, first", [
+        (["--snr-min", "3050", "--snr-max", "3100"], "3080.0"),
+        (["--snr-min=-3200", "--snr-max=-3150"], "-3200.0"),
+    ], ids=["high", "low"])
+    def test_sweep_outside_float_range_exits_one(self, tmp_path, capsys, snr, first):
+        # the high end exited 2 ("grand-coalition value inf is not finite") after an
+        # overflow warning, the low end raised OverflowError out of the CLI
+        code, _, err = run_cli(["sweep", "--k-max", "2", *snr, "--snr-step", "5",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert f"error: SNR {first} dB is out of range" in err
+        assert not (tmp_path / "boundary.csv").exists()
+
+    def test_sweep_inside_float_range_runs(self, tmp_path, capsys):
+        code, out, _ = run_cli(["sweep", "--k-max", "2", "--snr-min", "3000", "--snr-max",
+                                "3050", "--snr-step", "5", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["data"]["thresholds"].keys() == {"2"}
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        # usage errors, a help-free success and a user error, each run twice on the
+        # shared parser, print what a parser built for that call alone prints
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(sym4_text())
+        argvs = [["partitions"], ["core", "--scenario", str(cfg), "--model", "bogus"],
+                 ["sweep", "--snr-step", "x"], ["nope"], [],
+                 ["partitions", "--k", "4", "--count-only"],
+                 ["core", "--scenario", str(cfg), "--model", "merging",
+                  "--out", str(tmp_path / "core")],
+                 ["sweep", "--k-min", "5", "--k-max", "2", "--out", str(tmp_path)]]
+
+        def outputs():
+            runs = []
+            for argv in argvs:
+                code, out, err = run_cli(list(argv), capsys)
+                runs.append((code, out, err.split("elapsed: ")[0]))
+            return runs
+
+        assert cli._parser() is cli._parser()
+        shared = outputs()
+        assert outputs() == shared
+        monkeypatch.setattr(cli, "_parser", cli._build_parser)
+        assert outputs() == shared
+        assert [code for code, _, _ in shared] == [1, 1, 1, 1, 1, 0, 0, 1]
+
     def test_sweep_rejects_an_empty_k_range(self, tmp_path, capsys):
         code, _, err = run_cli(["sweep", "--k-min", "5", "--k-max", "2", "--out",
                                 str(tmp_path)], capsys)
