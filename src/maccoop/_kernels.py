@@ -515,36 +515,60 @@ def mask_table(ufunc, values, empty):
     return out
 
 
-def single_rx_layout(masks, power_of, slot_of):
+def single_rx_layout(masks, power_of, slot_of, out=None):
     """The noise-free part of the one-receive-antenna closed forms, one partition per row.
 
     ``masks`` holds each row's block masks in label order, 0 past its
     last block.  ``power_of`` and ``slot_of`` are :func:`mask_table`
-    tables: each coalition's received power and decoding slot, with the
-    empty mask's slot past every block's.  With fixed-order cancellation
-    each block hears the blocks decoded after it.  With single-user
-    decoding (``slot_of`` None) each block hears all the others: an
-    exclusive prefix sum plus an exclusive suffix sum over the labels, so
-    no block's own power is ever subtracted and a weak block beside a
-    strong one is not lost to cancellation.  Heard power holds no noise,
-    so a block alone in its row hears exactly 0.
+    tables: each coalition's received power and decoding slot.  The
+    blocks, the nonzero masks row by row, are gathered once, and each
+    block's power is spread into a zeroed (K, rows) array at its column:
+    its decoding slot, or its label.  With fixed-order cancellation each
+    block hears the blocks decoded after it: the running sums of the
+    columns from the last slot down, less its own power.  Empty slots add
+    exact zeros, so each sum adds the row's blocks in decoding order, last
+    decoded first.  With single-user decoding (``slot_of`` None) each
+    block hears all the others: an exclusive prefix sum plus an exclusive
+    suffix sum over the labels, one label column at a time, so no block's
+    own power is ever subtracted and a weak block beside a strong one is
+    not lost to cancellation.  Heard power holds no noise, so a block
+    alone in its row hears exactly 0.
 
-    Returns (power, heard), each shaped like ``masks``: each block's
-    received power and the power it hears.  :func:`single_rx_values`
-    turns them into utilities.
+    Returns (blocks, power, heard), one entry per block, row by row in
+    label order: its mask, its received power and the power it hears,
+    written into the three arrays of ``out`` when given.
+    :func:`single_rx_values` turns the last two into utilities.
     """
-    power = power_of[masks]
+    rows, k = masks.shape
+    blocks, power, heard = (None, None, None) if out is None else out
+    at = np.flatnonzero(masks != 0)  # row * k + label
+    # indices are in range, and mode "clip" lets take write into ``out`` unbuffered
+    blocks = masks.reshape(-1).take(at, out=blocks, mode="clip")
+    power = power_of.take(blocks, out=power, mode="clip")
+    row = at // k
     if slot_of is None:
-        heard = np.zeros_like(power)
-        np.cumsum(power[:, :-1], axis=1, out=heard[:, 1:])
-        heard[:, :-1] += np.cumsum(power[:, :0:-1], axis=1)[:, ::-1]
-        return power, heard
-    order = np.argsort(slot_of[masks], axis=1)
-    power_sorted = np.take_along_axis(power, order, axis=1)
-    heard_sorted = np.cumsum(power_sorted[:, ::-1], axis=1)[:, ::-1] - power_sorted
-    heard = np.empty_like(heard_sorted)
-    np.put_along_axis(heard, order, heard_sorted, axis=1)
-    return power, heard
+        np.remainder(at, k, out=at)  # the label
+    else:
+        slot_of.astype(np.intp).take(blocks, out=at)
+    cell = at  # row + rows * column, the block's place in (K, rows)
+    cell *= rows
+    cell += row
+    spread = np.zeros((k, rows))
+    spread.reshape(-1)[cell] = power
+    if slot_of is None:
+        sums = np.zeros((k, rows))
+        for j in range(1, k):  # the labels before j, first label first
+            np.add(sums[j - 1], spread[j - 1], out=sums[j])
+        after = spread[k - 1].copy()
+        for j in range(k - 2, -1, -1):  # the labels after j, last label first
+            sums[j] += after
+            after += spread[j]
+        return blocks, power, sums.reshape(-1).take(cell, out=heard, mode="clip")
+    for j in range(k - 2, -1, -1):
+        spread[j] += spread[j + 1]
+    heard = spread.reshape(-1).take(cell, out=heard, mode="clip")
+    heard -= power
+    return blocks, power, heard
 
 
 #: perfbench's tracer wraps the layout kernel, and counts its rows, under

@@ -50,18 +50,45 @@ def snr_db_to_noise(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _outside_float_range(snr_db: float, k: int) -> bool:
-    """True unless N0 = 10^(-SNR/10) is a finite positive float and K^2/N0 is finite.
+def _grand_power(scenario: Scenario) -> float:
+    """The grand coalition's largest received power, summed over receive antennas.
 
-    K^2/N0 is the largest power-to-noise ratio of a symmetric K-user game
-    (the grand coalition's), so every utility of such a game at this SNR
-    is finite exactly when this is False.
+    Under pooled budgets it is (sum of squared channel entries)(sum of
+    budgets), under antenna caps the sum over receive antennas of (sum of
+    |channel entry| sqrt(cap))^2: with one receive antenna exactly the
+    closed form's grand-coalition power, K^2 for
+    :func:`symmetric_scenario`'s unit gains and budgets, and with more an
+    upper bound on the trace of any received covariance.
+    """
+    channel = np.hstack([u.channel for u in scenario.users])
+    if scenario.power_mode == "sum":
+        return float(np.sum(channel ** 2)) * sum(u.power.total for u in scenario.users)
+    root = np.sqrt(np.concatenate([u.power.caps for u in scenario.users]))
+    return float(np.sum((np.abs(channel) @ root) ** 2))
+
+
+def _outside_float_range(snr_db: float, power: float) -> bool:
+    """True unless N0 = 10^(-SNR/10) is a finite positive float and power/N0 is finite.
+
+    Given a game's :func:`_grand_power`, its largest power-to-noise ratio
+    (the grand coalition's), every utility of the game at this SNR is
+    finite exactly when this is False.
     """
     try:
         n0 = snr_db_to_noise(snr_db)
     except OverflowError:
         return True
-    return not (0.0 < n0 < math.inf and k * k / n0 < math.inf)
+    return not (0.0 < n0 < math.inf and power / n0 < math.inf)
+
+
+def _require_float_range(snr_list_db, power: float, what: str) -> None:
+    """Raise InvalidArgument at the first SNR (dB) outside :func:`_outside_float_range`
+    for a grand-coalition power P = ``power``, which ``what`` names."""
+    outside = next((db for db in snr_list_db if _outside_float_range(db, power)), None)
+    if outside is not None:
+        raise InvalidArgument(f"SNR {outside!r} dB is out of range: N0 = 10^(-SNR/10) "
+                              f"must be a finite positive float with P/N0 finite for "
+                              f"{what}")
 
 
 def symmetric_scenario(k: int, n0: float = 1.0, receiver=None, power: float = 1.0,
@@ -359,8 +386,9 @@ class SweepSpec:
     """Symmetric-template sweep: which K values, which SNR grid (dB).
 
     Every grid point must keep the largest K's utilities finite
-    (:func:`_outside_float_range`); N0 is monotone in SNR, so bisection
-    points between grid points do too.
+    (:func:`_outside_float_range` of the symmetric game's grand-coalition
+    power K^2); N0 is monotone in SNR, so bisection points between grid
+    points do too.
     """
 
     k_values: tuple[int, ...]
@@ -377,11 +405,9 @@ class SweepSpec:
             raise InvalidArgument(f"boundary sweeps need one or more K, each "
                                   f"2 <= K <= {CORE_MAX_USERS}, got {ks}")
         k_max = max(ks)
-        outside = next((db for db in grid if _outside_float_range(db, k_max)), None)
-        if outside is not None:
-            raise InvalidArgument(f"SNR {outside!r} dB is out of range: N0 = 10^(-SNR/10) "
-                                  f"must be a finite positive float with K^2/N0 finite "
-                                  f"for K = {k_max}")
+        # the symmetric game's _grand_power, without building it
+        _require_float_range(grid, float(k_max * k_max),
+                             f"the grand coalition's P = K^2 at K = {k_max}")
         object.__setattr__(self, "snr_grid_db", grid)
         object.__setattr__(self, "k_values", ks)
 
@@ -514,21 +540,27 @@ def approx_ratio(scenario: Scenario, snr_list_db: Sequence[float]) -> RatioCurve
     two-block game and "approx" keeps only the interference-free term
     weighted by s/K.  For the grand coalition the two coincide, so its
     ratio is exactly one.  Whether |1 - ratio| shrinks along the grid
-    above 20 dB is reported, not enforced.
+    above 20 dB is reported, not enforced.  An SNR at which N0 or the
+    grand coalition's power-to-noise ratio leaves float range
+    (:func:`_outside_float_range`) raises InvalidArgument before any
+    table is built.
     """
     _require_symmetric_timeshare(scenario)
+    snr_list_db = [float(db) for db in snr_list_db]
+    power = _grand_power(scenario)
+    _require_float_range(snr_list_db, power, f"the grand coalition's received power P = {power!r}")
     k = scenario.k
     # row s - 1 is {1..s} (label 0) against its complement, row K - 1 the grand partition
     rows = (np.arange(k)[None, :] > np.arange(k)[:, None]).astype(np.int8)
     points: list[RatioPoint] = []
     for snr_db in snr_list_db:
-        at_noise = scenario.with_noise(snr_db_to_noise(float(snr_db)))
+        at_noise = scenario.with_noise(snr_db_to_noise(snr_db))
         table = _table_of(at_noise, rows)
         exact = table.values[table.offsets[:-1]].tolist()
         for size in range(1, k + 1):
             coalition = Coalition.from_members(range(1, size + 1))
             approx = timeshare_highsnr_utility(at_noise, coalition)
-            points.append(RatioPoint(float(snr_db), size, approx, exact[size - 1]))
+            points.append(RatioPoint(snr_db, size, approx, exact[size - 1]))
     violations: list[tuple[int, float]] = []
     for size in range(1, k + 1):
         series = [p for p in points if p.size == size]

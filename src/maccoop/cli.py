@@ -40,7 +40,7 @@ from .cores import (
 )
 from .equilibrium import _label_masks, utility_table
 from .errors import InvalidArgument, MacCoopError, NumericalFailure
-from .model import bell_number, rgs_matrix
+from .model import bell_number, block_counts, rgs_matrix
 
 LN2 = math.log(2.0)
 
@@ -162,7 +162,7 @@ def _cmd_partitions(args) -> int:
     em.table("partitions.csv", ["index", "rgs", "blocks", "n_blocks"],
              [np.arange(n), _SlicedColumn(n, lambda rows: _rgs_keys(rgs[rows])),
               _SlicedColumn(n, lambda rows: _joined(names, masks[rows], "|")),
-              rgs.max(axis=1) + 1], k=args.k)
+              block_counts(rgs)], k=args.k)
     em.summary["data"] = {"k": args.k, "count": n}
     return em.finish()
 

@@ -140,13 +140,17 @@ _FIXED_MODELS = (ExpectationModel.MERGING, ExpectationModel.SINGLETON)
 
 def _read_entries(k: int, counts, masks, model: ExpectationModel):
     """The block entries a model reads, of blocks ``masks`` in rows of ``counts``
-    blocks: every one, or under merging and singleton those in S's row of two
-    blocks or of k - |S| + 1 blocks."""
+    blocks: every one (a slice), or under merging and singleton the ascending
+    indices of those in S's row of two blocks or of k - |S| + 1 blocks."""
     if model not in _FIXED_MODELS:
         return slice(None)
-    size = mask_table(np.add, np.ones(k, dtype=np.int64), 0)[masks]
-    return np.repeat(counts, counts) == (2 if model is ExpectationModel.MERGING
-                                         else k - size + 1)
+    if model is ExpectationModel.MERGING:
+        first = (np.cumsum(counts) - counts).take(np.flatnonzero(counts == 2))
+        return np.stack((first, first + 1), axis=1).reshape(-1)
+    # |S| plus its row's block count is k + 1
+    size = mask_table(np.add, np.ones(k, dtype=np.intp), 0).take(masks)
+    size += np.repeat(counts, counts)
+    return np.flatnonzero(size == k + 1)
 
 
 def _table_demands(table: UtilityTable, model: ExpectationModel) -> np.ndarray:
@@ -161,22 +165,25 @@ def _table_demands(table: UtilityTable, model: ExpectationModel) -> np.ndarray:
     closed form applies, every model's own rows (:func:`_model_rows`)
     hold one arrangement per mask; for rational and cautious it is the
     merged one, which :func:`_model_rows` proves is the one both keep.
+    The group-bys key on the table's intp ``mask_index`` and
+    ``entry_rows``, built once per table.
     """
     k = table.k
-    masks, own = table.masks, table.values
     demand = np.full(1 << k, np.inf)
     if model in _FIXED_MODELS:
-        read = _read_entries(k, table.counts, masks, model)
-        demand[masks[read]] = own[read]
+        read = _read_entries(k, table.counts, table.masks, model)
+        demand[table.masks[read]] = table.values[read]
         return demand
+    masks, own = table.mask_index, table.values
     if model is ExpectationModel.RATIONAL:
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats
-            outsiders = np.repeat(table.totals, table.counts) - own
+            outsiders = table.totals.take(table.entry_rows)
+            outsiders -= own
             best = np.full(1 << k, -np.inf)
             np.fmax.at(best, masks, outsiders)
             floor = best - 1e-12 * np.maximum(1.0, np.abs(best))
-            near = outsiders >= floor[masks]
-        masks, own = masks[near], own[near]
+            near = np.flatnonzero(outsiders >= floor.take(masks))
+        masks, own = masks.take(near), own.take(near)
     # scanned backwards, so of equal values (0.0 and -0.0) the first in table order wins
     np.fmin.at(demand, masks[::-1], own[::-1])
     return demand

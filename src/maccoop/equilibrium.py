@@ -54,6 +54,7 @@ from .model import (
     SicFixed,
     SicTimeShare,
     Sud,
+    block_counts,
     coalition_channel,
     rgs_matrix,
 )
@@ -80,9 +81,12 @@ class UtilityTable:
     blocks are entries ``offsets[r]:offsets[r + 1]`` of ``masks`` (the
     coalition bitmask) and ``values`` (the utility in nats), in label
     order (as ``Partition.blocks``) for every route.  ``totals[r]`` adds
-    row r's values left to right in that order.  ``offsets`` and
-    ``totals`` are built on first read, since most readers need neither
-    (of the core demands only rational's read the totals).  ``fingerprint``
+    row r's values left to right in that order.  ``entry_rows`` and
+    ``mask_index`` hold each entry's row and mask as intp indices, the
+    demand reads' group-by keys.  These four are built on first read,
+    since most readers need none of them (of the core demands only
+    rational's read the totals); at K=10, a full table's 562 595 entries
+    take 4.5 MB in each of ``entry_rows`` and ``mask_index``.  ``fingerprint``
     identifies the scenario the table was built from, making cached
     tables auditable, and :meth:`built_for` tells whether a scenario's
     core computations may read the table.
@@ -130,8 +134,16 @@ class UtilityTable:
     def totals(self) -> np.ndarray:
         # bincount adds each weight into its zeroed bin in input order, so a
         # row's total is 0.0 + v_0 + v_1 + ... left to right, as Python floats add
-        return np.bincount(np.repeat(np.arange(len(self.rgs)), self.counts),
-                           weights=self.values, minlength=len(self.rgs)).astype(np.float64)
+        return np.bincount(self.entry_rows, weights=self.values,
+                           minlength=len(self.rgs)).astype(np.float64)
+
+    @functools.cached_property
+    def entry_rows(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.rgs)), self.counts)
+
+    @functools.cached_property
+    def mask_index(self) -> np.ndarray:
+        return self.masks.astype(np.intp)
 
     @functools.cached_property
     def fingerprint(self) -> str:
@@ -564,7 +576,8 @@ def _closed_form_layout(scenario: Scenario, rgs=None) -> _ClosedFormLayout | Non
 
     Each chunk of ``RGS_CHUNK_ROWS`` rows gets its block masks once, which
     read :func:`_power_of` and :func:`_slot_of` for the noise-free layout
-    (:func:`_kernels.single_rx_layout`).  A row's values depend on that
+    of its blocks (:func:`_kernels.single_rx_layout`), written into arrays
+    allocated once for the whole table.  A row's values depend on that
     row alone, so any subset of rows holds them bitwise as the full
     table does.
     """
@@ -576,17 +589,15 @@ def _closed_form_layout(scenario: Scenario, rgs=None) -> _ClosedFormLayout | Non
     power_of = _power_of(scenario)
     receiver = scenario.receiver
     slot_of = _slot_of(receiver) if isinstance(receiver, SicFixed) else None
-    counts = rgs.max(axis=1) + 1
+    counts = block_counts(rgs)
     n = int(counts.sum())
-    power, heard, masks = np.empty(n), np.empty(n), np.empty(n, dtype=np.int16)
+    masks, power, heard = np.empty(n, dtype=np.int16), np.empty(n), np.empty(n)
     end = 0
     for start in range(0, len(rgs), RGS_CHUNK_ROWS):
-        chunk = _label_masks(rgs[start:start + RGS_CHUNK_ROWS])
-        p, h = _kernels.single_rx_layout(chunk, power_of, slot_of)
-        exists = chunk != 0
-        begin, end = end, end + int(exists.sum())
-        power[begin:end], heard[begin:end] = p[exists], h[exists]
-        masks[begin:end] = chunk[exists]
+        stop = start + RGS_CHUNK_ROWS
+        begin, end = end, end + int(counts[start:stop].sum())
+        _kernels.single_rx_layout(_label_masks(rgs[start:stop]), power_of, slot_of,
+                                  out=(masks[begin:end], power[begin:end], heard[begin:end]))
     return _ClosedFormLayout(rgs, counts, masks, power, heard)
 
 
@@ -614,13 +625,17 @@ def _require_mask_bits(k: int) -> None:
 
 
 def _label_masks(rgs: np.ndarray) -> np.ndarray:
-    """Block masks of RGS rows: (rows, k) int16, column j for label j, 0 past the last block."""
+    """Block masks of RGS rows: (rows, k) int16, column j for label j, 0 past the last block.
+
+    User u's bit goes to flat entry row * k + label, one intp index per row and user.
+    """
     rows, k = rgs.shape
     _require_mask_bits(k)  # every table's masks come from here
     masks = np.zeros((rows, k), dtype=np.int16)
-    every = np.arange(rows)
+    flat = masks.reshape(-1)
+    first = np.arange(0, rows * k, k)  # each row's label-0 entry
     for u in range(k):
-        masks[every, rgs[:, u]] |= np.int16(1 << u)
+        flat[first + rgs[:, u]] |= np.int16(1 << u)
     return masks
 
 
@@ -640,7 +655,7 @@ def _cancellation_blocks(scenario: Scenario, rgs: np.ndarray, *,
     """
     receiver = scenario.receiver
     fixed = isinstance(receiver, SicFixed)
-    counts = (rgs.max(axis=1) + 1).tolist()
+    counts = block_counts(rgs).tolist()
     # block counts in row order, before any solve: a misfit weight
     # vector or an order cap fails on its first row
     plans = {n: (np.ones(1), None) if fixed else _timeshare_orders(receiver, n)
@@ -683,7 +698,7 @@ def _sud_blocks(scenario: Scenario, rgs: np.ndarray, *,
     :class:`NonConvergence` naming it; such a row's values are its last
     iterate's.
     """
-    counts = rgs.max(axis=1) + 1
+    counts = block_counts(rgs)
     masks = _label_masks(rgs)[np.arange(rgs.shape[1]) < counts[:, None]]
     distinct, blocks = np.unique(masks, return_inverse=True)
     hs, limits, starts, bases = _block_inputs(
@@ -780,6 +795,6 @@ def _table_and_stalls(scenario: Scenario, rgs: np.ndarray):
     if len(rgs):  # the solvers need at least one block
         route = _sud_blocks if isinstance(scenario.receiver, Sud) else _cancellation_blocks
         masks, values, _, stalled = _solved(route, scenario, rgs)
-    table = UtilityTable.from_arrays(scenario.k, scenario, rgs, rgs.max(axis=1) + 1,
-                                     masks, values)
+    table = UtilityTable.from_arrays(scenario.k, scenario, rgs, block_counts(rgs), masks,
+                                     values)
     return table, stalled

@@ -236,20 +236,36 @@ def rgs_matrix(k: int) -> np.ndarray:
 
     Returns a (B_k, k) int8 array in lexicographic order; row entry u-1
     is the block label of user u, labels numbered by first appearance.
-    Built one user at a time: each row is repeated once for every label
-    in 0..max+1 and that label becomes the new column.
+    Built one column at a time into the finished array: the prefixes of
+    one more user are those before it, each repeated once for every label
+    in 0..max+1, and a prefix's last label fills the rows that complete
+    it, whose number depends only on its largest label and the columns
+    left.
     """
     _check_k(k)
-    rgs = np.zeros((1, 1), dtype=np.int8)
-    top = np.zeros(1, dtype=np.int8)  # largest label in each row
-    for _ in range(1, k):
-        choices = top.astype(np.int64) + 2
+    # ways[r, m]: completions of a prefix whose largest label is m by r more labels
+    ways = np.ones((k, k + 1), dtype=np.intp)
+    for r in range(1, k):
+        ways[r, :k] = np.arange(1, k + 1) * ways[r - 1, :k] + ways[r - 1, 1:]
+    rgs = np.zeros((BELL_NUMBERS[k - 1], k), dtype=np.int8)
+    top = np.zeros(1, dtype=np.intp)  # largest label of each prefix
+    for t in range(1, k):
+        choices = top + 2
         starts = np.cumsum(choices) - choices
-        label = (np.arange(starts[-1] + choices[-1])
-                 - np.repeat(starts, choices)).astype(np.int8)
-        rgs = np.column_stack((np.repeat(rgs, choices, axis=0), label))
+        label = np.arange(starts[-1] + choices[-1]) - np.repeat(starts, choices)
         top = np.maximum(np.repeat(top, choices), label)
+        rgs[:, t] = np.repeat(label.astype(np.int8), ways[k - 1 - t].take(top))
     return rgs
+
+
+def block_counts(rgs: np.ndarray) -> np.ndarray:
+    """Blocks per RGS row, its largest label plus one: ``rgs.max(axis=1) + 1``, int8
+    like the labels, from one elementwise maximum per column."""
+    top = rgs[:, 0].copy()
+    for u in range(1, rgs.shape[1]):
+        np.maximum(top, rgs[:, u], out=top)
+    top += 1
+    return top
 
 
 #: Rows of :func:`rgs_matrix` handled at a time (as Partitions here, as block masks

@@ -579,3 +579,34 @@ class TestApproxRatio:
         s = Scenario(users, 1, 1.0, SicTimeShare())
         with pytest.raises(InvalidArgument):
             approx_ratio(s, [10.0])
+
+    @pytest.mark.parametrize("snr", [-3200.0, 3100.0], ids=["n0-overflows", "p-over-n0-overflows"])
+    def test_snr_outside_float_range_raises_before_any_table(self, snr, monkeypatch):
+        # -3200 dB raised OverflowError out of snr_db_to_noise, and at 3100 dB every
+        # utility rounded to 0 and each ratio read 1; the grand coalition's power is
+        # (3 x 0.49)(3 x 1.3), not the unit game's K^2
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(analysis, "_table_of", no_table)
+        s = symmetric_scenario(3, receiver=SicTimeShare(), power=1.3, gain=0.7)
+        with pytest.raises(InvalidArgument, match=rf"SNR {snr!r} dB is out of range: .* received "
+                                                  rf"power P = 5\.733$"):
+            approx_ratio(s, [0.0, snr])
+
+    def test_extreme_snr_inside_float_range_runs(self):
+        # P/N0 = 9 x 10^307 is still finite at 3070 dB
+        curve = approx_ratio(symmetric_scenario(3, receiver=SicTimeShare()), [3070.0])
+        assert [p.size for p in curve.points] == [1, 2, 3]
+        assert all(0.0 < p.approx < math.inf and 0.0 < p.exact < math.inf for p in curve.points)
+
+    @pytest.mark.parametrize("power, gain, mode", [(1.0, 1.0, "sum"), (1.3, 0.7, "sum"),
+                                                  (0.8, -1.5, "caps")])
+    def test_grand_power_is_the_closed_forms(self, power, gain, mode):
+        # one receive antenna: the one-antenna closed form's power of the grand coalition
+        s = symmetric_scenario(4, power=power, gain=gain)
+        if mode == "caps":
+            s = Scenario(tuple(UserSpec(u.id, 1, u.channel, PerAntenna((power,)))
+                               for u in s.users), 1, 1.0, s.receiver)
+        assert analysis._grand_power(s) == pytest.approx(
+            equilibrium._power_of(s)[-1], rel=1e-15)

@@ -424,12 +424,10 @@ class TestUtilityTable:
         masks = np.array([[b.mask for b in p.blocks] + [0] * (s.k - len(p)) for p in parts],
                          dtype=np.int16)
         slot_of = _slot_of(s.receiver) if isinstance(s.receiver, SicFixed) else None
-        power, heard = _kernels.single_rx_layout(masks, _power_of(s), slot_of)
-        values = _kernels.single_rx_values(power, heard, s.noise)
-        return {
-            p.rgs: {b.mask: float(values[row, j]) for j, b in enumerate(p.blocks)}
-            for row, p in enumerate(parts)
-        }
+        blocks, power, heard = _kernels.single_rx_layout(masks, _power_of(s), slot_of)
+        assert blocks.tobytes() == masks[masks != 0].tobytes()
+        values = iter(_kernels.single_rx_values(power, heard, s.noise).tolist())
+        return {p.rgs: {b.mask: next(values) for b in p.blocks} for p in parts}
 
     @pytest.mark.parametrize("mode", ["sum", "caps"])
     @pytest.mark.parametrize("receiver", [SicFixed((4, 2, 6, 1, 5, 3)), Sud()])
@@ -688,20 +686,20 @@ class TestUtilityTable:
     @pytest.mark.parametrize("mode", [0, 1])
     def test_block_powers_bitwise_equal_one_hot_oracle(self, mode):
         for k in range(1, 11):
-            rgs = rgs_matrix(k)
-            masks = equilibrium._label_masks(rgs)
-            for seed in range(2):
-                gen = np.random.default_rng([k, seed, mode])
-                gain2, p_sum, amp = 10.0 ** gen.uniform(-3.0, 3.0, size=(3, k))
-                if mode == 0:
-                    power_of = (_kernels.mask_table(np.add, gain2, 0.0)
-                                * _kernels.mask_table(np.add, p_sum, 0.0))
-                else:
-                    a = _kernels.mask_table(np.add, amp, 0.0)
-                    power_of = a * a
-                got = _kernels.single_rx_layout(masks, power_of, None)[0]
-                want = self.onehot_block_powers(rgs, gain2, p_sum, amp, mode)
-                assert got.tobytes() == want.tobytes()
+            for rgs in (rgs_matrix(k), rgs_matrix(k)[:0]):  # every partition, and no row
+                masks = equilibrium._label_masks(rgs)
+                for seed in range(2):
+                    gen = np.random.default_rng([k, seed, mode])
+                    gain2, p_sum, amp = 10.0 ** gen.uniform(-3.0, 3.0, size=(3, k))
+                    if mode == 0:
+                        power_of = (_kernels.mask_table(np.add, gain2, 0.0)
+                                    * _kernels.mask_table(np.add, p_sum, 0.0))
+                    else:
+                        a = _kernels.mask_table(np.add, amp, 0.0)
+                        power_of = a * a
+                    got = _kernels.single_rx_layout(masks, power_of, None)[1]
+                    want = self.onehot_block_powers(rgs, gain2, p_sum, amp, mode)[masks != 0]
+                    assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", ["sum", "caps"])
     def test_fixed_order_tables_bitwise_equal_utility_table(self, monkeypatch, mode):
@@ -857,14 +855,17 @@ class TestMaskTables:
             slot_of = _slot_of(rx) if receiver == "sic" else None
             rgs = rgs_matrix(k)
             subsets = [rgs] + [rgs[gen.permutation(len(rgs))[:int(gen.integers(1, len(rgs) + 1))]]
-                               for _ in range(3)]
+                               for _ in range(3)] + [rgs[:0]]
             for rows in subsets:
                 masks = equilibrium._label_masks(rows)
-                power, heard = _kernels.single_rx_layout(masks, _power_of(s), slot_of)
+                blocks, power, heard = _kernels.single_rx_layout(masks, _power_of(s), slot_of)
                 ref_power, ref_heard, ref_order = reference_layout(rows, slot, gain2, p_sum,
                                                                    amp, code)
-                assert power.tobytes() == ref_power.tobytes()
-                assert heard.tobytes() == ref_heard.tobytes()
+                # every block entry, row by row in label order
+                exists = masks != 0
+                assert blocks.tobytes() == masks[exists].tobytes()
+                assert power.tobytes() == ref_power[exists].tobytes()
+                assert heard.tobytes() == ref_heard[exists].tobytes()
                 if receiver == "sic":
                     slots = slot_of[masks]
                     assert slots.tobytes() == reference_label_slots(rows, slot).tobytes()

@@ -691,6 +691,28 @@ class TestCli:
         assert code == 1
         assert "error: --snr needs a comma-separated list of finite dB values" in err
 
+    @pytest.mark.parametrize("snr", ["-3200", "3100"], ids=["low", "high"])
+    def test_ratio_outside_float_range_exits_one(self, tmp_path, capsys, snr):
+        # the low end raised OverflowError out of the CLI; the high end exited 0 after an
+        # overflow warning, with approx 0, exact 0 and ratio 1 for every size
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(sym3_ts_text())
+        code, _, err = run_cli(["ratio", "--scenario", str(cfg), f"--snr=40,{snr}",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert f"error: SNR {float(snr)!r} dB is out of range" in err
+        assert not (tmp_path / "ratio.csv").exists()
+
+    def test_ratio_inside_float_range_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(sym3_ts_text())
+        code, _, _ = run_cli(["ratio", "--scenario", str(cfg), "--snr=-3000,3070",
+                              "--out", str(tmp_path)], capsys)
+        assert code == 0
+        body = (tmp_path / "ratio.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in body if line[:1].isdigit()][-3:] == [
+            ["3070", "1"], ["3070", "2"], ["3070", "3"]]
+
     def test_failed_factorization_exits_two(self, tmp_path, capsys):
         # at 160 dB every SUD sweep meets a singular N0 I + received covariance
         cfg = tmp_path / "s.cfg"

@@ -16,6 +16,7 @@ from maccoop.model import (
     SumPower,
     UserSpec,
     bell_number,
+    block_counts,
     coalition_channel,
     enumerate_partitions,
     induced_order,
@@ -58,7 +59,37 @@ class TestEnumeration:
             assert smallest == sorted(smallest)
 
 
+def reference_rgs_matrix(k):
+    """Restricted growth strings built one user at a time: each row is repeated once for
+    every label in 0..max+1, and that label is stacked on as the new column."""
+    rgs = np.zeros((1, 1), dtype=np.int8)
+    top = np.zeros(1, dtype=np.int8)  # largest label in each row
+    for _ in range(1, k):
+        choices = top.astype(np.int64) + 2
+        starts = np.cumsum(choices) - choices
+        label = (np.arange(starts[-1] + choices[-1])
+                 - np.repeat(starts, choices)).astype(np.int8)
+        rgs = np.column_stack((np.repeat(rgs, choices, axis=0), label))
+        top = np.maximum(np.repeat(top, choices), label)
+    return rgs
+
+
 class TestRgsMatrix:
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_bitwise_equals_row_repeating_construction(self, k):
+        got, want = rgs_matrix(k), reference_rgs_matrix(k)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_block_counts_are_the_largest_label_plus_one(self, k):
+        rgs = rgs_matrix(k)
+        for rows in (rgs, rgs[::-3], rgs[:0], np.asfortranarray(rgs)):
+            got, want = block_counts(rows), rows.max(axis=1) + 1
+            assert got.dtype == want.dtype == np.int8
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k", range(1, 11))
     def test_rows_are_every_restricted_growth_string_in_lex_order(self, k):
         mat = rgs_matrix(k)
