@@ -576,10 +576,11 @@ def single_rx_layout(masks, power_of, slot_of, out=None):
 single_rx_table_numpy = single_rx_layout
 
 
-def single_rx_values(power, heard, n0):
+def single_rx_values(power, heard, n0, out=None):
     """Utilities at noise level ``n0``, elementwise, for either receiver: the log
-    ratio of noise plus heard power with and without the block's own."""
+    ratio of noise plus heard power with and without the block's own (into ``out``
+    when given)."""
     base = n0 + heard
-    out = base + power
+    out = np.add(base, power, out=out)
     np.divide(out, base, out=out)
     return np.log(out, out=out)

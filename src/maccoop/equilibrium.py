@@ -566,8 +566,13 @@ class _ClosedFormLayout:
     heard: np.ndarray
 
     def values(self, n0: float) -> np.ndarray:
-        """Every block's utility at noise level ``n0``, in one elementwise pass."""
-        return _kernels.single_rx_values(self.power, self.heard, n0)
+        """Every block's utility at noise level ``n0``, in one elementwise pass over
+        chunks of ``RGS_CHUNK_ROWS`` entries, so its temporaries stay chunk-sized."""
+        out = np.empty(len(self.power))
+        for start in range(0, len(out), RGS_CHUNK_ROWS):
+            at = slice(start, start + RGS_CHUNK_ROWS)
+            _kernels.single_rx_values(self.power[at], self.heard[at], n0, out=out[at])
+        return out
 
 
 def _closed_form_layout(scenario: Scenario, rgs=None) -> _ClosedFormLayout | None:
