@@ -33,8 +33,8 @@ from .analysis import (
 from .cores import (
     LP_TOL,
     ExpectationModel,
+    _CoreLp,
     _demands_and_grand,
-    check_core_from_demands,
     core_region_3user,
     least_core,
 )
@@ -188,12 +188,12 @@ def _cmd_core(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
     model = ExpectationModel(args.model)
-    demands, v_k = _demands_and_grand(scenario, model, None)
-    result = check_core_from_demands(demands, v_k, scenario.k)
+    d, v_k = _demands_and_grand(scenario, model, None)
+    result = _CoreLp(scenario.k).check(d, v_k)
     names = _member_names(scenario.k)
-    masks, values = _by_mask(demands)
+    masks = np.arange(1, len(d) + 1)
     em.table("demands.csv", ["coalition_mask", "members", f"demand_{em.unit}"],
-             [masks, names[masks], em.conv(values)],
+             [masks, names[masks], em.conv(d)],
              scenario, model=model.value, grand_value=em.conv(v_k))
     em.summary["verdict"] = result.verdict
     em.summary["data"] = {"model": model.value, "grand_value": em.conv(v_k),

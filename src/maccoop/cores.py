@@ -26,8 +26,9 @@ balanced collection, starts from the slack LP's optimal basis, whose
 multipliers rescale to a balanced collection.  The witness is the slack
 LP's optimal vertex, and the certificate the certificate LP's optimal
 multipliers.  Rows are ordered by coalition mask, the basis is kept in
-row order and every tie goes to the lowest mask, so the answers do not
-depend on the order of the demand dict, and a degenerate game's
+row order and every tie goes to the lowest mask, so the answers depend
+only on the demands, one vector by mask - 1 from the table to the LP
+(:func:`demand_vector` is its dict view), and a degenerate game's
 certificate is one of its max-margin collections.
 
 Every verdict follows one rule for every K: the core is nonempty when
@@ -326,7 +327,7 @@ def coalition_demand(
         raise InvalidArgument("demands are defined for proper nonempty coalitions")
     model = _expectation_model(model)
     if model in (ExpectationModel.RATIONAL, ExpectationModel.CAUTIOUS):
-        return demand_vector(scenario, model, table=table)[coalition.mask]
+        return float(_demands(scenario, model, table)[coalition.mask - 1])
     if table is None:
         table = _table_of(scenario, _fixed_arrangements(k, [coalition.mask], model))
     return float(_read_demands(scenario, table, model, [coalition.mask])[0])
@@ -341,12 +342,16 @@ def demand_vector(
     """Demand of every proper nonempty coalition, keyed by mask (ascending), read
     from ``table``, which must be ``scenario``'s, or else the model's own
     (:func:`_model_table`)."""
+    return dict(enumerate(_demands(scenario, _expectation_model(model), table).tolist(), 1))
+
+
+def _demands(scenario: Scenario, model: ExpectationModel,
+             table: UtilityTable | None) -> np.ndarray:
+    """:func:`demand_vector` as one float64 vector, indexed by mask - 1."""
     require_uniform_timeshare(scenario)
-    model = _expectation_model(model)
     if table is None:
         table = _model_table(scenario, model, grand=False)
-    proper = np.arange(1, (1 << scenario.k) - 1)
-    return dict(zip(proper.tolist(), _read_demands(scenario, table, model, proper).tolist()))
+    return _read_demands(scenario, table, model, np.arange(1, (1 << scenario.k) - 1))
 
 
 def grand_value(scenario: Scenario, *, table: UtilityTable | None = None) -> float:
@@ -367,16 +372,16 @@ def _grand_of(table: UtilityTable) -> float:
 
 
 def _demands_and_grand(scenario: Scenario, model: ExpectationModel,
-                       table: UtilityTable | None) -> tuple[dict[int, float], float]:
-    """Demands and v(N) from one table: ``table``, or else the model's own
-    (:func:`_model_table`) with the grand partition's row.  Every core
-    computation from a scenario comes here, so the core cap is checked here."""
+                       table: UtilityTable | None) -> tuple[np.ndarray, float]:
+    """Demands (by mask - 1) and v(N) from one table, checked once: ``table``, or else
+    the model's own with the grand partition's row.  Every core computation
+    from a scenario comes here, so the core cap is checked here."""
     if scenario.k > CORE_MAX_USERS:
         raise InvalidArgument(f"core checks are capped at {CORE_MAX_USERS} users")
     model = _expectation_model(model)
     if table is None:
         table = _model_table(scenario, model, grand=True)
-    return demand_vector(scenario, model, table=table), grand_value(scenario, table=table)
+    return _demands(scenario, model, table), _grand_of(table)
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +511,15 @@ class _CoreLp:
     multipliers (:func:`_dual_simplex`), so a warm start whose basis is
     still optimal costs two matrix-vector products and no inversion.  The
     two LPs' constant inputs (rows, costs, the certificate LP's empty
-    equality block) are built here, once.  The dicts live as long as the
-    instance: one :func:`check_core_from_demands` call, or one K of one
-    :func:`analysis.snr_boundary` call.  Nothing is kept between calls.
+    equality block) are built here, once, after K >= 2 is checked.  The
+    dicts live as long as the instance: one core verdict, least core or
+    dict-taking call, or one K of one :func:`analysis.snr_boundary` call.
+    Nothing is kept between calls.
     """
 
     def __init__(self, k: int):
+        if k < 2:
+            raise InvalidArgument("core checks need at least 2 users")
         self.k = k
         self.incidence = _incidence(range(1, (1 << k) - 1), k)
         # slack LP over z = (x, t): max t s.t. x(S) - t >= d_S, sum x = v_k
@@ -535,8 +543,9 @@ class _CoreLp:
         allocation maximizes the minimum constraint slack, so a feasible
         core yields a strictly interior witness when one exists.  The
         singleton basis is dual feasible: every singleton row carries
-        multiplier 1/k.
+        multiplier 1/k.  Non-finite demands or v(N) raise NumericalFailure.
         """
+        _require_finite(d, v_k)
         z, self.slack_basis, _ = _dual_simplex(self.c, self.g, d, self.slack_basis,
                                                self.a_eq, np.array([float(v_k)]),
                                                self.slack_inverses)
@@ -574,7 +583,6 @@ class _CoreLp:
         nonsingular (a singular A_B would force mu' = 0), and lambda =
         y_B / mu' >= 0 solves A_B^T lambda = 1.  No fallback is needed.
         """
-        _require_finite(d, v_k)
         x, t = self.slack(d, v_k)
         if t >= -LP_TOL:
             worst = (self.cover @ x - d).min()
@@ -599,6 +607,9 @@ def validate_certificate(cert: BalancedCertificate, demands: dict[int, float],
 
     ``demands`` maps each mask the certificate weights (at least) to its demand.
     """
+    for m in cert.weights:
+        if not 0 < m < (1 << k) - 1:
+            raise NumericalFailure(f"certificate weights mask {m}, not a proper coalition")
     for i in range(k):
         cover = sum(w for m, w in cert.weights.items() if m >> i & 1)
         if abs(cover - 1.0) > LP_TOL:
@@ -614,8 +625,6 @@ def validate_certificate(cert: BalancedCertificate, demands: dict[int, float],
 
 def _demand_array(demands: dict[int, float], k: int) -> np.ndarray:
     """Demands of every proper nonempty coalition, by mask - 1."""
-    if k < 2:
-        raise InvalidArgument("core checks need at least 2 users")
     if set(demands) != set(range(1, (1 << k) - 1)):
         raise InvalidArgument("demands must cover every proper nonempty coalition")
     return np.array([demands[mask] for mask in range(1, (1 << k) - 1)])
@@ -633,8 +642,7 @@ def _require_finite(d: np.ndarray, v_k: float) -> None:
 
 def check_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> CoreResult:
     """Core feasibility from precomputed demands (order-independent)."""
-    d = _demand_array(demands, k)
-    return _CoreLp(k).check(d, v_k)
+    return _CoreLp(k).check(_demand_array(demands, k), v_k)
 
 
 def check_core(
@@ -650,14 +658,12 @@ def check_core(
     minimum slack); empty verdicts come with a validated balanced
     certificate.  Exactly one of the two is present.
     """
-    demands, v_k = _demands_and_grand(scenario, model, table)
-    return check_core_from_demands(demands, v_k, scenario.k)
+    d, v_k = _demands_and_grand(scenario, model, table)
+    return _CoreLp(scenario.k).check(d, v_k)
 
 
 def least_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> LeastCoreResult:
-    d = _demand_array(demands, k)
-    _require_finite(d, v_k)
-    x, t = _CoreLp(k).slack(d, v_k)
+    x, t = _CoreLp(k).slack(_demand_array(demands, k), v_k)
     return LeastCoreResult(float(-t), x)
 
 
@@ -674,8 +680,9 @@ def least_core(
     the unrelaxed core is nonempty.  The allocation returned attains the
     optimum.
     """
-    demands, v_k = _demands_and_grand(scenario, model, table)
-    return least_core_from_demands(demands, v_k, scenario.k)
+    d, v_k = _demands_and_grand(scenario, model, table)
+    x, t = _CoreLp(scenario.k).slack(d, v_k)
+    return LeastCoreResult(float(-t), x)
 
 
 def balancedness_certificate(
@@ -694,15 +701,20 @@ def balancedness_certificate(
 
 def region_from_demands(demands: dict[int, float],
                         v_k: float) -> list[tuple[float, float, float]]:
-    """Vertices of the 3-user core polygon on the plane x1+x2+x3 = v_k.
+    """Vertices of the 3-user core polygon on the plane x1+x2+x3 = v_k (:func:`_region`)."""
+    return _region(_demand_array(demands, 3), v_k)
+
+
+def _region(d: np.ndarray, v_k: float) -> list[tuple[float, float, float]]:
+    """Vertices of the 3-user core polygon for demands ``d`` (by mask - 1) and v(N).
 
     Intersects the six proper-coalition half-planes with the efficiency
     plane, working in (x1, x2).  Vertices come back counterclockwise;
     an empty list means an empty core, a single entry a degenerate
-    (point) core.
+    (point) core.  Non-finite demands or v(N) raise :class:`NumericalFailure`.
     """
-    d1, d2, d3 = demands[0b001], demands[0b010], demands[0b100]
-    d12, d13, d23 = demands[0b011], demands[0b101], demands[0b110]
+    _require_finite(d, v_k)
+    d1, d2, d12, d3, d13, d23 = d.tolist()
     # (a, b, c, sense) encodes a*x1 + b*x2 <sense> c with sense +1 for >=
     lines = [
         (1.0, 0.0, d1, +1),
@@ -757,5 +769,5 @@ def core_region_3user(
     """Core polygon of a 3-user game (empty list when the core is empty)."""
     if scenario.k != 3:
         raise InvalidArgument("the core region is defined for exactly 3 users")
-    demands, v_k = _demands_and_grand(scenario, model, table)
-    return region_from_demands(demands, v_k)
+    d, v_k = _demands_and_grand(scenario, model, table)
+    return _region(d, v_k)

@@ -3,6 +3,7 @@ import importlib.util
 import math
 import operator
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import maccoop
-from maccoop import io
+from maccoop import cli, io
 
 from maccoop._exact_lp import exact_lp_max
 from maccoop.cores import (
@@ -545,7 +546,7 @@ class TestCheckCore:
             })
             v_k = grand_value(s, table=table)
             assert v_k == math.inf if bad == math.inf else math.isnan(v_k)
-            for call in (check_core, least_core):
+            for call in (check_core, least_core, core_region_3user):
                 with pytest.raises(NumericalFailure, match="not finite"):
                     call(s, model, table=table)
 
@@ -581,7 +582,8 @@ class TestCheckCore:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_demand_is_a_numerical_failure(self, bad):
         demands = {0b001: 0.5, 0b010: 0.5, 0b011: 1.0, 0b100: bad, 0b101: 1.0, 0b110: 1.0}
-        for call in (check_core_from_demands, least_core_from_demands):
+        for call in (check_core_from_demands, least_core_from_demands,
+                     lambda demands, v_k, k: region_from_demands(demands, v_k)):
             with pytest.raises(NumericalFailure, match="mask 4 is not finite"):
                 call(demands, 2.0, 3)
 
@@ -655,6 +657,51 @@ class TestCheckCore:
         assert result.allocation is None
         validate_certificate(result.certificate, demand_vector(s, model, table=table),
                              v_k, 10)
+
+    @pytest.mark.parametrize("mask", [0, 0b11, 0b100])
+    def test_certificate_on_no_proper_coalition_is_a_numerical_failure(self, mask):
+        # each certificate is balanced, in [0, 1] and consistent with its margin,
+        # but puts weight on the empty set, the grand coalition or a third user
+        weights = {0b01: 1.0, 0b10: 1.0, mask: 0.5} if mask != 0b11 else {mask: 1.0}
+        demands = dict.fromkeys(weights, 1.0) | {mask: 2.0}
+        margin = sum(w * demands[m] for m, w in weights.items()) - 1.0
+        with pytest.raises(NumericalFailure, match=f"mask {mask}, not a proper coalition"):
+            validate_certificate(BalancedCertificate(weights, margin), demands, 1.0, 2)
+
+    def test_verdicts_build_no_demand_dict(self, tmp_path, capsys, monkeypatch):
+        # the demands go from the table read to the LP as one vector: the dict
+        # views and the dict-taking entry points are for outside callers only
+        games = {"sud3": random_scenario(np.random.default_rng(28), k=3, m=1, receiver=Sud()),
+                 "sic4": k4_fixed_sic()}
+        for name, s in games.items():
+            io.save_scenario(s, tmp_path / f"{name}.cfg")
+
+        def answers():
+            out = []
+            for name, s in games.items():
+                for table in (None, utility_table(s)):
+                    for model in ALL_MODELS:
+                        out.append(pickle.dumps(check_core(s, model, table=table)))
+                        out.append(pickle.dumps(least_core(s, model, table=table)))
+                        if s.k == 3:
+                            out.append(pickle.dumps(core_region_3user(s, model, table=table)))
+                for command in ("core", "region") if s.k == 3 else ("core",):
+                    where = tmp_path / f"{name}-{command}"
+                    assert cli.main([command, "--scenario", str(tmp_path / f"{name}.cfg"),
+                                     "--model", "rational", "--out", str(where)]) == 0
+                    out.append(capsys.readouterr().out.encode())
+                    out += [(path.name, path.read_bytes()) for path in sorted(where.iterdir())]
+            return out
+
+        want = answers()
+
+        def no_dict(*args, **kwargs):
+            raise AssertionError("demand dict on the verdict path")
+
+        for helper in ("demand_vector", "grand_value", "_demand_array",
+                       "check_core_from_demands"):
+            monkeypatch.setattr(maccoop.cores, helper, no_dict)
+        assert answers() == want
 
 
 class TestSizeCaps:

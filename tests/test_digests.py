@@ -1,10 +1,13 @@
-"""Closed-form answers pinned by digest.
+"""Closed-form and core answers pinned by digest.
 
-Every one-receive-antenna closed-form table of a set of seeded games, and
-the demands and core answers of K=8 games shaped like the benchmark's
-``core_large_k`` inputs, are hashed with sha256 and compared with the
-digests in ``closed_form_digests.json``.  Changes to the table layout,
-the demand reads or the core LP must keep those bytes, bit for bit.
+Every one-receive-antenna closed-form table of a set of seeded games; the
+demands, core and least-core answers of K=8 games shaped like the
+benchmark's ``core_large_k`` inputs; the 3-user core regions of seeded
+games under each receiver; the symmetric games' SNR boundaries; and the
+core answers of pooled two-antenna games are hashed with sha256 and
+compared with the digests in ``closed_form_digests.json``.  Changes to
+the table layout, the demand reads or the core LP must keep those bytes,
+bit for bit.
 
 The digests depend on numpy's float routines (``log``, the LP's
 ``inv``), so the file records the numpy version and platform they were
@@ -21,10 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from maccoop.analysis import symmetric_scenario
-from maccoop.cores import ExpectationModel, check_core, demand_vector, grand_value
+from maccoop.analysis import SweepSpec, snr_boundary, symmetric_scenario
+from maccoop.cores import (ExpectationModel, check_core, core_region_3user, demand_vector,
+                           grand_value, least_core)
 from maccoop.equilibrium import utility_table
-from maccoop.model import SicFixed, Sud
+from maccoop.model import SicFixed, SicTimeShare, Sud
 
 from conftest import random_scenario
 
@@ -54,6 +58,12 @@ def _core_game(slot: int, receiver: str, mode: str):
                            max_antennas=1 if mode == "sum" else 2)
 
 
+def _receiver(gen, k: int, receiver: str):
+    if receiver == "sic":
+        return SicFixed(tuple(int(u) + 1 for u in gen.permutation(k)))
+    return Sud() if receiver == "sud" else SicTimeShare()
+
+
 def _hash_arrays(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -74,6 +84,20 @@ def _answer_bytes(result) -> bytes:
     return "|".join(parts).encode()
 
 
+def _hexes(values) -> str:
+    return ",".join(float(x).hex() for x in values)
+
+
+def _least_core_bytes(result) -> bytes:
+    return f"{float(result.epsilon_star).hex()}|{_hexes(result.allocation)}".encode()
+
+
+def _boundary_bytes(point) -> bytes:
+    threshold = None if point.threshold_db is None else float(point.threshold_db).hex()
+    flips = ";".join(_hexes(pair) for pair in point.transitions)
+    return f"{point.k}|{point.status}|{threshold}|{','.join(point.grid_verdicts)}|{flips}".encode()
+
+
 def _table_games():
     for k in range(1, 11):
         for receiver in ("sic", "sud"):
@@ -84,6 +108,7 @@ def _table_games():
 
 
 _CORE_SLOTS = (("sic", "sum"), ("sud", "caps"), ("sud", "sum"), ("sic", "caps"))
+_RECEIVERS = ("sic", "sud", "timeshare")
 
 
 def compute_digests() -> dict:
@@ -102,6 +127,41 @@ def compute_digests() -> dict:
             h.update(_answer_bytes(check_core(s, model, table=table)))
             h.update(_answer_bytes(check_core(s, model)))
         out[f"core k=8 {receiver} {mode}"] = h.hexdigest()
+    for slot, (receiver, mode) in enumerate(_CORE_SLOTS):
+        s = _core_game(slot, receiver, mode)
+        table = utility_table(s)
+        h = hashlib.sha256()
+        for model in MODELS:
+            h.update(_least_core_bytes(least_core(s, model, table=table)))
+            h.update(_least_core_bytes(least_core(s, model)))
+        out[f"least_core k=8 {receiver} {mode}"] = h.hexdigest()
+    for r, receiver in enumerate(_RECEIVERS):
+        for n0 in (0.1, 1.0, 10.0):
+            gen = np.random.default_rng([28, 3, r, int(n0 * 10)])
+            s = random_scenario(gen, k=3, m=1, receiver=_receiver(gen, 3, receiver), n0=n0)
+            table = utility_table(s)
+            h = hashlib.sha256()
+            for model in MODELS:
+                for vertices in (core_region_3user(s, model, table=table),
+                                 core_region_3user(s, model)):
+                    h.update(f"{len(vertices)}|{_hexes(np.ravel(vertices))};".encode())
+            out[f"region k=3 {receiver} n0={n0}"] = h.hexdigest()
+    spec = SweepSpec(tuple(range(2, 11)), tuple(float(db) for db in range(-30, 61, 5)))
+    for model in MODELS:
+        h = hashlib.sha256()
+        for point in snr_boundary(spec, model):
+            h.update(_boundary_bytes(point))
+        out[f"boundary {model.value} k=2..10"] = h.hexdigest()
+    for k in (3, 4, 5):
+        for r, receiver in enumerate(_RECEIVERS):
+            gen = np.random.default_rng([28, k, r])
+            s = random_scenario(gen, k=k, m=2, receiver=_receiver(gen, k, receiver))
+            table = utility_table(s)
+            h = hashlib.sha256()
+            for model in MODELS:
+                h.update(_answer_bytes(check_core(s, model, table=table)))
+                h.update(_answer_bytes(check_core(s, model)))
+            out[f"core m=2 k={k} {receiver} sum"] = h.hexdigest()
     return out
 
 

@@ -713,6 +713,18 @@ class TestCli:
         assert [line.split(",")[:2] for line in body if line[:1].isdigit()][-3:] == [
             ["3070", "1"], ["3070", "2"], ["3070", "3"]]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["core", "region"])
+    def test_non_finite_utilities_exit_two(self, tmp_path, capsys, command):
+        # at N0 = 1e-310 the grand coalition's K^2 / N0 overflows to inf
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(io.serialize_scenario(symmetric(3, 1e-310, SicFixed((1, 2, 3)))))
+        code, _, err = run_cli([command, "--scenario", str(cfg), "--model", "merging",
+                                "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "grand-coalition value inf is not finite" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_failed_factorization_exits_two(self, tmp_path, capsys):
         # at 160 dB every SUD sweep meets a singular N0 I + received covariance
         cfg = tmp_path / "s.cfg"
