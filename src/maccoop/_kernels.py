@@ -303,7 +303,7 @@ def sic_backward(n0, hs, limits, q0s, heads, tails, pa_tol, pa_iter):
 
 
 #: Two successive sweep-step ratios must agree to this relative
-#: tolerance before :func:`sud_fixed_point` extrapolates.
+#: tolerance before :func:`sud_lockstep` extrapolates.
 SUD_RATIO_AGREE = 0.01
 #: Largest step ratio it extrapolates from (a jump of ratio / (1 - ratio) steps).
 SUD_RATIO_MAX = 0.98
@@ -523,16 +523,17 @@ def single_rx_layout(masks, power_of, slot_of, out=None):
     tables: each coalition's received power and decoding slot.  The
     blocks, the nonzero masks row by row, are gathered once, and each
     block's power is spread into a zeroed (K, rows) array at its column:
-    its decoding slot, or its label.  With fixed-order cancellation each
-    block hears the blocks decoded after it: the running sums of the
-    columns from the last slot down, less its own power.  Empty slots add
-    exact zeros, so each sum adds the row's blocks in decoding order, last
-    decoded first.  With single-user decoding (``slot_of`` None) each
-    block hears all the others: an exclusive prefix sum plus an exclusive
-    suffix sum over the labels, one label column at a time, so no block's
-    own power is ever subtracted and a weak block beside a strong one is
-    not lost to cancellation.  Heard power holds no noise, so a block
-    alone in its row hears exactly 0.
+    its decoding slot, or its label.  Both receivers hear the columns
+    after a block, summed one column at a time from the last column
+    down; single-user decoding (``slot_of`` None) also hears the label
+    columns before it, summed first label first.  With fixed-order
+    cancellation the columns are decoding slots, so each block hears the
+    blocks decoded after it, added last decoded first as
+    :func:`maccoop.capacity.single_antenna_utilities` adds them (empty
+    slots add exact zeros).  No heard power is a total less the block's
+    own power, so a weak block beside a strong one is never rounded
+    away.  Heard power holds no noise, so a block alone in its
+    row hears exactly 0.
 
     Returns (blocks, power, heard), one entry per block, row by row in
     label order: its mask, its received power and the power it hears,
@@ -555,20 +556,15 @@ def single_rx_layout(masks, power_of, slot_of, out=None):
     cell += row
     spread = np.zeros((k, rows))
     spread.reshape(-1)[cell] = power
+    sums = np.zeros((k, rows))
     if slot_of is None:
-        sums = np.zeros((k, rows))
         for j in range(1, k):  # the labels before j, first label first
             np.add(sums[j - 1], spread[j - 1], out=sums[j])
-        after = spread[k - 1].copy()
-        for j in range(k - 2, -1, -1):  # the labels after j, last label first
-            sums[j] += after
-            after += spread[j]
-        return blocks, power, sums.reshape(-1).take(cell, out=heard, mode="clip")
-    for j in range(k - 2, -1, -1):
-        spread[j] += spread[j + 1]
-    heard = spread.reshape(-1).take(cell, out=heard, mode="clip")
-    heard -= power
-    return blocks, power, heard
+    after = spread[k - 1].copy()
+    for j in range(k - 2, -1, -1):  # the columns after j, last column first
+        sums[j] += after
+        after += spread[j]
+    return blocks, power, sums.reshape(-1).take(cell, out=heard, mode="clip")
 
 
 #: perfbench's tracer wraps the layout kernel, and counts its rows, under

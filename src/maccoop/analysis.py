@@ -36,6 +36,7 @@ from .model import (
     SicTimeShare,
     SumPower,
     UserSpec,
+    _grand_power,
 )
 
 
@@ -48,23 +49,6 @@ EXTERNALITY_TOL = 1e-9
 
 def snr_db_to_noise(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
-
-
-def _grand_power(scenario: Scenario) -> float:
-    """The grand coalition's largest received power, summed over receive antennas.
-
-    Under pooled budgets it is (sum of squared channel entries)(sum of
-    budgets), under antenna caps the sum over receive antennas of (sum of
-    |channel entry| sqrt(cap))^2: with one receive antenna exactly the
-    closed form's grand-coalition power, K^2 for
-    :func:`symmetric_scenario`'s unit gains and budgets, and with more an
-    upper bound on the trace of any received covariance.
-    """
-    channel = np.hstack([u.channel for u in scenario.users])
-    if scenario.power_mode == "sum":
-        return float(np.sum(channel ** 2)) * sum(u.power.total for u in scenario.users)
-    root = np.sqrt(np.concatenate([u.power.caps for u in scenario.users]))
-    return float(np.sum((np.abs(channel) @ root) ** 2))
 
 
 def _outside_float_range(snr_db: float, power: float) -> bool:

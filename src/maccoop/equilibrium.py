@@ -773,8 +773,11 @@ def _table_of(scenario: Scenario, rgs: np.ndarray) -> UtilityTable:
     except in the closed-form tables of one receive antenna (fixed-order
     cancellation and single-user decoding, :func:`_closed_form_tables`),
     which round differently: within 1e-11 relative, plus 1e-14 nats for
-    a utility near zero (the log of a ratio near one); their heard power
-    holds no noise, so N0 is never rounded away.  Cancellation tables
+    a utility near zero (the log of a ratio near one).  Their heard power
+    holds no noise, so N0 is never rounded away, and it is a sum of other
+    blocks' powers, never a total less the block's own, so a fixed-order
+    table equals :func:`maccoop.capacity.single_antenna_utilities`, the
+    later blocks added in the same order.  Cancellation tables
     solve each distinct decoding suffix once for all the rows and orders
     that share it; single-user decoding with several receive antennas
     sweeps every row in lockstep (:func:`_sud_blocks`).  Solver failures

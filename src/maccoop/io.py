@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from typing import Any, Mapping, Sequence
 
@@ -32,6 +33,7 @@ from .model import (
     Sud,
     SumPower,
     UserSpec,
+    _grand_power,
 )
 
 TOOL_VERSION = "0.1.0"
@@ -115,7 +117,12 @@ def _parse_user(doc: Any, index: int) -> UserSpec:
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
-    """Parse a scenario document; errors name the offending line or field."""
+    """Parse a scenario document; errors name the offending line or field.
+
+    A noise level at which the grand coalition's received power over N0
+    (:func:`maccoop.model._grand_power`) is not finite is an error naming
+    ``noise_N0``, as ``SweepSpec`` and ``approx_ratio`` reject such SNRs.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -130,9 +137,13 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         raise ScenarioFormatError("users: expected a list")
     users = tuple(_parse_user(u, i) for i, u in enumerate(users_doc))
     try:
-        return Scenario(users, rx, noise, receiver)
+        scenario = Scenario(users, rx, noise, receiver)
     except ValueError as exc:
         raise ScenarioFormatError(f"{source}: {exc}") from exc
+    if not _grand_power(scenario) / noise < math.inf:
+        raise ScenarioFormatError(f"{source}: noise_N0 = {noise!r} is too small: the grand "
+                                  f"coalition's received power over N0 is not finite")
+    return scenario
 
 
 def load_scenario(path) -> Scenario:

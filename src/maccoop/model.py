@@ -404,3 +404,20 @@ def coalition_channel(scenario: Scenario, coalition: Coalition) -> np.ndarray:
     if coalition.mask >= (1 << scenario.k):
         raise InvalidArgument(f"coalition {coalition} has members beyond user {scenario.k}")
     return np.concatenate([scenario.user(u).channel for u in coalition], axis=1)
+
+
+def _grand_power(scenario: Scenario) -> float:
+    """The grand coalition's largest received power, summed over receive antennas.
+
+    Under pooled budgets it is (sum of squared channel entries)(sum of
+    budgets), under antenna caps the sum over receive antennas of (sum of
+    |channel entry| sqrt(cap))^2: with one receive antenna exactly the
+    closed form's grand-coalition power, K^2 for the unit gains and
+    budgets of :func:`maccoop.analysis.symmetric_scenario`, and with more
+    an upper bound on the trace of any received covariance.
+    """
+    channel = np.hstack([u.channel for u in scenario.users])
+    if scenario.power_mode == "sum":
+        return float(np.sum(channel ** 2)) * sum(u.power.total for u in scenario.users)
+    root = np.sqrt(np.concatenate([u.power.caps for u in scenario.users]))
+    return float(np.sum((np.abs(channel) @ root) ** 2))

@@ -18,6 +18,7 @@ from maccoop.capacity import (
     maximize_per_antenna,
     validate_profile,
 )
+from maccoop.cores import ExpectationModel, check_core
 from maccoop.equilibrium import (
     SOLVER_TOL,
     UtilityTable,
@@ -673,6 +674,53 @@ class TestUtilityTable:
         want = math.log1p(1.0 / (n0 + 1e-5 ** 2))
         assert abs(got - want) <= 1e-15 * want
 
+    #: one-antenna near-far games (budgets, N0): fixed-order cancellation in
+    #: identity order, unit gains, so a weak block decodes after a strong one
+    NEAR_FAR = [((1e6, 1e-6), 1e-12), ((1e8, 1e-8, 1e-8), 1e-12),
+                ((1e6, 1.0, 1e-6, 1e-6), 1e-10)]
+
+    @staticmethod
+    def near_far(budgets, n0):
+        users = tuple(UserSpec(u + 1, 1, np.array([[1.0]]), SumPower(b))
+                      for u, b in enumerate(budgets))
+        return Scenario(users, 1, n0, SicFixed(tuple(range(1, len(users) + 1))))
+
+    @pytest.mark.parametrize("budgets, n0", NEAR_FAR)
+    def test_sic_block_after_a_strong_one_hears_the_later_blocks_exactly(self, budgets, n0):
+        # heard power is the sum of the blocks decoded later, never a running
+        # total less the block's own power, which rounds a weak later block away
+        s = self.near_far(budgets, n0)
+        table = utility_table(s)
+        masks, values, _, stalled = equilibrium._solved(equilibrium._cancellation_blocks, s,
+                                                        table.rgs)
+        assert not stalled and np.array_equal(masks, table.masks)
+        assert np.all(np.abs(table.values - values) <= 1e-14 * np.abs(values))
+        if s.k == 3:  # the rational core LP reads the same demands off either table
+            solved = UtilityTable.from_arrays(s.k, s, table.rgs, table.counts, masks, values)
+            got, want = (check_core(s, ExpectationModel.RATIONAL, table=t).slack
+                         for t in (table, solved))
+            assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["sum", "caps"])
+    def test_sic_table_is_the_scalar_closed_form(self, mode):
+        # the table adds each block's later blocks in the order the scalar closed
+        # form does, last decoded first; the powers can still differ in their last
+        # bits, because Python 3.12+ compensates the sum() in block_budget and
+        # _received_power, so the bound is 4 ulps rather than bit equality
+        for k in range(2, 9):
+            gen = np.random.default_rng([29, k, mode == "sum"])
+            rx = SicFixed(tuple(int(u) + 1 for u in gen.permutation(k)))
+            s = random_scenario(gen, k=k, m=1, mode=mode, receiver=rx,
+                                n0=float(10.0 ** gen.uniform(-2.0, 2.0)))
+            table = utility_table(s)
+            want = np.empty_like(table.values)
+            for row, rgs in enumerate(table.rgs.tolist()):
+                part = Partition.from_rgs(rgs)
+                scalar = single_antenna_utilities(s, part, induced_order(part, rx.base_order))
+                a, b = table.offsets[row], table.offsets[row + 1]
+                want[a:b] = [scalar[m] for m in table.masks[a:b].tolist()]
+            assert np.all(np.abs(table.values - want) <= 4 * np.spacing(np.abs(want)))
+
     @staticmethod
     def onehot_block_powers(rgs, gain2, p_sum, amp, mode):
         """Each label's received power from a (rows, user, label) one-hot tensor: the oracle."""
@@ -786,7 +834,12 @@ def reference_label_slots(rgs_mat, slot):
 
 
 def reference_layout(rgs_mat, slot, gain2, p_sum, amp, mode):
-    """(power, heard, decoding order) of RGS rows from the per-user loops above."""
+    """(power, heard, decoding order) of RGS rows from the per-user loops above.
+
+    Each block hears the exclusive suffix sum of the blocks after it, added
+    last first: in label order under single-user decoding, which also hears
+    the exclusive prefix sum, and in decoding order under cancellation.
+    """
     power = reference_block_powers(rgs_mat, gain2, p_sum, amp, mode)
     if slot is None:
         heard = np.zeros_like(power)
@@ -795,7 +848,8 @@ def reference_layout(rgs_mat, slot, gain2, p_sum, amp, mode):
         return power, heard, None
     order = np.argsort(reference_label_slots(rgs_mat, slot), axis=1)
     power_sorted = np.take_along_axis(power, order, axis=1)
-    heard_sorted = np.cumsum(power_sorted[:, ::-1], axis=1)[:, ::-1] - power_sorted
+    heard_sorted = np.zeros_like(power_sorted)
+    heard_sorted[:, :-1] = np.cumsum(power_sorted[:, :0:-1], axis=1)[:, ::-1]
     heard = np.empty_like(heard_sorted)
     np.put_along_axis(heard, order, heard_sorted, axis=1)
     return power, heard, order

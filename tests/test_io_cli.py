@@ -90,6 +90,18 @@ class TestScenarioFiles:
             with pytest.raises(InvalidArgument, match=f"{where} must be finite"):
                 io.parse_scenario(json.dumps(doc), source="inf.cfg")
 
+    @pytest.mark.parametrize("mode", ["sum", "caps"])
+    def test_noise_whose_power_ratio_overflows_is_rejected(self, mode):
+        users = tuple(UserSpec(u, 1, np.array([[1.0]]), SumPower(1.0) if mode == "sum"
+                               else PerAntenna((1.0,))) for u in (1, 2, 3))
+        for n0, ok in ((1e-300, True), (1e-310, False)):  # 9 / N0 overflows at 1e-310
+            text = io.serialize_scenario(Scenario(users, 1, n0, Sud()))
+            if ok:
+                assert io.serialize_scenario(io.parse_scenario(text)) == text
+            else:
+                with pytest.raises(ScenarioFormatError, match=r"tiny\.cfg: noise_N0 = 1e-310"):
+                    io.parse_scenario(text, source="tiny.cfg")
+
     def test_fingerprint_stable_and_sensitive(self):
         s = symmetric(3, 1.0, SicFixed((1, 2, 3)))
         assert io.fingerprint(s) == io.fingerprint(s)
@@ -713,16 +725,18 @@ class TestCli:
         assert [line.split(",")[:2] for line in body if line[:1].isdigit()][-3:] == [
             ["3070", "1"], ["3070", "2"], ["3070", "3"]]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("command", ["core", "region"])
-    def test_non_finite_utilities_exit_two(self, tmp_path, capsys, command):
-        # at N0 = 1e-310 the grand coalition's K^2 / N0 overflows to inf
+    @pytest.mark.parametrize("argv", [
+        ["utilities"], ["core", "--model", "merging"], ["least-core", "--model", "merging"],
+        ["region", "--model", "merging"], ["externalities"], ["properties"], ["ratio"],
+    ], ids=lambda argv: argv[0])
+    def test_overflowing_scenario_exits_one(self, tmp_path, capsys, argv):
+        # at N0 = 1e-310 the grand coalition's K^2 / N0 overflows to inf, and
+        # the file is rejected before any utility is computed
         cfg = tmp_path / "s.cfg"
         cfg.write_text(io.serialize_scenario(symmetric(3, 1e-310, SicFixed((1, 2, 3)))))
-        code, _, err = run_cli([command, "--scenario", str(cfg), "--model", "merging",
-                                "--out", str(tmp_path)], capsys)
-        assert code == 2
-        assert "grand-coalition value inf is not finite" in err
+        code, _, err = run_cli(argv + ["--scenario", str(cfg), "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "noise_N0 = 1e-310 is too small" in err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_failed_factorization_exits_two(self, tmp_path, capsys):
@@ -845,7 +859,7 @@ PINNED_DIGESTS = {
     "core-sic4-merging": {
         "certificate.csv": "08134ad5ac7455459c341ac1d9849e2873a7a4e1f17442d71961e967a4c19b4c",
         "demands.csv": "07a73f0f33292b90d7fe1a48c8efe9849b5ff5b75a5b7aa93c8edc5104cd6aef",
-        "summary.json": "859702d4d5b3b1ad7c5a67ab1fce2dbe3bf27ba311cc6c2e7bab1c2d087303f3",
+        "summary.json": "8d0d53898229819cfe3fc2605f914c2e40d3f7648eed35a41a705f8fc5a1cbc8",
     },
     "least-core": {
         "least_core.csv": "b5325b8c7a6ea58df2478d11e667772755f9e602a8f55b5b5f740544eb89a7bd",
@@ -892,10 +906,15 @@ def test_cli_files_are_byte_identical_to_the_per_cell_writer(tmp_path, label):
 
     The digests were computed by ``pinned_run_digests`` on a separate
     checkout of commit dd7b727, the parent of the columnar writer, whose
-    ``write_table`` sent every cell through ``format_value``.  One was
+    ``write_table`` sent every cell through ``format_value``.  Two were
     re-pinned since: ``least-core``'s summary.json, whose time-share
     allocation moved in its last digit (1.0924890014927644 to
-    1.092489001492765) when pooled blocks moved to equivalent channels.
+    1.092489001492765) when pooled blocks moved to equivalent channels;
+    and ``core-sic4-merging``'s summary.json, whose certificate margin
+    moved in its last digits (0.1675441963069111 to 0.16754419630691153)
+    when cancellation heard power became the sum of the blocks decoded
+    later instead of a running total less the block's own power.  Its CSV
+    bytes did not move.
     """
     code, stdout, files = pinned_run_digests(tmp_path, label)
     assert code == 0
