@@ -426,10 +426,13 @@ def _symmetric_verdicts(k: int, model: ExpectationModel) -> Callable[[float], st
     read = _read_index(k, layout.counts, layout.masks, model)
     power, heard = layout.power[read], layout.heard[read]
     lp = _CoreLp(k)
+    basis = lp.singletons
 
     def verdict(snr_db: float) -> str:
+        nonlocal basis
         values = _kernels.single_rx_values(power, heard, snr_db_to_noise(snr_db))
-        return lp.check(values[:-1], float(values[-1])).verdict
+        result, basis = lp.check(values[:-1], float(values[-1]), basis)
+        return result.verdict
 
     return verdict
 

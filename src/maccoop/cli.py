@@ -33,8 +33,8 @@ from .analysis import (
 from .cores import (
     LP_TOL,
     ExpectationModel,
-    _CoreLp,
     _demands_and_grand,
+    _lp_of,
     core_region_3user,
     least_core,
 )
@@ -188,8 +188,8 @@ def _cmd_core(args) -> int:
     scenario = io.load_scenario(args.scenario)
     em = _Emitter(args)
     model = ExpectationModel(args.model)
-    d, v_k = _demands_and_grand(scenario, model, None)
-    result = _CoreLp(scenario.k).check(d, v_k)
+    d, v_k, table = _demands_and_grand(scenario, model, None)
+    result, _ = _lp_of(table).check(d, v_k)
     names = _member_names(scenario.k)
     masks = np.arange(1, len(d) + 1)
     em.table("demands.csv", ["coalition_mask", "members", f"demand_{em.unit}"],

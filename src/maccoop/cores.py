@@ -31,6 +31,14 @@ only on the demands, one vector by mask - 1 from the table to the LP
 (:func:`demand_vector` is its dict view), and a degenerate game's
 certificate is one of its max-margin collections.
 
+Each basis an LP meets is inverted once per :class:`_CoreLp`, which
+stores the inverse.  A utility table holds one :class:`_CoreLp` for as
+long as it lives, so the verdicts read from one table share their
+inversions (one-antenna rational, merging and cautious demands are
+equal, so the last two invert nothing); every verdict still starts from
+the singleton basis, so its pivot path, and with it every answer, is
+that of a fresh LP.
+
 Every verdict follows one rule for every K: the core is nonempty when
 the optimal slack t >= -LP_TOL, and the evidence (the witness, or the
 certificate) is validated against the demands before it is returned.
@@ -372,16 +380,16 @@ def _grand_of(table: UtilityTable) -> float:
 
 
 def _demands_and_grand(scenario: Scenario, model: ExpectationModel,
-                       table: UtilityTable | None) -> tuple[np.ndarray, float]:
-    """Demands (by mask - 1) and v(N) from one table, checked once: ``table``, or else
-    the model's own with the grand partition's row.  Every core computation
-    from a scenario comes here, so the core cap is checked here."""
+                       table: UtilityTable | None) -> tuple[np.ndarray, float, UtilityTable]:
+    """Demands (by mask - 1) and v(N) from one table, checked once, and that table:
+    ``table``, or else the model's own with the grand partition's row.  Every
+    core computation from a scenario comes here, so the core cap is checked here."""
     if scenario.k > CORE_MAX_USERS:
         raise InvalidArgument(f"core checks are capped at {CORE_MAX_USERS} users")
     model = _expectation_model(model)
     if table is None:
         table = _model_table(scenario, model, grand=True)
-    return _demands(scenario, model, table), _grand_of(table)
+    return _demands(scenario, model, table), _grand_of(table), table
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +407,24 @@ def _incidence(masks: list[int], k: int) -> np.ndarray:
 _PIVOT_TOL = 1e-9
 
 
+class _Bases(dict):
+    """What :func:`_dual_simplex` keeps per basis of one LP ``(c, g, a_eq)``.
+
+    Maps a basis tuple (ascending rows of ``g``) to the inverse of the
+    basis matrix ``[a_eq; g[basis]]``, the inequality multipliers ``y =
+    (c @ inv)[n_eq:]``, y clipped at zero as a list (the ratio test's
+    numerators) and the basis as an intp array (the right-hand side's
+    gather).  ``stacked`` is ``[a_eq; g]``, stacked once, so that each
+    basis matrix is one ``take`` of it.
+    """
+
+    def __init__(self, a_eq: np.ndarray, g: np.ndarray):
+        super().__init__()
+        self.stacked = np.concatenate((a_eq, g))
+
+
 def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
-                  a_eq: np.ndarray, b_eq: np.ndarray,
-                  inverses: dict[tuple[int, ...], tuple] | None = None):
+                  a_eq: np.ndarray, b_eq: np.ndarray, bases: _Bases | None = None):
     """min c.z s.t. g z >= d and a_eq z = b_eq, z free, by a dense dual simplex.
 
     ``basis`` lists rows of ``g`` that, with every equality row, form a
@@ -419,21 +442,20 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
     rule, a singular basis or a ratio test with no candidate raises
     :class:`NumericalFailure`.
 
-    Each basis is solved for once.  ``inverses`` maps a basis tuple to
-    what depends on that basis and on ``(c, g, a_eq)`` alone: the inverse
-    of the basis matrix ``vstack((a_eq, g[basis]))``, the inequality
-    multipliers ``y = (c @ inv)[n_eq:]`` and ``y.tolist()`` for the ratio
-    test.  None of them depends on ``d`` or ``b_eq``, so callers that
-    solve one ``(c, g, a_eq)`` for many right-hand sides pass one dict to
-    all those solves; the basis matrix is built only when its basis is
-    met for the first time, and a start basis that is already optimal
+    Each basis is inverted once per ``bases``, the store (:class:`_Bases`)
+    of what depends on that basis and on ``(c, g, a_eq)`` alone.  None of
+    it depends on ``d`` or ``b_eq``, so solves of one ``(c, g, a_eq)`` for
+    many right-hand sides share one store: a basis is inverted only when
+    it is met for the first time, and a path that meets only stored bases
     costs no inversion.  A pivot then pays only for what depends on the
-    demands: the right-hand side, z = inv @ rhs, the residual g z - d and
-    the ratio test.  The same matrix inverts to the same bits, so the
-    dict changes no result, and z and y are returned as fresh arrays, so
-    no caller can alias a stored one.  At these sizes a rank-one update
-    of the inverse would save little; the count of distinct bases is what
-    matters.
+    demands and the basis: the right-hand side, z = inv @ rhs, the
+    residual g z - d and the ratio test, each written into a buffer of
+    this solve.  The same matrix inverts to the same bits, so the store
+    changes no result, whatever ran on it before; z and y are returned as
+    arrays of this solve, so no caller can alias a stored one.  Without
+    ``bases`` a solve has a store of its own.  At these sizes a rank-one
+    update of the inverse would save little; the count of distinct bases
+    is what matters.
 
     Returns (z, basis, y): the optimal vertex, its basic inequality rows
     (ascending) and their multipliers, so that c = a_eq^T mu + g[basis]^T y.
@@ -442,12 +464,15 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
     basis = sorted(basis)
     tol = 1e-12 * max(1.0, float(np.abs(d).max(initial=0.0)),
                       max(map(abs, b_eq.tolist()), default=0.0))
-    if inverses is None:
-        inverses = {}
+    if bases is None:
+        bases = _Bases(a_eq, g)
     rhs = np.empty(n_eq + len(basis))
     rhs[:n_eq] = b_eq
     basic_rhs = rhs[n_eq:]
+    z, w = np.empty_like(rhs), np.empty_like(rhs)
+    w_basic = w[n_eq:]
     residual = np.empty(len(g))
+    eq_rows = list(range(n_eq))
     seen: set[tuple[int, ...]] = set()
     bland = False
     while True:
@@ -458,17 +483,20 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
             bland = True
             seen.clear()
         seen.add(key)
-        stored = inverses.get(key)
+        stored = bases.get(key)
         if stored is None:
             try:
-                inv = np.linalg.inv(np.concatenate((a_eq, g.take(basis, axis=0))))
+                inv = np.linalg.inv(bases.stacked.take(eq_rows + [n_eq + row for row in basis],
+                                                       axis=0))
             except np.linalg.LinAlgError:
                 raise NumericalFailure("core LP basis is singular") from None
             y = (c @ inv)[n_eq:]
-            stored = inverses[key] = (inv, y, y.tolist())
-        inv, y, y_list = stored
-        d.take(basis, out=basic_rhs)
-        z = inv @ rhs
+            # the sign of a zero cannot move the ratio test, which only compares ratios
+            stored = bases[key] = (inv, y, np.maximum(y, 0.0).tolist(),
+                                   np.array(basis, dtype=np.intp))
+        inv, y, y_plus, rows = stored
+        d.take(rows, out=basic_rhs)
+        np.matmul(inv, rhs, out=z)
         np.matmul(g, z, out=residual)
         residual -= d
         enter = int(residual.argmin())
@@ -476,14 +504,16 @@ def _dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
             return z, basis, y.copy()
         if bland:
             enter = int(np.flatnonzero(residual < -tol)[0])
-        # ratio test over at most K + 1 floats: lowest row of the smallest ratios
-        w = (g[enter] @ inv)[n_eq:].tolist()
-        ratios = [(max(y_s, 0.0) / w_s, s) for s, (y_s, w_s) in enumerate(zip(y_list, w))
-                  if w_s > _PIVOT_TOL]
-        if not ratios:
+        # ratio test over at most K + 1 floats: lowest row of the smallest ratios;
+        # a row whose entry is not above _PIVOT_TOL is no candidate (ratio inf)
+        np.matmul(g[enter], inv, out=w)
+        ratios = [y_s / w_s if w_s > _PIVOT_TOL else math.inf
+                  for y_s, w_s in zip(y_plus, w_basic.tolist())]
+        band = min(ratios)
+        if band == math.inf:
             raise NumericalFailure("core LP ratio test found no leaving row")
-        band = min(r for r, _ in ratios) + 1e-12
-        basis[next(s for r, s in ratios if r <= band)] = enter
+        band += 1e-12
+        basis[[r <= band for r in ratios].index(True)] = enter
         basis.sort()
 
 
@@ -493,28 +523,31 @@ def _singleton_rows(k: int) -> list[int]:
 
 
 class _CoreLp:
-    """The two core LPs of one K, for demand vectors given one after another.
+    """The two core LPs of one K: their rows, costs and the bases they have met.
 
     Rows run over the proper coalitions in ascending mask order, so a
     demand vector is ``d[mask - 1]``.  The constraint rows and costs
-    depend on K only and are built once.  The slack LP starts from the
-    optimal basis of its previous solve (the singleton basis at first):
-    whether a basis is dual feasible depends on the costs and the rows,
-    never on the demands or v(N), so that basis is a valid dual simplex
-    start for the next demands, and Bland's rule still guarantees
-    termination.  :meth:`check` starts the certificate LP from the slack
-    LP's optimal basis of the same demands, which is dual feasible for it
-    too (see :meth:`check`); :meth:`balanced` alone starts from its own
-    previous optimal basis.
+    depend on K only and are built once, after K >= 2 is checked.  Each
+    LP keeps a store (:class:`_Bases`) of the basis inverses and
+    multipliers it has met, which depend on K alone, so one instance
+    serves any demand vectors of its K, and every answer is bitwise what
+    a fresh instance gives.
 
-    Each LP keeps, per basis it has met, the basis inverse and its
-    multipliers (:func:`_dual_simplex`), so a warm start whose basis is
-    still optimal costs two matrix-vector products and no inversion.  The
-    two LPs' constant inputs (rows, costs, the certificate LP's empty
-    equality block) are built here, once, after K >= 2 is checked.  The
-    dicts live as long as the instance: one core verdict, least core or
-    dict-taking call, or one K of one :func:`analysis.snr_boundary` call.
-    Nothing is kept between calls.
+    The start basis is an argument of each solve, never state of the
+    instance.  The slack LP starts from the singleton basis unless
+    another start is given: whether a basis is dual feasible depends on
+    the costs and the rows, never on the demands or v(N), so any optimal
+    basis of an earlier solve is a valid start too, and Bland's rule
+    still guarantees termination.  :meth:`check` starts the certificate
+    LP from the slack LP's optimal basis of the same demands, which is
+    dual feasible for it too (see :meth:`check`).
+
+    How long the stores live: a :class:`~equilibrium.UtilityTable` holds
+    one instance (:func:`_lp_of`) for as long as the table, so every core
+    verdict, least core and certificate read from one table shares it;
+    a call given no table, and each dict-taking call, uses one for that
+    call alone; :func:`analysis.snr_boundary` keeps one per K for the
+    sweep of that K.  Nothing is kept in the module between calls.
     """
 
     def __init__(self, k: int):
@@ -522,6 +555,7 @@ class _CoreLp:
             raise InvalidArgument("core checks need at least 2 users")
         self.k = k
         self.incidence = _incidence(range(1, (1 << k) - 1), k)
+        self.singletons = _singleton_rows(k)
         # slack LP over z = (x, t): max t s.t. x(S) - t >= d_S, sum x = v_k
         self.g = np.full((len(self.incidence), k + 1), -1.0)
         self.g[:, :k] = self.incidence
@@ -532,69 +566,76 @@ class _CoreLp:
         # certificate LP over y: min sum y s.t. y(S) >= d_S
         self.cover = self.incidence.astype(np.float64)
         self.ones, self.no_eq, self.no_rhs = np.ones(k), np.empty((0, k)), np.empty(0)
-        self.slack_basis = self.balanced_basis = _singleton_rows(k)
-        self.slack_inverses: dict[tuple[int, ...], tuple] = {}
-        self.balanced_inverses: dict[tuple[int, ...], tuple] = {}
+        self.slack_bases = _Bases(self.a_eq, self.g)
+        self.balanced_bases = _Bases(self.no_eq, self.cover)
 
-    def slack(self, d: np.ndarray, v_k: float):
+    def slack(self, d: np.ndarray, v_k: float, start: list[int] | None = None):
         """max t s.t. sum_{i in S} x_i - t >= d_S, sum x = v_k.
 
-        Returns (x, t) at the dual simplex's optimal vertex.  The
+        Returns (x, t, basis) at the dual simplex's optimal vertex, solved
+        from ``start``, or else the singleton basis, which is dual
+        feasible: every singleton row carries multiplier 1/k.  The
         allocation maximizes the minimum constraint slack, so a feasible
-        core yields a strictly interior witness when one exists.  The
-        singleton basis is dual feasible: every singleton row carries
-        multiplier 1/k.  Non-finite demands or v(N) raise NumericalFailure.
+        core yields a strictly interior witness when one exists.
+        Non-finite demands or v(N) raise NumericalFailure.
         """
         _require_finite(d, v_k)
-        z, self.slack_basis, _ = _dual_simplex(self.c, self.g, d, self.slack_basis,
-                                               self.a_eq, np.array([float(v_k)]),
-                                               self.slack_inverses)
-        return z[:self.k], float(z[self.k])
+        z, basis, _ = _dual_simplex(self.c, self.g, d, start or self.singletons, self.a_eq,
+                                    np.array([float(v_k)]), self.slack_bases)
+        return z[:self.k], float(z[self.k]), basis
 
-    def balanced(self, d: np.ndarray):
+    def balanced(self, d: np.ndarray, start: list[int] | None = None):
         """max sum lambda_S d_S over balanced weights; returns (weights, value).
 
-        Solved as its dual, min sum y s.t. y(S) >= d_S, from the
-        singleton basis at first (multipliers 1): the optimal multipliers
+        Solved as its dual, min sum y s.t. y(S) >= d_S, from ``start``, or
+        else the singleton basis (multipliers 1): the optimal multipliers
         are the weights.  Balancedness keeps every weight in [0, 1].  The
         value adds the weighted demands left to right in float64.
         """
-        _, self.balanced_basis, y = _dual_simplex(
-            self.ones, self.cover, d, self.balanced_basis, self.no_eq, self.no_rhs,
-            self.balanced_inverses)
+        _, basis, y = _dual_simplex(self.ones, self.cover, d, start or self.singletons,
+                                    self.no_eq, self.no_rhs, self.balanced_bases)
         weights: dict[int, float] = {}
         value = 0.0
-        for row, w, d_s in zip(self.balanced_basis, y.tolist(),
-                               d.take(self.balanced_basis).tolist()):
+        for row, w, d_s in zip(basis, y.tolist(), d.take(basis).tolist()):
             if w > 1e-15:
                 weights[row + 1] = w
                 value += w * d_s
         return weights, value
 
-    def check(self, d: np.ndarray, v_k: float) -> CoreResult:
-        """Core verdict for demands ``d`` (by mask - 1) and v(N), with validated evidence.
+    def check(self, d: np.ndarray, v_k: float,
+              start: list[int] | None = None) -> tuple[CoreResult, list[int]]:
+        """Core verdict for demands ``d`` (by mask - 1) and v(N), with validated
+        evidence, and the slack LP's optimal basis.
 
-        An empty verdict starts the certificate LP, min sum y s.t.
-        y(S) >= d_S, from the slack LP's optimal basis B.  That start is
-        dual feasible.  The slack optimum's multipliers y_B >= 0 meet the
-        t column, sum y_B = 1, and every x column, sum_{S in B, S
+        The slack LP starts from ``start``, or else the singleton basis
+        (:meth:`slack`).  An empty verdict starts the certificate LP, min
+        sum y s.t. y(S) >= d_S, from the slack LP's optimal basis B.  That
+        start is dual feasible.  The slack optimum's multipliers y_B >= 0
+        meet the t column, sum y_B = 1, and every x column, sum_{S in B, S
         contains i} y_S = mu' for each user i.  Summing over i gives mu'
         = sum y_S |S| / K >= 1/K > 0.  So the incidence rows A_B are
         nonsingular (a singular A_B would force mu' = 0), and lambda =
         y_B / mu' >= 0 solves A_B^T lambda = 1.  No fallback is needed.
         """
-        x, t = self.slack(d, v_k)
+        x, t, basis = self.slack(d, v_k, start)
         if t >= -LP_TOL:
             worst = (self.cover @ x - d).min()
             # written so that a NaN fails both checks
             if not (worst >= -LP_TOL and abs(x.sum() - v_k) <= LP_TOL * max(1.0, abs(v_k))):
                 raise NumericalFailure("witness fails post-validation")
-            return CoreResult("nonempty", x, None, float(t))
-        self.balanced_basis = self.slack_basis
-        weights, value = self.balanced(d)
+            return CoreResult("nonempty", x, None, float(t)), basis
+        weights, value = self.balanced(d, basis)
         cert = BalancedCertificate(weights, float(value - v_k))
         validate_certificate(cert, {mask: float(d[mask - 1]) for mask in weights}, v_k, self.k)
-        return CoreResult("empty", None, cert, float(t))
+        return CoreResult("empty", None, cert, float(t)), basis
+
+
+def _lp_of(table: UtilityTable) -> _CoreLp:
+    """The table's core LP (``table.core_lp``), built on the first core computation
+    handed the table; it lives as long as the table."""
+    if table.core_lp is None:
+        table.core_lp = _CoreLp(table.k)
+    return table.core_lp
 
 
 #: perfbench traces the LP layer under this name.
@@ -642,7 +683,7 @@ def _require_finite(d: np.ndarray, v_k: float) -> None:
 
 def check_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> CoreResult:
     """Core feasibility from precomputed demands (order-independent)."""
-    return _CoreLp(k).check(_demand_array(demands, k), v_k)
+    return _CoreLp(k).check(_demand_array(demands, k), v_k)[0]
 
 
 def check_core(
@@ -658,12 +699,12 @@ def check_core(
     minimum slack); empty verdicts come with a validated balanced
     certificate.  Exactly one of the two is present.
     """
-    d, v_k = _demands_and_grand(scenario, model, table)
-    return _CoreLp(scenario.k).check(d, v_k)
+    d, v_k, table = _demands_and_grand(scenario, model, table)
+    return _lp_of(table).check(d, v_k)[0]
 
 
 def least_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> LeastCoreResult:
-    x, t = _CoreLp(k).slack(_demand_array(demands, k), v_k)
+    x, t, _ = _CoreLp(k).slack(_demand_array(demands, k), v_k)
     return LeastCoreResult(float(-t), x)
 
 
@@ -680,8 +721,8 @@ def least_core(
     the unrelaxed core is nonempty.  The allocation returned attains the
     optimum.
     """
-    d, v_k = _demands_and_grand(scenario, model, table)
-    x, t = _CoreLp(scenario.k).slack(d, v_k)
+    d, v_k, table = _demands_and_grand(scenario, model, table)
+    x, t, _ = _lp_of(table).slack(d, v_k)
     return LeastCoreResult(float(-t), x)
 
 
@@ -769,5 +810,5 @@ def core_region_3user(
     """Core polygon of a 3-user game (empty list when the core is empty)."""
     if scenario.k != 3:
         raise InvalidArgument("the core region is defined for exactly 3 users")
-    d, v_k = _demands_and_grand(scenario, model, table)
+    d, v_k, _ = _demands_and_grand(scenario, model, table)
     return _region(d, v_k)

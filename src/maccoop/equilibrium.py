@@ -97,6 +97,11 @@ class UtilityTable:
     Given a :class:`Scenario` instead of a fingerprint string, a table
     computes :func:`io.fingerprint` of it when ``fingerprint`` is first
     read.
+
+    ``core_lp`` is the table's core LP (``cores._CoreLp`` of K), None
+    until a core computation is first handed the table; from then on it
+    lives as long as the table.  Its rows and stored bases depend on K
+    alone, never on the table's values.
     """
 
     def __init__(self, k: int, fingerprint: str | Scenario,
@@ -125,6 +130,7 @@ class UtilityTable:
         self.counts = np.asarray(counts, dtype=np.int64)  # blocks per row
         self.masks = np.asarray(masks, dtype=np.int16)  # k <= 15 bits
         self.values = np.asarray(values, dtype=np.float64)
+        self.core_lp = None
 
     @functools.cached_property
     def offsets(self) -> np.ndarray:

@@ -61,7 +61,16 @@ def _as_int(value: Any, where: str) -> int:
     return value
 
 
-def _parse_receiver(doc: Any) -> Sud | SicFixed | SicTimeShare:
+def _built(make, *args, source: str, where: str):
+    """``make(*args)``; the ValueError (InvalidArgument) a model type raises on
+    a value it rejects becomes a ScenarioFormatError naming the source and field."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{source}: {where}: {exc}") from exc
+
+
+def _parse_receiver(doc: Any, source: str) -> Sud | SicFixed | SicTimeShare:
     if not isinstance(doc, dict):
         raise ScenarioFormatError("receiver: expected an object")
     kind = _require(doc, "type", "receiver")
@@ -71,18 +80,20 @@ def _parse_receiver(doc: Any) -> Sud | SicFixed | SicTimeShare:
         order = _require(doc, "base_order", "receiver")
         if not isinstance(order, list):
             raise ScenarioFormatError("receiver.base_order: expected a list")
-        return SicFixed(tuple(_as_int(u, "receiver.base_order") for u in order))
+        return _built(SicFixed, tuple(_as_int(u, "receiver.base_order") for u in order),
+                      source=source, where="receiver.base_order")
     if kind == "sic_timeshare":
         weights = doc.get("weights")
         if weights is None:
             return SicTimeShare()
         if not isinstance(weights, list):
             raise ScenarioFormatError("receiver.weights: expected a list")
-        return SicTimeShare(tuple(_as_number(w, "receiver.weights") for w in weights))
+        return _built(SicTimeShare, tuple(_as_number(w, "receiver.weights") for w in weights),
+                      source=source, where="receiver.weights")
     raise ScenarioFormatError(f"receiver.type: unknown receiver '{kind}'")
 
 
-def _parse_user(doc: Any, index: int) -> UserSpec:
+def _parse_user(doc: Any, index: int, source: str) -> UserSpec:
     where = f"users[{index}]"
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"{where}: expected an object")
@@ -105,15 +116,14 @@ def _parse_user(doc: Any, index: int) -> UserSpec:
     if mode == "sum":
         if len(vals) != 1:
             raise ScenarioFormatError(f"{where}.power.values: sum mode takes one value")
-        power: SumPower | PerAntenna = SumPower(vals[0])
+        make, arg = SumPower, vals[0]
     elif mode == "per_antenna":
-        power = PerAntenna(tuple(vals))
+        make, arg = PerAntenna, tuple(vals)
     else:
         raise ScenarioFormatError(f"{where}.power.mode: unknown mode '{mode}'")
-    try:
-        return UserSpec(uid, antennas, np.asarray(rows, dtype=np.float64), power)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
+    power = _built(make, arg, source=source, where=f"{where}.power.values")
+    return _built(UserSpec, uid, antennas, np.asarray(rows, dtype=np.float64), power,
+                  source=source, where=where)
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
@@ -131,11 +141,11 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         raise ScenarioFormatError(f"{source}: top level must be an object")
     rx = _as_int(_require(doc, "rx_antennas", source), "rx_antennas")
     noise = _as_number(_require(doc, "noise_N0", source), "noise_N0")
-    receiver = _parse_receiver(_require(doc, "receiver", source))
+    receiver = _parse_receiver(_require(doc, "receiver", source), source)
     users_doc = _require(doc, "users", source)
     if not isinstance(users_doc, list):
         raise ScenarioFormatError("users: expected a list")
-    users = tuple(_parse_user(u, i) for i, u in enumerate(users_doc))
+    users = tuple(_parse_user(u, i, source) for i, u in enumerate(users_doc))
     try:
         scenario = Scenario(users, rx, noise, receiver)
     except ValueError as exc:

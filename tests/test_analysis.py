@@ -467,10 +467,10 @@ class TestSnrBoundary:
 
             return at
 
-        def recording_check(lp, d, v_k):
-            result = check(lp, d, v_k)
+        def recording_check(lp, d, v_k, start=None):
+            result, basis = check(lp, d, v_k, start)
             checks.append(([x.hex() for x in d.tolist()], float(v_k).hex(), result.verdict))
-            return result
+            return result, basis
 
         def oracle(k, n0):
             if (k, n0) not in oracle_at:

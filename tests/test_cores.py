@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import itertools
 import math
 import operator
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import maccoop
-from maccoop import cli, io
+from maccoop import analysis, cli, io
 
 from maccoop._exact_lp import exact_lp_max
 from maccoop.cores import (
@@ -28,6 +29,7 @@ from maccoop.cores import (
     _incidence,
     _singleton_rows,
     _CoreLp,
+    _demands_and_grand,
     ExpectationModel,
     balancedness_certificate,
     check_core,
@@ -589,7 +591,7 @@ class TestCheckCore:
 
     def test_nan_witness_fails_post_validation(self, monkeypatch):
         monkeypatch.setattr(maccoop.cores._CoreLp, "slack",
-                            lambda self, d, v_k: (np.array([math.nan, 1.0]), 0.0))
+                            lambda self, d, v_k, start: (np.array([math.nan, 1.0]), 0.0, [0]))
         with pytest.raises(NumericalFailure, match="witness"):
             check_core_from_demands({0b01: 0.5, 0b10: 0.5}, 2.0, 2)
 
@@ -878,6 +880,61 @@ def reference_dual_simplex(c, g, d, basis, a_eq, b_eq):
         rhs[n_eq:] = d[basis]
 
 
+def dict_store_dual_simplex(c: np.ndarray, g: np.ndarray, d: np.ndarray, basis: list[int],
+                            a_eq: np.ndarray, b_eq: np.ndarray,
+                            inverses: dict[tuple[int, ...], tuple] | None = None):
+    """The pivot loop that kept each basis's inverse, multipliers and multiplier
+    list in a plain dict and ran its ratio test over (ratio, row) tuples,
+    verbatim: the bits ``_dual_simplex`` must reproduce, pivot for pivot."""
+    n_eq = len(b_eq)
+    basis = sorted(basis)
+    tol = 1e-12 * max(1.0, float(np.abs(d).max(initial=0.0)),
+                      max(map(abs, b_eq.tolist()), default=0.0))
+    if inverses is None:
+        inverses = {}
+    rhs = np.empty(n_eq + len(basis))
+    rhs[:n_eq] = b_eq
+    basic_rhs = rhs[n_eq:]
+    residual = np.empty(len(g))
+    seen: set[tuple[int, ...]] = set()
+    bland = False
+    while True:
+        key = tuple(basis)
+        if key in seen:
+            if bland:
+                raise NumericalFailure("core LP cycled under Bland's rule")
+            bland = True
+            seen.clear()
+        seen.add(key)
+        stored = inverses.get(key)
+        if stored is None:
+            try:
+                inv = np.linalg.inv(np.concatenate((a_eq, g.take(basis, axis=0))))
+            except np.linalg.LinAlgError:
+                raise NumericalFailure("core LP basis is singular") from None
+            y = (c @ inv)[n_eq:]
+            stored = inverses[key] = (inv, y, y.tolist())
+        inv, y, y_list = stored
+        d.take(basis, out=basic_rhs)
+        z = inv @ rhs
+        np.matmul(g, z, out=residual)
+        residual -= d
+        enter = int(residual.argmin())
+        if not residual[enter] < -tol:
+            return z, basis, y.copy()
+        if bland:
+            enter = int(np.flatnonzero(residual < -tol)[0])
+        # ratio test over at most K + 1 floats: lowest row of the smallest ratios
+        w = (g[enter] @ inv)[n_eq:].tolist()
+        ratios = [(max(y_s, 0.0) / w_s, s) for s, (y_s, w_s) in enumerate(zip(y_list, w))
+                  if w_s > _PIVOT_TOL]
+        if not ratios:
+            raise NumericalFailure("core LP ratio test found no leaving row")
+        band = min(r for r, _ in ratios) + 1e-12
+        basis[next(s for r, s in ratios if r <= band)] = enter
+        basis.sort()
+
+
 class TestDualSimplex:
     def test_beale_cycling_example_reaches_the_optimum(self):
         # Beale's LP (1955): min cost.x s.t. A x = b, x >= 0 cycles under the
@@ -905,13 +962,13 @@ class TestDualSimplex:
         size = lp.incidence.sum(axis=1)
         v_k = 1.0 + k / 10
         base = v_k * size / k
-        verdicts = []
+        verdicts, basis = [], None
         for shift in (-0.04, -0.03, 0.02, 0.03, -0.035, 0.01, -0.02, 0.04):
             base = base + gen.normal(scale=0.002, size=size.size)
             d = base + shift + gen.normal(scale=0.004, size=size.size)
             demands = dict(zip(range(1, (1 << k) - 1), d.tolist()))
             cold = check_core_from_demands(demands, v_k, k)
-            warm = lp.check(d, v_k)
+            warm, basis = lp.check(d, v_k, basis)
             verdicts.append(warm.verdict)
             assert warm.verdict == cold.verdict
             assert warm.slack == pytest.approx(cold.slack, abs=1e-12)
@@ -922,8 +979,9 @@ class TestDualSimplex:
                 validate_certificate(warm.certificate, demands, v_k, k)
                 assert warm.certificate.margin == pytest.approx(cold.certificate.margin,
                                                                 abs=1e-12)
-            # the balanced LP alone, warm at every step
-            assert lp.balanced(d)[1] == pytest.approx(_CoreLp(k).balanced(d)[1], abs=1e-12)
+            # the balanced LP alone, from the slack LP's optimal basis at every step
+            assert lp.balanced(d, basis)[1] == pytest.approx(_CoreLp(k).balanced(d)[1],
+                                                             abs=1e-12)
         assert {"empty", "nonempty"} <= set(verdicts)
 
     @pytest.mark.parametrize("k", [3, 6, 10])
@@ -944,7 +1002,7 @@ class TestDualSimplex:
         v_k = 1.0 + k / 10
         for shift in (0.02, 0.03, 0.05):
             d = v_k * size / k + shift + gen.normal(scale=0.004, size=size.size)
-            result = lp.check(d, v_k)
+            result, basis = lp.check(d, v_k)
             assert result.verdict == "empty"
             cert, demands = seen[-1]
             assert cert is result.certificate and set(demands) == set(cert.weights)
@@ -957,8 +1015,8 @@ class TestDualSimplex:
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
         lp.slack(d, v_k)
-        lp.balanced(d)
-        # both stored bases are already optimal, and each LP inverted them before
+        lp.balanced(d, basis)
+        # both LPs retrace the last verdict's paths, whose bases they inverted before
         assert len(inversions) == 0
 
     @staticmethod
@@ -1002,7 +1060,7 @@ class TestDualSimplex:
         lp = _CoreLp(k)
         for _ in range(20):
             d, v_k = gen.uniform(0.0, 1.0, size=(1 << k) - 2), float(gen.uniform(0.5, 2.0))
-            res = lp.check(d, v_k)
+            res, _ = lp.check(d, v_k)
             if res.nonempty:
                 continue
             weights, value = _CoreLp(k).balanced(d)
@@ -1047,11 +1105,11 @@ class TestDualSimplex:
         # and the loop that inverted every basis it met, byte for byte
         solves = hits = 0
 
-        def compared(c, g, d, basis, a_eq, b_eq, inverses):
+        def compared(c, g, d, basis, a_eq, b_eq, bases):
             nonlocal solves, hits
             solves += 1
-            hits += tuple(sorted(basis)) in inverses
-            got = _dual_simplex(c, g, d, basis, a_eq, b_eq, inverses)
+            hits += tuple(sorted(basis)) in bases
+            got = _dual_simplex(c, g, d, basis, a_eq, b_eq, bases)
             for want in (_dual_simplex(c, g, d, basis, a_eq, b_eq),
                          reference_dual_simplex(c, g, d, basis, a_eq, b_eq)):
                 assert got[0].tobytes() == want[0].tobytes()
@@ -1063,15 +1121,16 @@ class TestDualSimplex:
         gen = np.random.default_rng([k, grid, 21])
         lp = _CoreLp(k)
         walk, v_k = self.empty_demands(k, gen, False)
-        verdicts = set()
+        verdicts, basis = set(), None
         for step in range(16 if k < 9 else 8):
             # two steps below the equal split, two above: the walk crosses the boundary
             walk = walk + gen.normal(scale=0.05, size=walk.size)
             d = walk + (-1.0 if step % 4 < 2 else 1.0)
             if grid:
                 d = np.round(2 * d) / 2
-            verdicts.add(lp.check(d, v_k).verdict)
-            lp.balanced(d)
+            result, basis = lp.check(d, v_k, basis)
+            verdicts.add(result.verdict)
+            lp.balanced(d, basis)
         assert verdicts == {"empty", "nonempty"}
         assert hits >= solves // 3
 
@@ -1102,24 +1161,147 @@ class TestDualSimplex:
                  for d, v_k in [self.empty_demands(k, gen, False)]]
         verdicts = set()
         for d, v_k in chain + chain:
-            got, want = lp.check(d, v_k), twin.check(d, v_k)
+            (got, basis), (want, _) = lp.check(d, v_k), twin.check(d, v_k)
             assert same_core_result(got, want)
             verdicts.add(got.verdict)
             if got.nonempty:
                 got.allocation[:] = np.nan
-            for start in (lp.slack_basis, _singleton_rows(k)):
+            for start in (basis, _singleton_rows(k)):
                 z, _, y = _dual_simplex(lp.c, lp.g, d, start, lp.a_eq, np.array([v_k]),
-                                        lp.slack_inverses)
+                                        lp.slack_bases)
                 fresh = _dual_simplex(lp.c, lp.g, d, start, lp.a_eq, np.array([v_k]))
                 assert z.tobytes() == fresh[0].tobytes() and y.tobytes() == fresh[2].tobytes()
                 z[:] = np.nan
                 y[:] = np.nan
-            args = (np.ones(k), lp.cover, d, lp.balanced_basis, np.empty((0, k)), np.empty(0))
-            _, _, y = _dual_simplex(*args, lp.balanced_inverses)
+            args = (np.ones(k), lp.cover, d, basis, np.empty((0, k)), np.empty(0))
+            _, _, y = _dual_simplex(*args, lp.balanced_bases)
             assert y.tobytes() == _dual_simplex(*args)[2].tobytes()
             y[:] = np.nan
             assert lp.balanced(d) == twin.balanced(d)
         assert verdicts == {"empty", "nonempty"}
+
+
+def assert_same_solve(got, want):
+    """(z, basis, y) of two dual simplex runs equal byte for byte."""
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1]
+    assert got[2].tobytes() == want[2].tobytes()
+
+
+def order_games(workloads):
+    """Benchmark games: the one-antenna K=8 closed-form games of seeds 2-4
+    (fixed-order SIC and SUD, pooled budgets and antenna caps; empty and
+    nonempty cores), then three pooled M=2 games of seed 1 (SUD K=4, whose
+    rational and merging cores are empty and the other two not, time share
+    K=4 and SIC K=6).  On six of the K=8 games the slack LP has more than one
+    optimal basis, and a start from another verdict's optimal basis ends on
+    another witness."""
+    mimo = workloads.MimoEquilibria(1).inputs
+    return [s for seed in (2, 3, 4) for s in workloads.CoreLargeK(seed).inputs] + [
+        mimo[0], mimo[5], mimo[7]]
+
+
+class TestSharedTableLp:
+    """A table's one core LP: every answer is bitwise a fresh LP's, and the
+    verdicts read from one table invert each basis they meet once."""
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_pivot_loop_is_bitwise_the_dict_store_loop_on_symmetric_games(self, k):
+        # symmetric games tie every coalition of one size, so pivots meet
+        # degenerate steps and tied ratios; one LP's stores serve every solve
+        lp = _CoreLp(k)
+        warm = lp.singletons
+        for model in ALL_MODELS:
+            for db in range(-30, 61, 10):
+                s = analysis.symmetric_scenario(k, analysis.snr_db_to_noise(db))
+                d, v_k, _ = _demands_and_grand(s, model, None)
+                b_eq = np.array([v_k])
+                for start in (lp.singletons, warm):
+                    got = _dual_simplex(lp.c, lp.g, d, start, lp.a_eq, b_eq, lp.slack_bases)
+                    assert_same_solve(got, dict_store_dual_simplex(lp.c, lp.g, d, start,
+                                                                   lp.a_eq, b_eq))
+                warm = got[1]
+                cert = (lp.ones, lp.cover, d, warm, lp.no_eq, lp.no_rhs)
+                assert_same_solve(_dual_simplex(*cert, lp.balanced_bases),
+                                  dict_store_dual_simplex(*cert))
+
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_pivot_loop_is_bitwise_the_dict_store_loop_on_random_demands(self, k, grid):
+        # seeded demands around the equal split, on a half-integer grid when
+        # ``grid``: from the singleton basis, from the previous optimal basis, and
+        # the certificate LP from the slack LP's optimal basis
+        gen = np.random.default_rng([30, k, grid])
+        lp = _CoreLp(k)
+        warm = lp.singletons
+        for _ in range(12 if k < 9 else 4):
+            d, v_k = TestDualSimplex.empty_demands(k, gen, grid)
+            b_eq = np.array([v_k])
+            cold = _dual_simplex(lp.c, lp.g, d, lp.singletons, lp.a_eq, b_eq, lp.slack_bases)
+            assert_same_solve(cold, dict_store_dual_simplex(lp.c, lp.g, d, lp.singletons,
+                                                            lp.a_eq, b_eq))
+            got = _dual_simplex(lp.c, lp.g, d, warm, lp.a_eq, b_eq, lp.slack_bases)
+            assert_same_solve(got, dict_store_dual_simplex(lp.c, lp.g, d, warm, lp.a_eq, b_eq))
+            warm = got[1]
+            cert = (lp.ones, lp.cover, d, cold[1], lp.no_eq, lp.no_rhs)
+            assert_same_solve(_dual_simplex(*cert, lp.balanced_bases),
+                              dict_store_dual_simplex(*cert))
+
+    @pytest.mark.parametrize("game", range(15))
+    def test_answers_do_not_depend_on_verdict_order(self, bench_workloads, game):
+        # one table takes the four verdicts in all 24 orders, a least core
+        # interleaved at a moving position; every answer equals the same call
+        # on a freshly built table, byte for byte
+        s = order_games(bench_workloads)[game]
+        fresh_check = {m: check_core(s, m, table=utility_table(s)) for m in ALL_MODELS}
+        fresh_least = {m: least_core(s, m, table=utility_table(s)) for m in ALL_MODELS}
+        table = utility_table(s)
+        for i, order in enumerate(itertools.permutations(ALL_MODELS)):
+            calls = [("check", m) for m in order]
+            calls.insert(i % 5, ("least", ALL_MODELS[i % 4]))
+            for kind, m in calls:
+                if kind == "check":
+                    got = check_core(s, m, table=table)
+                    assert same_core_result(got, fresh_check[m]), (order, m)
+                else:
+                    got, want = least_core(s, m, table=table), fresh_least[m]
+                    assert got.epsilon_star.hex() == want.epsilon_star.hex()
+                    assert got.allocation.tobytes() == want.allocation.tobytes()
+        assert table.core_lp.slack_bases
+
+    def test_one_table_inverts_each_basis_it_meets_once(self, bench_workloads, monkeypatch):
+        # on a seeded K=8 fixed-order SIC table the merging and cautious demands
+        # are the rational ones, so after the rational verdict they invert
+        # nothing; the four verdicts invert exactly the distinct bases that
+        # their solves meet, as the dict-store loop finds them one solve at a time
+        s = bench_workloads.CoreLargeK(0).inputs[0]
+        assert isinstance(s.receiver, SicFixed) and s.k == 8 and s.power_mode == "sum"
+        table = utility_table(s)
+        inversions, solves = [], []
+        inv, solve = np.linalg.inv, maccoop.cores._dual_simplex
+
+        def recorded(c, g, d, basis, a_eq, b_eq, bases):
+            solves.append((c, g, d, list(basis), a_eq, b_eq))
+            return solve(c, g, d, basis, a_eq, b_eq, bases)
+
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
+        monkeypatch.setattr(maccoop.cores, "_dual_simplex", recorded)
+        after = []
+        for model in ALL_MODELS:
+            result = check_core(s, model, table=table)
+            after.append(len(inversions))
+            if model is ExpectationModel.RATIONAL:
+                assert result.verdict == "empty"  # the certificate LP runs too
+        rational, merging, cautious, singleton = after
+        assert rational > 0 and merging == cautious == rational
+        met: dict[int, set] = {}
+        for c, g, d, basis, a_eq, b_eq in solves:
+            store: dict = {}
+            dict_store_dual_simplex(c, g, d, basis, a_eq, b_eq, store)
+            met.setdefault(len(b_eq), set()).update(store)
+        assert sorted(met) == [0, 1]  # both LPs ran
+        assert singleton == len(met[0]) + len(met[1])
+        assert singleton == len(table.core_lp.slack_bases) + len(table.core_lp.balanced_bases)
 
 
 class TestLpInputs:

@@ -74,6 +74,27 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioFormatError, match="noise"):
             io.parse_scenario(json.dumps(doc), source="neg.cfg")
 
+    @pytest.mark.parametrize("text, field, value, message", [
+        (sym4_text, "users[0].power.values", {"mode": "sum", "values": [-1.0]},
+         "sum power must be finite and >= 0, got -1.0"),
+        (sym4_text, "users[1].power.values", {"mode": "per_antenna", "values": [-0.5]},
+         "per-antenna caps must be finite and nonnegative, got (-0.5,)"),
+        (sym4_text, "receiver.base_order", [1, 3, 3, 4],
+         "base_order must be a permutation of 1..K, got (1, 3, 3, 4)"),
+        (sym3_ts_text, "receiver.weights", [0.5, 0.25],
+         "time-share weights must sum to 1, got 0.75"),
+    ], ids=["sum_power", "per_antenna_caps", "base_order", "weights"])
+    def test_rejected_model_value_names_source_and_field(self, text, field, value, message):
+        # the model types reject these values; the parse error says where they sit
+        doc = json.loads(text())
+        if field.startswith("users"):
+            doc["users"][int(field[6])]["power"] = value
+        else:
+            doc["receiver"][field.split(".")[1]] = value
+        with pytest.raises(ScenarioFormatError) as raised:
+            io.parse_scenario(json.dumps(doc), source="bad.cfg")
+        assert str(raised.value) == f"bad.cfg: {field}: {message}"
+
     @pytest.mark.parametrize("field, where", [
         ("noise_N0", "noise N0"), ("power", "sum power"), ("weights", "weights"),
     ])
@@ -481,6 +502,16 @@ class TestCli:
         )
         assert code == 1
         assert "bad.cfg" in err
+
+    def test_negative_budget_exits_one_naming_file_and_field(self, tmp_path, capsys):
+        doc = json.loads(sym4_text())
+        doc["users"][0]["power"]["values"] = [-1]
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(["core", "--scenario", str(cfg), "--model", "rational"], capsys)
+        assert code == 1
+        assert err.strip() == (f"error: {cfg}: users[0].power.values: "
+                               f"sum power must be finite and >= 0, got -1.0")
 
     @pytest.mark.parametrize("command", ["core", "least-core"])
     def test_one_user_core_exits_one(self, tmp_path, capsys, command):
