@@ -32,12 +32,15 @@ only on the demands, one vector by mask - 1 from the table to the LP
 certificate is one of its max-margin collections.
 
 Each basis an LP meets is inverted once per :class:`_CoreLp`, which
-stores the inverse.  A utility table holds one :class:`_CoreLp` for as
+stores the inverse.  A utility table holds one :class:`_TableLp` for as
 long as it lives, so the verdicts read from one table share their
-inversions (one-antenna rational, merging and cautious demands are
-equal, so the last two invert nothing); every verdict still starts from
-the singleton basis, so its pivot path, and with it every answer, is
-that of a fresh LP.
+inversions, and it decides each distinct demand vector (its bytes and
+the bits of v(N)) once: one-antenna rational, merging and cautious
+demands are equal, so after the rational verdict the other two run no
+LP.  Every solve still starts from the singleton basis, so its pivot
+path, and with it every answer, is that of a fresh LP; a stored decision
+is validated again against the demands of each call that reads it.  An
+SNR sweep and the dict-taking calls keep no decisions.
 
 Every verdict follows one rule for every K: the core is nonempty when
 the optimal slack t >= -LP_TOL, and the evidence (the witness, or the
@@ -47,6 +50,7 @@ certificate) is validated against the demands before it is returned.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -527,11 +531,11 @@ class _CoreLp:
 
     Rows run over the proper coalitions in ascending mask order, so a
     demand vector is ``d[mask - 1]``.  The constraint rows and costs
-    depend on K only and are built once, after K >= 2 is checked.  Each
-    LP keeps a store (:class:`_Bases`) of the basis inverses and
-    multipliers it has met, which depend on K alone, so one instance
-    serves any demand vectors of its K, and every answer is bitwise what
-    a fresh instance gives.
+    depend on K only and are built once, after K is checked to be an
+    integer >= 2.  Each LP keeps a store (:class:`_Bases`) of the basis
+    inverses and multipliers it has met, which depend on K alone, so one
+    instance serves any demand vectors of its K, and every answer is
+    bitwise what a fresh instance gives.
 
     The start basis is an argument of each solve, never state of the
     instance.  The slack LP starts from the singleton basis unless
@@ -543,14 +547,19 @@ class _CoreLp:
     dual feasible for it too (see :meth:`check`).
 
     How long the stores live: a :class:`~equilibrium.UtilityTable` holds
-    one instance (:func:`_lp_of`) for as long as the table, so every core
-    verdict, least core and certificate read from one table shares it;
-    a call given no table, and each dict-taking call, uses one for that
-    call alone; :func:`analysis.snr_boundary` keeps one per K for the
-    sweep of that K.  Nothing is kept in the module between calls.
+    one instance for as long as the table, a :class:`_TableLp`
+    (:func:`_lp_of`) that also keeps what it decided per distinct input,
+    so every core verdict, least core and certificate read from one table
+    shares it; a call given no table, and each dict-taking call, uses one
+    for that call alone; :func:`analysis.snr_boundary` keeps one plain
+    instance per K for the sweep of that K, which stores no decisions, so
+    its stores do not grow with its points.  Nothing is kept in the
+    module between calls.
     """
 
     def __init__(self, k: int):
+        if not isinstance(k, numbers.Integral):
+            raise InvalidArgument(f"the number of users must be an integer, not {k!r}")
         if k < 2:
             raise InvalidArgument("core checks need at least 2 users")
         self.k = k
@@ -630,11 +639,54 @@ class _CoreLp:
         return CoreResult("empty", None, cert, float(t)), basis
 
 
+class _TableLp(_CoreLp):
+    """A table's core LP (:func:`_lp_of`): a :class:`_CoreLp` that decides each
+    distinct input once.
+
+    ``decided`` maps the bytes of a demand vector plus the bits of v(N) to
+    the slack solve (x, t, basis) from the singleton basis; ``certified``
+    maps the bytes of a demand vector plus the start basis to the
+    certificate LP's (weights, value).  A solve of stored bytes runs no
+    LP and returns copies, so no caller aliases the store, and
+    :meth:`check` validates the witness or certificate against the
+    demands of each call.  The keys are bytes, never a model's name: one
+    demand vector read under several models is decided once, and demands
+    that differ by a zero's sign or one ulp, or new values written into
+    the table, solve apart.  Each stored solve started where a fresh LP's
+    starts, so every answer is bitwise a fresh LP's.  A slack solve
+    given another start is not stored, and non-finite inputs raise before
+    anything is stored.
+    """
+
+    def __init__(self, k: int):
+        super().__init__(k)
+        self.decided: dict[bytes, tuple] = {}
+        self.certified: dict[tuple, tuple] = {}
+
+    def slack(self, d: np.ndarray, v_k: float, start: list[int] | None = None):
+        if start is not None:
+            return super().slack(d, v_k, start)
+        key = d.tobytes() + np.float64(v_k).tobytes()
+        kept = self.decided.get(key)
+        if kept is None:
+            kept = self.decided[key] = super().slack(d, v_k)
+        x, t, basis = kept
+        return x.copy(), t, list(basis)
+
+    def balanced(self, d: np.ndarray, start: list[int] | None = None):
+        key = (d.tobytes(), None if start is None else tuple(start))
+        kept = self.certified.get(key)
+        if kept is None:
+            kept = self.certified[key] = super().balanced(d, start)
+        weights, value = kept
+        return dict(weights), value
+
+
 def _lp_of(table: UtilityTable) -> _CoreLp:
-    """The table's core LP (``table.core_lp``), built on the first core computation
-    handed the table; it lives as long as the table."""
+    """The table's core LP (``table.core_lp``), a :class:`_TableLp` built on the
+    first core computation handed the table; it lives as long as the table."""
     if table.core_lp is None:
-        table.core_lp = _CoreLp(table.k)
+        table.core_lp = _TableLp(table.k)
     return table.core_lp
 
 
@@ -665,10 +717,17 @@ def validate_certificate(cert: BalancedCertificate, demands: dict[int, float],
 
 
 def _demand_array(demands: dict[int, float], k: int) -> np.ndarray:
-    """Demands of every proper nonempty coalition, by mask - 1."""
-    if set(demands) != set(range(1, (1 << k) - 1)):
+    """Demands of every proper nonempty coalition as float64, by mask - 1; raises
+    InvalidArgument unless they cover every one and each is a real number."""
+    masks = range(1, (1 << k) - 1)
+    if set(demands) != set(masks):
         raise InvalidArgument("demands must cover every proper nonempty coalition")
-    return np.array([demands[mask] for mask in range(1, (1 << k) - 1)])
+    values = [demands[mask] for mask in masks]
+    for mask, value in zip(masks, values):
+        if not isinstance(value, numbers.Real):
+            raise InvalidArgument(f"demand of coalition mask {mask} is not a real number: "
+                                  f"{value!r}")
+    return np.array(values, dtype=np.float64)
 
 
 def _require_finite(d: np.ndarray, v_k: float) -> None:

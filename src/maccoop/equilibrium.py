@@ -98,10 +98,11 @@ class UtilityTable:
     computes :func:`io.fingerprint` of it when ``fingerprint`` is first
     read.
 
-    ``core_lp`` is the table's core LP (``cores._CoreLp`` of K), None
+    ``core_lp`` is the table's core LP (``cores._TableLp`` of K), None
     until a core computation is first handed the table; from then on it
     lives as long as the table.  Its rows and stored bases depend on K
-    alone, never on the table's values.
+    alone, never on the table's values; its decisions are keyed by the
+    bytes of the demands read, so new values are decided afresh.
     """
 
     def __init__(self, k: int, fingerprint: str | Scenario,

@@ -29,6 +29,7 @@ from maccoop.cores import (
     _incidence,
     _singleton_rows,
     _CoreLp,
+    _TableLp,
     _demands_and_grand,
     ExpectationModel,
     balancedness_certificate,
@@ -588,6 +589,41 @@ class TestCheckCore:
                      lambda demands, v_k, k: region_from_demands(demands, v_k)):
             with pytest.raises(NumericalFailure, match="mask 4 is not finite"):
                 call(demands, 2.0, 3)
+
+    @pytest.mark.parametrize("kind", [int, np.int64, Fraction])
+    def test_integer_demands_give_the_float_verdict(self, kind):
+        # an int64 vector used to fail the LP's float64 gather with a bare TypeError
+        cases = [({1: 0, 2: 0}, 1, 2), ({m: 1 for m in range(1, 7)}, 2, 3),
+                 ({m: bin(m).count("1") for m in range(1, 15)}, 4, 4),
+                 ({1: 1, 2: 1}, 1, 2)]
+        for demands, v_k, k in cases:
+            exact = {m: kind(d) for m, d in demands.items()}
+            floats = {m: float(d) for m, d in demands.items()}
+            assert same_core_result(check_core_from_demands(exact, kind(v_k), k),
+                                    check_core_from_demands(floats, float(v_k), k))
+            got = least_core_from_demands(exact, kind(v_k), k)
+            want = least_core_from_demands(floats, float(v_k), k)
+            assert got.epsilon_star.hex() == want.epsilon_star.hex()
+            assert got.allocation.tobytes() == want.allocation.tobytes()
+            if k == 3:
+                assert region_from_demands(exact, v_k) == region_from_demands(floats, v_k)
+
+    @pytest.mark.parametrize("bad", ["0.5", 0.5j, None, [0.5]])
+    def test_demand_that_is_no_real_number_is_an_invalid_argument(self, bad):
+        demands = {0b001: 0.5, 0b010: 0.5, 0b011: 1.0, 0b100: 0.5, 0b101: bad, 0b110: 1.0}
+        for call in (check_core_from_demands, least_core_from_demands,
+                     lambda demands, v_k, k: region_from_demands(demands, v_k)):
+            with pytest.raises(InvalidArgument, match="mask 5 is not a real number"):
+                call(demands, 2.0, 3)
+
+    @pytest.mark.parametrize("k", [2.0, 3.5, "3", None])
+    def test_user_count_that_is_no_integer_is_an_invalid_argument(self, k):
+        demands = {m: 0.5 for m in range(1, 7)}
+        for call in (check_core_from_demands, least_core_from_demands):
+            with pytest.raises(InvalidArgument, match="number of users must be an integer"):
+                call(demands, 2.0, k)
+        # numpy integers are integers
+        assert check_core_from_demands(demands, 2.0, np.int64(3)).nonempty
 
     def test_nan_witness_fails_post_validation(self, monkeypatch):
         monkeypatch.setattr(maccoop.cores._CoreLp, "slack",
@@ -1248,26 +1284,201 @@ class TestSharedTableLp:
                               dict_store_dual_simplex(*cert))
 
     @pytest.mark.parametrize("game", range(15))
-    def test_answers_do_not_depend_on_verdict_order(self, bench_workloads, game):
-        # one table takes the four verdicts in all 24 orders, a least core
-        # interleaved at a moving position; every answer equals the same call
-        # on a freshly built table, byte for byte
+    def test_answers_do_not_depend_on_verdict_order(self, bench_workloads, game, monkeypatch):
+        # one table takes the four verdicts in all 24 orders, a least core and a
+        # certificate interleaved at moving positions; every answer equals the
+        # same call on a freshly built table, byte for byte, and each distinct
+        # demand vector runs each LP once, whichever model reads it first
         s = order_games(bench_workloads)[game]
         fresh_check = {m: check_core(s, m, table=utility_table(s)) for m in ALL_MODELS}
         fresh_least = {m: least_core(s, m, table=utility_table(s)) for m in ALL_MODELS}
+        read = {m: _demands_and_grand(s, m, utility_table(s))[:2] for m in ALL_MODELS}
+        inputs = {m: d.tobytes() + np.float64(v_k).tobytes() for m, (d, v_k) in read.items()}
         table = utility_table(s)
+        solves = []
+        solve = maccoop.cores._dual_simplex
+
+        def recorded(c, g, d, basis, a_eq, b_eq, bases):
+            solves.append((len(b_eq), d.tobytes() + b_eq.tobytes()))
+            return solve(c, g, d, basis, a_eq, b_eq, bases)
+
+        monkeypatch.setattr(maccoop.cores, "_dual_simplex", recorded)
         for i, order in enumerate(itertools.permutations(ALL_MODELS)):
             calls = [("check", m) for m in order]
             calls.insert(i % 5, ("least", ALL_MODELS[i % 4]))
+            calls.insert((i + 2) % 6, ("certificate", ALL_MODELS[(i + 1) % 4]))
             for kind, m in calls:
                 if kind == "check":
                     got = check_core(s, m, table=table)
                     assert same_core_result(got, fresh_check[m]), (order, m)
+                elif kind == "certificate":
+                    got, want = balancedness_certificate(s, m, table=table), fresh_check[m]
+                    assert (got is None) == want.nonempty
+                    if got is not None:
+                        assert [(k, w.hex()) for k, w in got.weights.items()] == [
+                            (k, w.hex()) for k, w in want.certificate.weights.items()]
+                        assert got.margin.hex() == want.certificate.margin.hex()
                 else:
                     got, want = least_core(s, m, table=table), fresh_least[m]
                     assert got.epsilon_star.hex() == want.epsilon_star.hex()
                     assert got.allocation.tobytes() == want.allocation.tobytes()
+        slack = [key for lp, key in solves if lp == 1]
+        certificate = [key for lp, key in solves if lp == 0]
+        assert sorted(slack) == sorted(set(inputs.values()))
+        empty = {inputs[m][:-8] for m in ALL_MODELS if not fresh_check[m].nonempty}
+        assert sorted(certificate) == sorted(empty)
         assert table.core_lp.slack_bases
+        assert set(table.core_lp.decided) == set(inputs.values())
+        if s.rx_antennas == 1:
+            # one-antenna rational, merging and cautious demands are one vector
+            assert len(set(inputs.values())) <= 2
+
+    def test_merging_and_cautious_run_no_lp_after_rational_on_one_antenna_tables(
+            self, bench_workloads, monkeypatch):
+        # each verdict reads its own model's demands; equal bytes then run no LP
+        solves, reads = [], []
+        solve, read = maccoop.cores._dual_simplex, maccoop.cores._read_demands
+        monkeypatch.setattr(maccoop.cores, "_dual_simplex",
+                            lambda *args: solves.append(args) or solve(*args))
+        monkeypatch.setattr(maccoop.cores, "_read_demands",
+                            lambda *args: reads.append(args[2]) or read(*args))
+        games = [s for s in order_games(bench_workloads) if s.rx_antennas == 1]
+        assert len(games) == 12
+        for s in games:
+            table = utility_table(s)
+            ran, nonempty = {}, {}
+            for model in ALL_MODELS:
+                before = len(solves)
+                nonempty[model] = check_core(s, model, table=table).nonempty
+                ran[model] = len(solves) - before
+                assert reads[-1] is model
+            assert ran[ExpectationModel.RATIONAL] == (1 if nonempty[ExpectationModel.RATIONAL]
+                                                      else 2)
+            assert ran[ExpectationModel.MERGING] == ran[ExpectationModel.CAUTIOUS] == 0
+            assert ran[ExpectationModel.SINGLETON] >= 1
+
+    def test_in_place_value_edits_solve_again(self, bench_workloads):
+        # the key is the demands' bytes, so new values are decided afresh; the
+        # table caches its row totals on the first rational read, so the values
+        # change before that read
+        for s in order_games(bench_workloads)[::3]:
+            table = utility_table(s)
+            before = check_core(s, ExpectationModel.MERGING, table=table)
+            table.values *= np.random.default_rng(31).uniform(0.5, 1.5, size=len(table))
+            fresh = UtilityTable.from_arrays(s.k, s, table.rgs, table.counts, table.masks,
+                                             table.values.copy())
+            for model in ALL_MODELS:
+                got = check_core(s, model, table=table)
+                assert same_core_result(got, check_core(s, model, table=fresh)), model
+                got, want = least_core(s, model, table=table), least_core(s, model, table=fresh)
+                assert got.epsilon_star.hex() == want.epsilon_star.hex()
+                assert got.allocation.tobytes() == want.allocation.tobytes()
+            assert not same_core_result(before, check_core(s, ExpectationModel.MERGING,
+                                                           table=table))
+            assert len(table.core_lp.decided) == len(fresh.core_lp.decided) + 1
+
+    def test_zero_sign_and_one_ulp_solve_apart(self, monkeypatch):
+        # equal by == or one ulp apart, different by bytes: each input is its own
+        # decision, solved once however often it is asked
+        lp = _TableLp(3)
+        slack_solves = []
+        solve = maccoop.cores._dual_simplex
+
+        def recorded(c, g, d, basis, a_eq, b_eq, bases):
+            if bases is lp.slack_bases:
+                slack_solves.append(d.tobytes())
+            return solve(c, g, d, basis, a_eq, b_eq, bases)
+
+        monkeypatch.setattr(maccoop.cores, "_dual_simplex", recorded)
+        d, v_k = np.array([0.0, 0.5, 1.0, 0.5, 1.0, 1.25]), 2.0
+        negative_zero, ulp = d.copy(), d.copy()
+        negative_zero[0] = -0.0
+        ulp[5] = np.nextafter(1.25, 2.0)
+        assert (negative_zero == d).all()
+        inputs = [(d, v_k), (negative_zero, v_k), (ulp, v_k), (d, np.nextafter(v_k, 3.0)),
+                  (d, np.nextafter(v_k, 1.0))]
+        for _ in range(3):
+            for demands, grand in inputs:
+                result, _ = lp.check(demands, grand)
+                assert same_core_result(result, _CoreLp(3).check(demands, grand)[0])
+                x, t, _ = lp.slack(demands, grand)
+                assert x.tobytes() == result.allocation.tobytes() and t == result.slack
+        assert len(slack_solves) == len(lp.decided) == len(inputs)
+
+    def test_returned_objects_are_the_callers_own(self, bench_workloads):
+        # writing over a returned allocation, weights dict or basis changes no
+        # later answer from the same table
+        for s in order_games(bench_workloads)[::2]:
+            table = utility_table(s)
+            for model in ALL_MODELS:
+                fresh = utility_table(s)
+                want = check_core(s, model, table=fresh)
+                want_least = least_core(s, model, table=fresh)
+                for _ in range(2):
+                    got = check_core(s, model, table=table)
+                    assert same_core_result(got, want), model
+                    least = least_core(s, model, table=table)
+                    assert least.epsilon_star.hex() == want_least.epsilon_star.hex()
+                    assert least.allocation.tobytes() == want_least.allocation.tobytes()
+                    cert = balancedness_certificate(s, model, table=table)
+                    least.allocation[:] = np.nan
+                    if got.nonempty:
+                        got.allocation[:] = np.nan
+                    else:
+                        got.certificate.weights.clear()
+                        cert.weights[1] = 2.0
+                d, v_k, _ = _demands_and_grand(s, model, table)
+                _, basis = table.core_lp.check(d, v_k)
+                basis.reverse()
+                basis.append(-1)
+                assert same_core_result(check_core(s, model, table=table), want)
+
+    def test_nan_demand_raises_on_every_call(self):
+        # a non-finite input is never stored: every call raises
+        table = UtilityTable(3, "fp", {
+            (0, 0, 0): {0b111: 3.0},
+            (0, 0, 1): {0b011: 1.0, 0b100: math.nan},
+            (0, 1, 0): {0b101: 1.0, 0b010: 0.5},
+            (0, 1, 1): {0b001: 0.5, 0b110: 1.0},
+            (0, 1, 2): {0b001: 0.4, 0b010: 0.4, 0b100: math.nan},
+        })
+        s = symmetric(3, 1.0, Sud())
+        for model in (ExpectationModel.MERGING, ExpectationModel.SINGLETON):
+            for _ in range(3):
+                for call in (check_core, least_core, balancedness_certificate):
+                    with pytest.raises(NumericalFailure, match="mask 4 is not finite"):
+                        call(s, model, table=table)
+        assert table.core_lp.decided == {}
+        lp = _TableLp(3)
+        d = np.array([0.5, 0.5, 1.0, math.nan, 1.0, 1.0])
+        for _ in range(3):
+            for call in (lp.check, lp.slack):
+                with pytest.raises(NumericalFailure, match="mask 4 is not finite"):
+                    call(d, 2.0)
+        assert lp.decided == {}
+
+    def test_sweeps_and_dict_calls_store_nothing(self, monkeypatch):
+        # only a table's LP keeps decisions: a sweep's and a dict call's are plain
+        # core LPs, which solve without storing any
+        made = []
+
+        class Recorded(_CoreLp):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(analysis, "_CoreLp", Recorded)
+        monkeypatch.setattr(maccoop.cores, "_CoreLp", Recorded)
+        monkeypatch.setattr(maccoop.cores, "_TableLp", None)  # building one would raise
+        for model in ALL_MODELS:
+            analysis.snr_boundary(analysis.SweepSpec((3, 4), (-10.0, 0.0, 10.0, 20.0)), model)
+        assert len(made) == 8
+        demands = {m: 0.3 * bin(m).count("1") for m in range(1, 7)}
+        check_core_from_demands(demands, 1.0, 3)
+        least_core_from_demands(demands, 1.0, 3)
+        assert len(made) == 10
+        for lp in made:
+            assert lp.slack_bases and vars(lp).keys() == vars(_CoreLp(lp.k)).keys()
 
     def test_one_table_inverts_each_basis_it_meets_once(self, bench_workloads, monkeypatch):
         # on a seeded K=8 fixed-order SIC table the merging and cautious demands
