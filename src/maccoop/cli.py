@@ -175,11 +175,10 @@ def _cmd_utilities(args) -> int:
     row_of = np.repeat(np.arange(len(table.rgs)), table.counts)
     order = np.lexsort((table.masks, row_of))
     masks = table.masks[order]
-    keys, names, n = _rgs_keys(table.rgs), _member_names(scenario.k), len(masks)
     em.table("utilities.csv", ["rgs", "coalition_mask", "members", f"utility_{em.unit}"],
-             [_SlicedColumn(n, lambda rows: keys[row_of[rows]]), masks,
-              _SlicedColumn(n, lambda rows: names[masks[rows]]),
-              em.conv(table.values[order])], scenario)
+             [io.Coded(_rgs_keys(table.rgs), row_of), masks,
+              io.Coded(_member_names(scenario.k), masks), em.conv(table.values[order])],
+             scenario)
     em.summary["data"] = {"fingerprint": table.fingerprint, "entries": len(table)}
     return em.finish()
 

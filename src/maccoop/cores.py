@@ -558,10 +558,7 @@ class _CoreLp:
     """
 
     def __init__(self, k: int):
-        if not isinstance(k, numbers.Integral):
-            raise InvalidArgument(f"the number of users must be an integer, not {k!r}")
-        if k < 2:
-            raise InvalidArgument("core checks need at least 2 users")
+        _require_users(k)
         self.k = k
         self.incidence = _incidence(range(1, (1 << k) - 1), k)
         self.singletons = _singleton_rows(k)
@@ -716,11 +713,24 @@ def validate_certificate(cert: BalancedCertificate, demands: dict[int, float],
         raise NumericalFailure("certificate margin inconsistent with weights")
 
 
+def _require_users(k) -> None:
+    """Raise InvalidArgument unless K is an integer >= 2, before ``1 << k`` can fail."""
+    if not isinstance(k, numbers.Integral):
+        raise InvalidArgument(f"the number of users must be an integer, not {k!r}")
+    if k < 2:
+        raise InvalidArgument("core checks need at least 2 users")
+
+
 def _demand_array(demands: dict[int, float], k: int) -> np.ndarray:
     """Demands of every proper nonempty coalition as float64, by mask - 1; raises
-    InvalidArgument unless they cover every one and each is a real number."""
+    InvalidArgument unless they cover every one and each is a real number.
+
+    K and the dict's size are checked first, so a dict that cannot cover
+    K's coalitions costs nothing of size 2^K.
+    """
+    _require_users(k)
     masks = range(1, (1 << k) - 1)
-    if set(demands) != set(masks):
+    if len(demands) != len(masks) or not all(mask in demands for mask in masks):
         raise InvalidArgument("demands must cover every proper nonempty coalition")
     values = [demands[mask] for mask in masks]
     for mask, value in zip(masks, values):
@@ -742,7 +752,8 @@ def _require_finite(d: np.ndarray, v_k: float) -> None:
 
 def check_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> CoreResult:
     """Core feasibility from precomputed demands (order-independent)."""
-    return _CoreLp(k).check(_demand_array(demands, k), v_k)[0]
+    d = _demand_array(demands, k)
+    return _CoreLp(k).check(d, v_k)[0]
 
 
 def check_core(
@@ -763,7 +774,8 @@ def check_core(
 
 
 def least_core_from_demands(demands: dict[int, float], v_k: float, k: int) -> LeastCoreResult:
-    x, t, _ = _CoreLp(k).slack(_demand_array(demands, k), v_k)
+    d = _demand_array(demands, k)
+    x, t, _ = _CoreLp(k).slack(d, v_k)
     return LeastCoreResult(float(-t), x)
 
 

@@ -81,19 +81,23 @@ class UtilityTable:
     blocks are entries ``offsets[r]:offsets[r + 1]`` of ``masks`` (the
     coalition bitmask) and ``values`` (the utility in nats), in label
     order (as ``Partition.blocks``) for every route.  ``totals[r]`` adds
-    row r's values left to right in that order.  ``entry_rows`` and
+    row r's values left to right in that order; it is computed from
+    ``values`` on each read (one ``bincount``; the rational demand read and
+    the cohesiveness audit read it once per table), so values written into
+    ``values`` in place are in it.  ``offsets``, ``entry_rows`` and
+    ``mask_index`` depend on the rows and masks alone: ``entry_rows`` and
     ``mask_index`` hold each entry's row and mask as intp indices, the
-    demand reads' group-by keys.  These four are built on first read,
-    since most readers need none of them (of the core demands only
-    rational's read the totals); at K=10, a full table's 562 595 entries
-    take 4.5 MB in each of ``entry_rows`` and ``mask_index``.  ``fingerprint``
-    identifies the scenario the table was built from, making cached
-    tables auditable, and :meth:`built_for` tells whether a scenario's
-    core computations may read the table.
+    demand reads' group-by keys.  These three are built on first read,
+    since most readers need none of them; at K=10, a full table's 562 595
+    entries take 4.5 MB in each of ``entry_rows`` and ``mask_index``.
+    ``fingerprint`` identifies the scenario the table was built from,
+    making cached tables auditable, and :meth:`built_for` tells whether a
+    scenario's core computations may read the table.
 
     ``UtilityTable(k, fingerprint, entries)`` converts a dict keyed by
     restricted growth string whose values map mask to utility;
-    :attr:`entries` is that view of any table, built on first access.
+    :attr:`entries` is that view of any table, a snapshot taken on first
+    access: values written into ``values`` later are not in it.
     Given a :class:`Scenario` instead of a fingerprint string, a table
     computes :func:`io.fingerprint` of it when ``fingerprint`` is first
     read.
@@ -137,8 +141,9 @@ class UtilityTable:
     def offsets(self) -> np.ndarray:
         return np.concatenate(([0], np.cumsum(self.counts)))
 
-    @functools.cached_property
+    @property
     def totals(self) -> np.ndarray:
+        # computed on each read, so it follows values written in place;
         # bincount adds each weight into its zeroed bin in input order, so a
         # row's total is 0.0 + v_0 + v_1 + ... left to right, as Python floats add
         return np.bincount(self.entry_rows, weights=self.values,

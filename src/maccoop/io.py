@@ -6,12 +6,15 @@ are anchored to a line/column (syntax) or a field path (semantics).
 
 Result tables are CSV preceded by ``#``-prefixed metadata lines (tool
 version, scenario fingerprint, seed, units) so that identical inputs
-always produce identical bytes.  Tables are handed over by column: each
-column is formatted in one pass chosen by its dtype (floats to 12
-significant digits by ``%.12g``, which spells ``nan``, ``inf`` and
-``-inf``), and ``CHUNK_ROWS`` rows at a time are joined into lines and
-written, so a table's formatted cells are never all alive at once.
-Quoting is the ``csv`` module's minimal quoting.
+always produce identical bytes.  Tables are handed over by column, and
+each column's kind gives its field of one row template: float64 arrays
+``%.12g`` (12 significant digits; it spells ``nan``, ``inf`` and
+``-inf``), integer arrays ``%d``, and any other column ``%s`` over its
+formatted, quoted text.  ``CHUNK_ROWS`` rows at a time go through the
+template and are written, so a table's text is never all alive at once.
+A text column whose values repeat can be handed over as distinct labels
+plus integer codes (:class:`Coded`); its labels are formatted and quoted
+once per table.  Quoting is the ``csv`` module's minimal quoting.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
+from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -225,55 +229,71 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
-#: Rows formatted and written by one string join at a time.
+#: Rows formatted and written by one row template at a time.
 CHUNK_ROWS = 2048
 
-#: Characters that make csv's minimal quoting quote a cell, with this
-#: dialect's ',' delimiter, '"' quote and '\n' line terminator.
-_QUOTED = re.compile('[,"\n]')
+
+@dataclass(frozen=True)
+class Coded:
+    """A text column handed over as its distinct ``labels`` and, per row, the
+    integer ``codes`` that index them: row r's cell is ``labels[codes[r]]``.
+
+    The writer formats and quotes the labels once per table, so a label
+    that many rows repeat is never formatted or quoted row by row.
+    """
+
+    labels: Sequence[Any]
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
 
 def _quoted(cells: list[str]) -> list[str]:
-    """Cells as csv's ``QUOTE_MINIMAL`` writes them: a cell holding ',', '"'
+    """Cells as csv's ``QUOTE_MINIMAL`` writes them, with this dialect's ','
+    delimiter, '"' quote and '\\n' line terminator: a cell holding ',', '"'
     or a newline goes in double quotes, its '"' doubled ('\\r' is not quoted)."""
     text = "\r".join(cells)
-    if not _QUOTED.search(text):
+    if "," not in text and '"' not in text and "\n" not in text:
         return cells
     if '"' in text:  # a cell holding '"' is quoted, so every '"' doubles
         cells = [c.replace('"', '""') for c in cells]
-    return [f'"{c}"' if quote else c for c, quote in zip(cells, map(_QUOTED.search, cells))]
+    return [f'"{c}"' if "," in c or '"' in c or "\n" in c else c for c in cells]
 
 
-def _format_column(column: Sequence[Any]) -> list[str]:
-    """A column's cells as CSV fields, in one pass chosen by its dtype.
+def _text(column: Sequence[Any], alone: bool) -> list[str]:
+    """A column's cells as quoted CSV text: str arrays as they stand, anything
+    else through ``format_value`` (numpy arrays after ``tolist``).
 
-    float64 arrays go through ``%.12g``, which equals ``format_value``'s
-    ``.12g`` on every double, nan and the infinities included; integer
-    arrays through ``str``; neither needs quoting.  str arrays stand as
-    they are.  Any other column, numpy or not, goes through
-    ``format_value`` cell by cell.  Text is then quoted (:func:`_quoted`).
+    The empty cell of a column that is ``alone`` in its table is written
+    '""', as csv writes a row of one empty field, so that the line is not
+    read back as a row of no fields.
     """
-    if not isinstance(column, np.ndarray):
-        return _quoted(list(map(format_value, column)))
-    cells = column.tolist()
-    if column.dtype == np.float64:
-        return list(map("%.12g".__mod__, cells))
-    if column.dtype.kind in "iu":
-        return list(map(str, cells))
-    if column.dtype.kind == "U":
-        return _quoted(cells)
-    return _quoted(list(map(format_value, cells)))
+    cells = column.tolist() if isinstance(column, np.ndarray) else column
+    if not (isinstance(column, np.ndarray) and column.dtype.kind == "U"):
+        cells = list(map(format_value, cells))
+    cells = _quoted(cells)
+    return [c or '""' for c in cells] if alone else cells
 
 
-def _lines(fields: list[list[str]]) -> str:
-    """Rows of the field columns ``fields``, each line ended by '\\n'.
+def _field(column, alone: bool):
+    """A column's field of the row template, and the function that gives the
+    template's arguments for a slice of its rows.
 
-    A row of one empty field is written '""', as csv writes it, so that
-    the line is not read back as a row of no fields.
+    float64 arrays go in as floats under ``%.12g``, which equals
+    ``format_value``'s ``.12g`` on every double, nan and the infinities
+    included; integer arrays as ints under ``%d``; neither needs quoting.
+    Every other column goes in under ``%s`` as its text (:func:`_text`),
+    a :class:`Coded` column as its labels' text, made once here.
     """
-    if len(fields) == 1:
-        fields = [['""' if f == "" else f for f in fields[0]]]
-    return "".join(map("%s\n".__mod__, map(",".join, zip(*fields))))
+    if isinstance(column, Coded):
+        labels = np.array(_text(column.labels, alone), dtype=object)
+        return "%s", lambda rows: labels.take(column.codes[rows]).tolist()
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return "%.12g", lambda rows: column[rows].tolist()
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return "%d", lambda rows: column[rows].tolist()
+    return "%s", lambda rows: _text(column[rows], alone)
 
 
 def write_table(fh, header: Sequence[str], columns: Sequence[Sequence[Any]],
@@ -281,13 +301,13 @@ def write_table(fh, header: Sequence[str], columns: Sequence[Sequence[Any]],
     """Write a CSV table preceded by '#'-prefixed metadata lines.
 
     ``columns`` holds one column per ``header`` name, all of one length.
-    A column is anything with ``len`` and slicing: a numpy array, a list,
-    or an object that computes each slice of rows when asked.  Each
-    ``CHUNK_ROWS`` slice of every column is formatted
-    (:func:`_format_column`) and written by one string join
-    (:func:`_lines`) before the next is taken.  The bytes are those of
-    ``csv.writer(fh, lineterminator="\\n")`` writing the formatted rows,
-    as Python 3.11's csv module writes them.
+    A column is a :class:`Coded` column or anything with ``len`` and
+    slicing: a numpy array, a list, or an object that computes each slice
+    of rows when asked.  Each ``CHUNK_ROWS`` slice of every column is
+    taken (:func:`_field`) and its rows written through one row template
+    of the columns' fields before the next slice is taken.  The bytes are
+    those of ``csv.writer(fh, lineterminator="\\n")`` writing the rows'
+    ``format_value`` cells, as Python 3.11's csv module writes them.
     """
     n = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(col) != n for col in columns):
@@ -295,9 +315,13 @@ def write_table(fh, header: Sequence[str], columns: Sequence[Sequence[Any]],
     for key, value in (meta or {}).items():
         fh.write(f"# {key}: {format_value(value)}\n")
     # no header names make one empty line, as csv writes a row of no fields
-    fh.write(_lines([[name] for name in _quoted(list(header))]) or "\n")
+    fh.write(",".join(_text(list(header), len(header) == 1)) + "\n")
+    fields = [_field(col, len(columns) == 1) for col in columns]
+    template = ",".join(field for field, _ in fields) + "\n"
     for start in range(0, n, CHUNK_ROWS):
-        fh.write(_lines([_format_column(col[start:start + CHUNK_ROWS]) for col in columns]))
+        rows = slice(start, start + CHUNK_ROWS)
+        args = chain.from_iterable(zip(*(cells(rows) for _, cells in fields)))
+        fh.write(template * min(CHUNK_ROWS, n - start) % tuple(args))
 
 
 def table_meta(scenario: Scenario | None = None, *, seed: int | None = None,

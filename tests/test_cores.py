@@ -625,6 +625,25 @@ class TestCheckCore:
         # numpy integers are integers
         assert check_core_from_demands(demands, 2.0, np.int64(3)).nonempty
 
+    @pytest.mark.parametrize("call", [check_core_from_demands, least_core_from_demands])
+    def test_dict_short_of_k_raises_before_anything_of_size_two_to_the_k(self, call):
+        # K=16 has 65 534 proper coalitions: nothing of that size (LP rows, a
+        # set of masks) may be built before the dict is checked
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArgument, match="must cover every proper nonempty"):
+                call({}, 1.0, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(InvalidArgument, match="number of users must be an integer"):
+            call({}, 1.0, 16.0)
+        # the right size with a mask missing is short too
+        wrong = {m: 0.5 for m in range(0, 6)}
+        with pytest.raises(InvalidArgument, match="must cover every proper nonempty"):
+            call(wrong, 2.0, 3)
+
     def test_nan_witness_fails_post_validation(self, monkeypatch):
         monkeypatch.setattr(maccoop.cores._CoreLp, "slack",
                             lambda self, d, v_k, start: (np.array([math.nan, 1.0]), 0.0, [0]))
@@ -1358,24 +1377,27 @@ class TestSharedTableLp:
             assert ran[ExpectationModel.SINGLETON] >= 1
 
     def test_in_place_value_edits_solve_again(self, bench_workloads):
-        # the key is the demands' bytes, so new values are decided afresh; the
-        # table caches its row totals on the first rational read, so the values
-        # change before that read
-        for s in order_games(bench_workloads)[::3]:
-            table = utility_table(s)
-            before = check_core(s, ExpectationModel.MERGING, table=table)
-            table.values *= np.random.default_rng(31).uniform(0.5, 1.5, size=len(table))
-            fresh = UtilityTable.from_arrays(s.k, s, table.rgs, table.counts, table.masks,
-                                             table.values.copy())
-            for model in ALL_MODELS:
-                got = check_core(s, model, table=table)
-                assert same_core_result(got, check_core(s, model, table=fresh)), model
-                got, want = least_core(s, model, table=table), least_core(s, model, table=fresh)
-                assert got.epsilon_star.hex() == want.epsilon_star.hex()
-                assert got.allocation.tobytes() == want.allocation.tobytes()
-            assert not same_core_result(before, check_core(s, ExpectationModel.MERGING,
-                                                           table=table))
-            assert len(table.core_lp.decided) == len(fresh.core_lp.decided) + 1
+        # the key is the demands' bytes, so new values are decided afresh, also
+        # after a rational read, which reads the row totals; the pooled SIC K=6
+        # game (last) joins every third game
+        games = order_games(bench_workloads)
+        for first in (ExpectationModel.MERGING, ExpectationModel.RATIONAL):
+            for s in games[::3] + games[-1:]:
+                table = utility_table(s)
+                before = check_core(s, first, table=table)
+                decided = len(table.core_lp.decided)
+                table.values *= np.random.default_rng(31).uniform(0.5, 1.5, size=len(table))
+                fresh = UtilityTable.from_arrays(s.k, s, table.rgs, table.counts, table.masks,
+                                                 table.values.copy())
+                for model in ALL_MODELS:
+                    got = check_core(s, model, table=table)
+                    assert same_core_result(got, check_core(s, model, table=fresh)), model
+                    got = least_core(s, model, table=table)
+                    want = least_core(s, model, table=fresh)
+                    assert got.epsilon_star.hex() == want.epsilon_star.hex()
+                    assert got.allocation.tobytes() == want.allocation.tobytes()
+                assert not same_core_result(before, check_core(s, first, table=table))
+                assert len(table.core_lp.decided) == len(fresh.core_lp.decided) + decided
 
     def test_zero_sign_and_one_ulp_solve_apart(self, monkeypatch):
         # equal by == or one ulp apart, different by bytes: each input is its own

@@ -165,6 +165,13 @@ class _Recorded(list):
         return out
 
 
+def listed(column):
+    """A column's cells as the per-cell writer is handed them."""
+    if isinstance(column, io.Coded):
+        return [column.labels[code] for code in column.codes.tolist()]
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
 class TestFormatting:
     def test_twelve_significant_digits(self):
         assert io.format_value(math.log(19.0) / 3) == "0.981479659722"
@@ -184,6 +191,9 @@ class TestFormatting:
         ints = np.resize(np.array([0, -1, 7, 127, -128, 32767, 5 - 2 ** 62, 2 ** 62]), n)
         strs = ["a,b", 'say "hi"', "two\nlines", " padded ", "", "plain", "1 2|3"]
         mixed = ["", 0.5, 3, True, "x,y", np.float64(math.nan), np.int16(-4), None]
+        labels = ["a,b", 'say "hi"', "two\nlines", "cr\ronly", "", "plain", 0.5, True]
+        # runs of three equal codes, so that a run crosses each chunk boundary
+        codes = np.arange(n) // 3 % len(labels)
         taken = []
         columns = {
             "f64": floats,
@@ -200,12 +210,13 @@ class TestFormatting:
             "mixed": [mixed[i % len(mixed)] for i in range(n)],
             "object": np.resize(np.array(mixed, dtype=object), n),
             "recorded": _Recorded(np.resize(floats, n).tolist(), taken),
+            "coded": io.Coded(labels, codes),
+            "coded_str": io.Coded(np.array(strs), codes[::-1] % len(strs)),
         }
         header = list(columns)
         meta = {"tool_version": io.TOOL_VERSION, "grand": math.log(5.0), "flag": False,
                 "note": "a, b"}
-        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else list(c)
-                     for c in columns.values()))
+        rows = zip(*map(listed, columns.values()))
         got = written(io.write_table, header, list(columns.values()), meta)
         assert got == written(reference_write_table, header, rows, meta)
         assert len(got.splitlines()) >= len(meta) + 1 + n
@@ -233,8 +244,10 @@ class TestFormatting:
     @pytest.mark.parametrize("cells", [[""], ["", "a", ""], [" "], ["\r"], [",", "\n", '"']])
     def test_one_column_tables_write_the_bytes_of_csv(self, cells):
         # csv quotes a row of one empty field, so that it is not read as no fields
+        labels = list(dict.fromkeys(cells))
+        coded = io.Coded(labels, np.array([labels.index(c) for c in cells]))
         for header in (["name"], [""]):
-            for column in (cells, np.array(cells)):
+            for column in (cells, np.array(cells), coded):
                 got = written(io.write_table, header, [column])
                 assert got == written(reference_write_table, header, [[c] for c in cells])
         floats = [math.nan, math.inf, -math.inf]
@@ -283,6 +296,27 @@ class TestCli:
         meta = io.table_meta(seed=0, unit="nats", k=k)
         want = written(reference_write_table, ["index", "rgs", "blocks", "n_blocks"], rows, meta)
         assert (tmp_path / "partitions.csv").read_text() == want
+
+    @pytest.mark.parametrize("bits", [False, True])
+    def test_utilities_table_is_the_per_entry_one(self, tmp_path, capsys, bits):
+        # K=7: 877 rows and 3 263 entries, so the table crosses a chunk boundary
+        s = random_scenario(np.random.default_rng(7), k=7, m=1, mode="per_antenna",
+                            receiver=SicFixed((3, 1, 7, 5, 2, 6, 4)))
+        (tmp_path / "s.cfg").write_text(io.serialize_scenario(s))
+        code, _, _ = run_cli(["utilities", "--scenario", str(tmp_path / "s.cfg"),
+                              "--out", str(tmp_path)] + ["--bits"] * bits, capsys)
+        assert code == 0
+        unit = "bits" if bits else "nats"
+        entries = equilibrium.utility_table(s).entries
+        rows = [(",".join(map(str, key)), mask, " ".join(map(str, Coalition(mask).members)),
+                 value / math.log(2.0) if bits else value)
+                for key in sorted(entries) for mask, value in sorted(entries[key].items())]
+        assert len(entries) == 877 and len(rows) == 3263 > io.CHUNK_ROWS
+        want = written(reference_write_table, ["rgs", "coalition_mask", "members",
+                                               f"utility_{unit}"], rows,
+                       io.table_meta(s, seed=0, unit=unit))
+        # by line: pytest's diff of two long strings that differ takes minutes
+        assert (tmp_path / "utilities.csv").read_text().splitlines() == want.splitlines()
 
     def test_partitions_table(self, tmp_path, capsys):
         code, out, _ = run_cli(
